@@ -3430,6 +3430,38 @@ def _ensure_oracle_materializations() -> None:
         _label_propagation("/root/testdata/sf0.01")
 
 
+def _url_quality_oracle_sql(source: str) -> str:
+    """DuckDB mirror of ``url_quality_filter`` over the parquet ``source``
+    (a path or glob with a ``url`` column)."""
+    return f"""
+            WITH u AS (
+              SELECT DISTINCT url,
+                     CASE WHEN strpos(url, '?') = 0 THEN ''
+                          ELSE substr(url, strpos(url, '?') + 1)
+                     END AS q
+              FROM read_parquet('{source}')
+            ),
+            v AS (
+              SELECT url, length(url) AS L,
+                     length(regexp_replace(url, '[^0-9]', '', 'g')) AS D,
+                     CASE WHEN q = '' THEN 0
+                          ELSE length(q) - length(replace(q, '&', '')) + 1
+                     END AS np
+              FROM u
+            ),
+            r AS (
+              SELECT url,
+                     CASE WHEN lower(url) LIKE '%media%' THEN 'blocklist'
+                          WHEN L > 256 THEN 'too_long'
+                          WHEN 100 * D > 14 * L THEN 'digit_heavy'
+                          WHEN np >= 2 THEN 'param_heavy'
+                          ELSE 'ok' END AS reason
+              FROM v
+            )
+            SELECT url, (reason = 'ok') AS keep, reason FROM r
+    """
+
+
 def oracle_sql() -> dict[str, str]:
     from webarchive_discovery_ray.functions.suffix import _SUFFIXES
 
@@ -4613,7 +4645,8 @@ def oracle_sql() -> dict[str, str]:
                        wayback_date AS timestamp14,
                        content_length AS length, source_file, source_offset,
                        lead(source_offset, 1, 9223372036854775807) OVER (
-                           PARTITION BY source_file ORDER BY source_offset
+                           PARTITION BY source_file
+                           ORDER BY source_offset, wayback_date, record_type
                        ) AS next_off
                 FROM rows WHERE record_type IN ('response', 'revisit')
             )
@@ -6019,34 +6052,12 @@ def oracle_sql() -> dict[str, str]:
         """,
         # RefinedWeb-style URL filtering over the docs base (pinned
         # first-match rule order: blocklist -> too_long -> digit_heavy ->
-        # param_heavy -> ok; digit gate as integer cross-multiply)
-        "url_quality_filter": f"""
-            WITH u AS (
-              SELECT DISTINCT url
-              FROM read_parquet('{_ORACLE_MAT}/docs_base/*.parquet')
-            ),
-            v AS (
-              SELECT url, length(url) AS L,
-                     length(regexp_replace(url, '[^0-9]', '', 'g')) AS D,
-                     CASE WHEN strpos(url, '?') = 0
-                               OR split_part(url, '?', 2) = '' THEN 0
-                          ELSE length(split_part(url, '?', 2))
-                               - length(replace(split_part(url, '?', 2),
-                                                '&', '')) + 1
-                     END AS np
-              FROM u
-            ),
-            r AS (
-              SELECT url,
-                     CASE WHEN lower(url) LIKE '%media%' THEN 'blocklist'
-                          WHEN L > 256 THEN 'too_long'
-                          WHEN 100 * D > 14 * L THEN 'digit_heavy'
-                          WHEN np >= 2 THEN 'param_heavy'
-                          ELSE 'ok' END AS reason
-              FROM v
-            )
-            SELECT url, (reason = 'ok') AS keep, reason FROM r
-        """,
+        # param_heavy -> ok; digit gate as integer cross-multiply). The
+        # query is everything after the FIRST '?' (RFC 3986: later '?'
+        # are query characters), so params count over that whole tail
+        "url_quality_filter": _url_quality_oracle_sql(
+            f"{_ORACLE_MAT}/docs_base/*.parquet"
+        ),
         # per-host crawl-log rollup over the SAME Heritrix-style text
         # lines the Ray op parses (HostsReportMapper.java:41-91 field
         # semantics, HostsReportReducer.java:38-55 sums)

@@ -1040,3 +1040,34 @@ def test_new_ops_empty_input(ray_session, tmp_path):
         got = fn(sf)
         got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
         assert len(got) == 0, fn.__name__
+
+
+def test_url_quality_filter_params_after_first_question_mark(ray_session, tmp_path):
+    """The query is everything after the FIRST '?': a second '?' is a
+    query character, so ``?a=1?b=2&c=3`` carries two params. Pipeline
+    and DuckDB oracle must agree on URLs with two '?'."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data as rd
+
+    import __ray_entry__ as entrymod
+    from webarchive_discovery_ray.pipelines.curation import url_quality_filter
+
+    urls = [
+        "http://ex.com/p?a=1?b=2&c=3",  # 2 params over the whole tail
+        "http://ex.com/p?a=1?b=2",  # 1 param: the second '?' is data
+        "http://ex.com/p?a?b?c&d",  # 2 params
+        "http://ex.com/p??",  # non-empty query '?', 1 param
+        "http://ex.com/p?",  # empty query
+        "http://ex.com/plain",
+    ]
+    src = tmp_path / "urls.parquet"
+    pq.write_table(pa.table({"url": urls}), str(src))
+    got = url_quality_filter(rd.from_pandas(pd.DataFrame({"url": urls}))).to_pandas()
+    exp = duckdb.sql(entrymod._url_quality_oracle_sql(str(src))).df()
+    got = got.set_index("url").sort_index()
+    exp = exp.set_index("url").sort_index()
+    assert got["reason"].to_dict() == exp["reason"].to_dict()
+    assert got["keep"].tolist() == exp["keep"].tolist()
+    assert got.loc["http://ex.com/p?a=1?b=2&c=3", "reason"] == "param_heavy"
+    assert got.loc["http://ex.com/p?a=1?b=2", "reason"] == "ok"

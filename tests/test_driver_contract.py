@@ -105,24 +105,26 @@ def _compare(got: pd.DataFrame, exp: pd.DataFrame, name: str):
                 assert a == b, f"{name}.{col}[{i}]: {a!r} != {b!r}"
 
 
-SQL_CHECKED = sorted(entrymod.oracle_sql())
+# built once per module: oracle_sql() runs Ray Data jobs for its VALUES
+# oracles (about 1 s a call warm), so rebuilding it per case is pure waste
+ORACLE_SQL = entrymod.oracle_sql()
+QUERIES = entrymod.queries()
+SQL_CHECKED = sorted(ORACLE_SQL)
 
 
 @pytest.mark.parametrize("name", SQL_CHECKED)
 def test_query_matches_oracle(ray_session, con, name):
-    q = entrymod.queries()[name]
-    got = _to_pandas(q(SF_DIR))
-    exp = con.sql(entrymod.oracle_sql()[name]).df()
+    got = _to_pandas(QUERIES[name](SF_DIR))
+    exp = con.sql(ORACLE_SQL[name]).df()
     _compare(got, exp, name)
 
 
-ROWS_ONLY = sorted(set(entrymod.queries()) - set(entrymod.oracle_sql()))
+ROWS_ONLY = sorted(set(QUERIES) - set(ORACLE_SQL))
 
 
 @pytest.mark.parametrize("name", ROWS_ONLY)
 def test_rows_only_queries_run(ray_session, name):
-    q = entrymod.queries()[name]
-    got = _to_pandas(q(SF_DIR))
+    got = _to_pandas(QUERIES[name](SF_DIR))
     assert len(got.columns) > 0
     if name not in ("minhash_lsh_pairs", "embedding_neardup_pairs"):
         assert len(got) > 0, f"{name} returned no rows"

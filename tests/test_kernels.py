@@ -422,6 +422,80 @@ def test_bucket_of_colocates_and_spreads():
     assert bs.dtype == np.int32 and bi.dtype == np.int32
 
 
+
+def test_keyed_fold_matches_pandas_groupby(ray_session):
+    """keyed_fold co-locates every key: on random keys its in-bucket sum
+    equals one global pandas groupby, for a tuple key on pandas partials,
+    a column key on Arrow partials, and a two-input keyed join."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions.bucketing import keyed_fold, sum_in_bucket
+
+    rng = np.random.default_rng(7)
+    df = pd.DataFrame(
+        {
+            "k": rng.integers(0, 300, 4000),
+            "s": rng.choice(list("abcdef"), 4000),
+            "v": rng.integers(0, 100, 4000),
+        }
+    )
+    ds = rd.from_pandas(df).repartition(6)
+
+    def norm(frame, keys):
+        return frame.sort_values(keys, ignore_index=True)[sorted(frame.columns)]
+
+    want = df.groupby(["k", "s"])["v"].sum().reset_index()
+    got = keyed_fold(ds, sum_in_bucket(["k", "s"], "v"), ("k", "s")).to_pandas()
+    pd.testing.assert_frame_equal(norm(got, ["k", "s"]), norm(want, ["k", "s"]))
+
+    def arrow_partial(batch: pa.Table) -> pa.Table:
+        g = batch.to_pandas().groupby("s", sort=False)["v"].sum().reset_index()
+        return pa.Table.from_pandas(g, preserve_index=False)
+
+    want_s = df.groupby("s")["v"].sum().reset_index()
+    got_s = keyed_fold(
+        ds, sum_in_bucket("s", "v"), "s", rows=arrow_partial, batch_format="pyarrow"
+    ).to_pandas()
+    pd.testing.assert_frame_equal(norm(got_s, ["s"]), norm(want_s, ["s"]))
+
+    # keyed join: each k's label meets all of its rows in one fold call
+    labels = pd.DataFrame({"k": np.arange(300), "label": np.arange(300) % 7})
+
+    def join(frame: pd.DataFrame) -> pd.DataFrame:
+        lab = frame[frame["label"] >= 0][["k", "label"]]
+        rows = frame[frame["label"] < 0][["k", "v"]]
+        return rows.merge(lab, on="k").groupby("label")["v"].sum().reset_index()
+
+    joined = keyed_fold(
+        (ds, rd.from_pandas(labels)), join, "k",
+        rows=(lambda f: f[["k", "v"]].assign(label=-1), None),
+    ).to_pandas()
+    got_j = joined.groupby("label")["v"].sum().sort_index()
+    want_j = df.merge(labels, on="k").groupby("label")["v"].sum().sort_index()
+    assert got_j.tolist() == want_j.tolist()
+
+
+def test_keyed_fold_empty_upstream_returns_declared_schema(ray_session):
+    """An empty upstream hands the fold a ZERO-COLUMN block; keyed_fold
+    answers with the declared schema instead of calling the fold (which
+    would raise KeyError on the missing key column)."""
+    import pandas as pd
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions.bucketing import keyed_fold, sum_in_bucket
+
+    empty = rd.from_pandas(pd.DataFrame({"k": [1, 2], "v": [3, 4]})).filter(
+        expr="k > 10"
+    )
+    schema = {"k": "int64", "v": "int64"}
+    out = keyed_fold(empty, sum_in_bucket("k", "v"), "k", empty=schema).to_pandas()
+    assert len(out) == 0
+    if len(out.columns):  # a fully-empty result may surface with no blocks
+        assert {c: str(t) for c, t in out.dtypes.items()} == schema
+
 # --- anchor-text assembly (functions/htmlscan.anchor_texts) -------------------
 
 

@@ -82,6 +82,39 @@ def test_heavy_hitters_exact_and_fallback(ray_session):
     ]
 
 
+def test_heavy_hitters_fallback_driver_rows_bounded(ray_session, tmp_path, monkeypatch):
+    """Adversarial flat distribution (every token equally rare): the exact
+    fallback must stay exact while at most k x n_buckets rows reach the
+    driver — never the whole vocabulary."""
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions.bucketing import default_buckets
+    from webarchive_discovery_ray.pipelines.sketches import heavy_hitters
+
+    vocab = [f"tok{i:05d}" for i in range(3000)]
+    texts = [" ".join(vocab[i : i + 30]) for i in range(0, len(vocab), 30)]
+    texts += [" ".join(vocab[i : i + 30]) for i in range(0, 600, 30)]  # a few 2s
+    (tmp_path / "sf").mkdir()
+    pq.write_table(pa.table({"text": texts}), str(tmp_path / "sf" / "documents.parquet"))
+    counts = pd.Series(" ".join(texts).split()).value_counts()
+    want = sorted(counts.items(), key=lambda t: (-t[1], t[0]))[:20]
+
+    pulled: list[int] = []
+    take_all = rd.Dataset.take_all
+
+    def counting_take_all(self, *a, **kw):
+        rows = take_all(self, *a, **kw)
+        pulled.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(rd.Dataset, "take_all", counting_take_all)
+    got = heavy_hitters(str(tmp_path / "sf"), k=20, m=2)
+    assert list(zip(got["token"], got["n"])) == [(t, int(n)) for t, n in want]
+    # candidates pass, candidate recount, then the fallback (bounded)
+    assert len(pulled) == 3
+    assert pulled[-1] <= 20 * default_buckets() < len(counts)
+
+
 def _cdc_reference(doc_id: int, text: str, mod: int = 16):
     toks = text.split()
     rows, start, cidx = [], 0, 0

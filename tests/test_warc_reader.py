@@ -679,6 +679,44 @@ def test_write_warc_roundtrip_through_own_reader(ray_session, tmp_path):
         assert cat(out) == cat(out2)
 
 
+
+def test_warc_deduplicate_urlless_response_never_wins(ray_session, tmp_path):
+    """A URL-less response is dropped by the rewrite, so it must not win
+    its digest either: the later capture with the same payload stays a
+    response and is not minted as a revisit of a record that is gone."""
+    import gzip
+
+    from webarchive_discovery_ray.pipelines.cdx import warc_deduplicate
+    from webarchive_discovery_ray.sources.warc import (
+        build_response_member,
+        parse_archive_bytes,
+    )
+
+    body = b"<html>shared body</html>"
+    raw = gzip.decompress(
+        build_response_member("http://gone.example/", "20200101000000", 200,
+                              "text/html", body)
+    )
+    head, sep, block = raw.partition(b"\r\n\r\n")
+    head = b"\r\n".join(
+        h for h in head.split(b"\r\n") if not h.startswith(b"WARC-Target-URI")
+    )
+    urlless = gzip.compress(head + sep + block, mtime=0)
+    later = build_response_member("http://later.example/x", "20200102000000",
+                                  200, "text/html", body)
+    src = tmp_path / "in" / "urlless.warc.gz"
+    src.parent.mkdir()
+    src.write_bytes(urlless + later)
+    first = parse_archive_bytes(src.read_bytes(), "urlless.warc.gz")[0]
+    assert first["url"] is None and first["record_type"] == "response"
+
+    (out,) = warc_deduplicate([str(src)], str(tmp_path / "out"))
+    rows = parse_archive_bytes(open(out, "rb").read(), "out.warc.gz")
+    assert [(r["url"], r["record_type"]) for r in rows] == [
+        ("http://later.example/x", "response")
+    ]
+    assert bytes(rows[0]["payload"]) == body
+
 def test_warc_deduplicate_roundtrip(ray_session, tmp_path):
     """Offline storage dedup (warc_deduplicate): duplicate status-200
     responses become identical-payload-digest revisits that resolve by

@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.bucketing import keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -482,8 +483,6 @@ def union_orders_split(sf_dir: str, split: float = 150000.0):
 
     from ray.data.aggregate import Sum
 
-    from ..sources.io import read_table
-
     cols = ["o_orderkey", "o_orderstatus", "o_totalprice"]
     lo = read_table(sf_dir, "orders", columns=cols).filter(
         expr=f"o_totalprice < {split}"
@@ -754,9 +753,7 @@ def custdist(sf_dir: str):
     fold carries ≤ buckets × distinct-count rows, never per-customer
     rows); bounded driver fold. Columns: n_orders, n_customers.
     SQL-oracle-checked (LEFT JOIN + GROUP BY mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
 
@@ -769,23 +766,18 @@ def custdist(sf_dir: str):
         )
         g["n"] = g["n"].astype("int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
-        return g[["key", "n", "side", "bucket"]]
+        return g[["key", "n", "side"]]
 
     def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["c_custkey"].astype("int64"),
                 "n": np.zeros(len(df), dtype="int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def spectrum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(n_orders="int64", n_customers="int64")
         cust_keys = df.loc[df["side"] == 1, "key"]
         agg = df[df["side"] == 0].groupby("key", sort=False)["n"].sum()
         per_cust = cust_keys.map(agg).fillna(0).astype("int64")
@@ -793,11 +785,9 @@ def custdist(sf_dir: str):
         spec.columns = ["n_orders", "n_customers"]
         return spec.astype({"n_orders": "int64", "n_customers": "int64"})
 
-    tagged = orders.map_batches(order_partials, batch_format="pandas").union(
-        cust.map_batches(tag_customers, batch_format="pandas")
-    )
-    parts = tagged.groupby("bucket").map_groups(
-        spectrum_in_bucket, batch_format="pandas"
+    parts = keyed_fold(
+        (orders, cust), spectrum_in_bucket, "key", rows=(order_partials, tag_customers),
+        empty=dict(n_orders="int64", n_customers="int64"),
     ).to_pandas()
     if not len(parts):
         return typed_empty(n_orders="int64", n_customers="int64")
@@ -824,9 +814,7 @@ def important_parts(sf_dir: str, frac_denom: int = 2000):
     (``val*D > total ⟺ val > total // D`` for positive ints — no float
     threshold, no overflow). Columns: p_partkey, value, n_items.
     SQL-oracle-checked (HAVING vs HUGEINT-total mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -838,23 +826,12 @@ def important_parts(sf_dir: str, frac_denom: int = 2000):
         )
         g["c"] = g["c"].astype("int64")
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["l_partkey"], n_b)
         return g
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(l_partkey="int64", c="int64", n="int64")
-        out = (
-            df.groupby("l_partkey", sort=False)[["c", "n"]].sum().reset_index()
-        )
-        return out.astype({"l_partkey": "int64", "c": "int64", "n": "int64"})
-
-    per_part = (
-        li.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .materialize()
-    )
+    per_part = keyed_fold(
+        li, sum_in_bucket("l_partkey", "c", "n"), "l_partkey", rows=partials,
+        empty=dict(l_partkey="int64", c="int64", n="int64"),
+    ).materialize()
     total = per_part.sum("c", ignore_nulls=True) or 0
     thr = int(total) // int(frac_denom)  # val*D > total ⟺ val > total//D
 
@@ -892,9 +869,7 @@ def promo_revenue(sf_dir: str):
     ``promo_ppm = promo_cents · 10⁶ // total_cents`` — no float folds.
     Columns: ship_month, promo_cents, total_cents, promo_ppm.
     SQL-oracle-checked (CASE-sum mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     li = read_table(
         sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
@@ -913,11 +888,10 @@ def promo_revenue(sf_dir: str):
         )
         g["side"] = np.zeros(len(g), dtype="int64")
         g["promo"] = np.zeros(len(g), dtype=bool)
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "month": "int64", "c": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": df["p_partkey"].astype("int64"),
                 "month": np.zeros(len(df), dtype="int64"),
@@ -926,12 +900,8 @@ def promo_revenue(sf_dir: str):
                 "promo": (df["p_type"] == "PROMO").to_numpy(),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def attach_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(month="int64", promo_c="int64", total_c="int64")
         tags = df[df["side"] == 1][["key", "promo"]]
         li_rows = df[df["side"] == 0][["key", "month", "c"]]
         m = li_rows.merge(tags, on="key", how="inner")
@@ -945,13 +915,10 @@ def promo_revenue(sf_dir: str):
         )
         return g.astype({"month": "int64", "promo_c": "int64", "total_c": "int64"})
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(parts.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(attach_fold, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x months tiny rows
-    )
+    folded = keyed_fold(
+        (li, parts), attach_fold, "key", rows=(li_partials, part_tags),
+        empty=dict(month="int64", promo_c="int64", total_c="int64"),
+    ).to_pandas()  # bounded: <= buckets x months tiny rows
     if not len(folded):
         return pd.DataFrame(
             {
@@ -996,8 +963,6 @@ def forecast_revenue(
     the revenue folds as exact int64 cents of ``price * discount`` per
     line. One streaming pass, per-batch scalar partials, no exchange.
     Columns: revenue_cents, n_lines (one row). SQL-oracle-checked."""
-    from ..sources.io import read_table
-
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     li = read_table(
         sf_dir, "lineitem",
@@ -1049,10 +1014,6 @@ def order_priority_census(
     ``day(max_ship) > day(order) + late_days``), collapsing to
     per-priority counts IN-GROUP; the driver folds ≤ buckets × 5 rows.
     Columns: o_orderpriority, n_orders. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
@@ -1076,7 +1037,6 @@ def order_priority_census(
         )
         g["pri"] = np.full(len(g), "", dtype=object)
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "d": "int64"})
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
@@ -1088,13 +1048,10 @@ def order_priority_census(
                 "d": day_i64(keep["o_orderdate"].to_numpy()),
                 "pri": keep["o_orderpriority"].to_numpy(dtype=object),
                 "side": np.ones(len(keep), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(o_orderpriority=str, n_orders="int64")
         mx = df[df["side"] == 0].groupby("key", sort=False)["d"].max()
         o = df[df["side"] == 1]
         late = o["key"].map(mx).to_numpy() > o["d"].to_numpy() + late_days
@@ -1109,13 +1066,10 @@ def order_priority_census(
         )
         return g.astype({"n_orders": "int64"})
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(census_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x priorities tiny rows
-    )
+    folded = keyed_fold(
+        (li, orders), census_in_bucket, "key", rows=(li_partials, tag_orders),
+        empty=dict(o_orderpriority=str, n_orders="int64"),
+    ).to_pandas()  # bounded: <= buckets x priorities tiny rows
     if not len(folded):
         return typed_empty(o_orderpriority=str, n_orders="int64")
     return (
@@ -1144,10 +1098,6 @@ def open_orders_by_month(
     Orders with no lineitems have no span (inner semantics, matching the
     JOIN mirror). Columns: month (yyyymm), n_open. SQL-oracle-checked
     (generate_series inequality-join mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     months = pd.date_range(grid_lo, grid_hi, freq="MS")
     grid_days = months.to_numpy().astype("datetime64[D]").astype("int64")
     month_keys = (months.year * 100 + months.month).to_numpy().astype("int64")
@@ -1170,7 +1120,6 @@ def open_orders_by_month(
             .reset_index()
         )
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "d": "int64"})
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
@@ -1180,13 +1129,10 @@ def open_orders_by_month(
                 "key": key.to_numpy(),
                 "d": day_i64(df["o_orderdate"].to_numpy()),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def diff_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(idx="int64", delta="int64")
         ms = df[df["side"] == 0].groupby("key", sort=False)["d"].max()
         o = df[df["side"] == 1]
         end = o["key"].map(ms)
@@ -1211,13 +1157,10 @@ def open_orders_by_month(
             {"idx": nz.astype("int64"), "delta": diff[nz].astype("int64")}
         )
 
-    parts = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(diff_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x months tiny rows
-    )
+    parts = keyed_fold(
+        (li, orders), diff_in_bucket, "key", rows=(li_partials, tag_orders),
+        empty=dict(idx="int64", delta="int64"),
+    ).to_pandas()  # bounded: <= buckets x months tiny rows
     total = np.zeros(len(grid_days), dtype="int64")
     if len(parts):
         np.add.at(total, parts["idx"].to_numpy(), parts["delta"].to_numpy())

@@ -15,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig, SyntheticConfig
+from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
 from ..schema import CAPTURES_SCHEMA
 from ..stages.extract import extract_batch
 
@@ -182,14 +183,13 @@ def warc_stats(paths: list[str]):
 
     import ray
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..sources.warc import parse_archive_stats
 
-    n_b = default_buckets()
     items = [
         {"path": os.path.abspath(p) if "://" not in p else p} for p in paths
     ]
     ds = ray.data.from_items(items, override_num_blocks=len(items))
+    counts = dict(category=str, item=str, n="int64")
 
     def partial_counts(batch: pa.Table) -> pd.DataFrame:
         from pyarrow import fs as pafs
@@ -201,31 +201,16 @@ def warc_stats(paths: list[str]):
                 blob = fh.read()
             pairs.extend(parse_archive_stats(blob, path.rsplit("/", 1)[-1]))
         if not pairs:
-            return pd.DataFrame(
-                {
-                    "category": pd.Series([], dtype=str),
-                    "item": pd.Series([], dtype=str),
-                    "n": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int32"),
-                }
-            )
+            return typed_empty(**counts)
         df = pd.DataFrame(pairs, columns=["category", "item"])
         vc = df.value_counts(["category", "item"]).reset_index(name="n")
         vc["n"] = vc["n"].astype("int64")
-        vc["bucket"] = bucket_of(vc["category"] + "\x00" + vc["item"], n_b)
         return vc
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(category=str, item=str, n="int64")
-        return (
-            df.groupby(["category", "item"], sort=False)["n"].sum().reset_index()
-        )
-
-    return (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    key = ("category", "item")
+    return keyed_fold(
+        ds, sum_in_bucket(key, "n"), key, rows=partial_counts,
+        batch_format="pyarrow", empty=counts,
     )
 
 
@@ -248,10 +233,8 @@ def warc_regex(paths: list[str], pattern: str = WARC_REGEX_PATTERN):
     Columns: key, match."""
     import re as _re
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..sources.warc import read_archive_pages
 
-    n_b = default_buckets()
     rx = _re.compile(pattern)
     pages = read_archive_pages(paths)
 
@@ -267,20 +250,10 @@ def warc_regex(paths: list[str], pattern: str = WARC_REGEX_PATTERN):
             text = bytes(payload)[: 1 << 20].decode("utf-8", errors="replace")
             for m in rx.findall(text):
                 pairs.add((key, m.encode("unicode_escape").decode("ascii")))
-        ordered = sorted(pairs)
-        out = pd.DataFrame(
-            {
-                "key": pd.Series([p[0] for p in ordered], dtype=str),
-                "match": pd.Series([p[1] for p in ordered], dtype=str),
-            }
-        )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
+        return key_matches(pairs)
 
-    def distinct_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key=str, match=str)
-        ordered = sorted(set(zip(df["key"], df["match"])))
+    def key_matches(pairs) -> pd.DataFrame:
+        ordered = sorted(pairs)
         return pd.DataFrame(
             {
                 "key": pd.Series([p[0] for p in ordered], dtype=str),
@@ -288,10 +261,12 @@ def warc_regex(paths: list[str], pattern: str = WARC_REGEX_PATTERN):
             }
         )
 
-    return (
-        pages.map_batches(scan, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(distinct_in_bucket, batch_format="pandas")
+    def distinct_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return key_matches(set(zip(df["key"], df["match"])))
+
+    return keyed_fold(
+        pages, distinct_in_bucket, "key", rows=scan, batch_format="pyarrow",
+        empty=dict(key=str, match=str),
     )
 
 
@@ -310,11 +285,9 @@ def warc_datasets(paths: list[str], icfg: IndexConfig | None = None):
     Faces (``faces__Y``, OpenIMAJ) are descoped with the library. Full
     extraction per file task, per-batch partial counts, ONE bucketed
     grouped sum. Columns: dataset, item, n."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..sources.warc import read_archive_pages
     from ..stages.extract import ExtractStage
 
-    n_b = default_buckets()
     icfg = icfg or IndexConfig()
     docs = read_archive_pages(paths).map_batches(
         ExtractStage(icfg), batch_format="pyarrow", batch_size=64
@@ -352,20 +325,12 @@ def warc_datasets(paths: list[str], icfg: IndexConfig | None = None):
         out = pd.DataFrame(pairs, columns=["dataset", "item"])
         vc = out.value_counts(["dataset", "item"]).reset_index(name="n")
         vc["n"] = vc["n"].astype("int64")
-        vc["bucket"] = bucket_of(vc["dataset"] + "\x00" + vc["item"], n_b)
         return vc
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(dataset=str, item=str, n="int64")
-        return (
-            df.groupby(["dataset", "item"], sort=False)["n"].sum().reset_index()
-        )
-
-    return (
-        docs.map_batches(facet_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    key = ("dataset", "item")
+    return keyed_fold(
+        docs, sum_in_bucket(key, "n"), key, rows=facet_counts, batch_format="pyarrow",
+        empty=dict(dataset=str, item=str, n="int64"),
     )
 
 
@@ -778,13 +743,6 @@ def capture_intervals(captures):
     Columns: surt_key, n_captures, first_ts14, last_ts14, n_versions."""
     import pandas as pd
 
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["surt_key"], n_b))
-
     def stats_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized over every SURT in the bucket (per-key map_groups
         # would pay one Python call per URL — functions/bucketing.py)
@@ -799,11 +757,9 @@ def capture_intervals(captures):
         g["n_versions"] = g["n_versions"].astype("int64")
         return g
 
-    return (
-        captures.select_columns(["surt_key", "timestamp14", "digest"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(stats_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        captures.select_columns(["surt_key", "timestamp14", "digest"]),
+        stats_in_bucket, "surt_key",
     )
 
 
@@ -825,10 +781,6 @@ def url_templates(captures, k: int = 50):
     SQL-oracle-checked over the materialized captures base."""
     import pandas as pd
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
-
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         urls = df["url"].astype(str)
         host = urls.str.extract(r"^[a-z0-9+.-]+://([^/?#]+)", expand=False)
@@ -844,12 +796,9 @@ def url_templates(captures, k: int = 50):
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["host"] + "\x1f" + g["template"], n_b)
         return g
 
     def sum_topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(host=str, template=str, n="int64")
         g = (
             df.groupby(["host", "template"], sort=False)["n"]
             .sum()
@@ -863,10 +812,10 @@ def url_templates(captures, k: int = 50):
         ).head(k)
 
     return (
-        captures.select_columns(["url"])
-        .map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas")
+        keyed_fold(
+            captures.select_columns(["url"]), sum_topk_in_bucket, ("host", "template"),
+            rows=partial_counts, empty=dict(host=str, template=str, n="int64"),
+        )
         .sort(["n", "host", "template"], descending=[True, False, False])
         .limit(k)
     )
@@ -892,13 +841,6 @@ def recrawl_schedule(captures):
     change_rate (exact double cr_m/1000), mean_interval_s, next_fetch_s.
     SQL-oracle-checked."""
     import pandas as pd
-
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["surt_key"], n_b))
 
     def schedule_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         epoch = (
@@ -934,11 +876,9 @@ def recrawl_schedule(captures):
             }
         )
 
-    return (
-        captures.select_columns(["surt_key", "timestamp14", "digest"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(schedule_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        captures.select_columns(["surt_key", "timestamp14", "digest"]),
+        schedule_in_bucket, "surt_key",
     )
 
 
@@ -977,26 +917,19 @@ def recrawl_seed_list(captures, ranks):
     the sequential oracle's follow-up crawl byte-for-byte
     (tests/test_crawl_parity.py). Columns: surt_key, url, host,
     next_fetch_s, priority, boost, seed_rank."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
-
-    n_b = default_buckets()
+    from ..functions.bucketing import coalesce_blocks
 
     # latest-capture URL per SURT (bucketed arg-max, same exchange as the
     # schedule pass)
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["surt_key"], n_b))
-
     def latest_url_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(
             ["surt_key", "timestamp14", "url"], kind="mergesort"
         ).drop_duplicates("surt_key", keep="last")
         return d[["surt_key", "url"]]
 
-    latest = (
-        captures.select_columns(["surt_key", "timestamp14", "url"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(latest_url_in_bucket, batch_format="pandas")
+    latest = keyed_fold(
+        captures.select_columns(["surt_key", "timestamp14", "url"]),
+        latest_url_in_bucket, "surt_key",
     )
     sched = recrawl_schedule(captures)
 
@@ -1008,7 +941,6 @@ def recrawl_seed_list(captures, ranks):
                 "surt_key": df["surt_key"],
                 "url": pd.Series([""] * len(df), dtype=object, index=df.index),
                 "next_fetch_s": df["next_fetch_s"].astype("int64"),
-                "bucket": bucket_of(df["surt_key"], n_b),
             }
         )
 
@@ -1018,7 +950,6 @@ def recrawl_seed_list(captures, ranks):
                 "surt_key": df["surt_key"],
                 "url": df["url"],
                 "next_fetch_s": np.full(len(df), -1, dtype="int64"),
-                "bucket": bucket_of(df["surt_key"], n_b),
             }
         )
 
@@ -1027,14 +958,10 @@ def recrawl_seed_list(captures, ranks):
         u = df[df["next_fetch_s"] < 0][["surt_key", "url"]]
         m = s.merge(u, on="surt_key", how="inner")
         m["host"] = _surt_to_host(m["surt_key"])
-        m["bucket"] = bucket_of(m["host"], n_b)
         return m
 
-    seeds = (
-        sched.map_batches(tag_sched, batch_format="pandas")
-        .union(latest.map_batches(tag_latest, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(join_in_bucket, batch_format="pandas")
+    seeds = keyed_fold(
+        (sched, latest), join_in_bucket, "surt_key", rows=(tag_sched, tag_latest)
     )
 
     def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
@@ -1045,7 +972,6 @@ def recrawl_seed_list(captures, ranks):
                 "url": pd.Series([""] * len(df), dtype=object, index=df.index),
                 "host": df["host"],
                 "rank_r": df["rank_r"].astype("float64"),
-                "bucket": bucket_of(df["host"], n_b),
             }
         )
 
@@ -1065,11 +991,9 @@ def recrawl_seed_list(captures, ranks):
             }
         )
 
-    joined = coalesce_blocks(
-        seeds.union(ranks.map_batches(tag_rank, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(rank_join_in_bucket, batch_format="pandas")
-    )
+    joined = coalesce_blocks(keyed_fold(
+        (seeds, ranks), rank_join_in_bucket, "host", rows=(None, tag_rank)
+    ))
 
     # global seed order: a range sort over candidate-bounded rows (the
     # seed list is one row per distinct SURT), then exact 1-based ranks
@@ -1134,13 +1058,6 @@ def capture_diff(captures):
     max is exact). SQL-oracle-checked via a lag() window mirror."""
     import pandas as pd
 
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["surt_key"], n_b))
-
     def diff_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
             ["surt_key", "timestamp14", "digest"], kind="mergesort", ignore_index=True
@@ -1176,11 +1093,9 @@ def capture_diff(captures):
         g["n_captures"] = g["n_captures"].astype("int64")
         return g
 
-    return (
-        captures.select_columns(["surt_key", "timestamp14", "digest"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(diff_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        captures.select_columns(["surt_key", "timestamp14", "digest"]),
+        diff_in_bucket, "surt_key",
     )
 
 
@@ -1200,11 +1115,9 @@ def warc_digest_dups(paths: list[str]):
     representative. SQL-oracle-checked via the INDEPENDENT sequential
     parser+extractor rendered as a VALUES table."""
     from ..config import IndexConfig
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets, typed_empty
     from ..sources.warc import read_archive_pages
     from ..stages.extract import ExtractStage
 
-    n_b = default_buckets()
     docs = read_archive_pages(paths).map_batches(
         ExtractStage(IndexConfig()), batch_format="pyarrow", batch_size=64
     )
@@ -1218,9 +1131,7 @@ def warc_digest_dups(paths: list[str]):
         )
         df = df[df["hash"].astype(bool)]
         if not len(df):
-            return typed_empty(
-                hash=str, n="int64", n_urls="int64", first_url=str, bucket="int32"
-            )
+            return typed_empty(hash=str, n="int64", urls=object)
         g = (
             df.groupby("hash", sort=False)
             .agg(n=("url", "size"), urls=("url", lambda u: sorted(set(u))))
@@ -1228,19 +1139,15 @@ def warc_digest_dups(paths: list[str]):
         )
         # carriers for the exact distinct fold: ship the per-batch
         # distinct URL SETS (bounded by the cluster's url variety)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "hash": g["hash"],
                 "n": g["n"].astype("int64"),
                 "urls": g["urls"],
             }
         )
-        out["bucket"] = bucket_of(out["hash"], n_b)
-        return out
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(hash=str, n="int64", n_urls="int64", first_url=str)
         rows = []
         for h, grp in df.groupby("hash", sort=False):
             n = int(grp["n"].sum())
@@ -1253,10 +1160,9 @@ def warc_digest_dups(paths: list[str]):
         out = pd.DataFrame(rows, columns=["hash", "n", "n_urls", "first_url"])
         return out.astype({"n": "int64", "n_urls": "int64"})
 
-    return (
-        coalesce_blocks(docs.map_batches(partials, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    partial = coalesce_blocks(bucketed(docs, "hash", rows=partials, batch_format="pyarrow"))
+    return keyed_fold(
+        partial, fold, None, empty=dict(hash=str, n="int64", n_urls="int64", first_url=str)
     )
 
 
@@ -1276,13 +1182,6 @@ def cdx_collapse(captures):
     window mirror."""
     import pandas as pd
 
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["surt_key"], n_b))
-
     def collapse_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
             ["surt_key", "timestamp14", "digest"], kind="mergesort",
@@ -1296,11 +1195,9 @@ def cdx_collapse(captures):
         out = df.loc[keep, ["surt_key", "timestamp14", "digest"]]
         return out.reset_index(drop=True)
 
-    return (
-        captures.select_columns(["surt_key", "timestamp14", "digest"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(collapse_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        captures.select_columns(["surt_key", "timestamp14", "digest"]),
+        collapse_in_bucket, "surt_key",
     )
 
 
@@ -1329,11 +1226,9 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
 
     import ray as _ray
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.hashing import sha1_b32
     from ..sources.warc import read_archive_pages
 
-    n_b = default_buckets()
     base_of = {os.path.basename(p): p for p in paths}
     if len(base_of) != len(paths):
         raise ValueError("input basenames must be unique (resumable layout)")
@@ -1345,6 +1240,7 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
                 "offset": batch["source_offset"].to_pandas(),
                 "rt": batch["record_type"].to_pandas(),
                 "status": batch["status"].to_pandas(),
+                "url": batch["url"].to_pandas(),
             }
         )
         # the hash rule is the extraction chain's M16 (sha1-base32 of the
@@ -1353,29 +1249,26 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
             sha1_b32(v.as_py() or b"") for v in batch["payload"]
         ]
         df["digest"] = digest
-        df = df[(df["rt"] == "response") & (df["status"] == 200)]
-        out = df[["file", "offset", "digest"]].copy()
-        out["bucket"] = bucket_of(out["digest"], n_b)
-        return out
+        # URL-less records never reach the rewrite (it drops them), so
+        # they must not win a digest either
+        has_url = df["url"].fillna("").astype(bool)
+        df = df[(df["rt"] == "response") & (df["status"] == 200) & has_url]
+        return df[["file", "offset", "digest"]].copy()
 
     def losers_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(file=str, offset="int64")
         df = df.sort_values(["digest", "file", "offset"], kind="mergesort")
         first = ~df["digest"].duplicated(keep="first")
         out = df.loc[~first, ["file", "offset"]]
         return out.astype({"offset": "int64"}).reset_index(drop=True)
 
-    losers = (
-        read_archive_pages(paths)
-        .map_batches(meta_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(losers_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded by the collection's DUPLICATE count
-    )
+    losers = keyed_fold(
+        read_archive_pages(paths), losers_in_bucket, "digest", rows=meta_rows,
+        batch_format="pyarrow", empty=dict(file=str, offset="int64"),
+    ).to_pandas()  # bounded by the collection's DUPLICATE count
+    # no duplicates at all -> all-empty blocks surface as a zero-column frame
     by_file: dict[str, set[int]] = {
         f: set(g["offset"].tolist()) for f, g in losers.groupby("file")
-    }
+    } if len(losers) else {}
 
     @_ray.remote
     def rewrite(path: str, out_path: str, loser_offsets: frozenset) -> int:

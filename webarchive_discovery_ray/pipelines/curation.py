@@ -30,6 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.bucketing import keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -507,6 +508,34 @@ def quality_filter(sf_dir: str, q: float = QUALITY_FILTER_Q):
 _LM_VOCAB = 128  # bounded vocabulary (top-V by count, token tiebreak)
 
 
+def _vocab_tops(ds, vocab_size: int):
+    """Per-bucket top-``vocab_size`` tokens (count desc, token asc) plus
+    one ``""`` marker row per bucket carrying its token total — the
+    bounded vocab pass of the LM scorers (``""`` is never a real token:
+    ``split()`` drops empties). The driver merges ≤ buckets × V rows."""
+
+    def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
+        toks = df["text"].str.split().explode().dropna()
+        vc = toks.value_counts()
+        out = pd.DataFrame(
+            {"tok": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
+        )
+        return pd.concat(
+            [out, pd.DataFrame({"tok": [""], "n": [len(toks)]})],
+            ignore_index=True,
+        )
+
+    def bucket_top(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("tok", sort=False)["n"].sum().reset_index()
+        marker = g[g["tok"] == ""]
+        real = g[g["tok"] != ""].sort_values(
+            ["n", "tok"], ascending=[False, True]
+        ).head(vocab_size)
+        return pd.concat([real, marker], ignore_index=True)
+
+    return keyed_fold(ds, bucket_top, "tok", rows=partial_counts)
+
+
 def unigram_logloss(sf_dir: str, vocab_size: int = _LM_VOCAB):
     """Unigram-LM log-loss per document — the perplexity-proxy quality
     signal (the KenLM-filter shape used by CCNet-style curation, reduced
@@ -527,39 +556,9 @@ def unigram_logloss(sf_dir: str, vocab_size: int = _LM_VOCAB):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.split().explode().dropna()
-        vc = toks.value_counts()
-        out = pd.DataFrame(
-            {"tok": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
-        )
-        # marker row: "" is never a real token (split drops empties)
-        out = pd.concat(
-            [out, pd.DataFrame({"tok": [""], "n": [len(toks)]})],
-            ignore_index=True,
-        )
-        out["bucket"] = bucket_of(out["tok"], n_b)
-        return out
-
-    def bucket_top(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("tok", sort=False)["n"].sum().reset_index()
-        marker = g[g["tok"] == ""]
-        real = g[g["tok"] != ""].sort_values(
-            ["n", "tok"], ascending=[False, True]
-        ).head(vocab_size)
-        return pd.concat([real, marker], ignore_index=True)
-
-    tops = (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_top, batch_format="pandas")
-        .take_all()
-    )
+    tops = _vocab_tops(ds, vocab_size).take_all()
     n_total = sum(int(r["n"]) for r in tops if r["tok"] == "")
     merged = sorted(
         ((r["tok"], int(r["n"])) for r in tops if r["tok"] != ""),
@@ -617,47 +616,13 @@ def bigram_logloss(
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     # ---- pass 1: vocab (identical rule to unigram_logloss) ----
-    def uni_partials(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].str.split().explode().dropna()
-        vc = toks.value_counts()
-        out = pd.DataFrame(
-            {"tok": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
-        )
-        out = pd.concat(
-            [out, pd.DataFrame({"tok": [""], "n": [len(toks)]})],
-            ignore_index=True,
-        )
-        out["bucket"] = bucket_of(out["tok"], n_b)
-        return out
-
-    def uni_top(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("tok", sort=False)["n"].sum().reset_index()
-        marker = g[g["tok"] == ""]
-        real = g[g["tok"] != ""].sort_values(
-            ["n", "tok"], ascending=[False, True]
-        ).head(vocab_size)
-        return pd.concat([real, marker], ignore_index=True)
-
-    tops = (
-        ds.map_batches(uni_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(uni_top, batch_format="pandas")
-        .to_pandas()
-    )
+    tops = _vocab_tops(ds, vocab_size).to_pandas()
     if not len(tops):  # empty corpus
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_tokens": pd.Series([], dtype="int64"),
-                "logloss_r": pd.Series([], dtype="float64"),
-            }
-        )
+        return typed_empty(doc_id="int64", n_tokens="int64", logloss_r="float64")
     n_total = int(tops.loc[tops["tok"] == "", "n"].sum())
     merged = sorted(
         ((t, int(n)) for t, n in zip(tops["tok"], tops["n"]) if t != ""),
@@ -681,7 +646,7 @@ def bigram_logloss(
                     prevs.append(a)
                     curs.append(b)
         if not prevs:
-            return typed_empty(prev=str, cur=str, n="int64", bucket="int32")
+            return typed_empty(**bigrams)
         g = (
             pd.DataFrame({"prev": prevs, "cur": curs})
             .groupby(["prev", "cur"], sort=False)
@@ -689,24 +654,19 @@ def bigram_logloss(
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["prev"] + "\x1f" + g["cur"], n_b)
         return g
 
     def bi_top(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(prev=str, cur=str, n="int64")
         g = df.groupby(["prev", "cur"], sort=False)["n"].sum().reset_index()
         g["n"] = g["n"].astype("int64")
         return g.sort_values(
             ["n", "prev", "cur"], ascending=[False, True, True]
         ).head(n_bigrams)
 
-    bi = (
-        ds.map_batches(bi_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bi_top, batch_format="pandas")
-        .to_pandas()
-    )
+    bigrams = dict(prev=str, cur=str, n="int64")
+    bi = keyed_fold(
+        ds, bi_top, ("prev", "cur"), rows=bi_partials, empty=bigrams
+    ).to_pandas()
     bi_merged = (
         sorted(
             ((a, b, int(n)) for a, b, n in zip(bi["prev"], bi["cur"], bi["n"])),
@@ -1251,9 +1211,7 @@ def softdedup_weights(sf_dir: str, w: int = _SOFT_W):
     the SQL oracle's).
 
     Columns: doc_id, n_paras, c_sum, weight."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def para_hashes(df: pd.DataFrame) -> pd.DataFrame:
@@ -1267,26 +1225,17 @@ def softdedup_weights(sf_dir: str, w: int = _SOFT_W):
             n_p = (len(toks) + w - 1) // w
             texts.extend(" ".join(toks[p * w : (p + 1) * w]) for p in range(n_p))
             ids.append(np.full(n_p, did, dtype=np.int64))
-        if texts:
-            uniq, inv = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
-            uniq_h = np.asarray(
-                [md5(t.encode("utf-8")).hexdigest() for t in uniq], dtype=object
-            )
-            out = pd.DataFrame(
-                {"h": pd.Series(uniq_h[inv], dtype=str), "doc_id": np.concatenate(ids)}
-            )
-        else:
-            out = pd.DataFrame(
-                {"h": pd.Series([], dtype=str), "doc_id": pd.Series([], dtype="int64")}
-            )
-        out["bucket"] = bucket_of(out["h"], n_b)
-        return out
+        if not texts:
+            return typed_empty(h=str, doc_id="int64")
+        uniq, inv = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
+        uniq_h = np.asarray(
+            [md5(t.encode("utf-8")).hexdigest() for t in uniq], dtype=object
+        )
+        return pd.DataFrame(
+            {"h": pd.Series(uniq_h[inv], dtype=str), "doc_id": np.concatenate(ids)}
+        )
 
     def count_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_paras="int64", c_sum="int64", bucket="int32"
-            )
         vc = df["h"].value_counts()
         g = pd.DataFrame(
             {
@@ -1294,19 +1243,13 @@ def softdedup_weights(sf_dir: str, w: int = _SOFT_W):
                 "cnt": df["h"].map(vc).to_numpy().astype("int64"),
             }
         )
-        agg = (
+        return (
             g.groupby("doc_id", sort=False)["cnt"]
             .agg(n_paras="size", c_sum="sum")
             .reset_index()
         )
-        agg["bucket"] = bucket_of(agg["doc_id"], n_b)
-        return agg
 
     def fold_doc(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_paras="int64", c_sum="int64", weight="float64"
-            )
         agg = (
             df.groupby("doc_id", sort=False)[["n_paras", "c_sum"]].sum().reset_index()
         )
@@ -1315,12 +1258,13 @@ def softdedup_weights(sf_dir: str, w: int = _SOFT_W):
         )
         return agg[["doc_id", "n_paras", "c_sum", "weight"]]
 
-    return (
-        ds.map_batches(para_hashes, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_doc, batch_format="pandas")
+    partials = keyed_fold(
+        ds, count_partials, "h", rows=para_hashes,
+        empty=dict(doc_id="int64", n_paras="int64", c_sum="int64"),
+    )
+    return keyed_fold(
+        partials, fold_doc, "doc_id",
+        empty=dict(doc_id="int64", n_paras="int64", c_sum="int64", weight="float64"),
     )
 
 
@@ -1339,9 +1283,7 @@ def source_overlap(sf_dir: str, w: int = _SOFT_W):
     Paragraph text never shuffles.
 
     Columns: s1, s2 (s1 < s2), n_shared."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def para_source(df: pd.DataFrame) -> pd.DataFrame:
@@ -1355,63 +1297,39 @@ def source_overlap(sf_dir: str, w: int = _SOFT_W):
             n_p = (len(toks) + w - 1) // w
             texts.extend(" ".join(toks[p * w : (p + 1) * w]) for p in range(n_p))
             srcs.extend([src] * n_p)
-        if texts:
-            uniq, inv = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
-            uniq_h = np.asarray(
-                [md5(t.encode("utf-8")).hexdigest() for t in uniq], dtype=object
-            )
-            out = pd.DataFrame(
-                {"h": pd.Series(uniq_h[inv], dtype=str), "source": pd.Series(srcs, dtype=str)}
-            ).drop_duplicates()
-        else:
-            out = pd.DataFrame(
-                {"h": pd.Series([], dtype=str), "source": pd.Series([], dtype=str)}
-            )
-        out["bucket"] = bucket_of(out["h"], n_b)
-        return out
+        if not texts:
+            return typed_empty(h=str, source=str)
+        uniq, inv = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
+        uniq_h = np.asarray(
+            [md5(t.encode("utf-8")).hexdigest() for t in uniq], dtype=object
+        )
+        return pd.DataFrame(
+            {"h": pd.Series(uniq_h[inv], dtype=str), "source": pd.Series(srcs, dtype=str)}
+        ).drop_duplicates()
+
+    shared = dict(s1=str, s2=str, n_shared="int64")
 
     def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # map_groups hands a ZERO-COLUMN block on empty input
-            return typed_empty(s1=str, s2=str, n_shared="int64", bucket="int32")
         d = df.drop_duplicates(["h", "source"])
         # keep only hashes seen in >=2 sources before the self-merge
         multi = d["h"].map(d["h"].value_counts()) >= 2
         d = d[multi.to_numpy()]
         if not len(d):
-            return pd.DataFrame(
-                {
-                    "s1": pd.Series([], dtype=str),
-                    "s2": pd.Series([], dtype=str),
-                    "n_shared": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int32"),
-                }
-            )
+            return typed_empty(**shared)
         m = d.merge(d, on="h", suffixes=("_a", "_b"))
         m = m[m["source_a"] < m["source_b"]]
         vc = m.groupby(["source_a", "source_b"], sort=False).size().reset_index(name="n_shared")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "s1": vc["source_a"].astype(str),
                 "s2": vc["source_b"].astype(str),
                 "n_shared": vc["n_shared"].astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["s1"] + "|" + out["s2"], n_b)
-        return out
 
-    def fold_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(s1=str, s2=str, n_shared="int64")
-        return (
-            df.groupby(["s1", "s2"], sort=False)["n_shared"].sum().reset_index()
-        )
-
-    return (
-        ds.map_batches(para_source, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pair_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_pairs, batch_format="pandas")
+    pairs = keyed_fold(ds, pair_partials, "h", rows=para_source, empty=shared)
+    return keyed_fold(
+        pairs, sum_in_bucket(["s1", "s2"], "n_shared"), ("s1", "s2"), empty=shared
     )
 
 
@@ -1513,22 +1431,18 @@ def curation_pipeline(sf_dir: str):
     no drop-set broadcast — the near-dup set is candidate-bounded but not
     provably small). Columns: doc_id, distinct_ratio.
     SQL-oracle-checked (the oracle composes the three component mirrors)."""
-    from ..functions.bucketing import bucket_of, default_buckets
     from .dedup import minhash_lsh_pairs
 
-    n_b = default_buckets()
     kept = quality_filter(sf_dir)
     pairs = minhash_lsh_pairs(sf_dir)
     flags = decontaminate(sf_dir)
 
     def tag_keep(df: pd.DataFrame) -> pd.DataFrame:
-        did = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": did,
+                "doc_id": df["doc_id"].astype("int64"),
                 "distinct_ratio": df["distinct_ratio"].astype("float64"),
                 "side": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(did, n_b),
             }
         )
 
@@ -1539,7 +1453,6 @@ def curation_pipeline(sf_dir: str):
                 "doc_id": did,
                 "distinct_ratio": np.zeros(len(did), dtype="float64"),
                 "side": np.ones(len(did), dtype="int64"),
-                "bucket": bucket_of(did, n_b),
             }
         )
 
@@ -1550,7 +1463,6 @@ def curation_pipeline(sf_dir: str):
                 "doc_id": did.to_numpy(),
                 "distinct_ratio": np.zeros(len(did), dtype="float64"),
                 "side": np.ones(len(did), dtype="int64"),
-                "bucket": bucket_of(did, n_b).to_numpy(),
             }
         )
 
@@ -1563,13 +1475,9 @@ def curation_pipeline(sf_dir: str):
         ]
         return out[["doc_id", "distinct_ratio"]]
 
-    tagged = (
-        kept.map_batches(tag_keep, batch_format="pandas")
-        .union(pairs.map_batches(tag_dup_drop, batch_format="pandas"))
-        .union(flags.map_batches(tag_contaminated, batch_format="pandas"))
-    )
-    return tagged.groupby("bucket").map_groups(
-        anti_in_bucket, batch_format="pandas"
+    return keyed_fold(
+        (kept, pairs, flags), anti_in_bucket, "doc_id",
+        rows=(tag_keep, tag_dup_drop, tag_contaminated),
     )
 
 
@@ -1633,9 +1541,7 @@ def boilerplate_lines(sf_dir: str, min_docs: int = BOILERPLATE_MIN_DOCS):
     ONE bucketed grouped fold by line (doc count = rows, occurrences =
     summed partials). The exchange ships (line, doc, n) partials, never
     documents. Columns: line, n_docs, n_occ. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -1646,21 +1552,16 @@ def boilerplate_lines(sf_dir: str, min_docs: int = BOILERPLATE_MIN_DOCS):
         ex["line"] = ex["line"].str.strip(_C4_TRIM)
         ex = ex[ex["line"] != ""]
         if not len(ex):
-            return typed_empty(
-                line=str, doc_id="int64", n="int64", bucket="int32"
-            )
+            return typed_empty(line=str, doc_id="int64", n="int64")
         g = (
             ex.groupby(["line", "doc_id"], sort=False)
             .size()
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["line"], n_b)
         return g
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(line=str, n_docs="int64", n_occ="int64")
         # partials may split one (line, doc) across batches: re-collapse
         d = (
             df.groupby(["line", "doc_id"], sort=False)["n"].sum().reset_index()
@@ -1673,10 +1574,9 @@ def boilerplate_lines(sf_dir: str, min_docs: int = BOILERPLATE_MIN_DOCS):
         g["n_occ"] = g["n_occ"].astype("int64")
         return g
 
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds, fold, "line", rows=partials,
+        empty=dict(line=str, n_docs="int64", n_occ="int64"),
     )
 
 
@@ -1864,10 +1764,6 @@ def source_quota_sample(sf_dir: str, quota: int = 10):
     QUALIFY mirror)."""
     import hashlib
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
@@ -1880,13 +1776,10 @@ def source_quota_sample(sf_dir: str, quota: int = 10):
                 "doc_id": df["doc_id"].astype("int64").to_numpy(),
                 "source": df["source"].to_numpy(dtype=object),
                 "key": np.asarray(key, dtype=object),
-                "bucket": bucket_of(df["source"], n_b),
             }
         )
 
     def quota_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(doc_id="int64", source=str, rk="int64")
         df = df.sort_values(["source", "key", "doc_id"], kind="mergesort")
         rk = df.groupby("source", sort=False).cumcount().to_numpy() + 1
         keep = rk <= quota
@@ -1898,10 +1791,9 @@ def source_quota_sample(sf_dir: str, quota: int = 10):
             }
         )
 
-    return (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(quota_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        ds, quota_in_bucket, "source", rows=keyed,
+        empty=dict(doc_id="int64", source=str, rk="int64"),
     )
 
 
@@ -1967,22 +1859,9 @@ def url_quality_filter(
             }
         )
 
-    # per-batch distinct + ONE bucketed distinct fold (urls repeat only
-    # via revisits, so the exchange is near-|urls|-bounded)
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        out = verdicts(df)
-        out["bucket"] = bucket_of(out["url"], n_b)
-        return out
-
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["url"]).drop(columns=["bucket"])
 
-    return (
-        docs.map_batches(keyed, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-    )
+    # per-batch distinct + ONE bucketed distinct fold (urls repeat only
+    # via revisits, so the exchange is near-|urls|-bounded)
+    return keyed_fold(docs, fold, "url", rows=verdicts)

@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -60,26 +61,50 @@ def exact_dedup(sf_dir: str):
     min inside each hash bucket. Columns: h (md5 hex), doc_id. SQL
     oracle: ``SELECT md5(text) h, min(doc_id) doc_id FROM documents
     GROUP BY 1``."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def partial_min(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame(
-            {"h": [_md5_hex(t) for t in df["text"]], "doc_id": df["doc_id"]}
-        )
-        g = g.groupby("h", sort=False)["doc_id"].min().reset_index()
-        g["bucket"] = bucket_of(g["h"], n_b)
-        return g
-
-    def min_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def min_by_h(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("h", sort=False)["doc_id"].min().reset_index()
 
-    return (
-        ds.map_batches(partial_min, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(min_in_bucket, batch_format="pandas")
+    def partial_min(df: pd.DataFrame) -> pd.DataFrame:
+        return min_by_h(pd.DataFrame(
+            {"h": [_md5_hex(t) for t in df["text"]], "doc_id": df["doc_id"]}
+        ))
+
+    return keyed_fold(ds, min_by_h, "h", rows=partial_min)
+
+
+def _window_hashes(df: pd.DataFrame, w: int) -> pd.DataFrame:
+    """(md5(window), doc_id, pos) rows of every overlapping w-token window.
+
+    Batch-vectorized (same shape as minhash to_bands): flatten all
+    windows, md5 ONCE per unique window text, map back via the inverse
+    index — duplicate windows within a batch (common in templated
+    corpora) hash once."""
+    md5 = hashlib.md5
+    grams: list[str] = []
+    ids: list[np.ndarray] = []
+    poss: list[np.ndarray] = []
+    for did, text in zip(df["doc_id"], df["text"]):
+        toks = text.split()
+        n = len(toks) - w + 1
+        if n <= 0:
+            continue
+        grams.extend(" ".join(toks[i : i + w]) for i in range(n))
+        ids.append(np.full(n, did, dtype=np.int64))
+        poss.append(np.arange(n, dtype=np.int64))
+    if not grams:
+        return typed_empty(sh=str, doc_id="int64", pos="int64")
+    uniq, inv = np.unique(np.asarray(grams, dtype=object), return_inverse=True)
+    uniq_h = np.asarray(
+        [md5(g.encode("utf-8")).hexdigest() for g in uniq], dtype=object
+    )
+    return pd.DataFrame(
+        {
+            "sh": pd.Series(uniq_h[inv], dtype=str),
+            "doc_id": np.concatenate(ids),
+            "pos": np.concatenate(poss),
+        }
     )
 
 
@@ -106,51 +131,7 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
     (zero coverage included). Columns: doc_id, n_tokens, n_dup_tokens,
     dup_fraction (one double division of two exact ints — bit-identical
     to the SQL oracle's)."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def shingle_positions(df: pd.DataFrame) -> pd.DataFrame:
-        # batch-vectorized (same shape as minhash to_bands): flatten all
-        # windows, md5 ONCE per unique window text, map back via the
-        # inverse index — duplicate windows within a batch (common in
-        # templated corpora) hash once
-        md5 = hashlib.md5
-        grams: list[str] = []
-        ids: list[np.ndarray] = []
-        poss: list[np.ndarray] = []
-        for did, text in zip(df["doc_id"], df["text"]):
-            toks = text.split()
-            n = len(toks) - w + 1
-            if n <= 0:
-                continue
-            grams.extend(" ".join(toks[i : i + w]) for i in range(n))
-            ids.append(np.full(n, did, dtype=np.int64))
-            poss.append(np.arange(n, dtype=np.int64))
-        if grams:
-            uniq, inv = np.unique(np.asarray(grams, dtype=object), return_inverse=True)
-            uniq_h = np.asarray(
-                [md5(g.encode("utf-8")).hexdigest() for g in uniq], dtype=object
-            )
-            shs = uniq_h[inv]
-            out = pd.DataFrame(
-                {
-                    "sh": pd.Series(shs, dtype=str),
-                    "doc_id": np.concatenate(ids),
-                    "pos": np.concatenate(poss),
-                }
-            )
-        else:
-            out = pd.DataFrame(
-                {
-                    "sh": pd.Series([], dtype=str),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "pos": pd.Series([], dtype="int64"),
-                }
-            )
-        out["bucket"] = bucket_of(out["sh"], n_b)
-        return out
 
     def dup_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         vc = df["sh"].value_counts()
@@ -164,11 +145,7 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
             }
         )
 
-    dup_pos = (
-        ds.map_batches(shingle_positions, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(dup_in_bucket, batch_format="pandas")
-    )
+    dup_pos = keyed_fold(ds, dup_in_bucket, "sh", rows=lambda df: _window_hashes(df, w))
 
     def count_tokens(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -182,9 +159,6 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
     toks = read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
         count_tokens, batch_format="pandas"
     )
-
-    def add_doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["doc_id"], n_b))
 
     def coverage_bucket(df: pd.DataFrame) -> pd.DataFrame:
         t = df[df["pos"] < 0]  # one marker row per doc carries n_tok
@@ -215,12 +189,7 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
             }
         )
 
-    return (
-        dup_pos.union(toks)
-        .map_batches(add_doc_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(coverage_bucket, batch_format="pandas")
-    )
+    return keyed_fold(dup_pos.union(toks), coverage_bucket, "doc_id")
 
 
 _PARA_W = 16  # paragraph width in whitespace tokens
@@ -249,9 +218,6 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
         indicator) + ordered join rebuilds the text.
 
     Columns: doc_id, n_paras, n_kept, text."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def para_rows(df: pd.DataFrame) -> list[np.ndarray | list]:
@@ -285,24 +251,16 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
             hs = pd.Series(uniq_h[inv], dtype=str)
         else:
             hs = pd.Series([], dtype=str)
-        out = pd.DataFrame({"h": hs, "doc_id": ids, "para_idx": idxs})
-        out["bucket"] = bucket_of(out["h"], n_b)
-        return out
+        return pd.DataFrame({"h": hs, "doc_id": ids, "para_idx": idxs})
 
     def losers_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", para_idx="int64", text=str, bucket="int32"
-            )
         d = df.sort_values(["h", "doc_id", "para_idx"], kind="mergesort")
         lose = d.loc[d["h"].duplicated(), ["doc_id", "para_idx"]]
-        lose = lose.assign(text="", bucket=bucket_of(lose["doc_id"], n_b))
-        return lose[["doc_id", "para_idx", "text", "bucket"]]
+        return lose.assign(text="")[["doc_id", "para_idx", "text"]]
 
-    losers = (
-        ds.map_batches(para_hashes, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(losers_in_bucket, batch_format="pandas")
+    losers = keyed_fold(
+        ds, losers_in_bucket, "h", rows=para_hashes,
+        empty=dict(doc_id="int64", para_idx="int64", text=str),
     )
 
     def doc_markers(df: pd.DataFrame) -> pd.DataFrame:
@@ -311,17 +269,12 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
                 "doc_id": df["doc_id"].astype("int64"),
                 "para_idx": np.full(len(df), -1, dtype="int64"),
                 "text": df["text"],
-                "bucket": bucket_of(df["doc_id"], n_b),
             }
         )
 
-    docs = ds.map_batches(doc_markers, batch_format="pandas")
+    result = dict(doc_id="int64", n_paras="int64", n_kept="int64", text=str)
 
     def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_paras="int64", n_kept="int64", text=str
-            )
         lost = df.loc[df["para_idx"] >= 0, ["doc_id", "para_idx"]]
         texts, ids, idxs = para_rows(df[df["para_idx"] < 0])
         paras = pd.DataFrame(
@@ -333,14 +286,7 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
         else:
             kept = paras
         if not len(kept):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_paras": pd.Series([], dtype="int64"),
-                    "n_kept": pd.Series([], dtype="int64"),
-                    "text": pd.Series([], dtype=str),
-                }
-            )
+            return typed_empty(**result)
         tot = paras.groupby("doc_id", sort=False).size()
         kept = kept.sort_values(["doc_id", "para_idx"], kind="mergesort")
         agg = kept.groupby("doc_id", sort=False)["ptext"].agg(" ".join)
@@ -354,10 +300,8 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
             }
         )
 
-    return (
-        docs.union(losers)
-        .groupby("bucket")
-        .map_groups(reassemble, batch_format="pandas")
+    return keyed_fold(
+        (ds, losers), reassemble, "doc_id", rows=(doc_markers, None), empty=result
     )
 
 
@@ -386,14 +330,12 @@ def incremental_dedup(sf_dir: str, bloom_bits: int | None = None):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from .sketches import _BLOOM_BITS, bloom_add, bloom_contains
 
     # bloom_bits is a TEST KNOB: a tiny filter forces heavy false
     # positives, pinning that FPs only ship extra snapshot hashes and can
     # never change the exact anti-join answer
     nbits = bloom_bits if bloom_bits is not None else _BLOOM_BITS
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def _hash_side(df: pd.DataFrame, parity: int) -> pd.DataFrame:
@@ -435,31 +377,20 @@ def incremental_dedup(sf_dir: str, bloom_bits: int | None = None):
         b = _hash_side(df, 0)
         if len(b):
             b = b[bloom_contains(get_broadcast(bloom_ref), _key64(b["h"]))]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"h": b["h"].to_numpy(), "doc_id": np.full(len(b), -1, dtype=np.int64)}
         )
-        out["bucket"] = bucket_of(out["h"], n_b)
-        return out
-
-    def delta_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = _hash_side(df, 1)
-        out["bucket"] = bucket_of(out["h"], n_b)
-        return out
 
     def keep_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(doc_id="int64", h=str)
         in_base = set(df.loc[df["doc_id"].to_numpy() < 0, "h"])
         d = df[df["doc_id"].to_numpy() >= 0]
         d = d[~d["h"].isin(in_base)]
         g = d.groupby("h", sort=False)["doc_id"].min().reset_index()
         return g[["doc_id", "h"]]
 
-    return (
-        ds.map_batches(base_markers, batch_format="pandas")
-        .union(ds.map_batches(delta_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(keep_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        (ds, ds), keep_in_bucket, "h", rows=(base_markers, lambda df: _hash_side(df, 1)),
+        empty=dict(doc_id="int64", h=str),
     )
 
 
@@ -484,70 +415,19 @@ def gram_novelty(sf_dir: str, w: int = _NOVELTY_W):
 
     Columns: doc_id, n_windows, n_novel, novelty (one double division
     of two exact ints — bit-identical to the SQL oracle's)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def window_hashes(df: pd.DataFrame) -> pd.DataFrame:
-        md5 = hashlib.md5
-        grams: list[str] = []
-        ids: list[np.ndarray] = []
-        poss: list[np.ndarray] = []
-        for did, text in zip(df["doc_id"], df["text"]):
-            toks = text.split()
-            n = len(toks) - w + 1
-            if n <= 0:
-                continue
-            grams.extend(" ".join(toks[i : i + w]) for i in range(n))
-            ids.append(np.full(n, did, dtype=np.int64))
-            poss.append(np.arange(n, dtype=np.int64))
-        if grams:
-            # md5 once per unique window per batch (templated corpora
-            # repeat windows within a batch)
-            uniq, inv = np.unique(np.asarray(grams, dtype=object), return_inverse=True)
-            uniq_h = np.asarray(
-                [md5(g.encode("utf-8")).hexdigest() for g in uniq], dtype=object
-            )
-            out = pd.DataFrame(
-                {
-                    "sh": pd.Series(uniq_h[inv], dtype=str),
-                    "doc_id": np.concatenate(ids),
-                    "pos": np.concatenate(poss),
-                }
-            )
-        else:
-            out = pd.DataFrame(
-                {
-                    "sh": pd.Series([], dtype=str),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "pos": pd.Series([], dtype="int64"),
-                }
-            )
-        out["bucket"] = bucket_of(out["sh"], n_b)
-        return out
-
     def novel_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_windows="int64", n_novel="int64", bucket="int32"
-            )
         d = df.sort_values(["sh", "doc_id", "pos"], kind="mergesort")
         novel = (~d["sh"].duplicated()).to_numpy().astype("int64")
         g = pd.DataFrame({"doc_id": d["doc_id"].to_numpy(), "novel": novel})
-        agg = (
+        return (
             g.groupby("doc_id", sort=False)["novel"]
             .agg(n_windows="size", n_novel="sum")
             .reset_index()
         )
-        agg["bucket"] = bucket_of(agg["doc_id"], n_b)
-        return agg
 
     def fold_doc(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_windows="int64", n_novel="int64", novelty="float64"
-            )
         agg = (
             df.groupby("doc_id", sort=False)[["n_windows", "n_novel"]]
             .sum()
@@ -558,12 +438,13 @@ def gram_novelty(sf_dir: str, w: int = _NOVELTY_W):
         )
         return agg[["doc_id", "n_windows", "n_novel", "novelty"]]
 
-    return (
-        ds.map_batches(window_hashes, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(novel_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_doc, batch_format="pandas")
+    partials = keyed_fold(
+        ds, novel_partials, "sh", rows=lambda df: _window_hashes(df, w),
+        empty=dict(doc_id="int64", n_windows="int64", n_novel="int64"),
+    )
+    return keyed_fold(
+        partials, fold_doc, "doc_id",
+        empty=dict(doc_id="int64", n_windows="int64", n_novel="int64", novelty="float64"),
     )
 
 
@@ -649,16 +530,12 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.3):
        ONE shuffle; unreferenced texts drop there);
     2. pass B keys both halves by bucket(pair) and computes the exact
        3-gram Jaccard — candidate-bounded data only."""
-
-    from ..functions.bucketing import default_buckets
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    n_b = default_buckets()
-    distinct_pairs = _lsh_candidate_pairs(ds, n_b)
-    return _attach_verify_jaccard(ds, distinct_pairs, threshold, n_b)
+    distinct_pairs = _lsh_candidate_pairs(ds)
+    return _attach_verify_jaccard(ds, distinct_pairs, threshold)
 
 
-def _lsh_candidate_pairs(ds, n_b: int, cross_parity: bool = False):
+def _lsh_candidate_pairs(ds, cross_parity: bool = False):
     """Shingle → minhash → LSH band buckets → in-bucket candidate pairs
     (the shared candidate stage of :func:`minhash_lsh_pairs` and
     :func:`cross_minhash_dedup`). With ``cross_parity`` the in-bucket
@@ -699,7 +576,7 @@ def _lsh_candidate_pairs(ds, n_b: int, cross_parity: bool = False):
         v = _splitmix64(h[None, :] ^ seeds[:, None])  # (32, total_grams)
         sig = np.minimum.reduceat(v, starts, axis=1)  # (32, n_docs)
         doc_ids = np.repeat(ids, _BANDS)
-        buckets = [
+        bands = [
             f"{band}:{_band_key(sig[band * _ROWS_PER_BAND : (band + 1) * _ROWS_PER_BAND, d])}"
             for d in range(len(texts))
             for band in range(_BANDS)
@@ -707,7 +584,7 @@ def _lsh_candidate_pairs(ds, n_b: int, cross_parity: bool = False):
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.int64()),
-                "bucket": pa.array(buckets, pa.string()),
+                "band": pa.array(bands, pa.string()),
             }
         )
 
@@ -719,13 +596,8 @@ def _lsh_candidate_pairs(ds, n_b: int, cross_parity: bool = False):
     # drops). No per-group Python calls, no join-aggregator actor pools
     # (functions/bucketing.py -- every exchange below is the same bucketed
     # grouped pass).
-    from ..functions.bucketing import bucket_of
-
-    def band_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(b=bucket_of(df["bucket"], n_b))
-
     def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[["bucket", "doc_id"]].merge(df[["bucket", "doc_id"]], on="bucket")
+        m = df[["band", "doc_id"]].merge(df[["band", "doc_id"]], on="band")
         m = m[m["doc_id_x"] < m["doc_id_y"]]
         if cross_parity:
             m = m[(m["doc_id_x"] % 2) != (m["doc_id_y"] % 2)]
@@ -736,17 +608,8 @@ def _lsh_candidate_pairs(ds, n_b: int, cross_parity: bool = False):
     # bands are ~100x narrower than the text they come from but inherit
     # the corpus read's block count — re-pin to data size so the band
     # sort schedules over data-sized blocks (no-op at real scale)
-    from ..functions.bucketing import coalesce_blocks
-
-    raw_pairs = (
-        coalesce_blocks(
-            ds.map_batches(to_bands, batch_format="pyarrow").map_batches(
-                band_bucket, batch_format="pandas"
-            )
-        )
-        .groupby("b")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    bands = bucketed(ds.map_batches(to_bands, batch_format="pyarrow"), "band")
+    raw_pairs = keyed_fold(coalesce_blocks(bands), pairs_in_bucket, None)
 
     # No standalone distinct pass: a pair rediscovered in k band buckets
     # emits k copies, but every copy of (pair, side) lands in the SAME
@@ -780,23 +643,13 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
     snapshot near-dups), best_match (min matching snapshot doc_id).
     SQL-oracle-checked (the full splitmix64/UHUGEINT minhash mirror
     with the parity join filter)."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    n_b = default_buckets()
-    pairs = _lsh_candidate_pairs(ds, n_b, cross_parity=True)
-    verified = _attach_verify_jaccard(ds, pairs, threshold, n_b)
+    pairs = _lsh_candidate_pairs(ds, cross_parity=True)
+    verified = _attach_verify_jaccard(ds, pairs, threshold)
 
     def match_partials(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return typed_empty(
-                delta_id="int64", n="int64", snap_min="int64", bucket="int32"
-            )
+            return typed_empty(delta_id="int64", n="int64", snap_min="int64")
         a = df["doc_a"].to_numpy(dtype="int64")
         b = df["doc_b"].to_numpy(dtype="int64")
         a_odd = (a % 2) == 1
@@ -813,15 +666,10 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
                 "delta_id": part["delta_id"].astype("int64"),
                 "n": part["count"].astype("int64"),
                 "snap_min": part["min"].astype("int64"),
-                "bucket": bucket_of(part["delta_id"].astype("int64"), n_b),
             }
         )
 
     def fold_matches(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                delta_id="int64", n_matches="int64", best_match="int64"
-            )
         g = df.groupby("delta_id", sort=False).agg(
             n_matches=("n", "sum"), best_match=("snap_min", "min")
         )
@@ -833,15 +681,19 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
             }
         )
 
-    partials = coalesce_blocks(
-        verified.map_batches(match_partials, batch_format="pandas")
-    )
-    return partials.groupby("bucket").map_groups(
-        fold_matches, batch_format="pandas"
+    partials = coalesce_blocks(bucketed(verified, "delta_id", rows=match_partials))
+    return keyed_fold(
+        partials, fold_matches, None,
+        empty=dict(delta_id="int64", n_matches="int64", best_match="int64"),
     )
 
 
-def _attach_pair_texts(ds, distinct_pairs, n_b: int):
+def _pair_key(df: pd.DataFrame) -> pd.Series:
+    """Bucket key of a candidate pair: both sides of (doc_a, doc_b) meet."""
+    return df["doc_a"] * 1_000_003 + df["doc_b"]
+
+
+def _attach_pair_texts(ds, distinct_pairs):
     """Shared tag-join text-attach stage (no driver/corpus
     materialization) — the first half of every candidate-pair verify
     (:func:`_attach_verify_jaccard`'s Jaccard,
@@ -852,39 +704,34 @@ def _attach_pair_texts(ds, distinct_pairs, n_b: int):
     each pair SIDE by bucket(its doc) -- the in-bucket merge attaches
     the text to every side referencing a co-located doc (texts of
     unreferenced docs drop there, the semi-join's effect); the returned
-    dataset is keyed by bucket(pair) so one more ``groupby("bucket")``
+    dataset is tagged by bucket(pair) so one more ``keyed_fold(..., None)``
     co-locates a pair's two sides (side==1 carries doc_a's text, side==2
     doc_b's). The corpus text streams through pass A once; the output
     ships only candidate-bounded data. Exact (pair, side) dedup happens
     inside the attach bucket — all copies of a rediscovered pair land
     there, so ``distinct_pairs`` may carry duplicates.
     """
-    from ..functions.bucketing import bucket_of, coalesce_blocks
 
     def tag_texts(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["doc_id"].astype("int64"),
                 "doc_a": np.full(len(df), -1, dtype="int64"),
                 "doc_b": np.full(len(df), -1, dtype="int64"),
                 "side": np.zeros(len(df), dtype="int64"),
                 "text": df["text"],
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def tag_side(col: str, side: int):
         def tag(df: pd.DataFrame) -> pd.DataFrame:
-            key = df[col].astype("int64")
             return pd.DataFrame(
                 {
-                    "key": key,
+                    "key": df[col].astype("int64"),
                     "doc_a": df["doc_a"].astype("int64"),
                     "doc_b": df["doc_b"].astype("int64"),
                     "side": np.full(len(df), side, dtype="int64"),
                     "text": pd.Series([""] * len(df), dtype=object, index=df.index),
-                    "bucket": bucket_of(key, n_b),
                 }
             )
 
@@ -898,21 +745,19 @@ def _attach_pair_texts(ds, distinct_pairs, n_b: int):
             ["key", "doc_a", "doc_b", "side"]
         ].drop_duplicates()
         m = sides.merge(texts, on="key", how="inner")
-        out = m[["doc_a", "doc_b", "side", "text"]].copy()
-        out["bucket"] = bucket_of(out["doc_a"] * 1_000_003 + out["doc_b"], n_b)
-        return out
+        return m[["doc_a", "doc_b", "side", "text"]].copy()
 
     tagged = (
-        coalesce_blocks(ds.map_batches(tag_texts, batch_format="pandas"))
-        .union(distinct_pairs.map_batches(tag_side("doc_a", 1), batch_format="pandas"))
-        .union(distinct_pairs.map_batches(tag_side("doc_b", 2), batch_format="pandas"))
+        coalesce_blocks(bucketed(ds, "key", rows=tag_texts))
+        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_a", 1)))
+        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_b", 2)))
     )
     return coalesce_blocks(
-        tagged.groupby("bucket").map_groups(attach_in_bucket, batch_format="pandas")
+        bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
     )
 
 
-def _attach_verify_jaccard(ds, distinct_pairs, threshold: float, n_b: int):
+def _attach_verify_jaccard(ds, distinct_pairs, threshold: float):
     """Tag-join exact-Jaccard verify over :func:`_attach_pair_texts` —
     consumed by ``minhash_lsh_pairs``; ``ngram_jaccard_pairs`` uses the
     same two-pass tag-join SHAPE but attaches precomputed gram-hash
@@ -936,9 +781,7 @@ def _attach_verify_jaccard(ds, distinct_pairs, threshold: float, n_b: int):
                 out.append({"doc_a": int(da), "doc_b": int(db), "jaccard": round(j, 6)})
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "jaccard"])
 
-    return _attach_pair_texts(ds, distinct_pairs, n_b).groupby("bucket").map_groups(
-        verify_in_bucket, batch_format="pandas"
-    )
+    return keyed_fold(_attach_pair_texts(ds, distinct_pairs), verify_in_bucket, None)
 
 
 def edit_distance_pairs(sf_dir: str):
@@ -967,12 +810,10 @@ def edit_distance_pairs(sf_dir: str):
     zero rounding disagree — the integer floor division is engine-exact
     by construction. SQL-oracle-checked: the DuckDB mirror replays the
     full candidate chain and verifies with its native ``levenshtein``."""
-    from ..functions.bucketing import default_buckets
     from ..functions.fuzzy import levenshtein_bytes
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    n_b = default_buckets()
-    pairs = _lsh_candidate_pairs(ds, n_b)
+    pairs = _lsh_candidate_pairs(ds)
 
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         a = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
@@ -1003,9 +844,7 @@ def edit_distance_pairs(sf_dir: str):
             {"doc_a": "int64", "doc_b": "int64", "dist": "int64", "sim_ppm": "int64"}
         )
 
-    return _attach_pair_texts(ds, pairs, n_b).groupby("bucket").map_groups(
-        verify_in_bucket, batch_format="pandas"
-    )
+    return keyed_fold(_attach_pair_texts(ds, pairs), verify_in_bucket, None)
 
 
 def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
@@ -1045,10 +884,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
     """
     from fractions import Fraction
 
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    n_b = default_buckets()
     tf = Fraction(str(threshold))
     num, den = tf.numerator, tf.denominator
 
@@ -1128,30 +964,9 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
         ).drop_duplicates(ignore_index=True)
 
     grams = coalesce_blocks(ds.map_batches(to_grams, batch_format="pyarrow"))
-    with_df = (
-        grams.map_batches(
-            lambda df: df.assign(b=bucket_of(df["g"], n_b)), batch_format="pandas"
-        )
-        .groupby("b")
-        .map_groups(df_in_bucket, batch_format="pandas")
-    )
-    prefixes = (
-        coalesce_blocks(with_df)
-        .map_batches(
-            lambda df: df.assign(b=bucket_of(df["doc_id"], n_b)),
-            batch_format="pandas",
-        )
-        .groupby("b")
-        .map_groups(prefix_in_bucket, batch_format="pandas")
-    )
-    raw_pairs = (
-        coalesce_blocks(prefixes)
-        .map_batches(
-            lambda df: df.assign(b=bucket_of(df["g"], n_b)), batch_format="pandas"
-        )
-        .groupby("b")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    with_df = keyed_fold(grams, df_in_bucket, "g")
+    prefixes = keyed_fold(coalesce_blocks(with_df), prefix_in_bucket, "doc_id")
+    raw_pairs = keyed_fold(coalesce_blocks(prefixes), pairs_in_bucket, "g")
     distinct_pairs = coalesce_blocks(raw_pairs)
 
     # ---- signature attach + vectorized verify ---------------------------
@@ -1191,30 +1006,20 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
                 "doc_b": np.full(len(out_ids), -1, dtype="int64"),
                 "side": np.zeros(len(out_ids), dtype="int64"),
                 "sig": pd.Series(sigs, dtype=object),
-                "bucket": bucket_of(pd.Series(out_ids), n_b),
             }
         )
 
-    sig_rows = (
-        grams.map_batches(
-            lambda df: df.assign(b=bucket_of(df["doc_id"], n_b)),
-            batch_format="pandas",
-        )
-        .groupby("b")
-        .map_groups(sigs_in_bucket, batch_format="pandas")
-    )
+    sig_rows = bucketed(keyed_fold(grams, sigs_in_bucket, "doc_id"), "key")
 
     def tag_side(col: str, side: int):
         def tag(df: pd.DataFrame) -> pd.DataFrame:
-            key = df[col].astype("int64")
             return pd.DataFrame(
                 {
-                    "key": key,
+                    "key": df[col].astype("int64"),
                     "doc_a": df["doc_a"].astype("int64"),
                     "doc_b": df["doc_b"].astype("int64"),
                     "side": np.full(len(df), side, dtype="int64"),
                     "sig": pd.Series([b""] * len(df), dtype=object, index=df.index),
-                    "bucket": bucket_of(key, n_b),
                 }
             )
 
@@ -1228,9 +1033,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
             ["key", "doc_a", "doc_b", "side"]
         ].drop_duplicates()
         m = sides.merge(sigs_, on="key", how="inner")
-        out = m[["doc_a", "doc_b", "side", "sig"]].copy()
-        out["bucket"] = bucket_of(out["doc_a"] * 1_000_003 + out["doc_b"], n_b)
-        return out
+        return m[["doc_a", "doc_b", "side", "sig"]].copy()
 
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         a = df[df["side"] == 1][["doc_a", "doc_b", "sig"]].rename(
@@ -1253,15 +1056,13 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
 
     tagged = (
         coalesce_blocks(sig_rows)
-        .union(distinct_pairs.map_batches(tag_side("doc_a", 1), batch_format="pandas"))
-        .union(distinct_pairs.map_batches(tag_side("doc_b", 2), batch_format="pandas"))
+        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_a", 1)))
+        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_b", 2)))
     )
     attached = coalesce_blocks(
-        tagged.groupby("bucket").map_groups(attach_in_bucket, batch_format="pandas")
+        bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
     )
-    return attached.groupby("bucket").map_groups(
-        verify_in_bucket, batch_format="pandas"
-    )
+    return keyed_fold(attached, verify_in_bucket, None)
 
 
 def simhash_batch(texts) -> list[str]:
@@ -1376,40 +1177,31 @@ def cluster_representatives(clusters_ds, quality_ds):
     quality score where doc_id co-locates, then the per-cluster argmax
     where cluster_id co-locates; no broadcast (the cluster set is
     corpus-sized). Columns: doc_id, cluster_id, distinct_ratio, is_rep."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
 
     def tag_clusters(df: pd.DataFrame) -> pd.DataFrame:
-        did = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": did,
+                "doc_id": df["doc_id"].astype("int64"),
                 "cluster_id": df["cluster_id"].astype("int64"),
                 "distinct_ratio": np.zeros(len(df), dtype="float64"),
                 "side": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(did, n_b),
             }
         )
 
     def tag_quality(df: pd.DataFrame) -> pd.DataFrame:
-        did = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": did,
+                "doc_id": df["doc_id"].astype("int64"),
                 "cluster_id": np.full(len(df), -1, dtype="int64"),
                 "distinct_ratio": df["distinct_ratio"].astype("float64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(did, n_b),
             }
         )
 
     def attach(df: pd.DataFrame) -> pd.DataFrame:
         c = df[df["side"] == 0][["doc_id", "cluster_id"]]
         q = df[df["side"] == 1][["doc_id", "distinct_ratio"]]
-        m = c.merge(q, on="doc_id", how="inner")
-        m["bucket"] = bucket_of(m["cluster_id"], n_b)
-        return m
+        return c.merge(q, on="doc_id", how="inner")
 
     def argmax_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(
@@ -1427,21 +1219,15 @@ def cluster_representatives(clusters_ds, quality_ds):
             }
         )
 
-    from ..functions.bucketing import coalesce_blocks
-
     # both sides are narrow id/score streams that inherit the corpus
     # read's block count — re-pin to data size before each exchange
     tagged = coalesce_blocks(
-        clusters_ds.map_batches(tag_clusters, batch_format="pandas").union(
-            quality_ds.map_batches(tag_quality, batch_format="pandas")
+        bucketed(clusters_ds, "doc_id", rows=tag_clusters).union(
+            bucketed(quality_ds, "doc_id", rows=tag_quality)
         )
     )
-    joined = coalesce_blocks(
-        tagged.groupby("bucket").map_groups(attach, batch_format="pandas")
-    )
-    return joined.groupby("bucket").map_groups(
-        argmax_in_bucket, batch_format="pandas"
-    )
+    joined = coalesce_blocks(bucketed(keyed_fold(tagged, attach, None), "cluster_id"))
+    return keyed_fold(joined, argmax_in_bucket, None)
 
 
 def neardup_dedup_apply(clusters_ds, docs_ds):
@@ -1464,33 +1250,15 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
     shuffle only their md5, never their text. Columns: doc_id,
     n_merged, text_md5. SQL-oracle-checked (recursive-CTE reachability
     over the same materialized pair set + DuckDB ``md5``)."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
-
-    n_b = default_buckets()
 
     def size_partials(df: pd.DataFrame) -> pd.DataFrame:
         cid = df["cluster_id"].astype("int64")
         g = cid.value_counts().sort_index()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"cluster_id": g.index.to_numpy(), "n": g.to_numpy().astype("int64")}
         )
-        out["bucket"] = bucket_of(out["cluster_id"], n_b)
-        return out
 
     def fold_sizes(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64",
-                n_merged="int64",
-                side="int64",
-                text_md5=str,
-                bucket="int32",
-            )
         g = df.groupby("cluster_id", sort=False)["n"].sum()
         did = g.index.to_numpy().astype("int64")
         return pd.DataFrame(
@@ -1499,7 +1267,6 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
                 "n_merged": g.to_numpy().astype("int64"),
                 "side": np.zeros(len(g), dtype="int64"),
                 "text_md5": np.full(len(g), "", dtype=object),
-                "bucket": bucket_of(pd.Series(did), n_b).to_numpy(),
             }
         )
 
@@ -1507,38 +1274,33 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
         md5s = [
             hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"].tolist()
         ]
-        did = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": did.to_numpy(),
+                "doc_id": df["doc_id"].astype("int64").to_numpy(),
                 "n_merged": np.full(len(df), -1, dtype="int64"),
                 "side": np.ones(len(df), dtype="int64"),
                 "text_md5": md5s,
-                "bucket": bucket_of(did, n_b).to_numpy(),
             }
         )
 
     def join_kept(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(doc_id="int64", n_merged="int64", text_md5=str)
         kept = df[df["side"] == 0][["doc_id", "n_merged"]]
         docs = df[df["side"] == 1][["doc_id", "text_md5"]]
         return kept.merge(docs, on="doc_id", how="inner")
 
-    sizes = coalesce_blocks(
-        clusters_ds.map_batches(size_partials, batch_format="pandas")
+    sizes = coalesce_blocks(bucketed(clusters_ds, "cluster_id", rows=size_partials))
+    # fold buckets by cluster_id; its output re-buckets by the kept doc_id
+    # (== cluster_id, same hash — the exchange key is reused)
+    folded = keyed_fold(
+        sizes, fold_sizes, None,
+        empty=dict(doc_id="int64", n_merged="int64", side="int64", text_md5=str),
     )
-    # fold buckets by cluster_id; fold_sizes re-buckets its output by the
-    # kept doc_id (== cluster_id, same hash — the exchange key is reused)
-    folded = sizes.groupby("bucket").map_groups(fold_sizes, batch_format="pandas")
     tagged = coalesce_blocks(
-        folded.union(docs_ds.map_batches(tag_docs, batch_format="pandas"))
+        bucketed(folded, "doc_id").union(bucketed(docs_ds, "doc_id", rows=tag_docs))
     )
-    return (
-        tagged.groupby("bucket")
-        .map_groups(join_kept, batch_format="pandas")
-        .select_columns(["doc_id", "n_merged", "text_md5"])
-    )
+    return keyed_fold(
+        tagged, join_kept, None, empty=dict(doc_id="int64", n_merged="int64", text_md5=str)
+    ).select_columns(["doc_id", "n_merged", "text_md5"])
 
 
 def semdedup_keep(sf_dir: str, threshold: float = 0.35):
@@ -1601,13 +1363,6 @@ def reduplicate(ds, batch_format: str = "pyarrow"):
 
     Reference: ``MDXReduplicatingReducer.java:72-153``."""
 
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["digest"], n_b))
-
     def fix_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized across EVERY digest in the bucket (per-digest
         # map_groups pays one Python call per distinct content hash —
@@ -1632,11 +1387,7 @@ def reduplicate(ds, batch_format: str = "pyarrow"):
         out.loc[fixable, "record_type"] = "reduplicated"
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fix_bucket, batch_format="pandas")
-    )
+    return keyed_fold(ds, fix_bucket, "digest")
 
 
 def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | None = None):
@@ -1669,10 +1420,6 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     least doubles the hop radius a label has travelled) — see the
     chain-graph pin in tests/test_operators.py. Columns: doc_id, cluster_id.
     ``stats``, when given, records {"iterations": n} for tests/audits."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
     # every per-iteration exchange is a BUCKETED grouped pass
     # (functions/bucketing.py): Dataset.join spins an aggregator actor
     # pool per call, and a raw-key groupby walks every node in Python —
@@ -1681,19 +1428,19 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # bucket(src) and labels by bucket(doc_id) share the hash, so a
     # vectorized in-bucket merge emits the propagated labels.
 
-    def both_dirs(batch: pa.Table) -> pa.Table:
+    def both_dirs(batch: pa.Table) -> pd.DataFrame:
         a = batch["doc_a"].cast(pa.int64())
         b = batch["doc_b"].cast(pa.int64())
         src = pa.concat_arrays([a.combine_chunks(), b.combine_chunks()])
         dst = pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])
-        t = pd.DataFrame({"key": src.to_numpy(), "dst": dst.to_numpy()})
-        t["bucket"] = bucket_of(t["key"], n_b)
-        return pa.Table.from_pandas(t, preserve_index=False)
+        return pd.DataFrame(
+            {"key": src.to_numpy(), "dst": dst.to_numpy(), "label": np.int64(-1)}
+        )
 
-    # edge rows: (key=src, dst, bucket(src)); label rows ride along with
-    # dst = -1 (doc ids are non-negative, so the marker needs no nulls
-    # and everything stays int64)
-    edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    # edge rows: (key=src, dst, label=-1, bucket(src)); label rows ride
+    # along with dst = -1 (doc ids are non-negative, so the markers need
+    # no nulls and everything stays int64)
+    edges = bucketed(pairs_ds, "key", rows=both_dirs, batch_format="pyarrow").materialize()
     # row-aware block pinning: upstream bucketed passes leave the (tiny,
     # candidate-bounded) pair table scattered over dozens of near-empty
     # blocks, and every per-iteration sort would schedule over all of
@@ -1718,13 +1465,11 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     n_label_blocks = max(1, labels.num_blocks())
 
     def tag_labels(df: pd.DataFrame) -> pd.DataFrame:
-        # column order must match edges_l exactly (union aligns schemas)
-        key = df["doc_id"].astype("int64")
+        # column order must match the edge rows exactly (union aligns schemas)
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["doc_id"].astype("int64"),
                 "dst": np.full(len(df), -1, dtype="int64"),
-                "bucket": bucket_of(key, n_b),
                 "label": df["label"].astype("int64"),
             }
         )
@@ -1742,9 +1487,6 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
              "own": np.full(len(msgs), -1, dtype="int64")}
         )
         return pd.concat([selfs, out_msgs], ignore_index=True)
-
-    def add_doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["doc_id"], n_b))
 
     def minmax_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -1766,24 +1508,20 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # every request finds its row.
 
     def tag_requests(df: pd.DataFrame) -> pd.DataFrame:
-        lbl = df["label"].astype("int64")
         return pd.DataFrame(
             {
-                "key": lbl,
+                "key": df["label"].astype("int64"),
                 "u": df["doc_id"].astype("int64"),
                 "lab": np.full(len(df), -1, dtype="int64"),
-                "bucket": bucket_of(lbl, n_b),
             }
         )
 
     def tag_label_rows(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["doc_id"].astype("int64"),
                 "u": np.full(len(df), -1, dtype="int64"),
                 "lab": df["label"].astype("int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
@@ -1800,32 +1538,23 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
             }
         )
 
-    edges_l = edges.map_batches(
-        lambda df: df.assign(label=np.int64(-1)), batch_format="pandas"
-    )
     n_iters = 0
     for it in range(max_iters):
         n_iters = it + 1
         if it == 0:
             doubled = labels  # labels are identity — the shortcut is a no-op
         else:
-            doubled = (
-                labels.map_batches(tag_requests, batch_format="pandas")
-                .union(labels.map_batches(tag_label_rows, batch_format="pandas"))
-                .groupby("bucket")
-                .map_groups(shortcut_in_bucket, batch_format="pandas")
+            doubled = keyed_fold(
+                (labels, labels), shortcut_in_bucket, "key",
+                rows=(tag_requests, tag_label_rows),
             )
         # label columns: edges carry no label — pandas aligns on concat in
         # the grouped pass, so tag label rows with the full column set.
         # The shortcut chains INTO the same streaming execution as the
         # edge pass: three bucketed exchanges, ONE executor launch.
+        routed = edges.union(bucketed(doubled, "key", rows=tag_labels))
         agg = (
-            edges_l.union(doubled.map_batches(tag_labels, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(propagate_in_bucket, batch_format="pandas")
-            .map_batches(add_doc_bucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(minmax_in_bucket, batch_format="pandas")
+            keyed_fold(keyed_fold(routed, propagate_in_bucket, None), minmax_in_bucket, "doc_id")
             .repartition(n_label_blocks)
             .materialize()
         )
@@ -1839,36 +1568,24 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # singleton attach: ONE bucketed anti-join of the corpus node list
     # against the (candidate-bounded) edge-endpoint set — unpaired nodes
     # become their own cluster without ever having entered the loop
-    def tag_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype("int64")
-        return pd.DataFrame(
-            {
-                "doc_id": ids,
-                "paired": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(ids, n_b),
-            }
-        )
+    def tag_paired(paired: int):
+        def tag(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame(
+                {
+                    "doc_id": df["doc_id"].astype("int64"),
+                    "paired": np.full(len(df), paired, dtype="int64"),
+                }
+            )
 
-    def tag_paired(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype("int64")
-        return pd.DataFrame(
-            {
-                "doc_id": ids,
-                "paired": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(ids, n_b),
-            }
-        )
+        return tag
 
     def singles_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False)["paired"].max()
         ids = g[g == 0].index.to_numpy().astype("int64")
         return pd.DataFrame({"doc_id": ids, "cluster_id": ids})
 
-    singles = (
-        nodes_ds.map_batches(tag_nodes, batch_format="pandas")
-        .union(labels.map_batches(tag_paired, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(singles_in_bucket, batch_format="pandas")
+    singles = keyed_fold(
+        (nodes_ds, labels), singles_in_bucket, "doc_id", rows=(tag_paired(0), tag_paired(1))
     )
     clusters = labels.map_batches(
         lambda b: pa.table(
@@ -1913,9 +1630,6 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3):
     no text join-back at all); a second bucketed pass dedupes pairs that
     matched in several bands. SQL-oracle-checked (bit_count(xor) mirror
     over the simhash CTE)."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def to_bands(df: pd.DataFrame) -> pd.DataFrame:
@@ -1930,15 +1644,13 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3):
             keys.append((np.int64(band) << np.int64(16)) | chunk.astype(np.int64))
             out_ids.append(ids)
             out_sigs.append(sigs)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": np.concatenate(keys),
                 "doc_id": np.concatenate(out_ids),
                 "sig": np.concatenate(out_sigs),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         m = df.merge(df, on="key")
@@ -1964,24 +1676,13 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3):
             }
         )
 
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            bucket=bucket_of(df["doc_a"] * 1_000_003 + df["doc_b"], n_b)
-        )
-
     def distinct_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         return df[["doc_a", "doc_b", "hamming"]].drop_duplicates(
             ["doc_a", "doc_b"]
         )
 
-    return (
-        ds.map_batches(to_bands, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .map_batches(pair_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(distinct_in_bucket, batch_format="pandas")
-    )
+    pairs = keyed_fold(ds, pairs_in_bucket, "key", rows=to_bands)
+    return keyed_fold(pairs, distinct_in_bucket, _pair_key)
 
 
 # ---------------------------------------------------------------------------
@@ -2018,10 +1719,7 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
     ``dup_span_fraction`` is the token-window approximation of this op;
     this one is exact at character granularity. Columns: doc_id,
     span_start (0-based inclusive), span_end (exclusive)."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
-
     L = min_len
-    n_b = default_buckets()
 
     def windows(batch: pa.Table) -> pa.Table:
         md5 = hashlib.md5
@@ -2046,14 +1744,10 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
                 "pos": np.concatenate(out_pos) if out_pos else np.array([], np.int64),
             }
         )
-        t["bucket"] = bucket_of(t["h"], n_b)
         return pa.Table.from_pandas(t, preserve_index=False)
 
     def dup_positions(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df[df.duplicated("h", keep=False)]
-        out = keep[["doc_id", "pos"]].copy()
-        out["bucket"] = bucket_of(out["doc_id"], n_b)
-        return out
+        return df.loc[df.duplicated("h", keep=False), ["doc_id", "pos"]].copy()
 
     def merge_islands(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["doc_id", "pos"], kind="mergesort")
@@ -2070,13 +1764,8 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
         )
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        coalesce_blocks(ds.map_batches(windows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(dup_positions, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge_islands, batch_format="pandas")
-    )
+    hashed = coalesce_blocks(bucketed(ds, "h", rows=windows, batch_format="pyarrow"))
+    return keyed_fold(keyed_fold(hashed, dup_positions, None), merge_islands, "doc_id")
 
 
 def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
@@ -2096,9 +1785,6 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
     recompute of the whole lemma + surgery."""
     import hashlib as _hl
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
     spans = exact_substring_spans(sf_dir, min_len)
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -2110,7 +1796,6 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
                 "span_start": np.full(len(df), -1, dtype="int64"),
                 "span_end": np.full(len(df), -1, dtype="int64"),
                 "side": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(df["doc_id"], n_b),
             }
         )
 
@@ -2122,16 +1807,10 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
                 "span_start": df["span_start"].astype("int64"),
                 "span_end": df["span_end"].astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(df["doc_id"], n_b),
             }
         )
 
     def apply_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", n_removed="int64", removed_chars="int64",
-                cleaned_len="int64", cleaned_md5=str,
-            )
         d = df[df["side"] == 0]
         s = df[df["side"] == 1].sort_values(
             ["doc_id", "span_start"], kind="mergesort"
@@ -2162,11 +1841,10 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
             r[c] = r[c].astype("int64")
         return r
 
-    tagged = docs.map_batches(tag_doc, batch_format="pandas").union(
-        spans.map_batches(tag_span, batch_format="pandas")
-    )
-    return tagged.groupby("bucket").map_groups(
-        apply_in_bucket, batch_format="pandas"
+    return keyed_fold(
+        (docs, spans), apply_in_bucket, "doc_id", rows=(tag_doc, tag_span),
+        empty=dict(doc_id="int64", n_removed="int64", removed_chars="int64",
+                   cleaned_len="int64", cleaned_md5=str),
     )
 
 
@@ -2199,14 +1877,6 @@ def containment_pairs(
     emits pair partials carrying both sizes; (4) pair fold + the
     containment arithmetic + threshold. Columns: doc_a, doc_b, n_shared,
     containment_ppm. SQL-oracle-checked (df-capped self-join mirror)."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def to_grams(batch: pa.Table) -> pa.Table:
@@ -2230,46 +1900,32 @@ def containment_pairs(
                 "g": hexes[key % len(uniq)],
             }
         )
-        out["bucket"] = bucket_of(out["g"], n_b)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def df_cap(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(doc_id="int64", g=str, bucket="int32")
         keep = df.groupby("g", sort=False)["g"].transform("size") <= max_df
-        out = df.loc[keep, ["doc_id", "g"]].copy()
-        out["bucket"] = bucket_of(out["doc_id"], n_b)
-        return out
+        return df.loc[keep, ["doc_id", "g"]].copy()
 
     def attach_size(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(doc_id="int64", g=str, sz="int64", bucket="int32")
         out = df[["doc_id", "g"]].copy()
         out["sz"] = (
             df.groupby("doc_id", sort=False)["g"].transform("size").astype("int64")
         )
-        out["bucket"] = bucket_of(out["g"], n_b)
         return out
 
+    partial_rows = dict(a="int64", b="int64", sa="int64", sb="int64", n="int64")
+
     def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                a="int64", b="int64", sa="int64", sb="int64", n="int64",
-                bucket="int32",
-            )
         m = df.merge(df, on="g")
         m = m[m["doc_id_x"] < m["doc_id_y"]]
         if not len(m):
-            return typed_empty(
-                a="int64", b="int64", sa="int64", sb="int64", n="int64",
-                bucket="int32",
-            )
+            return typed_empty(**partial_rows)
         g = (
             m.groupby(["doc_id_x", "doc_id_y", "sz_x", "sz_y"], sort=False)
             .size()
             .reset_index(name="n")
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "a": g["doc_id_x"].astype("int64"),
                 "b": g["doc_id_y"].astype("int64"),
@@ -2278,15 +1934,8 @@ def containment_pairs(
                 "n": g["n"].astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["a"] * np.int64(2654435761) + out["b"], n_b)
-        return out
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_a="int64", doc_b="int64", n_shared="int64",
-                containment_ppm="int64",
-            )
         g = (
             df.groupby(["a", "b", "sa", "sb"], sort=False)["n"]
             .sum()
@@ -2307,18 +1956,23 @@ def containment_pairs(
             }
         )
 
-    chain = coalesce_blocks(
-        ds.map_batches(to_grams, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(df_cap, batch_format="pandas")
+    def pair_key(df: pd.DataFrame) -> pd.Series:
+        return df["a"] * np.int64(2654435761) + df["b"]
+
+    chain = coalesce_blocks(bucketed(keyed_fold(
+        ds, df_cap, "g", rows=to_grams, batch_format="pyarrow",
+        empty=dict(doc_id="int64", g=str),
+    ), "doc_id"))
+    sized = coalesce_blocks(bucketed(keyed_fold(
+        chain, attach_size, None, empty=dict(doc_id="int64", g=str, sz="int64"),
+    ), "g"))
+    pairs = coalesce_blocks(bucketed(
+        keyed_fold(sized, pair_partials, None, empty=partial_rows), pair_key
+    ))
+    return keyed_fold(
+        pairs, fold, None,
+        empty=dict(doc_a="int64", doc_b="int64", n_shared="int64", containment_ppm="int64"),
     )
-    sized = coalesce_blocks(
-        chain.groupby("bucket").map_groups(attach_size, batch_format="pandas")
-    )
-    pairs = coalesce_blocks(
-        sized.groupby("bucket").map_groups(pair_partials, batch_format="pandas")
-    )
-    return pairs.groupby("bucket").map_groups(fold, batch_format="pandas")
 
 
 def lsh_recall_audit(sf_dir: str, threshold: float = 0.3):

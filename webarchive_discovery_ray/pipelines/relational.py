@@ -27,6 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.bucketing import keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -127,14 +128,9 @@ def asof_join_events(sf_dir: str):
     performs the per-user backward merge for EVERY user in one vectorized
     call (both sides time-sorted; the equality key co-locates by
     construction)."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
     epoch = pd.Timestamp("1970-01-01")
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["user_id"], n_b))
 
     def asof_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         cols = ["event_id", "user_id", "ts", "signup_event_id", "signup_ts"]
@@ -176,11 +172,7 @@ def asof_join_events(sf_dir: str):
         merged["signup_ts"] = merged["signup_ts"].fillna(epoch)
         return merged[cols]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(asof_in_bucket, batch_format="pandas")
-    )
+    return keyed_fold(ds, asof_in_bucket, "user_id")
 
 
 # static bucket table (the small side of the range join)
@@ -313,11 +305,8 @@ def outer_join_customer_orders(sf_dir: str):
     (``aggregates.cents``) so the double division at the end is
     bit-identical to the SQL oracle's. Columns: c_custkey, n_orders,
     total_spent. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
@@ -330,18 +319,15 @@ def outer_join_customer_orders(sf_dir: str):
             .rename(columns={"o_custkey": "key"})
         )
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
-        return g[["key", "n", "c", "side", "bucket"]]
+        return g[["key", "n", "c", "side"]]
 
     def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["c_custkey"].astype("int64"),
                 "n": np.zeros(len(df), dtype="int64"),
                 "c": np.zeros(len(df), dtype="int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
@@ -362,11 +348,8 @@ def outer_join_customer_orders(sf_dir: str):
             }
         )
 
-    tagged = orders.map_batches(order_partials, batch_format="pandas").union(
-        cust.map_batches(tag_customers, batch_format="pandas")
-    )
-    return tagged.groupby("bucket").map_groups(
-        join_in_bucket, batch_format="pandas"
+    return keyed_fold(
+        (orders, cust), join_in_bucket, "key", rows=(order_partials, tag_customers)
     )
 
 
@@ -386,11 +369,8 @@ def min_cost_supplier(sf_dir: str):
     p_partkey, s_suppkey, s_name, min_price. Inner-join semantics on
     the name attach (mirrored by the SQL oracle's JOIN).
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     li = read_table(
         sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_extendedprice"]
     )
@@ -407,30 +387,21 @@ def min_cost_supplier(sf_dir: str):
         w = d.sort_values(["l_partkey", "c", "sk"], kind="mergesort").drop_duplicates(
             "l_partkey"
         )
-        w["bucket"] = bucket_of(w["l_partkey"], n_b)
         return w
 
     def fold_winner(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(l_partkey="int64", c="int64", sk="int64")
         w = df.sort_values(
             ["l_partkey", "c", "sk"], kind="mergesort"
         ).drop_duplicates("l_partkey")
         return w[["l_partkey", "c", "sk"]].reset_index(drop=True)
 
-    winners = (
-        li.map_batches(argmin_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_winner, batch_format="pandas")
+    winners = keyed_fold(
+        li, fold_winner, "l_partkey", rows=argmin_partials,
+        empty=dict(l_partkey="int64", c="int64", sk="int64"),
     )
 
     def tag_winners(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                key="int64", l_partkey="int64", c="int64",
-                s_name=str, side="int64", bucket="int32",
-            )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": df["sk"].astype("int64"),
                 "l_partkey": df["l_partkey"].astype("int64"),
@@ -439,29 +410,19 @@ def min_cost_supplier(sf_dir: str):
                 "side": np.zeros(len(df), dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def tag_suppliers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["s_suppkey"].astype("int64")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "key": key,
+                "key": df["s_suppkey"].astype("int64"),
                 "l_partkey": np.zeros(len(df), dtype="int64"),
                 "c": np.zeros(len(df), dtype="int64"),
                 "s_name": df["s_name"].astype(object),
                 "side": np.ones(len(df), dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def attach_name(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                p_partkey="int64", s_suppkey="int64",
-                s_name=str, min_price="float64",
-            )
         names = (
             df[df["side"] == 1]
             .drop_duplicates("key")
@@ -479,10 +440,10 @@ def min_cost_supplier(sf_dir: str):
             }
         )
 
-    tagged = winners.map_batches(tag_winners, batch_format="pandas").union(
-        sup.map_batches(tag_suppliers, batch_format="pandas")
+    return keyed_fold(
+        (winners, sup), attach_name, "key", rows=(tag_winners, tag_suppliers),
+        empty=dict(p_partkey="int64", s_suppkey="int64", s_name=str, min_price="float64"),
     )
-    return tagged.groupby("bucket").map_groups(attach_name, batch_format="pandas")
 
 
 def _date_i64(s: pd.Series) -> np.ndarray:
@@ -516,11 +477,8 @@ def shipping_priority(
     is necessarily in its bucket's top-k), so the driver folds ≤ buckets
     × k rows. Columns: o_orderkey, revenue_cents, o_date.
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     cut_ts = pd.Timestamp(cut)
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
@@ -531,45 +489,36 @@ def shipping_priority(
 
     def tag_seg_customers(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df["c_mktsegment"] == segment]
-        key = keep["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": keep["c_custkey"].astype("int64").to_numpy(),
                 "okey": np.zeros(len(keep), dtype="int64"),
                 "o_date": np.zeros(len(keep), dtype="int64"),
                 "side": np.ones(len(keep), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df["o_orderdate"] < cut_ts]
-        key = keep["o_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": keep["o_custkey"].astype("int64").to_numpy(),
                 "okey": keep["o_orderkey"].to_numpy().astype("int64"),
                 "o_date": _date_i64(keep["o_orderdate"]),
                 "side": np.zeros(len(keep), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key="int64", o_date="int64", c="int64",
-                               side="int64", bucket="int32")
         seg = set(df.loc[df["side"] == 1, "key"].to_numpy())
         o = df[df["side"] == 0]
         o = o[o["key"].isin(seg)]
-        key = o["okey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": o["okey"].astype("int64").to_numpy(),
                 "o_date": o["o_date"].to_numpy().astype("int64"),
                 "c": np.zeros(len(o), dtype="int64"),
                 "side": np.ones(len(o), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
@@ -584,15 +533,13 @@ def shipping_priority(
         )
         g["o_date"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "o_date", "c", "side", "bucket"]
+            ["key", "o_date", "c", "side"]
         ]
 
+    result = dict(o_orderkey="int64", revenue_cents="int64", o_date="int64")
+
     def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(o_orderkey="int64", revenue_cents="int64",
-                               o_date="int64")
         o = df[df["side"] == 1][["key", "o_date"]]
         rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
         m = o.assign(revenue_cents=o["key"].map(rev))
@@ -608,21 +555,15 @@ def shipping_priority(
             }
         )
 
-    gated = (
-        orders.map_batches(tag_orders, batch_format="pandas")
-        .union(cust.map_batches(tag_seg_customers, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(gate_in_bucket, batch_format="pandas")
+    gated = keyed_fold(
+        (orders, cust), gate_in_bucket, "key", rows=(tag_orders, tag_seg_customers),
+        empty=dict(key="int64", o_date="int64", c="int64", side="int64"),
     )
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(gated)
-        .groupby("bucket")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x k rows
-    )
+    folded = keyed_fold(
+        (li, gated), topk_in_bucket, "key", rows=(li_partials, None), empty=result
+    ).to_pandas()  # bounded: <= buckets x k rows
     if not len(folded):
-        return typed_empty(o_orderkey="int64", revenue_cents="int64", o_date="int64")
+        return typed_empty(**result)
     return (
         folded.sort_values(
             ["revenue_cents", "o_date", "o_orderkey"], ascending=[False, True, True]
@@ -656,11 +597,8 @@ def returned_items(
 
     import pyarrow.parquet as pq
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     li = read_table(
@@ -680,61 +618,48 @@ def returned_items(
         )
         g["cust"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "c", "cust", "side", "bucket"]
+            ["key", "c", "cust", "side"]
         ]
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[(df["o_orderdate"] >= lo_ts) & (df["o_orderdate"] < hi_ts)]
-        key = keep["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": keep["o_orderkey"].astype("int64").to_numpy(),
                 "c": np.zeros(len(keep), dtype="int64"),
                 "cust": keep["o_custkey"].to_numpy().astype("int64"),
                 "side": np.ones(len(keep), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def cust_partials_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key="int64", c="int64", name=str,
-                               nat="int64", side="int64", bucket="int32")
         o = df[df["side"] == 1][["key", "cust"]]
         rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
         m = o.assign(c=o["key"].map(rev)).dropna(subset=["c"])
         g = m.groupby("cust", sort=False)["c"].sum().reset_index()
-        key = g["cust"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": g["cust"].astype("int64").to_numpy(),
                 "c": g["c"].to_numpy().astype("int64"),
                 "name": np.full(len(g), "", dtype=object),
                 "nat": np.zeros(len(g), dtype="int64"),
                 "side": np.zeros(len(g), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["c_custkey"].astype("int64").to_numpy(),
                 "c": np.zeros(len(df), dtype="int64"),
                 "name": df["c_name"].to_numpy(dtype=object),
                 "nat": df["c_nationkey"].to_numpy().astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(c_custkey="int64", name=str, nat="int64",
-                               revenue_cents="int64")
         names = df[df["side"] == 1].set_index("key")[["name", "nat"]]
         rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum().reset_index()
         if not len(rev):
@@ -750,18 +675,14 @@ def returned_items(
             }
         )
 
-    per_cust = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(cust_partials_in_bucket, batch_format="pandas")
+    per_cust = keyed_fold(
+        (li, orders), cust_partials_in_bucket, "key", rows=(li_partials, tag_orders),
+        empty=dict(key="int64", c="int64", name=str, nat="int64", side="int64"),
     )
-    folded = (
-        per_cust.union(cust.map_batches(tag_customers, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x k rows
-    )
+    folded = keyed_fold(
+        (per_cust, cust), topk_in_bucket, "key", rows=(None, tag_customers),
+        empty=dict(c_custkey="int64", name=str, nat="int64", revenue_cents="int64"),
+    ).to_pandas()  # bounded: <= buckets x k rows
     nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -794,11 +715,8 @@ def top_supplier(sf_dir: str, lo: str = "1997-01-01", hi: str = "1997-04-01"):
     MAX (a global winner is necessarily a bucket winner); the driver
     folds ≤ a few rows per bucket and applies the global max. Columns:
     s_suppkey, s_name, total_revenue_cents. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     li = read_table(
         sf_dir, "lineitem",
@@ -817,27 +735,21 @@ def top_supplier(sf_dir: str, lo: str = "1997-01-01", hi: str = "1997-04-01"):
         )
         g["name"] = np.full(len(g), "", dtype=object)
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "c", "name", "side", "bucket"]
+            ["key", "c", "name", "side"]
         ]
 
     def tag_suppliers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["s_suppkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["s_suppkey"].astype("int64").to_numpy(),
                 "c": np.zeros(len(df), dtype="int64"),
                 "name": df["s_name"].to_numpy(dtype=object),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def bucket_winners(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(s_suppkey="int64", s_name=str,
-                               total_revenue_cents="int64")
         names = df[df["side"] == 1].set_index("key")["name"]
         rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
         if not len(rev):
@@ -853,13 +765,10 @@ def top_supplier(sf_dir: str, lo: str = "1997-01-01", hi: str = "1997-04-01"):
             }
         )
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(sup.map_batches(tag_suppliers, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(bucket_winners, batch_format="pandas")
-        .to_pandas()  # bounded: <= ties-at-max per bucket
-    )
+    folded = keyed_fold(
+        (li, sup), bucket_winners, "key", rows=(li_partials, tag_suppliers),
+        empty=dict(s_suppkey="int64", s_name=str, total_revenue_cents="int64"),
+    ).to_pandas()  # bounded: <= ties-at-max per bucket
     if not len(folded):
         return typed_empty(s_suppkey="int64", s_name=str,
                            total_revenue_cents="int64")
@@ -881,11 +790,8 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
     order (total_price_cents desc, o_date asc, o_orderkey asc).
     Columns: c_name, c_custkey, o_orderkey, o_date, total_price_cents,
     sum_qty. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
     orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
@@ -908,66 +814,51 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
         g["pc"] = np.zeros(len(g), dtype="int64")
         g["o_date"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "q": "int64"})
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["o_orderkey"].astype("int64").to_numpy(),
                 "q": np.zeros(len(df), dtype="int64"),
                 "cust": df["o_custkey"].to_numpy().astype("int64"),
                 "pc": cents(df["o_totalprice"].to_numpy()),
                 "o_date": _date_i64(df["o_orderdate"]),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key="int64", okey="int64", pc="int64",
-                               o_date="int64", q="int64", name=str,
-                               side="int64", bucket="int32")
         qty = df[df["side"] == 0].groupby("key", sort=False)["q"].sum()
         qty = qty[qty > qty_threshold]
         o = df[df["side"] == 1]
         o = o[o["key"].isin(qty.index)]
-        key = o["cust"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": o["cust"].astype("int64").to_numpy(),
                 "okey": o["key"].to_numpy().astype("int64"),
                 "pc": o["pc"].to_numpy().astype("int64"),
                 "o_date": o["o_date"].to_numpy().astype("int64"),
                 "q": o["key"].map(qty).to_numpy().astype("int64"),
                 "name": np.full(len(o), "", dtype=object),
                 "side": np.zeros(len(o), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["c_custkey"].astype("int64").to_numpy(),
                 "okey": np.zeros(len(df), dtype="int64"),
                 "pc": np.zeros(len(df), dtype="int64"),
                 "o_date": np.zeros(len(df), dtype="int64"),
                 "q": np.zeros(len(df), dtype="int64"),
                 "name": df["c_name"].to_numpy(dtype=object),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(c_name=str, c_custkey="int64",
-                               o_orderkey="int64", o_date="int64",
-                               total_price_cents="int64", sum_qty="int64")
         names = df[df["side"] == 1].set_index("key")["name"]
         o = df[df["side"] == 0]
         if not len(o):
@@ -988,18 +879,14 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
             }
         )
 
-    gated = (
-        li.map_batches(qty_partials, batch_format="pandas")
-        .union(orders.map_batches(tag_orders, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(gate_in_bucket, batch_format="pandas")
+    gated = keyed_fold(
+        (li, orders), gate_in_bucket, "key", rows=(qty_partials, tag_orders),
+        empty=dict(key="int64", okey="int64", pc="int64", o_date="int64", q="int64", name=str, side="int64"),
     )
-    folded = (
-        gated.union(cust.map_batches(tag_customers, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(topk_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x k rows
-    )
+    folded = keyed_fold(
+        (gated, cust), topk_in_bucket, "key", rows=(None, tag_customers),
+        empty=dict(c_name=str, c_custkey="int64", o_orderkey="int64", o_date="int64", total_price_cents="int64", sum_qty="int64"),
+    ).to_pandas()  # bounded: <= buckets x k rows
     if not len(folded):
         return typed_empty(c_name=str, c_custkey="int64", o_orderkey="int64",
                            o_date="int64", total_price_cents="int64",
@@ -1029,11 +916,8 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
     (n_cust, total_bal_cents) partials in-group; the driver folds ≤
     buckets × nations tiny rows. Columns: cntrycode, n_cust,
     total_bal_cents. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     cut_ts = pd.Timestamp(cut)
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey", "c_acctbal"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
@@ -1056,14 +940,12 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
         bal = cents(df["c_acctbal"].to_numpy())
         keep = (bal > 0) & (bal * n_pos > tot_pos)
         sub = df[keep]
-        key = sub["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": sub["c_custkey"].astype("int64").to_numpy(),
                 "nat": sub["c_nationkey"].to_numpy().astype("int64"),
                 "bal": bal[keep],
                 "side": np.ones(len(sub), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
@@ -1076,14 +958,10 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
                 "nat": np.zeros(len(key), dtype="int64"),
                 "bal": np.zeros(len(key), dtype="int64"),
                 "side": np.zeros(len(key), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def anti_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(cntrycode="int64", n_cust="int64",
-                               total_bal_cents="int64")
         active = set(df.loc[df["side"] == 0, "key"].to_numpy())
         c = df[df["side"] == 1]
         c = c[~c["key"].isin(active)]
@@ -1099,13 +977,10 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
         return g.astype({"cntrycode": "int64", "n_cust": "int64",
                          "total_bal_cents": "int64"})
 
-    folded = (
-        cust.map_batches(tag_customers, batch_format="pandas")
-        .union(orders.map_batches(order_keys, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(anti_fold, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x nations tiny rows
-    )
+    folded = keyed_fold(
+        (cust, orders), anti_fold, "key", rows=(tag_customers, order_keys),
+        empty=dict(cntrycode="int64", n_cust="int64", total_bal_cents="int64"),
+    ).to_pandas()  # bounded: <= buckets x nations tiny rows
     if not len(folded):
         return typed_empty(cntrycode="int64", n_cust="int64",
                            total_bal_cents="int64")
@@ -1139,11 +1014,8 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
 
     import pyarrow.parquet as pq
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     li = read_table(
         sf_dir, "lineitem",
@@ -1171,21 +1043,18 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
         )
         g["nat"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "okey": "int64", "yr": "int64", "c": "int64"})
 
     def tag(key_col: str, nat_col: str):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            key = df[key_col].astype("int64")
             return pd.DataFrame(
                 {
-                    "key": key.to_numpy(),
+                    "key": df[key_col].astype("int64").to_numpy(),
                     "okey": np.zeros(len(df), dtype="int64"),
                     "yr": np.zeros(len(df), dtype="int64"),
                     "c": np.zeros(len(df), dtype="int64"),
                     "nat": df[nat_col].to_numpy().astype("int64"),
                     "side": np.ones(len(df), dtype="int64"),
-                    "bucket": bucket_of(key, n_b),
                 }
             )
         return fn
@@ -1193,10 +1062,6 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
     def attach_supp_nation(df: pd.DataFrame) -> pd.DataFrame:
         # exchange 1 in-bucket: attach s_nationkey, re-key by orderkey,
         # collapse per (orderkey, year, s_nat) before the next exchange
-        if not len(df):
-            return typed_empty(key="int64", okey="int64", yr="int64",
-                               c="int64", nat="int64", side="int64",
-                               bucket="int32")
         tags = df[df["side"] == 1].set_index("key")["nat"]
         rows = df[df["side"] == 0]
         nat = rows["key"].map(tags)
@@ -1209,7 +1074,6 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
         )
         out["okey"] = np.zeros(len(out), dtype="int64")
         out["side"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out.astype({"key": "int64", "okey": "int64", "yr": "int64",
                            "c": "int64", "nat": "int64"})
 
@@ -1217,10 +1081,6 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
         # exchange 2 in-bucket: rows keyed by orderkey (carrying s_nat in
         # "nat"), order tags map orderkey -> custkey; re-key by custkey,
         # keeping s_nat in "nat2"... implemented directly for clarity
-        if not len(df):
-            return typed_empty(key="int64", okey="int64", yr="int64",
-                               c="int64", nat="int64", side="int64",
-                               bucket="int32")
         tags = df[df["side"] == 1].set_index("key")["nat"]  # orderkey -> custkey
         rows = df[df["side"] == 0]
         ck = rows["key"].map(tags)
@@ -1233,14 +1093,10 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
         )
         out["okey"] = np.zeros(len(out), dtype="int64")
         out["side"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out.astype({"key": "int64", "okey": "int64", "yr": "int64",
                            "c": "int64", "nat": "int64"})
 
     def final_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(s_nat="int64", c_nat="int64", yr="int64",
-                               c="int64")
         tags = df[df["side"] == 1].set_index("key")["nat"]  # custkey -> c_nat
         rows = df[df["side"] == 0]
         cn = rows["key"].map(tags)
@@ -1254,26 +1110,18 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
         return g.astype({"s_nat": "int64", "c_nat": "int64", "yr": "int64",
                          "c": "int64"})
 
-    step1 = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(sup.map_batches(tag("s_suppkey", "s_nationkey"),
-                               batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(attach_supp_nation, batch_format="pandas")
+    step1 = keyed_fold(
+        (li, sup), attach_supp_nation, "key", rows=(li_partials, tag("s_suppkey", "s_nationkey")),
+        empty=dict(key="int64", okey="int64", yr="int64", c="int64", nat="int64", side="int64"),
     )
-    step2 = (
-        step1.union(orders.map_batches(tag("o_orderkey", "o_custkey"),
-                                       batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(swap_order_to_cust, batch_format="pandas")
+    step2 = keyed_fold(
+        (step1, orders), swap_order_to_cust, "key", rows=(None, tag("o_orderkey", "o_custkey")),
+        empty=dict(key="int64", okey="int64", yr="int64", c="int64", nat="int64", side="int64"),
     )
-    folded = (
-        step2.union(cust.map_batches(tag("c_custkey", "c_nationkey"),
-                                     batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(final_fold, batch_format="pandas")
-        .to_pandas()  # bounded: <= nations^2 x years tiny rows
-    )
+    folded = keyed_fold(
+        (step2, cust), final_fold, "key", rows=(None, tag("c_custkey", "c_nationkey")),
+        empty=dict(s_nat="int64", c_nat="int64", yr="int64", c="int64"),
+    ).to_pandas()  # bounded: <= nations^2 x years tiny rows
     nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     ).to_pandas()
@@ -1310,68 +1158,50 @@ def parts_supplier_census(sf_dir: str):
     part-supplier pairs, never lineitems); one bucket(family) exchange
     counts distinct suppliers exactly. Columns: p_brand, p_type,
     p_size, supplier_cnt. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
 
-    n_b = default_buckets()
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand", "p_type", "p_size"])
 
     def li_pairs(df: pd.DataFrame) -> pd.DataFrame:
         g = df.drop_duplicates(["l_partkey", "l_suppkey"])
-        key = g["l_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": g["l_partkey"].astype("int64").to_numpy(),
                 "supp": g["l_suppkey"].to_numpy().astype("int64"),
                 "brand": np.full(len(g), "", dtype=object),
                 "ptype": np.full(len(g), "", dtype=object),
                 "psize": np.zeros(len(g), dtype="int64"),
                 "side": np.zeros(len(g), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["p_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["p_partkey"].astype("int64").to_numpy(),
                 "supp": np.zeros(len(df), dtype="int64"),
                 "brand": df["p_brand"].to_numpy(dtype=object),
                 "ptype": df["p_type"].to_numpy(dtype=object),
                 "psize": df["p_size"].to_numpy().astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def carriers_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(brand=str, ptype=str, psize="int64",
-                               supp="int64", bucket="int32")
         tags = df[df["side"] == 1].set_index("key")[["brand", "ptype", "psize"]]
         rows = df[df["side"] == 0][["key", "supp"]].drop_duplicates()
         m = rows.merge(tags, left_on="key", right_index=True, how="inner")
         out = m[["brand", "ptype", "psize", "supp"]].drop_duplicates()
-        fam = (
-            out["brand"].astype(str) + "\x1f" + out["ptype"].astype(str)
-            + "\x1f" + out["psize"].astype(str)
-        )
         return pd.DataFrame(
             {
                 "brand": out["brand"].to_numpy(dtype=object),
                 "ptype": out["ptype"].to_numpy(dtype=object),
                 "psize": out["psize"].to_numpy().astype("int64"),
                 "supp": out["supp"].to_numpy().astype("int64"),
-                "bucket": bucket_of(fam, n_b),
             }
         )
 
     def count_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(p_brand=str, p_type=str, p_size="int64",
-                               supplier_cnt="int64")
         g = (
             df.drop_duplicates(["brand", "ptype", "psize", "supp"])
             .groupby(["brand", "ptype", "psize"], sort=False)
@@ -1382,13 +1212,13 @@ def parts_supplier_census(sf_dir: str):
         )
         return g.astype({"p_size": "int64", "supplier_cnt": "int64"})
 
-    return (
-        li.map_batches(li_pairs, batch_format="pandas")
-        .union(part.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(carriers_in_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_in_bucket, batch_format="pandas")
+    carriers = keyed_fold(
+        (li, part), carriers_in_bucket, "key", rows=(li_pairs, part_tags),
+        empty=dict(brand=str, ptype=str, psize="int64", supp="int64"),
+    )
+    return keyed_fold(
+        carriers, count_in_bucket, ("brand", "ptype", "psize"),
+        empty=dict(p_brand=str, p_type=str, p_size="int64", supplier_cnt="int64"),
     )
 
 
@@ -1475,11 +1305,8 @@ def small_quantity_revenue(sf_dir: str):
     attach cost class), the gate and the per-brand collapse run
     in-group. Columns: p_brand, n_lines, revenue_cents.
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
     from .aggregates import cents
 
-    n_b = default_buckets()
     li_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
 
@@ -1498,26 +1325,20 @@ def small_quantity_revenue(sf_dir: str):
         )
         g["brand"] = np.full(len(g), "", dtype=object)
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "sq": "int64", "cnt": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["p_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["p_partkey"].astype("int64").to_numpy(),
                 "sq": np.zeros(len(df), dtype="int64"),
                 "cnt": np.zeros(len(df), dtype="int64"),
                 "brand": df["p_brand"].to_numpy(dtype=object),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def stats_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key="int64", sq="int64", cnt="int64",
-                               brand=str, side="int64", bucket="int32")
         tags = df[df["side"] == 1].set_index("key")["brand"]
         st = (
             df[df["side"] == 0]
@@ -1527,35 +1348,30 @@ def small_quantity_revenue(sf_dir: str):
         )
         st["brand"] = st["key"].map(tags).fillna("").astype(object)
         st["side"] = np.ones(len(st), dtype="int64")
-        st["bucket"] = df["bucket"].iloc[0]
         return st.astype({"key": "int64", "sq": "int64", "cnt": "int64"})[
-            ["key", "sq", "cnt", "brand", "side", "bucket"]
+            ["key", "sq", "cnt", "brand", "side"]
         ]
 
     def line_rows(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["l_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["l_partkey"].astype("int64").to_numpy(),
                 "sq": np.floor(df["l_quantity"].to_numpy() + 0.5).astype("int64"),
                 "cnt": cents(df["l_extendedprice"].to_numpy()),
                 "brand": np.full(len(df), "", dtype=object),
                 "side": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
+
+    result = dict(p_brand=str, n_lines="int64", revenue_cents="int64")
 
     def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # side 1 = per-part stats (sq=sum_qty, cnt=count, brand); side 0
         # = raw lines (sq=qty, cnt=price_cents)
-        if not len(df):
-            return typed_empty(p_brand=str, n_lines="int64",
-                               revenue_cents="int64")
         st = df[df["side"] == 1].set_index("key")[["sq", "cnt", "brand"]]
         lines = df[df["side"] == 0]
         if not len(lines) or not len(st):
-            return typed_empty(p_brand=str, n_lines="int64",
-                               revenue_cents="int64")
+            return typed_empty(**result)
         sq = lines["key"].map(st["sq"])
         cnt = lines["key"].map(st["cnt"])
         brand = lines["key"].map(st["brand"])
@@ -1566,8 +1382,7 @@ def small_quantity_revenue(sf_dir: str):
         )
         kept = lines[ok].assign(brand=brand[ok])
         if not len(kept):
-            return typed_empty(p_brand=str, n_lines="int64",
-                               revenue_cents="int64")
+            return typed_empty(**result)
         g = (
             kept.groupby("brand", sort=False)
             .agg(n_lines=("cnt", "size"), revenue_cents=("cnt", "sum"))
@@ -1577,22 +1392,16 @@ def small_quantity_revenue(sf_dir: str):
         return g.astype({"n_lines": "int64", "revenue_cents": "int64"})
 
     li1 = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
-    stats = (
-        li1.map_batches(qty_partials, batch_format="pandas")
-        .union(part.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(stats_in_bucket, batch_format="pandas")
+    stats = keyed_fold(
+        (li1, part), stats_in_bucket, "key", rows=(qty_partials, part_tags),
+        empty=dict(key="int64", sq="int64", cnt="int64", brand=str, side="int64"),
     )
     li2 = read_table(sf_dir, "lineitem", columns=li_cols)
-    folded = (
-        li2.map_batches(line_rows, batch_format="pandas")
-        .union(stats)
-        .groupby("bucket")
-        .map_groups(gate_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= buckets x brands tiny rows
-    )
+    folded = keyed_fold(
+        (li2, stats), gate_in_bucket, "key", rows=(line_rows, None), empty=result
+    ).to_pandas()  # bounded: <= buckets x brands tiny rows
     if not len(folded):
-        return typed_empty(p_brand=str, n_lines="int64", revenue_cents="int64")
+        return typed_empty(**result)
     return (
         folded.groupby("p_brand", sort=False)[["n_lines", "revenue_cents"]]
         .sum()
@@ -1620,32 +1429,21 @@ def partsupp_synth(sf_dir: str):
     Shape: per-batch distinct pairs (combiner), ONE bucket(pair) grouped
     distinct, values attached vectorized in-group. Columns: ps_partkey,
     ps_suppkey, ps_availqty, ps_supplycost_cents. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import (
         availqty_of,
         pair_key,
         supplycost_cents_of,
     )
 
-    n_b = default_buckets()
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
     def batch_pairs(df: pd.DataFrame) -> pd.DataFrame:
         g = df.drop_duplicates().rename(
             columns={"l_partkey": "pk", "l_suppkey": "sk"}
         )
-        g = g.astype({"pk": "int64", "sk": "int64"})
-        g["bucket"] = bucket_of(
-            pd.Series(pair_key(g["pk"], g["sk"]), index=g.index), n_b
-        )
-        return g
+        return g.astype({"pk": "int64", "sk": "int64"})
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                ps_partkey="int64", ps_suppkey="int64",
-                ps_availqty="int64", ps_supplycost_cents="int64",
-            )
         u = df[["pk", "sk"]].drop_duplicates()
         pk, sk = u["pk"].to_numpy(), u["sk"].to_numpy()
         return pd.DataFrame(
@@ -1657,10 +1455,11 @@ def partsupp_synth(sf_dir: str):
             }
         )
 
-    return (
-        li.map_batches(batch_pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        li, fold, lambda g: pd.Series(pair_key(g["pk"], g["sk"]), index=g.index),
+        rows=batch_pairs,
+        empty=dict(ps_partkey="int64", ps_suppkey="int64",
+                   ps_availqty="int64", ps_supplycost_cents="int64"),
     )
 
 
@@ -1678,7 +1477,6 @@ def shipmode_priority_census(
     ONE bucket(orderkey) co-group with order priority tags, in-group
     collapse to the 2-row output. Columns: l_shipmode, high_line_count,
     low_line_count. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import (
         commit_off_days,
         epoch_days,
@@ -1686,7 +1484,6 @@ def shipmode_priority_census(
         ship_mode,
     )
 
-    n_b = default_buckets()
     lo_d = int(np.datetime64(lo, "D").astype("int64"))
     hi_d = int(np.datetime64(hi, "D").astype("int64"))
     li = read_table(
@@ -1717,25 +1514,20 @@ def shipmode_priority_census(
         )
         g["pri"] = np.full(len(g), "", dtype=object)
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "n": "int64"})
 
     def order_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["o_orderkey"].astype("int64").to_numpy(),
                 "mode": np.full(len(df), "", dtype=object),
                 "n": np.zeros(len(df), dtype="int64"),
                 "pri": df["o_orderpriority"].to_numpy(dtype=object),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(mode=str, high="int64", low="int64")
         tags = df[df["side"] == 1].set_index("key")["pri"]
         rows = df[df["side"] == 0]
         pri = rows["key"].map(tags)
@@ -1756,14 +1548,10 @@ def shipmode_priority_census(
         )
         return g.astype({"high": "int64", "low": "int64"})
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(orders.map_batches(order_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(census_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= 2 rows per bucket
-    )
-    from ..functions.bucketing import typed_empty
+    folded = keyed_fold(
+        (li, orders), census_in_bucket, "key", rows=(li_partials, order_tags),
+        empty=dict(mode=str, high="int64", low="int64"),
+    ).to_pandas()  # bounded: <= 2 rows per bucket
 
     if not len(folded):
         return typed_empty(
@@ -1801,11 +1589,9 @@ def bracketed_revenue(sf_dir: str):
     partkey, ONE bucket(partkey) co-group with part (container, size)
     tags, the bracket OR evaluated in-group; per-bracket collapse.
     Columns: bracket, n_lines, revenue_cents. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import container_of, ship_instruct, ship_mode
     from .aggregates import cents
 
-    n_b = default_buckets()
     li = read_table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_linenumber", "l_partkey", "l_quantity",
@@ -1835,25 +1621,20 @@ def bracketed_revenue(sf_dir: str):
         )
         g["size"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["p_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["p_partkey"].astype("int64").to_numpy(),
                 "qty": np.zeros(len(df), dtype="int64"),
                 "c": np.zeros(len(df), dtype="int64"),
                 "size": df["p_size"].to_numpy().astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def brackets_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(bracket="int64", n_lines="int64", c="int64")
         tags = df[df["side"] == 1].set_index("key")["size"]
         rows = df[df["side"] == 0]
         size = rows["key"].map(tags)
@@ -1881,14 +1662,10 @@ def bracketed_revenue(sf_dir: str):
             {"bracket": "int64", "n_lines": "int64", "c": "int64"}
         )
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(part.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(brackets_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= 3 rows per bucket
-    )
-    from ..functions.bucketing import typed_empty
+    folded = keyed_fold(
+        (li, part), brackets_in_bucket, "key", rows=(li_partials, part_tags),
+        empty=dict(bracket="int64", n_lines="int64", c="int64"),
+    ).to_pandas()  # bounded: <= 3 rows per bucket
 
     if not len(folded):
         return typed_empty(bracket="int64", n_lines="int64", revenue_cents="int64")
@@ -1921,11 +1698,9 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
 
     import pyarrow.parquet as pq
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import supplycost_cents_of
     from .aggregates import cents
 
-    n_b = default_buckets()
     li = read_table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
@@ -1958,31 +1733,24 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
         )
         g["tag"] = np.zeros(len(g), dtype="int64")
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "okey": "int64", "sk": "int64", "c": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["p_name"].str.contains(name_token, regex=False)]
-        key = sub["p_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": sub["p_partkey"].astype("int64").to_numpy(),
                 "okey": np.zeros(len(sub), dtype="int64"),
                 "sk": np.zeros(len(sub), dtype="int64"),
                 "c": np.zeros(len(sub), dtype="int64"),
                 "tag": np.ones(len(sub), dtype="int64"),
                 "side": np.ones(len(sub), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def gate_parts(df: pd.DataFrame) -> pd.DataFrame:
         # exchange 1: keep only token-named parts, re-key by orderkey,
         # collapse per (orderkey, suppkey)
-        if not len(df):
-            return typed_empty(key="int64", okey="int64", sk="int64",
-                               c="int64", tag="int64", side="int64",
-                               bucket="int32")
         keep_keys = set(df.loc[df["side"] == 1, "key"].tolist())
         rows = df[(df["side"] == 0) & df["key"].isin(keep_keys)]
         out = (
@@ -1994,31 +1762,24 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
         out["okey"] = np.zeros(len(out), dtype="int64")
         out["tag"] = np.zeros(len(out), dtype="int64")
         out["side"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out.astype({"key": "int64", "okey": "int64", "sk": "int64",
                            "c": "int64"})
 
     def order_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["o_orderkey"].astype("int64").to_numpy(),
                 "okey": np.zeros(len(df), dtype="int64"),
                 "sk": np.zeros(len(df), dtype="int64"),
                 "c": np.zeros(len(df), dtype="int64"),
                 "tag": df["o_orderdate"].dt.year.to_numpy().astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def attach_year(df: pd.DataFrame) -> pd.DataFrame:
         # exchange 2: orderkey -> order year; re-key by suppkey,
         # collapse per (suppkey, year)
-        if not len(df):
-            return typed_empty(key="int64", okey="int64", sk="int64",
-                               c="int64", tag="int64", side="int64",
-                               bucket="int32")
         tags = df[df["side"] == 1].set_index("key")["tag"]
         rows = df[df["side"] == 0]
         yr = rows["key"].map(tags)
@@ -2032,28 +1793,23 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
         out["okey"] = np.zeros(len(out), dtype="int64")
         out["sk"] = np.zeros(len(out), dtype="int64")
         out["side"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out.astype({"key": "int64", "okey": "int64", "sk": "int64",
                            "c": "int64", "tag": "int64"})
 
     def supp_tags(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["s_suppkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["s_suppkey"].astype("int64").to_numpy(),
                 "okey": np.zeros(len(df), dtype="int64"),
                 "sk": np.zeros(len(df), dtype="int64"),
                 "c": np.zeros(len(df), dtype="int64"),
                 "tag": df["s_nationkey"].to_numpy().astype("int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def final_fold(df: pd.DataFrame) -> pd.DataFrame:
         # exchange 3: suppkey -> nation; collapse to (nation, year)
-        if not len(df):
-            return typed_empty(nat="int64", yr="int64", c="int64")
         tags = df[df["side"] == 1].set_index("key")["tag"]
         rows = df[df["side"] == 0]
         nat = rows["key"].map(tags)
@@ -2066,24 +1822,18 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
         )
         return g.astype({"nat": "int64", "yr": "int64", "c": "int64"})
 
-    step1 = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(part.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(gate_parts, batch_format="pandas")
+    step1 = keyed_fold(
+        (li, part), gate_parts, "key", rows=(li_partials, part_tags),
+        empty=dict(key="int64", okey="int64", sk="int64", c="int64", tag="int64", side="int64"),
     )
-    step2 = (
-        step1.union(orders.map_batches(order_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(attach_year, batch_format="pandas")
+    step2 = keyed_fold(
+        (step1, orders), attach_year, "key", rows=(None, order_tags),
+        empty=dict(key="int64", okey="int64", sk="int64", c="int64", tag="int64", side="int64"),
     )
-    folded = (
-        step2.union(sup.map_batches(supp_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(final_fold, batch_format="pandas")
-        .to_pandas()  # bounded: <= nations x years rows
-    )
-    from ..functions.bucketing import typed_empty
+    folded = keyed_fold(
+        (step2, sup), final_fold, "key", rows=(None, supp_tags),
+        empty=dict(nat="int64", yr="int64", c="int64"),
+    ).to_pandas()  # bounded: <= nations x years rows
 
     if not len(folded):
         return typed_empty(nation=str, o_year="int64", profit_cents="int64")
@@ -2124,10 +1874,8 @@ def promo_part_suppliers(
 
     import pyarrow.parquet as pq
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import availqty_of
 
-    n_b = default_buckets()
     lo_ts, hi_ts = pd.Timestamp(lo), pd.Timestamp(hi)
     li = read_table(
         sf_dir, "lineitem",
@@ -2151,25 +1899,20 @@ def promo_part_suppliers(
             .reset_index()
         )
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "sk": "int64", "q": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["p_name"].str.startswith(name_prefix)]
-        key = sub["p_partkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": sub["p_partkey"].astype("int64").to_numpy(),
                 "sk": np.zeros(len(sub), dtype="int64"),
                 "q": np.zeros(len(sub), dtype="int64"),
                 "side": np.ones(len(sub), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(sk="int64")
         keep_keys = set(df.loc[df["side"] == 1, "key"].tolist())
         rows = df[(df["side"] == 0) & df["key"].isin(keep_keys)]
         if not len(rows):
@@ -2182,17 +1925,13 @@ def promo_part_suppliers(
         ok = 2 * availqty_of(pk, sk) > q
         return pd.DataFrame({"sk": np.unique(sk[ok])}).astype({"sk": "int64"})
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(part.map_batches(part_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(gate_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= |suppliers| rows
-    )
+    folded = keyed_fold(
+        (li, part), gate_in_bucket, "key", rows=(li_partials, part_tags),
+        empty=dict(sk="int64"),
+    ).to_pandas()  # bounded: <= |suppliers| rows
     sup = pq.read_table(
         os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_name"]
     ).to_pandas()
-    from ..functions.bucketing import typed_empty
 
     if not len(folded):
         return typed_empty(s_suppkey="int64", s_name=str)
@@ -2224,13 +1963,11 @@ def waiting_supplier_census(sf_dir: str):
 
     import pyarrow.parquet as pq
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
     from ..functions.tpch_synth import (
         commit_off_days,
         receipt_off_days,
     )
 
-    n_b = default_buckets()
     li = read_table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_linenumber", "l_suppkey"],
@@ -2255,25 +1992,20 @@ def waiting_supplier_census(sf_dir: str):
             .reset_index()
         )
         g["side"] = np.zeros(len(g), dtype="int64")
-        g["bucket"] = bucket_of(g["key"], n_b)
         return g.astype({"key": "int64", "sk": "int64", "late": "int64"})
 
     def order_tags(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["o_orderstatus"] == "F"]
-        key = sub["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": sub["o_orderkey"].astype("int64").to_numpy(),
                 "sk": np.zeros(len(sub), dtype="int64"),
                 "late": np.zeros(len(sub), dtype="int64"),
                 "side": np.ones(len(sub), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
     def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(sk="int64", n="int64")
         f_orders = set(df.loc[df["side"] == 1, "key"].tolist())
         rows = df[(df["side"] == 0) & df["key"].isin(f_orders)]
         if not len(rows):
@@ -2294,17 +2026,13 @@ def waiting_supplier_census(sf_dir: str):
         g = qual.groupby("sk", sort=False).size().reset_index(name="n")
         return g.astype({"sk": "int64", "n": "int64"})
 
-    folded = (
-        li.map_batches(li_partials, batch_format="pandas")
-        .union(orders.map_batches(order_tags, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(census_in_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: <= |suppliers| rows per bucket
-    )
+    folded = keyed_fold(
+        (li, orders), census_in_bucket, "key", rows=(li_partials, order_tags),
+        empty=dict(sk="int64", n="int64"),
+    ).to_pandas()  # bounded: <= |suppliers| rows per bucket
     sup = pq.read_table(
         os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_name"]
     ).to_pandas()
-    from ..functions.bucketing import typed_empty
 
     if not len(folded):
         return typed_empty(s_name=str, numwait="int64")

@@ -30,6 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.bucketing import keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -61,14 +62,9 @@ def sessionize_events(sf_dir: str, gap_s: int = SESSION_GAP_S):
     per session. Columns: user_id, session_num (1-based per user),
     n_events, start_ts, end_ts, sum_value (integer-cents quantised,
     bit-exact vs the SQL window oracle)."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
     gap_us = gap_s * 1_000_000
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["user_id"], n_b))
 
     def sessions_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # one vectorized pass over EVERY user in the bucket (a per-user
@@ -119,11 +115,7 @@ def sessionize_events(sf_dir: str, gap_s: int = SESSION_GAP_S):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sessions_in_bucket, batch_format="pandas")
-    )
+    return keyed_fold(ds, sessions_in_bucket, "user_id")
 
 
 def _md5_rank(ids: pd.Series) -> pd.Series:
@@ -152,18 +144,13 @@ def funnel_counts(sf_dir: str, steps: tuple = FUNNEL_STEPS):
     per-user Python loop) and emits per-step partial counts; the driver
     folds <= buckets x steps rows. Columns: step_idx, step, n_users.
     SQL-oracle-checked (chained conditional-min joins)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["ts", "user_id", "event_type"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(steps)]
-        return df.assign(bucket=bucket_of(df["user_id"], n_b))
+    def funnel_events(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(steps)]
 
     def steps_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(step_idx="int32", step=str, n_users="int64")
         prev: pd.Series | None = None
         out_rows = []
         for k, step in enumerate(steps):
@@ -198,12 +185,10 @@ def funnel_counts(sf_dir: str, steps: tuple = FUNNEL_STEPS):
 
     # two-level fold: per-bucket partials already collapse to <= len(steps)
     # rows each, so the final fold groups a tiny frame on the driver side
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(steps_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_fold(
+        ds, steps_in_bucket, "user_id", rows=funnel_events,
+        empty=dict(step_idx="int32", step=str, n_users="int64"),
+    ).to_pandas()
     return fold(parts)
 
 
@@ -216,9 +201,7 @@ def retention_cohorts(sf_dir: str):
     pass by user (per-user min week + distinct weeks, vectorized) ->
     per-bucket (cohort, offset) partial counts -> tiny driver fold.
     Columns: cohort_week, week_offset, n_users. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["ts", "user_id"])
 
     def week_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -226,15 +209,9 @@ def retention_cohorts(sf_dir: str):
         secs //= 1_000_000
         wk = (secs // 86400) // 7
         out = pd.DataFrame({"user_id": df["user_id"], "wk": wk})
-        out = out.drop_duplicates()
-        out["bucket"] = bucket_of(out["user_id"], n_b)
-        return out
+        return out.drop_duplicates()
 
     def cohorts_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                cohort_week="int64", week_offset="int64", n_users="int64"
-            )
         d = df.drop_duplicates(["user_id", "wk"])
         cohort = d.groupby("user_id")["wk"].transform("min")
         g = (
@@ -261,12 +238,10 @@ def retention_cohorts(sf_dir: str):
         g["n_users"] = g["n_users"].astype("int64")
         return g
 
-    parts = (
-        ds.map_batches(week_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(cohorts_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_fold(
+        ds, cohorts_in_bucket, "user_id", rows=week_partials,
+        empty=dict(cohort_week="int64", week_offset="int64", n_users="int64"),
+    ).to_pandas()
     return fold(parts)
 
 
@@ -285,19 +260,12 @@ def event_transitions(sf_dir: str):
     the driver fold — the token_spectrum discipline, so the exchange
     never carries per-event rows twice). Columns: prev_type, next_type,
     n. SQL-oracle-checked (lag() window mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"]
     )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["user_id"], n_b))
-
     def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(prev_type=str, next_type=str, n="int64")
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         uid = df["user_id"].to_numpy()
         et = df["event_type"].to_numpy()
@@ -324,12 +292,10 @@ def event_transitions(sf_dir: str):
         g["n"] = g["n"].astype("int64")
         return g
 
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_fold(
+        ds, pairs_in_bucket, "user_id",
+        empty=dict(prev_type=str, next_type=str, n="int64"),
+    ).to_pandas()
     return fold(parts)
 
 
@@ -456,8 +422,6 @@ def global_shuffle(sf_dir: str, salt: str = "epoch0"):
 
     import ray
     import ray.data as rd
-
-    from ..sources.io import read_table
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
@@ -639,9 +603,7 @@ def rate_anomalies(sf_dir: str):
     -> ONE bucketed grouped fold -> the driver folds #hours rows (a
     month is ~720) and computes 3 scalars. Columns: hour, n_err,
     n_total, z_r, is_anomaly."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -657,27 +619,12 @@ def rate_anomalies(sf_dir: str):
         )
         g["n_err"] = g["n_err"].astype("int64")
         g["n_total"] = g["n_total"].astype("int64")
-        g["bucket"] = bucket_of(g["hour"], n_b)
         return g
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(hour="int64", n_err="int64", n_total="int64")
-        g = (
-            df.groupby("hour", sort=False)[["n_err", "n_total"]]
-            .sum()
-            .reset_index()
-        )
-        for c in ("n_err", "n_total"):
-            g[c] = g[c].astype("int64")
-        return g
-
-    hours = (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()
-    )
+    hours = keyed_fold(
+        ds, sum_in_bucket("hour", "n_err", "n_total"), "hour", rows=partials,
+        empty=dict(hour="int64", n_err="int64", n_total="int64"),
+    ).to_pandas()
     H = float(len(hours))
     s1 = float(hours["n_err"].sum())
     # EXACT integer sum of squares -> one double conversion (numpy's
@@ -705,9 +652,7 @@ def pivot_user_event_values(sf_dir: str):
     absent cells 0). Column names are ``v_<type>``. Columns: user_id,
     v_<type>... SQL-oracle-checked (CASE-sum mirror over the same
     discovered type set)."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     def type_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -719,9 +664,9 @@ def pivot_user_event_values(sf_dir: str):
         .unique()
     )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def user_type_cents(df: pd.DataFrame) -> pd.DataFrame:
         # in-batch combiner: (user, type) partial cent sums per block
-        g = (
+        return (
             pd.DataFrame(
                 {
                     "user_id": df["user_id"].astype("int64"),
@@ -735,15 +680,8 @@ def pivot_user_event_values(sf_dir: str):
             .sum()
             .reset_index()
         )
-        g["bucket"] = bucket_of(g["user_id"], n_b)
-        return g
 
     def unstack(df: pd.DataFrame, _types=tuple(types)) -> pd.DataFrame:
-        if not len(df):
-            cols = {"user_id": pd.Series([], dtype="int64")}
-            for t in _types:
-                cols[f"v_{t}"] = pd.Series([], dtype="float64")
-            return pd.DataFrame(cols)
         g = (
             df.groupby(["user_id", "event_type"], sort=False)["c"]
             .sum()
@@ -759,10 +697,9 @@ def pivot_user_event_values(sf_dir: str):
             out[f"v_{t}"] = col / 100.0
         return pd.DataFrame(out)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(unstack, batch_format="pandas")
+    return keyed_fold(
+        ds, unstack, "user_id", rows=user_type_cents,
+        empty={"user_id": "int64", **{f"v_{t}": "float64" for t in types}},
     )
 
 
@@ -780,9 +717,7 @@ def user_lifetime(sf_dir: str):
     exact integer seconds. Columns: user_id, first_ts, last_ts,
     n_events, n_types, active_days, total_cents, lifespan_s.
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(
         sf_dir, "events", columns=["user_id", "ts", "event_type", "value"]
     )
@@ -800,21 +735,9 @@ def user_lifetime(sf_dir: str):
             )
             .reset_index()
         )
-        g["bucket"] = bucket_of(g["user_id"], n_b)
         return g.astype({"n": "int64", "c": "int64"})
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                user_id="int64",
-                first_ts="datetime64[us]",
-                last_ts="datetime64[us]",
-                n_events="int64",
-                n_types="int64",
-                active_days="int64",
-                total_cents="int64",
-                lifespan_s="int64",
-            )
         g = (
             df.groupby("user_id", sort=False)
             .agg(
@@ -839,10 +762,11 @@ def user_lifetime(sf_dir: str):
              "active_days": "int64", "total_cents": "int64"}
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds, fold, "user_id", rows=partials,
+        empty=dict(user_id="int64", first_ts="datetime64[us]", last_ts="datetime64[us]",
+                   n_events="int64", n_types="int64", active_days="int64",
+                   total_cents="int64", lifespan_s="int64"),
     )
 
 
@@ -858,10 +782,6 @@ def event_rate_limit(sf_dir: str, per_day: int = 2):
     cumcounts within (user, day) (all rows of a user co-locate, so the
     per-window rank is exact). Columns: event_id, user_id, day, rk
     (1-based). SQL-oracle-checked (row_number QUALIFY mirror)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
@@ -876,14 +796,10 @@ def event_rate_limit(sf_dir: str, per_day: int = 2):
                 "user_id": df["user_id"].astype("int64").to_numpy(),
                 "day": day,
                 "ts": df["ts"].to_numpy(),
-                "bucket": bucket_of(df["user_id"], n_b),
             }
         )
 
     def limit_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(event_id="int64", user_id="int64",
-                               day="int64", rk="int64")
         df = df.sort_values(["user_id", "day", "ts", "event_id"],
                             kind="mergesort")
         rk = df.groupby(["user_id", "day"], sort=False).cumcount().to_numpy() + 1
@@ -897,10 +813,9 @@ def event_rate_limit(sf_dir: str, per_day: int = 2):
             }
         )
 
-    return (
-        ds.map_batches(keyed, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(limit_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        ds, limit_in_bucket, "user_id", rows=keyed,
+        empty=dict(event_id="int64", user_id="int64", day="int64", rk="int64"),
     )
 
 
@@ -919,10 +834,6 @@ def props_json_stats(sf_dir: str):
     SQL-oracle-checked."""
     import json
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["event_type", "props"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -934,14 +845,9 @@ def props_json_stats(sf_dir: str):
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["event_type"], n_b)
         return g
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(event_type=str, n="int64", sum_k="int64",
-                               min_k="int64", max_k="int64",
-                               n_distinct_k="int64")
         per_k = (
             df.groupby(["event_type", "k"], sort=False)["n"].sum().reset_index()
         )
@@ -956,10 +862,10 @@ def props_json_stats(sf_dir: str):
         return g.astype({"n": "int64", "sum_k": "int64", "min_k": "int64",
                          "max_k": "int64", "n_distinct_k": "int64"})
 
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds, fold, "event_type", rows=partials,
+        empty=dict(event_type=str, n="int64", sum_k="int64", min_k="int64",
+                   max_k="int64", n_distinct_k="int64"),
     )
 
 
@@ -972,10 +878,6 @@ def weekday_profile(sf_dir: str):
     hash-mismatch). One combiner pass (≤ 7 × types rows per batch), one
     bucketed fold. Columns: iso_dow, event_type, n, spend_cents.
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-    from ..sources.io import read_table
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -990,27 +892,13 @@ def weekday_profile(sf_dir: str):
                 }
             )
             .groupby(["iso_dow", "event_type"], sort=False)
-            .agg(n=("c", "size"), spend=("c", "sum"))
+            .agg(n=("c", "size"), spend_cents=("c", "sum"))
             .reset_index()
         )
-        g["bucket"] = bucket_of(g["event_type"], n_b)
-        return g.astype({"iso_dow": "int64", "n": "int64", "spend": "int64"})
+        return g.astype({"iso_dow": "int64", "n": "int64", "spend_cents": "int64"})
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(iso_dow="int64", event_type=str, n="int64",
-                               spend_cents="int64")
-        g = (
-            df.groupby(["iso_dow", "event_type"], sort=False)[["n", "spend"]]
-            .sum()
-            .reset_index()
-            .rename(columns={"spend": "spend_cents"})
-        )
-        return g.astype({"iso_dow": "int64", "n": "int64",
-                         "spend_cents": "int64"})
-
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds, sum_in_bucket(["iso_dow", "event_type"], "n", "spend_cents"), "event_type",
+        rows=partials,
+        empty=dict(iso_dow="int64", event_type=str, n="int64", spend_cents="int64"),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = ["ann_cosine_topk", "ann_range_search", "mmr_select", "contrastive_triplets",
@@ -766,8 +767,6 @@ def ivfpq_cosine_topk(
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.bucketing import typed_empty
-
         bqids, bqmat, bcells, bbooks, bprobe = get_broadcast(ref)
         ids = df["vec_id"].to_numpy()
         if not len(ids):
@@ -1003,14 +1002,7 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
 
     # -- cell representatives: min vec_id per label (exact integer fold) --
@@ -1078,15 +1070,11 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
                 "emb": [emb_list[i] for i in np.repeat(np.arange(len(df)), probe_n)],
             }
         )
-        out = pd.concat([member, query], ignore_index=True)
-        out["bucket"] = bucket_of(out["cell"], n_b)
-        return out
+        return pd.concat([member, query], ignore_index=True)
+
+    candidates = dict(src="int64", dst="int64", cos6="float64")
 
     def cell_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                src="int64", dst="int64", cos6="float64", bucket="int32"
-            )
         out_parts = []
         for _, cell_df in df.groupby("cell", sort=False):
             mem = cell_df[cell_df["role"] == 0]
@@ -1111,21 +1099,10 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
             )
             out_parts.append(part.groupby("src", sort=False).head(k))
         if not out_parts:
-            return typed_empty(
-                src="int64", dst="int64", cos6="float64", bucket="int32"
-            )
-        out = pd.concat(out_parts, ignore_index=True)
-        out["bucket"] = bucket_of(out["src"], n_b)
-        return out
+            return typed_empty(**candidates)
+        return pd.concat(out_parts, ignore_index=True)
 
     def fold_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                src_vec_id="int64",
-                dst_vec_id="int64",
-                rank="int64",
-                cos_sim="float64",
-            )
         # a (src, dst) pair can arrive from several probed cells with the
         # SAME cos6 (the pair's cosine doesn't depend on the cell) — dedup
         d = df.drop_duplicates(["src", "dst"]).sort_values(
@@ -1142,12 +1119,13 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
             }
         )
 
-    routed = coalesce_blocks(ds.map_batches(route, batch_format="pandas"))
+    routed = coalesce_blocks(bucketed(ds, "cell", rows=route))
     partials = coalesce_blocks(
-        routed.groupby("bucket").map_groups(cell_topk, batch_format="pandas")
+        bucketed(keyed_fold(routed, cell_topk, None, empty=candidates), "src")
     )
-    return partials.groupby("bucket").map_groups(
-        fold_topk, batch_format="pandas"
+    return keyed_fold(
+        partials, fold_topk, None,
+        empty=dict(src_vec_id="int64", dst_vec_id="int64", rank="int64", cos_sim="float64"),
     )
 
 
@@ -1168,20 +1146,12 @@ def label_propagation(edges_ds, labels_ds):
     label table is corpus-sized. Columns: vec_id, pred_label, n_votes
     (vectors with no labeled neighbour emit nothing).
     SQL-oracle-checked over the materialized edge set."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
-
-    n_b = default_buckets()
 
     def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
         src = df["src_vec_id"].to_numpy(dtype="int64")
         keep = (src % 2) == 1  # unlabeled side only
         d = df[keep]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": d["dst_vec_id"].astype("int64"),
                 "src": d["src_vec_id"].astype("int64"),
@@ -1189,14 +1159,12 @@ def label_propagation(edges_ds, labels_ds):
                 "side": np.zeros(keep.sum(), dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def tag_labels(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["vec_id"].to_numpy(dtype="int64")
         keep = (ids % 2) == 0  # trusted/labeled side only
         d = df[keep]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": d["vec_id"].astype("int64"),
                 "src": np.full(keep.sum(), -1, dtype="int64"),
@@ -1204,35 +1172,24 @@ def label_propagation(edges_ds, labels_ds):
                 "side": np.ones(keep.sum(), dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
+
+    votes_rows = dict(src="int64", label="int64", n="int64")
 
     def attach_votes(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                src="int64", label="int64", n="int64", bucket="int32"
-            )
         e = df[df["side"] == 0][["key", "src"]]
         l = df[df["side"] == 1][["key", "label"]]
         m = e.merge(l, on="key", how="inner")
         if not len(m):
-            return typed_empty(
-                src="int64", label="int64", n="int64", bucket="int32"
-            )
+            return typed_empty(**votes_rows)
         g = (
             m.groupby(["src", "label"], sort=False)
             .size()
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["src"], n_b)
         return g
 
     def majority_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                vec_id="int64", pred_label="int64", n_votes="int64"
-            )
         g = df.groupby(["src", "label"], sort=False)["n"].sum().reset_index()
         g = g.sort_values(
             ["src", "n", "label"], ascending=[True, False, True], kind="mergesort"
@@ -1247,15 +1204,16 @@ def label_propagation(edges_ds, labels_ds):
         )
 
     tagged = coalesce_blocks(
-        edges_ds.map_batches(tag_edges, batch_format="pandas").union(
-            labels_ds.map_batches(tag_labels, batch_format="pandas")
+        bucketed(edges_ds, "key", rows=tag_edges).union(
+            bucketed(labels_ds, "key", rows=tag_labels)
         )
     )
     votes = coalesce_blocks(
-        tagged.groupby("bucket").map_groups(attach_votes, batch_format="pandas")
+        bucketed(keyed_fold(tagged, attach_votes, None, empty=votes_rows), "src")
     )
-    return votes.groupby("bucket").map_groups(
-        majority_fold, batch_format="pandas"
+    return keyed_fold(
+        votes, majority_fold, None,
+        empty=dict(vec_id="int64", pred_label="int64", n_votes="int64"),
     )
 
 

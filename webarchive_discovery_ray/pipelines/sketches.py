@@ -25,6 +25,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = ["bloom_semi_join", "heavy_hitters", "hll_distinct_tokens",
@@ -95,9 +96,7 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
     hot = orders.filter(expr=f"o_totalprice > {price_thr!r}")
 
@@ -122,18 +121,15 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
         )
         out = g.reset_index().rename(columns={"l_orderkey": "key"})
         out["side"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out[["key", "n_items", "sum_qty", "side", "bucket"]]
+        return out[["key", "n_items", "sum_qty", "side"]]
 
     def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["o_orderkey"].astype("int64")
         return pd.DataFrame(
             {
-                "key": key,
+                "key": df["o_orderkey"].astype("int64"),
                 "n_items": np.zeros(len(df), dtype="int64"),
                 "sum_qty": np.zeros(len(df), dtype="float64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(key, n_b),
             }
         )
 
@@ -149,11 +145,8 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
         return g
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    tagged = line.map_batches(prune_and_combine, batch_format="pandas").union(
-        hot.map_batches(tag_orders, batch_format="pandas")
-    )
-    return tagged.groupby("bucket").map_groups(
-        verify_in_bucket, batch_format="pandas"
+    return keyed_fold(
+        (line, hot), verify_in_bucket, "key", rows=(prune_and_combine, tag_orders)
     )
 
 
@@ -183,9 +176,7 @@ def heavy_hitters(sf_dir: str, k: int = _HH_K, m: int = _HH_CAP):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def mg_candidates(df: pd.DataFrame) -> pd.DataFrame:
@@ -214,21 +205,13 @@ def heavy_hitters(sf_dir: str, k: int = _HH_K, m: int = _HH_CAP):
         )
         # one marker row per batch carries the batch token total so the
         # completeness bound N/(m+1) is computed distributively
-        out = pd.concat(
+        return pd.concat(
             [out, pd.DataFrame({"token": [""], "n": [total]})], ignore_index=True
         )
-        out["bucket"] = bucket_of(out["token"], n_b)
-        return out
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("token", sort=False)["n"].sum().reset_index()
-
-    counts = (
-        ds.map_batches(count_candidates, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
-        .take_all()
-    )
+    counts = keyed_fold(
+        ds, sum_in_bucket("token", "n"), "token", rows=count_candidates
+    ).take_all()
     total_n = sum(r["n"] for r in counts if r["token"] == "")
     exact = sorted(
         ((r["token"], int(r["n"])) for r in counts if r["token"] != ""),
@@ -242,22 +225,21 @@ def heavy_hitters(sf_dir: str, k: int = _HH_K, m: int = _HH_CAP):
     # bound is only provably complete when kth is strictly above it.
     if kth <= total_n / (m + 1):
         # bound unprovable: exact full grouped count (still one bucketed
-        # pass; the fixture never hits this, adversarial inputs might)
+        # pass; the fixture never hits this, adversarial inputs might).
+        # Every token's count is complete inside its bucket, so the
+        # bucket's top-k under (-n, token) holds every global top-k
+        # member: at most k x n_buckets rows reach the driver.
         def all_counts(df: pd.DataFrame) -> pd.DataFrame:
-            toks = df["text"].str.split().explode().dropna()
-            vc = toks.value_counts()
-            out = pd.DataFrame(
+            vc = df["text"].str.split().explode().dropna().value_counts()
+            return pd.DataFrame(
                 {"token": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
             )
-            out["bucket"] = bucket_of(out["token"], n_b)
-            return out
 
-        counts = (
-            ds.map_batches(all_counts, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(sum_in_bucket, batch_format="pandas")
-            .take_all()
-        )
+        def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
+            g = df.groupby("token", sort=False)["n"].sum().reset_index()
+            return g.sort_values(["n", "token"], ascending=[False, True]).head(k)
+
+        counts = keyed_fold(ds, topk_in_bucket, "token", rows=all_counts).take_all()
         exact = sorted(
             ((r["token"], int(r["n"])) for r in counts), key=lambda t: (-t[1], t[0])
         )
@@ -660,9 +642,6 @@ def kmv_source_similarity(sf_dir: str, k: int = _KMV_K):
     as ``kmv_jaccard_ppm = (n_common · 10⁶) // n_union`` (exact int64,
     no float folds). Columns: source_a, source_b, n_union, n_common,
     kmv_jaccard_ppm. SQL-oracle-checked (row_number window mirror)."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets, typed_empty
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -685,31 +664,25 @@ def kmv_source_similarity(sf_dir: str, k: int = _KMV_K):
             srcs.append(np.full(len(hs), src, dtype=object))
             hss.append(hs)
         if not hss:
-            return typed_empty(source=str, x="uint64", bucket="int32")
-        out = pd.DataFrame(
+            return typed_empty(source=str, x="uint64")
+        return pd.DataFrame(
             {
                 "source": pd.Series(np.concatenate(srcs), dtype=str),
                 "x": np.concatenate(hss),
             }
         )
-        out["bucket"] = bucket_of(out["source"], n_b)
-        return out
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(source=str, x="uint64")
         outs = []
         for src, grp in df.groupby("source", sort=False):
             hs = np.unique(grp["x"].to_numpy(dtype=np.uint64))[:k]
             outs.append(pd.DataFrame({"source": pd.Series([src] * len(hs), dtype=str), "x": hs}))
         return pd.concat(outs, ignore_index=True)
 
-    sketch = (
-        coalesce_blocks(ds.map_batches(partials, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # bounded: n_sources x k rows
-    )
+    sketch = keyed_fold(
+        coalesce_blocks(bucketed(ds, "source", rows=partials)), fold, None,
+        empty=dict(source=str, x="uint64"),
+    ).to_pandas()  # bounded: n_sources x k rows
     cols = ["source_a", "source_b", "n_union", "n_common", "kmv_jaccard_ppm"]
     if not len(sketch):
         return pd.DataFrame(

@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig, SyntheticConfig
+from ..functions.bucketing import bucketed, keyed_fold, sum_in_bucket, typed_empty
 from ..sources.synthetic import fixture_pages_ds
 from ..stages.extract import extract_batch
 
@@ -84,9 +85,6 @@ def host_link_graph(n_pages: int = 600, scfg: SyntheticConfig | None = None, doc
     groupby aggregate walks it in Python) — the shuffle moves
     pre-aggregated edge rows, never pages. Columns: src_host, dst_host,
     n_links. SQL-oracle-checked over the materialized docs base."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
 
     def partial_edges(batch: pa.Table) -> pa.Table:
         df = batch.select(["host", "links_hosts"]).to_pandas()
@@ -103,23 +101,12 @@ def host_link_graph(n_pages: int = 600, scfg: SyntheticConfig | None = None, doc
             .reset_index(name="n_links")
         )
         g["n_links"] = g["n_links"].astype("int64")
-        g["bucket"] = bucket_of(g["src_host"] + "\x00" + g["dst_host"], n_b)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["src_host", "dst_host"], sort=False)["n_links"]
-            .sum()
-            .reset_index()
-        )
-        g["n_links"] = g["n_links"].astype("int64")
-        return g
-
     base = docs if docs is not None else _docs_ds(n_pages, scfg)
-    return (
-        base.map_batches(partial_edges, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        base, sum_in_bucket(["src_host", "dst_host"], "n_links"),
+        ("src_host", "dst_host"), rows=partial_edges, batch_format="pyarrow",
     )
 
 
@@ -183,9 +170,6 @@ def anchor_text_index(
     moves pre-aggregated (target, text, n) rows, never pages. Columns:
     target, n_anchors, n_texts, top_text, top_n. SQL-oracle-checked over
     the materialized pairs base."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -195,15 +179,9 @@ def anchor_text_index(
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["target"], n_b)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                target=str, n_anchors="int64", n_texts="int64",
-                top_text=str, top_n="int64",
-            )
         c = (
             df.groupby(["target", "text"], sort=False)["n"]
             .sum()
@@ -227,10 +205,10 @@ def anchor_text_index(
         return out[["target", "n_anchors", "n_texts", "top_text", "top_n"]]
 
     base = pairs if pairs is not None else anchor_pairs_ds(n_pages, scfg)
-    return (
-        base.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        base, fold, "target", rows=partial, batch_format="pyarrow",
+        empty=dict(target=str, n_anchors="int64", n_texts="int64",
+                   top_text=str, top_n="int64"),
     )
 
 
@@ -320,8 +298,13 @@ def persist_log(n_pages: int = 600, scfg: SyntheticConfig | None = None, docs=No
 
     def pair(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized pairing: each metadata offset attaches to the latest
-        # preceding response/revisit offset (searchsorted, no row loop)
-        df = df.sort_values("source_offset", kind="mergesort")
+        # preceding response/revisit offset (searchsorted, no row loop).
+        # Records sharing an offset (a revisit and its response) order by
+        # (wayback_date, record_type), the oracle's tie-break — block
+        # order after the shuffle is arbitrary
+        df = df.sort_values(
+            ["source_offset", "wayback_date", "record_type"], kind="mergesort"
+        )
         resp = df[df["record_type"].isin(("response", "revisit"))]
         meta_off = df.loc[
             df["record_type"] == "metadata", "source_offset"
@@ -357,9 +340,6 @@ def dataset_summaries(n_pages: int = 600, scfg: SyntheticConfig | None = None, d
     (``functions/bucketing.py`` — the host facet's value column has
     host-cardinality, so a raw-key groupby aggregate walks it in
     Python)."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
 
     def partials(batch: pa.Table) -> pa.Table:
         df = batch.select(["host", "crawl_year", "content_type_norm"]).to_pandas()
@@ -368,31 +348,20 @@ def dataset_summaries(n_pages: int = 600, scfg: SyntheticConfig | None = None, d
             g = (
                 df.groupby(["crawl_year", col], sort=False, dropna=False)
                 .size()
-                .reset_index(name="n")
+                .reset_index(name="count")
             )
-            g.columns = ["year", "value", "n"]
+            g.columns = ["year", "value", "count"]
             g.insert(0, "facet", facet)
             frames.append(g)
         out = pd.concat(frames, ignore_index=True)
         out["value"] = out["value"].fillna("")
-        out["bucket"] = bucket_of(out["facet"] + "\x00" + out["year"] + "\x00" + out["value"], n_b)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["facet", "year", "value"], sort=False)["n"]
-            .sum()
-            .reset_index(name="count")
-        )
-        g["count"] = g["count"].astype("int64")
-        return g
-
+    key = ["facet", "year", "value"]
     base = docs if docs is not None else _docs_ds(n_pages, scfg)
-    return (
-        base
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        base, sum_in_bucket(key, "count"), tuple(key),
+        rows=partials, batch_format="pyarrow",
     )
 
 
@@ -497,15 +466,11 @@ def host_pagerank(
     DuckDB recursive CTE over the same materialized link base."""
     import ray.data as rd
 
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     # one-time prep: attach outdeg share to every edge (bucketed by src)
-    def edge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["src_host"], n_b))
-
     def frac_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         deg = df.groupby("src_host", sort=False)["n_links"].transform("sum")
         return pd.DataFrame(
@@ -519,11 +484,7 @@ def host_pagerank(
     # size-pinned: the host-level edge list is ~corpus-independent narrow
     # data scattered over the upstream pass's block count — every
     # per-iteration sort would pay scheduling per near-empty block
-    edges = coalesce_blocks(
-        edges_raw.map_batches(edge_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(frac_in_bucket, batch_format="pandas")
-    )
+    edges = coalesce_blocks(keyed_fold(edges_raw, frac_in_bucket, "src_host"))
 
     def to_nodes(df: pd.DataFrame) -> pd.DataFrame:
         h = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
@@ -532,15 +493,7 @@ def host_pagerank(
     def dedup_nodes(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("host")
 
-    def node_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["host"], n_b))
-
-    nodes = coalesce_blocks(
-        edges.map_batches(to_nodes, batch_format="pandas")
-        .map_batches(node_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(dedup_nodes, batch_format="pandas")
-    )
+    nodes = coalesce_blocks(keyed_fold(edges, dedup_nodes, "host", rows=to_nodes))
     n_nodes = nodes.count()
     base_rank = (1.0 - _PR_D) / n_nodes
 
@@ -562,7 +515,6 @@ def host_pagerank(
                 "dst": pd.Series([""] * len(df), dtype=str, index=df.index),
                 "val": df["rank"].astype("float64"),
                 "side": np.zeros(len(df), dtype="int64"),
-                "bucket": bucket_of(df["host"], n_b),
             }
         )
 
@@ -573,7 +525,6 @@ def host_pagerank(
                 "dst": df["dst"],
                 "val": df["frac"].astype("float64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "bucket": bucket_of(df["src"], n_b),
             }
         )
 
@@ -593,9 +544,6 @@ def host_pagerank(
             {"host": df["host"], "c": np.zeros(len(df), dtype="float64")}
         )
 
-    def host_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["host"], n_b))
-
     def fold_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("host", sort=False)["c"].sum().reset_index()
         return pd.DataFrame(
@@ -603,18 +551,14 @@ def host_pagerank(
         )
 
     for _ in range(n_iters):
-        tagged = ranks.map_batches(tag_rank, batch_format="pandas").union(
-            edges.map_batches(tag_edge, batch_format="pandas")
-        )
-        contrib = tagged.groupby("bucket").map_groups(
-            contrib_in_bucket, batch_format="pandas"
+        contrib = keyed_fold(
+            (ranks, edges), contrib_in_bucket, "key", rows=(tag_rank, tag_edge)
         )
         all_c = contrib.union(
             nodes.map_batches(zero_contrib, batch_format="pandas")
-        ).map_batches(host_bucket, batch_format="pandas")
+        )
         ranks = (
-            all_c.groupby("bucket")
-            .map_groups(fold_in_bucket, batch_format="pandas")
+            keyed_fold(all_c, fold_in_bucket, "host")
             # re-pin the rank table's block count every round: the
             # bucketed pass would otherwise multiply blocks per iteration
             # (quadratic sort scheduling by round 4-5)
@@ -793,10 +737,6 @@ def span_dedup(docs):
     doc_id, span_idx (1-based), h, keep. SQL-oracle-checked."""
     import pyarrow.compute as pc
 
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
     def span_hashes(batch: pa.Table) -> pd.DataFrame:
         spans = batch["spans"].combine_chunks()
         lengths = pc.list_value_length(spans).fill_null(0).to_numpy().astype("int64")
@@ -805,7 +745,6 @@ def span_dedup(docs):
                 "h": pd.Series([], dtype=str),
                 "doc_id": pd.Series([], dtype=str),
                 "span_idx": pd.Series([], dtype="int64"),
-                "bucket": pd.Series([], dtype="int64"),
             }
         )
         if not lengths.sum():
@@ -838,7 +777,6 @@ def span_dedup(docs):
                 "h": h,
                 "doc_id": pd.Series(doc_ids, dtype=str),
                 "span_idx": span_idx[m],
-                "bucket": bucket_of(h, n_b),
             }
         )
 
@@ -854,10 +792,8 @@ def span_dedup(docs):
             }
         )
 
-    return (
-        docs.map_batches(span_hashes, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(first_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        docs, first_in_bucket, "h", rows=span_hashes, batch_format="pyarrow"
     )
 
 
@@ -878,10 +814,6 @@ def media_dedup(docs):
     SQL-oracle-checked."""
     import pyarrow.compute as pc
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
-
     def media_rows(batch: pa.Table) -> pd.DataFrame:
         spans = batch["spans"].combine_chunks()
         lengths = pc.list_value_length(spans).fill_null(0).to_numpy().astype("int64")
@@ -890,7 +822,6 @@ def media_dedup(docs):
                 "media_ref": pd.Series([], dtype=str),
                 "doc_id": pd.Series([], dtype=str),
                 "span_idx": pd.Series([], dtype="int64"),
-                "bucket": pd.Series([], dtype="int64"),
             }
         )
         if not lengths.sum():
@@ -919,15 +850,10 @@ def media_dedup(docs):
                     dtype=str,
                 ),
                 "span_idx": span_idx[m],
-                "bucket": bucket_of(r, n_b),
             }
         )
 
     def first_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id=str, span_idx="int64", media_ref=str, keep="bool"
-            )
         d = df.sort_values(["media_ref", "doc_id", "span_idx"], kind="mergesort")
         keep = ~d["media_ref"].duplicated()
         return pd.DataFrame(
@@ -939,10 +865,9 @@ def media_dedup(docs):
             }
         )
 
-    return (
-        docs.map_batches(media_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(first_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        docs, first_in_bucket, "media_ref", rows=media_rows, batch_format="pyarrow",
+        empty=dict(doc_id=str, span_idx="int64", media_ref=str, keep="bool"),
     )
 
 
@@ -959,9 +884,6 @@ def year_host_outlinks(
     :func:`host_link_graph` with the year folded into the key: per-batch
     explode + partial count, ONE bucketed grouped sum. Columns:
     crawl_year, src_host, dst_host, n_links."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
 
     def partial_edges(batch: pa.Table) -> pa.Table:
         df = batch.select(
@@ -985,26 +907,13 @@ def year_host_outlinks(
             .reset_index(name="n_links")
         )
         g["n_links"] = g["n_links"].astype("int64")
-        g["bucket"] = bucket_of(
-            g["crawl_year"].astype(str) + "\x00" + g["src_host"] + "\x00" + g["dst_host"],
-            n_b,
-        )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["crawl_year", "src_host", "dst_host"], sort=False)["n_links"]
-            .sum()
-            .reset_index()
-        )
-        g["n_links"] = g["n_links"].astype("int64")
-        return g
-
+    key = ["crawl_year", "src_host", "dst_host"]
     base = docs if docs is not None else _docs_ds(n_pages, scfg)
-    return (
-        base.map_batches(partial_edges, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        base, sum_in_bucket(key, "n_links"), tuple(key),
+        rows=partial_edges, batch_format="pyarrow",
     )
 
 
@@ -1036,10 +945,7 @@ def year_suffix_links(
     Columns: crawl_year, dst_suffix, src_suffix, n. SQL-oracle-checked
     (the oracle re-derives the suffix rule in SQL from the same embedded
     PSL subset over the materialized docs base)."""
-    from ..functions.bucketing import bucket_of, default_buckets
     from ..functions.suffix import extract_public_suffix_from_host
-
-    n_b = default_buckets()
 
     def partial_pairs(batch: pa.Table) -> pa.Table:
         df = batch.select(
@@ -1072,27 +978,13 @@ def year_suffix_links(
             .reset_index(name="n")
         )
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(
-            g["crawl_year"].astype(str)
-            + "\x00" + g["dst_suffix"] + "\x00" + g["src_suffix"],
-            n_b,
-        )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["crawl_year", "dst_suffix", "src_suffix"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-        g["n"] = g["n"].astype("int64")
-        return g
-
+    key = ["crawl_year", "dst_suffix", "src_suffix"]
     base = docs if docs is not None else _docs_ds(n_pages, scfg)
-    return (
-        base.map_batches(partial_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    return keyed_fold(
+        base, sum_in_bucket(key, "n"), tuple(key),
+        rows=partial_pairs, batch_format="pyarrow",
     )
 
 
@@ -1158,9 +1050,6 @@ def hosts_report(lines):
     combiner — mirrored here as per-batch partial sums into ONE bucketed
     grouped sum). Columns: host, n_urls, n_bytes, n_robots, n_dup_urls,
     n_dup_bytes."""
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
 
     def partial(batch: pa.Table) -> pa.Table:
         lines_s = batch["line"].to_pandas().astype(str)
@@ -1198,22 +1087,12 @@ def hosts_report(lines):
             .sum()
             .reset_index()
         )
-        g["bucket"] = bucket_of(g["host"], n_b)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def sum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.drop(columns=["bucket"])
-            .groupby("host", sort=False)
-            .sum()
-            .reset_index()
-        )
-
-    return (
-        lines.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sum_in_bucket, batch_format="pandas")
+    fold = sum_in_bucket(
+        "host", "n_urls", "n_bytes", "n_robots", "n_dup_urls", "n_dup_bytes"
     )
+    return keyed_fold(lines, fold, "host", rows=partial, batch_format="pyarrow")
 
 
 _IPACK_CONTEXT = 512
@@ -1443,10 +1322,8 @@ def host_components(docs):
     Columns: host, component_id (the component's minimum hashed id —
     deterministic and SQL-mirrorable). SQL-oracle-checked via the same
     recursive-CTE reachability mirror as ``neardup_clusters``."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
+    from ..functions.bucketing import coalesce_blocks
     from .dedup import neardup_clusters  # type: ignore[attr-defined]
-
-    n_b = default_buckets()
 
     def page_edges(batch: pa.Table) -> pd.DataFrame:
         df = batch.select(["host", "links_hosts"]).to_pandas()
@@ -1482,15 +1359,7 @@ def host_components(docs):
 
     # distinct hosts + their ids: one bucketed pass (all copies of a host
     # share its bucket)
-    mapping = (
-        host_rows.map_batches(
-            lambda df: df.assign(b=bucket_of(df["host"], n_b)),
-            batch_format="pandas",
-        )
-        .groupby("b")
-        .map_groups(dedup_hosts, batch_format="pandas")
-    )
-    mapping = coalesce_blocks(mapping)
+    mapping = coalesce_blocks(keyed_fold(host_rows, dedup_hosts, "host"))
 
     clusters = neardup_clusters(
         edges, mapping.map_batches(lambda df: df[["doc_id"]], batch_format="pandas")
@@ -1504,7 +1373,6 @@ def host_components(docs):
                 "host": pd.Series([""] * len(df), dtype=object, index=df.index),
                 "component_id": df["cluster_id"].astype("int64"),
                 "side": np.zeros(len(df), dtype="int64"),
-                "b": bucket_of(df["doc_id"], n_b),
             }
         )
 
@@ -1515,7 +1383,6 @@ def host_components(docs):
                 "host": df["host"],
                 "component_id": np.full(len(df), -1, dtype="int64"),
                 "side": np.ones(len(df), dtype="int64"),
-                "b": bucket_of(df["doc_id"], n_b),
             }
         )
 
@@ -1525,10 +1392,9 @@ def host_components(docs):
         m = h.merge(c, on="key", how="inner")
         return m[["host", "component_id"]]
 
-    tagged = clusters.map_batches(tag_cluster, batch_format="pandas").union(
-        mapping.map_batches(tag_host, batch_format="pandas")
+    return keyed_fold(
+        (clusters, mapping), attach, "key", rows=(tag_cluster, tag_host)
     )
-    return tagged.groupby("b").map_groups(attach, batch_format="pandas")
 
 
 def span_coalesce(docs):
@@ -1638,9 +1504,7 @@ def span_transitions(docs):
     materialized spans base (lead() window per physical row)."""
     import pyarrow.compute as pc
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
+    schema = dict(from_kind=str, to_kind=str, n="int64")
 
     def partials(batch: pa.Table) -> pd.DataFrame:
         spans = batch["spans"].combine_chunks()
@@ -1648,31 +1512,20 @@ def span_transitions(docs):
         parents = pc.list_parent_indices(spans).to_numpy().astype("int64")
         kinds = flat.field("kind").to_numpy(zero_copy_only=False)
         if len(kinds) < 2:
-            return typed_empty(from_kind=str, to_kind=str, n="int64", bucket="int32")
+            return typed_empty(**schema)
         same = parents[:-1] == parents[1:]
         if not same.any():
-            return typed_empty(from_kind=str, to_kind=str, n="int64", bucket="int32")
+            return typed_empty(**schema)
         pairs = pd.DataFrame(
             {"from_kind": kinds[:-1][same], "to_kind": kinds[1:][same]}
         )
         vc = pairs.value_counts(["from_kind", "to_kind"]).reset_index(name="n")
         vc["n"] = vc["n"].astype("int64")
-        vc["bucket"] = bucket_of(vc["from_kind"] + "\x00" + vc["to_kind"], n_b)
         return vc
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(from_kind=str, to_kind=str, n="int64")
-        return (
-            df.groupby(["from_kind", "to_kind"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-
-    return (
-        docs.map_batches(partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        docs, sum_in_bucket(["from_kind", "to_kind"], "n"), ("from_kind", "to_kind"),
+        rows=partials, batch_format="pyarrow", empty=schema,
     )
 
 
@@ -1690,9 +1543,7 @@ def media_burst_lengths(docs):
     (row_number-difference islands over the spans base)."""
     import pyarrow.compute as pc
 
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
+    schema = dict(run_len="int64", n="int64")
 
     def partials(batch: pa.Table) -> pd.DataFrame:
         spans = batch["spans"].combine_chunks()
@@ -1700,7 +1551,7 @@ def media_burst_lengths(docs):
         parents = pc.list_parent_indices(spans).to_numpy().astype("int64")
         kinds = flat.field("kind").to_numpy(zero_copy_only=False)
         if not len(kinds):
-            return typed_empty(run_len="int64", n="int64", bucket="int32")
+            return typed_empty(**schema)
         is_m = kinds != "text"
         breaks = np.ones(len(kinds), dtype=bool)
         breaks[1:] = (parents[1:] != parents[:-1]) | (is_m[1:] != is_m[:-1])
@@ -1709,23 +1560,15 @@ def media_burst_lengths(docs):
         run_is_media = is_m[breaks]
         media_lens = run_lens[run_is_media]
         if not len(media_lens):
-            return typed_empty(run_len="int64", n="int64", bucket="int32")
+            return typed_empty(**schema)
         vals, counts = np.unique(media_lens, return_counts=True)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"run_len": vals.astype("int64"), "n": counts.astype("int64")}
         )
-        out["bucket"] = bucket_of(out["run_len"].astype(str), n_b)
-        return out
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(run_len="int64", n="int64")
-        return df.groupby("run_len", sort=False)["n"].sum().reset_index()
-
-    return (
-        docs.map_batches(partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        docs, sum_in_bucket("run_len", "n"), ("run_len",),
+        rows=partials, batch_format="pyarrow", empty=schema,
     )
 
 
@@ -1756,9 +1599,8 @@ def host_hits(
     SQL-oracle-checked over the same materialized link base."""
     import ray.data as rd
 
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     def edge_cast(df: pd.DataFrame) -> pd.DataFrame:
@@ -1779,14 +1621,8 @@ def host_hits(
     def dedup_nodes(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("host")
 
-    def node_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["host"], n_b))
-
     nodes = coalesce_blocks(
-        edges.map_batches(to_nodes, batch_format="pandas")
-        .map_batches(node_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(dedup_nodes, batch_format="pandas")
+        keyed_fold(edges, dedup_nodes, "host", rows=to_nodes)
     ).materialize()
 
     def init_vec(df: pd.DataFrame) -> pd.DataFrame:
@@ -1805,7 +1641,6 @@ def host_hits(
                     "out": pd.Series([""] * len(df), dtype=str, index=df.index),
                     "val": df["v"].astype("int64"),
                     "side": np.zeros(len(df), dtype="int64"),
-                    "bucket": bucket_of(df["host"], n_b),
                 }
             )
 
@@ -1816,7 +1651,6 @@ def host_hits(
                     "out": df[out_col],
                     "val": df["w"].astype("int64"),
                     "side": np.ones(len(df), dtype="int64"),
-                    "bucket": bucket_of(df[join_col], n_b),
                 }
             )
 
@@ -1833,25 +1667,14 @@ def host_hits(
                 }
             )
 
-        def host_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(bucket=bucket_of(df["host"], n_b))
-
         def fold(df: pd.DataFrame) -> pd.DataFrame:
             g = df.groupby("host", sort=False)["c"].sum().reset_index()
             return pd.DataFrame(
                 {"host": g["host"], "v": g["c"].astype("int64")}
             )
 
-        tagged = vec.map_batches(tag_vec, batch_format="pandas").union(
-            edges.map_batches(tag_edge, batch_format="pandas")
-        )
-        return coalesce_blocks(
-            tagged.groupby("bucket")
-            .map_groups(contrib, batch_format="pandas")
-            .map_batches(host_bucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(fold, batch_format="pandas")
-        ).materialize()
+        joined = keyed_fold((vec, edges), contrib, "key", rows=(tag_vec, tag_edge))
+        return coalesce_blocks(keyed_fold(joined, fold, "host")).materialize()
 
     h = nodes.map_batches(init_vec, batch_format="pandas").materialize()
     a = None
@@ -1871,17 +1694,12 @@ def host_hits(
                     "side": np.full(len(df), side, dtype="int64"),
                     "which": pd.Series([name] * len(df), dtype=str,
                                        index=df.index),
-                    "bucket": bucket_of(df["host"], n_b),
                 }
             )
 
         return f
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.bucketing import typed_empty
-
-        if not len(df):
-            return typed_empty(host=str, hub3="int64", auth3="int64")
         hosts = df[df["side"] == 0][["host"]].drop_duplicates()
         hv = df[(df["side"] == 1) & (df["which"] == "h")][["host", "v"]]
         av = df[(df["side"] == 1) & (df["which"] == "a")][["host", "v"]]
@@ -1892,12 +1710,11 @@ def host_hits(
         out["auth3"] = out["auth3"].fillna(0).astype("int64")
         return out
 
-    tagged = (
-        nodes.map_batches(tag_final("n", 0), batch_format="pandas")
-        .union(h.map_batches(tag_final("h", 1), batch_format="pandas"))
-        .union(a.map_batches(tag_final("a", 1), batch_format="pandas"))
+    return keyed_fold(
+        (nodes, h, a), project, "host",
+        rows=(tag_final("n", 0), tag_final("h", 1), tag_final("a", 1)),
+        empty=dict(host=str, hub3="int64", auth3="int64"),
     )
-    return tagged.groupby("bucket").map_groups(project, batch_format="pandas")
 
 
 def degree_distribution(
@@ -1912,9 +1729,6 @@ def degree_distribution(
     then the (direction, degree) histogram — the exchange never exceeds
     the host count. Columns: direction ('in'/'out'), degree, n_hosts.
     SQL-oracle-checked over the materialized link base."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -1933,53 +1747,27 @@ def degree_distribution(
             .reset_index(name="deg")
         )
         g["deg"] = g["deg"].astype("int64")
-        g["bucket"] = bucket_of(g["direction"] + "\x00" + g["host"], n_b)
-        return g
-
-    def fold_deg(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(direction=str, host=str, deg="int64")
-        g = (
-            df.groupby(["direction", "host"], sort=False)["deg"]
-            .sum()
-            .reset_index()
-        )
-        g["deg"] = g["deg"].astype("int64")
         return g
 
     def hist_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+        df = batch.to_pandas().rename(columns={"deg": "degree"})
         g = (
-            df.groupby(["direction", "deg"], sort=False)
+            df.groupby(["direction", "degree"], sort=False)
             .size()
             .reset_index(name="n_hosts")
         )
         g["n_hosts"] = g["n_hosts"].astype("int64")
-        g["bucket"] = bucket_of(
-            g["direction"] + ":" + g["deg"].astype(str), n_b
-        )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def hist_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(direction=str, degree="int64", n_hosts="int64")
-        g = (
-            df.groupby(["direction", "deg"], sort=False)["n_hosts"]
-            .sum()
-            .reset_index()
-            .rename(columns={"deg": "degree"})
-        )
-        g["degree"] = g["degree"].astype("int64")
-        g["n_hosts"] = g["n_hosts"].astype("int64")
-        return g
-
-    return (
-        edges.map_batches(tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_deg, batch_format="pandas")
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(hist_fold, batch_format="pandas")
+    hist_key = ["direction", "degree"]
+    degrees = keyed_fold(
+        edges, sum_in_bucket(["direction", "host"], "deg"), ("direction", "host"),
+        rows=tag, empty=dict(direction=str, host=str, deg="int64"),
+    )
+    return keyed_fold(
+        degrees, sum_in_bucket(hist_key, "n_hosts"), tuple(hist_key),
+        rows=hist_partial, batch_format="pyarrow",
+        empty=dict(direction=str, degree="int64", n_hosts="int64"),
     )
 
 
@@ -2004,9 +1792,8 @@ def host_distances(
     into the known set with a grouped min — the driver holds the round
     counter. Columns: host, dist (0..max_d; unreached hosts omitted).
     SQL-oracle-checked (recursive CTE with a path-length bound)."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets, typed_empty
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     def edge_cast(df: pd.DataFrame) -> pd.DataFrame:
@@ -2040,7 +1827,6 @@ def host_distances(
                     "key": df["host"],
                     "out": pd.Series([""] * len(df), dtype=str, index=df.index),
                     "side": np.zeros(len(df), dtype="int64"),
-                    "bucket": bucket_of(df["host"], n_b),
                 }
             )
 
@@ -2050,7 +1836,6 @@ def host_distances(
                     "key": df["src"],
                     "out": df["dst"],
                     "side": np.ones(len(df), dtype="int64"),
-                    "bucket": bucket_of(df["src"], n_b),
                 }
             )
 
@@ -2066,30 +1851,20 @@ def host_distances(
                 }
             )
 
-        cands = (
-            frontier.map_batches(tag_front, batch_format="pandas")
-            .union(edges.map_batches(tag_edge, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(expand, batch_format="pandas")
+        cands = keyed_fold(
+            (frontier, edges), expand, "key", rows=(tag_front, tag_edge)
         )
 
         # merge: known dist ∪ candidates, grouped min by host; the NEW
         # frontier = hosts whose min dist equals this level
-        def host_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(bucket=bucket_of(df["host"], n_b))
-
         def merge_min(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return typed_empty(host=str, dist="int64")
             g = df.groupby("host", sort=False)["dist"].min().reset_index()
             g["dist"] = g["dist"].astype("int64")
             return g
 
         dist = coalesce_blocks(
-            dist.union(cands)
-            .map_batches(host_bucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(merge_min, batch_format="pandas")
+            keyed_fold(dist.union(cands), merge_min, "host",
+                       empty=dict(host=str, dist="int64"))
         ).materialize()
 
         def this_level(df: pd.DataFrame, _lv=level) -> pd.DataFrame:
@@ -2119,9 +1894,6 @@ def host_reciprocity(
     concatenation and distinct pairs like (ab,c)/(a,bc) would collide.)
     Columns: n_edges, n_reciprocal, reciprocity_ppm (all exact
     integers). SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
-
-    n_b = default_buckets()
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def key_pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -2139,12 +1911,9 @@ def host_reciprocity(
         g = out.groupby("pair", sort=False).sum().reset_index()
         for c in ("n_fwd", "n_rev"):
             g[c] = g[c].astype("int64")
-        g["bucket"] = bucket_of(g["pair"], n_b)
         return g
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(n_edges="int64", n_reciprocal="int64")
         g = df.groupby("pair", sort=False)[["n_fwd", "n_rev"]].sum()
         has_f = (g["n_fwd"] > 0).to_numpy()
         has_r = (g["n_rev"] > 0).to_numpy()
@@ -2157,12 +1926,10 @@ def host_reciprocity(
             }
         )
 
-    parts = (
-        edges.map_batches(key_pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_fold(
+        edges, fold, "pair", rows=key_pairs,
+        empty=dict(n_edges="int64", n_reciprocal="int64"),
+    ).to_pandas()
     n_edges = int(parts["n_edges"].sum()) if len(parts) else 0
     n_rec = int(parts["n_reciprocal"].sum()) if len(parts) else 0
     ppm = (1_000_000 * n_rec) // n_edges if n_edges else 0
@@ -2198,14 +1965,8 @@ def host_triangles(
     (sum over nodes of C(deg,2)), n_triangles, clustering_ppm
     (1e6 * 3*triangles // wedges). SQL-oracle-checked (3-way self-join
     over the same materialized link base)."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     # \x1f, NOT \x00: pandas Series `+` strips embedded NULs (numpy
     # fixed-width unicode), and this key is both grouped on and split back
     sep = "\x1f"
@@ -2215,47 +1976,31 @@ def host_triangles(
         d = df[df["src_host"] != df["dst_host"]]
         lo = d[["src_host", "dst_host"]].min(axis=1)
         hi = d[["src_host", "dst_host"]].max(axis=1)
-        out = pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
-        out["bucket"] = bucket_of(out["a"] + sep + out["b"], n_b)
-        return out
+        return pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
 
     def und_distinct(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(a=str, b=str)
         return df.drop_duplicates(["a", "b"])[["a", "b"]]
 
     und = coalesce_blocks(
-        edges.map_batches(und_local, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(und_distinct, batch_format="pandas")
+        keyed_fold(edges, und_distinct, ("a", "b"), rows=und_local,
+                   empty=dict(a=str, b=str))
     )  # consumed 3x: degrees, halves, edge markers
 
     def deg_partials(df: pd.DataFrame) -> pd.DataFrame:
         nodes = pd.concat([df["a"], df["b"]], ignore_index=True)
         g = nodes.value_counts()
-        out = pd.DataFrame(
-            {"node": g.index, "d": g.to_numpy().astype("int64")}
-        )
-        out["bucket"] = bucket_of(out["node"], n_b)
-        return out
-
-    def deg_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(node=str, d="int64")
-        g = df.groupby("node", sort=False)["d"].sum()
         return pd.DataFrame(
-            {"node": g.index.to_numpy(), "d": g.to_numpy().astype("int64")}
+            {"node": g.index, "d": g.to_numpy().astype("int64")}
         )
 
     degs = coalesce_blocks(
-        und.map_batches(deg_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(deg_fold, batch_format="pandas")
+        keyed_fold(und, sum_in_bucket("node", "d"), "node", rows=deg_partials,
+                   empty=dict(node=str, d="int64"))
     )
 
     def half_rows(df: pd.DataFrame) -> pd.DataFrame:
         pair = df["a"] + sep + df["b"]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": pd.concat([df["a"], df["b"]], ignore_index=True),
                 "pair": pd.concat([pair, pair], ignore_index=True),
@@ -2265,11 +2010,9 @@ def host_triangles(
                 "d": np.full(2 * len(df), -1, dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def deg_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": df["node"],
                 "pair": np.full(len(df), "", dtype=object),
@@ -2277,34 +2020,24 @@ def host_triangles(
                 "d": df["d"].astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["key"], n_b)
-        return out
 
     def attach_deg(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(pair=str, side="int64", d="int64", bucket="int32")
         halves = df[df["side"] < 2][["key", "pair", "side"]]
         dd = df[df["side"] == 2][["key", "d"]]
         m = halves.merge(dd, on="key", how="inner")
-        out = m[["pair", "side", "d"]].reset_index(drop=True)
-        out["bucket"] = bucket_of(out["pair"], n_b)
-        return out
+        return m[["pair", "side", "d"]].reset_index(drop=True)
 
-    attached = coalesce_blocks(
-        und.map_batches(half_rows, batch_format="pandas")
-        .union(degs.map_batches(deg_rows, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(attach_deg, batch_format="pandas")
-    )
+    attached = coalesce_blocks(bucketed(keyed_fold(
+        (und, degs), attach_deg, "key", rows=(half_rows, deg_rows),
+        empty=dict(pair=str, side="int64", d="int64"),
+    ), "pair"))
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(src=str, dst=str, bucket="int32")
         da = df[df["side"] == 0][["pair", "d"]].rename(columns={"d": "da"})
         db = df[df["side"] == 1][["pair", "d"]].rename(columns={"d": "db"})
         m = da.merge(db, on="pair")
         if not len(m):
-            return typed_empty(src=str, dst=str, bucket="int32")
+            return typed_empty(src=str, dst=str)
         ab = m["pair"].str.split(sep, n=1, expand=True)
         a = ab[0].to_numpy(dtype=object)
         b = ab[1].to_numpy(dtype=object)
@@ -2312,49 +2045,38 @@ def host_triangles(
         a_first = (m["da"] < m["db"]).to_numpy() | (
             m["da"] == m["db"]
         ).to_numpy()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
         )
-        out["bucket"] = bucket_of(out["src"], n_b)
-        return out
 
-    oriented = coalesce_blocks(
-        attached.groupby("bucket").map_groups(orient, batch_format="pandas")
-    )
+    oriented = coalesce_blocks(bucketed(
+        keyed_fold(attached, orient, None, empty=dict(src=str, dst=str)), "src"
+    ))
 
     def wedge_gen(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(key=str, is_edge="int64", bucket="int32")
         g = df[["src", "dst"]]
         m = g.merge(g, on="src")
         m = m[m["dst_x"] < m["dst_y"]]
         out = pd.DataFrame({"key": m["dst_x"] + sep + m["dst_y"]})
         out["is_edge"] = np.zeros(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out
 
     def edge_marks(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"key": df["a"] + sep + df["b"]})
         out["is_edge"] = np.ones(len(out), dtype="int64")
-        out["bucket"] = bucket_of(out["key"], n_b)
         return out
 
     def count_tri(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(n_triangles="int64")
         g = df.groupby("key", sort=False)["is_edge"].agg(["sum", "count"])
         closed = g[g["sum"] > 0]
         n = int((closed["count"] - closed["sum"]).sum())
         return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
-    tri_parts = (
-        oriented.groupby("bucket")
-        .map_groups(wedge_gen, batch_format="pandas")
-        .union(und.map_batches(edge_marks, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(count_tri, batch_format="pandas")
-        .to_pandas()
-    )
+    wedges = keyed_fold(oriented, wedge_gen, None, empty=dict(key=str, is_edge="int64"))
+    tri_parts = keyed_fold(
+        (wedges, und), count_tri, "key", rows=(None, edge_marks),
+        empty=dict(n_triangles="int64"),
+    ).to_pandas()
     n_triangles = int(tri_parts["n_triangles"].sum()) if len(tri_parts) else 0
 
     # n_edges and n_wedges fold from the tiny degree table: sum(d)/2 and
@@ -2416,31 +2138,16 @@ def cocitation_hosts(
     jaccard arithmetic. No broadcast — the per-host in-degree table is
     corpus-sized at 100 TB. Columns: dst_a, dst_b, n_co, jaccard_ppm.
     SQL-oracle-checked over the materialized link base."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges = host_link_graph(n_pages, scfg, docs=docs)
+    tagged_rows = dict(side="int64", a=str, b=str, n="int64")
 
-    def src_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def src_dst(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["src_host"] != df["dst_host"]]
-        return pd.DataFrame(
-            {
-                "src": d["src_host"],
-                "dst": d["dst_host"],
-                "bucket": bucket_of(d["src_host"], n_b),
-            }
-        )
+        return pd.DataFrame({"src": d["src_host"], "dst": d["dst_host"]})
 
     def pairs_and_indeg(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                side="int64", a=str, b=str, n="int64", bucket="int32"
-            )
         sizes = df.groupby("src", sort=False)["dst"].transform("size")
         d = df[sizes <= cap]
         out = []
@@ -2459,7 +2166,6 @@ def cocitation_hosts(
                         "a": p["dst_x"],
                         "b": p["dst_y"],
                         "n": p["n"].astype("int64"),
-                        "bucket": bucket_of(p["dst_x"] + "\x1f" + p["dst_y"], n_b),
                     }
                 )
             )
@@ -2471,59 +2177,26 @@ def cocitation_hosts(
                         "a": i["dst"],
                         "b": pd.Series([""] * len(i), dtype=str),
                         "n": i["n"].astype("int64"),
-                        "bucket": bucket_of("d\x1f" + i["dst"], n_b),
                     }
                 )
             )
         if not out:
-            return typed_empty(
-                side="int64", a=str, b=str, n="int64", bucket="int32"
-            )
+            return typed_empty(**tagged_rows)
         return pd.concat(out, ignore_index=True)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                side="int64", a=str, b=str, n="int64", bucket="int32"
-            )
         g = (
             df.groupby(["side", "a", "b"], sort=False)["n"].sum().reset_index()
         )
         p = g[g["side"] == 0]
         p = p[p["n"] >= min_co]
         i = g[g["side"] == 1]
-        out = pd.concat(
-            [
-                pd.DataFrame(
-                    {
-                        "side": p["side"],
-                        "a": p["a"],
-                        "b": p["b"],
-                        "n": p["n"],
-                        "bucket": bucket_of(p["a"], n_b),  # next: key dst_a
-                    }
-                ),
-                pd.DataFrame(
-                    {
-                        "side": i["side"],
-                        "a": i["a"],
-                        "b": i["b"],
-                        "n": i["n"],
-                        "bucket": bucket_of(i["a"], n_b),  # ind keyed by dst
-                    }
-                ),
-            ],
-            ignore_index=True,
-        )
+        # next pass keys pairs by dst_a and in-degree rows by dst: both "a"
+        out = pd.concat([p, i], ignore_index=True)
         out["n"] = out["n"].astype("int64")
         return out
 
     def attach_a(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                side="int64", a=str, b=str, n="int64", ind_a="int64",
-                bucket="int32",
-            )
         p = df[df["side"] == 0]
         i = df[df["side"] == 1][["a", "n"]].rename(
             columns={"a": "_d", "n": "ind_a"}
@@ -2533,28 +2206,25 @@ def cocitation_hosts(
         )
         ipass = df[df["side"] == 1].assign(ind_a=np.int64(0))
         out = pd.concat([m, ipass], ignore_index=True)
-        # next exchange keys pairs by dst_b, ind rows stay keyed by dst
-        out["bucket"] = bucket_of(
-            pd.Series(np.where(out["side"].to_numpy() == 0, out["b"], out["a"])),
-            n_b,
-        )
         out["ind_a"] = out["ind_a"].astype("int64")
-        return out[["side", "a", "b", "n", "ind_a", "bucket"]]
+        return out[["side", "a", "b", "n", "ind_a"]]
+
+    def dst_b_or_dst(df: pd.DataFrame) -> pd.Series:
+        # next exchange keys pairs by dst_b, ind rows stay keyed by dst
+        return pd.Series(
+            np.where(df["side"].to_numpy() == 0, df["b"], df["a"]), index=df.index
+        )
+
+    result = dict(dst_a=str, dst_b=str, n_co="int64", jaccard_ppm="int64")
 
     def attach_b(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                dst_a=str, dst_b=str, n_co="int64", jaccard_ppm="int64"
-            )
         p = df[df["side"] == 0]
         i = df[df["side"] == 1][["a", "n"]].rename(
             columns={"a": "_d", "n": "ind_b"}
         )
         m = p.merge(i, left_on="b", right_on="_d", how="inner")
         if not len(m):
-            return typed_empty(
-                dst_a=str, dst_b=str, n_co="int64", jaccard_ppm="int64"
-            )
+            return typed_empty(**result)
         n_co = m["n"].to_numpy(dtype="int64")
         union = (
             m["ind_a"].to_numpy(dtype="int64")
@@ -2570,20 +2240,16 @@ def cocitation_hosts(
             }
         )
 
-    tagged = coalesce_blocks(
-        edges.map_batches(src_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_and_indeg, batch_format="pandas")
-    )
+    tagged = coalesce_blocks(bucketed(keyed_fold(
+        edges, pairs_and_indeg, "src", rows=src_dst, empty=tagged_rows,
+    ), ("side", "a", "b")))
     folded = coalesce_blocks(
-        tagged.groupby("bucket").map_groups(fold, batch_format="pandas")
+        bucketed(keyed_fold(tagged, fold, None, empty=tagged_rows), "a")
     )
-    with_a = coalesce_blocks(
-        folded.groupby("bucket").map_groups(attach_a, batch_format="pandas")
-    )
-    return with_a.groupby("bucket").map_groups(
-        attach_b, batch_format="pandas"
-    )
+    with_a = coalesce_blocks(bucketed(keyed_fold(
+        folded, attach_a, None, empty=dict(tagged_rows, ind_a="int64"),
+    ), dst_b_or_dst))
+    return keyed_fold(with_a, attach_b, None, empty=result)
 
 
 def kcore_hosts(
@@ -2615,33 +2281,23 @@ def kcore_hosts(
     peeling."""
     import ray.data as rd
 
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["src_host"] != df["dst_host"]]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "node": pd.concat([d["src_host"], d["dst_host"]], ignore_index=True),
                 "nbr": pd.concat([d["dst_host"], d["src_host"]], ignore_index=True),
             }
         )
-        out["bucket"] = bucket_of(out["node"], n_b)
-        return out
 
     def dedup_and_degree(df: pd.DataFrame) -> pd.DataFrame:
         # a node's whole neighbourhood co-locates: dedup reciprocal
         # directed edges and emit adjacency (side 0) + initial estimate
         # rows (side 1, est = distinct-neighbour degree) together
-        if not len(df):
-            return typed_empty(side="int64", node=str, nbr=str, est="int64")
         d = df.drop_duplicates(["node", "nbr"])
         deg = d.groupby("node", sort=False).size().reset_index(name="est")
         adj = pd.DataFrame(
@@ -2662,11 +2318,10 @@ def kcore_hosts(
         )
         return pd.concat([adj, est], ignore_index=True)
 
-    base = coalesce_blocks(
-        edges.map_batches(both_dirs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(dedup_and_degree, batch_format="pandas")
-    ).materialize()
+    base = coalesce_blocks(keyed_fold(
+        edges, dedup_and_degree, "node", rows=both_dirs,
+        empty=dict(side="int64", node=str, nbr=str, est="int64"),
+    )).materialize()
     def adj_rows(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["side"] == 0][["node", "nbr"]]
 
@@ -2684,7 +2339,6 @@ def kcore_hosts(
                     "node": df["node"],
                     "est": np.zeros(len(df), dtype="int64"),
                     "side": np.zeros(len(df), dtype="int64"),
-                    "bucket": bucket_of(df["nbr"], n_b),
                 }
             )
 
@@ -2695,15 +2349,10 @@ def kcore_hosts(
                     "node": df["node"],
                     "est": df["est"].astype("int64"),
                     "side": np.ones(len(df), dtype="int64"),
-                    "bucket": bucket_of(df["node"], n_b),
                 }
             )
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return typed_empty(
-                    node=str, v="int64", own="int64", bucket="int32"
-                )
             a = df[df["side"] == 0][["key", "node"]]
             e = df[df["side"] == 1][["key", "est"]]
             m = a.merge(e, on="key", how="inner")
@@ -2722,13 +2371,9 @@ def kcore_hosts(
                     "own": e["est"].astype("int64"),
                 }
             )
-            out = pd.concat([nbr_rows, own_rows], ignore_index=True)
-            out["bucket"] = bucket_of(out["node"], n_b)
-            return out
+            return pd.concat([nbr_rows, own_rows], ignore_index=True)
 
         def h_fold(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return typed_empty(node=str, est="int64", chg="int64")
             own = (
                 df[df["own"] >= 0]
                 .groupby("node", sort=False)["own"]
@@ -2758,14 +2403,13 @@ def kcore_hosts(
                 }
             )
 
-        nxt = coalesce_blocks(
-            adj.map_batches(tag_adj, batch_format="pandas")
-            .union(est.map_batches(tag_est, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(attach, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(h_fold, batch_format="pandas")
-        ).materialize()
+        attached = keyed_fold(
+            (adj, est), attach, "key", rows=(tag_adj, tag_est),
+            empty=dict(node=str, v="int64", own="int64"),
+        )
+        nxt = coalesce_blocks(keyed_fold(
+            attached, h_fold, "node", empty=dict(node=str, est="int64", chg="int64")
+        )).materialize()
         changed = nxt.sum("chg") or 0
         est = nxt.drop_columns(["chg"]).materialize()
         if changed == 0:
@@ -2890,56 +2534,43 @@ def host_assortativity(
     degree), then nbr-keyed degree attach + per-bucket moment partials.
     Columns: m_samples, sum_x, sum_xy, sum_x2, assortativity_r
     (round 6). SQL-oracle-checked."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
+    from ..functions.bucketing import coalesce_blocks
 
-    n_b = default_buckets()
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["src_host"] != df["dst_host"]]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "node": pd.concat([d["src_host"], d["dst_host"]], ignore_index=True),
                 "nbr": pd.concat([d["dst_host"], d["src_host"]], ignore_index=True),
             }
         )
-        out["bucket"] = bucket_of(out["node"], n_b)
-        return out
 
     def dedup_degree(df: pd.DataFrame) -> pd.DataFrame:
         # every row of node h co-locates here, so the in-group size IS
         # deg(h); emit tagged rows — side 0: adjacency (routed by nbr,
         # carrying deg(node)); side 1: one (h, deg) row routed by h, so
         # the attach bucket is guaranteed to hold its nbrs' degrees
-        if not len(df):
-            return typed_empty(
-                side="int64", node=str, nbr=str, deg="int64", bucket="int32"
-            )
         d = df.drop_duplicates(["node", "nbr"])
         adj = d[["node", "nbr"]].copy()
         adj["deg"] = (
             d.groupby("node", sort=False)["nbr"].transform("size").astype("int64")
         )
         adj.insert(0, "side", np.zeros(len(adj), dtype="int64"))
-        adj["bucket"] = bucket_of(adj["nbr"], n_b)
         degs = adj.drop_duplicates("node")[["node", "deg"]].copy()
         degs.insert(0, "side", np.ones(len(degs), dtype="int64"))
         degs["nbr"] = pd.Series([""] * len(degs), dtype=str, index=degs.index)
-        degs["bucket"] = bucket_of(degs["node"], n_b)
         return pd.concat(
-            [adj[["side", "node", "nbr", "deg", "bucket"]],
-             degs[["side", "node", "nbr", "deg", "bucket"]]],
+            [adj[["side", "node", "nbr", "deg"]], degs[["side", "node", "nbr", "deg"]]],
             ignore_index=True,
         )
 
+    def route(df: pd.DataFrame) -> pd.Series:
+        side0 = df["side"].to_numpy() == 0
+        return pd.Series(np.where(side0, df["nbr"], df["node"]), index=df.index)
+
     def moment_partials(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(m="int64", sx="int64", sxy="int64", sx2="int64")
         a = df[df["side"] == 0]
         degs = df[df["side"] == 1][["node", "deg"]].rename(
             columns={"node": "nbr", "deg": "deg_nbr"}
@@ -2956,16 +2587,14 @@ def host_assortativity(
             }
         )
 
-    adj = coalesce_blocks(
-        edges.map_batches(both_dirs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(dedup_degree, batch_format="pandas")
-    )
-    parts = (
-        adj.groupby("bucket")
-        .map_groups(moment_partials, batch_format="pandas")
-        .to_pandas()
-    )
+    adj = coalesce_blocks(bucketed(keyed_fold(
+        edges, dedup_degree, "node", rows=both_dirs,
+        empty=dict(side="int64", node=str, nbr=str, deg="int64"),
+    ), route))
+    parts = keyed_fold(
+        adj, moment_partials, None,
+        empty=dict(m="int64", sx="int64", sxy="int64", sx2="int64"),
+    ).to_pandas()
     m = int(parts["m"].sum()) if len(parts) else 0
     sx = int(parts["sx"].sum()) if len(parts) else 0
     sxy = int(parts["sxy"].sum()) if len(parts) else 0

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.bucketing import coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -179,25 +180,14 @@ def language_id(sf_dir: str):
     # would walk the vocabulary in Python); bucketing on token co-locates
     # every (lang, token) pair, so in-bucket sums are exact and a token in
     # a lang's global top-k is in its bucket's top-k
-    from ..functions.bucketing import bucket_of, default_buckets
-
-    n_b = default_buckets()
-
-    def bucketed(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(bucket=bucket_of(df["token"], n_b))
-
     def sum_topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["lang", "token"], sort=False)["n"].sum().reset_index()
         g = g.sort_values(["lang", "n", "token"], ascending=[True, False, True])
         return g.groupby("lang", sort=False).head(_PROFILE_TOP_K)
 
-    token_totals = (
-        ds.map_batches(partial_profiles, batch_format="pandas")
-        .map_batches(bucketed, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas")
-        .to_pandas()  # frame pull: take_all() on pandas blocks is ~0.7 ms/row
-    )
+    token_totals = keyed_fold(
+        ds, sum_topk_in_bucket, "token", rows=partial_profiles
+    ).to_pandas()  # frame pull: take_all() on pandas blocks is ~0.7 ms/row
     by_lang: dict[str, list] = {}
     for r in token_totals.itertuples():
         by_lang.setdefault(r.lang, []).append((r.token, r.n))
@@ -388,25 +378,21 @@ def winnow_neardup_pairs(
     document-frequency cap and the pair emission are exact in-bucket);
     per-pair counts fold in a second tiny keyed pass. Columns: a, b
     (doc ids, a < b), n_shared."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     index = winnow_positions(sf_dir, k=k, w=w)
 
     def doc_hashes(df: pd.DataFrame) -> pd.DataFrame:
         d = df[["doc_id", "h"]].drop_duplicates()
-        out = pd.DataFrame({"doc_id": d["doc_id"].to_numpy(), "h": d["h"].to_numpy()})
-        out["bucket"] = bucket_of(out["h"], n_b)  # bucket_of handles uint64
-        return out
+        return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(), "h": d["h"].to_numpy()})
+
+    partial_pairs = dict(a="int64", b="int64", n="int64")
 
     def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(a="int64", b="int64", n="int64", bucket="int32")
         d = df.drop_duplicates(["doc_id", "h"])
         dfreq = d["h"].map(d["h"].value_counts())
         d = d[(dfreq >= 2) & (dfreq <= max_df)]
         if not len(d):
-            return typed_empty(a="int64", b="int64", n="int64", bucket="int32")
+            return typed_empty(**partial_pairs)
         m = d.merge(d, on="h", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
         g = (
@@ -414,28 +400,22 @@ def winnow_neardup_pairs(
             .size()
             .reset_index(name="n")
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "a": g["doc_id_a"].astype("int64"),
                 "b": g["doc_id_b"].astype("int64"),
                 "n": g["n"].astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["a"] * np.int64(1_000_003) + out["b"], n_b)
-        return out
 
     def fold_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(a="int64", b="int64", n_shared="int64")
         g = df.groupby(["a", "b"], sort=False)["n"].sum().reset_index(name="n_shared")
         return g[g["n_shared"] >= min_shared]
 
-    return (
-        index.map_batches(doc_hashes, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_pairs, batch_format="pandas")
+    pairs = keyed_fold(index, pairs_in_bucket, "h", rows=doc_hashes, empty=partial_pairs)
+    return keyed_fold(
+        pairs, fold_pairs, lambda df: df["a"] * np.int64(1_000_003) + df["b"],
+        empty=dict(a="int64", b="int64", n_shared="int64"),
     )
 
 
@@ -456,9 +436,7 @@ def ngram_topk(sf_dir: str, n: int = 2, k: int = 50):
     validity mask on doc boundaries) was benchmarked at 1.09-1.11x vs
     this per-row join in both short- and long-doc regimes — inside noise,
     so the simpler form stays."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -468,22 +446,16 @@ def ngram_topk(sf_dir: str, n: int = 2, k: int = 50):
         )
         ex = grams.explode().dropna()
         if ex.empty:
-            return pd.DataFrame({"gram": pd.Series([], dtype=str),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "bucket": pd.Series([], dtype="int32")})
+            return typed_empty(gram=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame({"gram": vc.index, "n": vc.to_numpy().astype("int64")})
-        out["bucket"] = bucket_of(out["gram"], n_b)
-        return out
+        return pd.DataFrame({"gram": vc.index, "n": vc.to_numpy().astype("int64")})
 
     def sum_topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("gram", sort=False)["n"].sum().reset_index()
         return g.sort_values(["n", "gram"], ascending=[False, True]).head(k)
 
     return (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(sum_topk_in_bucket, batch_format="pandas")
+        keyed_fold(ds, sum_topk_in_bucket, "gram", rows=partial_counts)
         .sort(["n", "gram"], descending=[True, False])
         .limit(k)
     )
@@ -503,57 +475,31 @@ def token_spectrum(sf_dir: str):
     second exchange carries at most |distinct frequencies| rows per
     bucket, never per-token rows → one tiny bucketed fold keyed by
     freq. Columns: freq, n_tokens (exact integers). SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return pd.DataFrame(
-                {
-                    "tok": pd.Series([], dtype=str),
-                    "n": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int32"),
-                }
-            )
+            return typed_empty(tok=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame({"tok": vc.index, "n": vc.to_numpy().astype("int64")})
-        out["bucket"] = bucket_of(out["tok"], n_b)
-        return out
+        return pd.DataFrame({"tok": vc.index, "n": vc.to_numpy().astype("int64")})
 
     def spectrum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(freq="int64", n_tokens="int64", bucket="int32")
-        f = df.groupby("tok", sort=False)["n"].sum()
-        sp = f.value_counts()
-        out = pd.DataFrame(
+        sp = df.groupby("tok", sort=False)["n"].sum().value_counts()
+        return pd.DataFrame(
             {
                 "freq": sp.index.to_numpy().astype("int64"),
                 "n_tokens": sp.to_numpy().astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["freq"], n_b)
-        return out
 
-    def fold_spectrum(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(freq="int64", n_tokens="int64")
-        g = df.groupby("freq", sort=False)["n_tokens"].sum()
-        return pd.DataFrame(
-            {
-                "freq": g.index.to_numpy().astype("int64"),
-                "n_tokens": g.to_numpy().astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(spectrum_in_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_spectrum, batch_format="pandas")
+    spectrum = dict(freq="int64", n_tokens="int64")
+    partials = keyed_fold(
+        ds, spectrum_in_bucket, "tok", rows=partial_counts, empty=spectrum
+    )
+    return keyed_fold(
+        partials, sum_in_bucket("freq", "n_tokens"), "freq", empty=spectrum
     )
 
 
@@ -577,29 +523,17 @@ def vocab_coverage(sf_dir: str, k: int = _VOCAB_K):
     Columns: token, n, rank, cum_n, coverage (cum_n/total — one double
     division of two exact ints per row, bit-identical to the SQL
     oracle's)."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return pd.DataFrame(
-                {
-                    "token": pd.Series([], dtype=str),
-                    "n": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int32"),
-                }
-            )
+            return typed_empty(token=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame({"token": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
-        out["bucket"] = bucket_of(out["token"], n_b)
-        return out
+        return pd.DataFrame({"token": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
 
     def topk_mass_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(token=str, n="int64")
         g = df.groupby("token", sort=False)["n"].sum()
         top = (
             g.reset_index()
@@ -609,12 +543,10 @@ def vocab_coverage(sf_dir: str, k: int = _VOCAB_K):
         mass = pd.DataFrame({"token": [""], "n": [int(g.sum())]})
         return pd.concat([top, mass], ignore_index=True)
 
-    rows = (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(topk_mass_in_bucket, batch_format="pandas")
-        .to_pandas()  # frame pull: take_all() on pandas blocks is ~0.7 ms/row
-    )
+    rows = keyed_fold(
+        ds, topk_mass_in_bucket, "token", rows=partial_counts,
+        empty=dict(token=str, n="int64"),
+    ).to_pandas()  # frame pull: take_all() on pandas blocks is ~0.7 ms/row
     if "token" not in rows.columns:  # fully-empty corpus -> zero-column frame
         rows = pd.DataFrame({"token": pd.Series([], dtype=str),
                              "n": pd.Series([], dtype="int64")})
@@ -649,9 +581,7 @@ def inverted_index(sf_dir: str, max_postings: int = 8):
     Posting lists are truncated (bounded output per token — no unbounded
     hot-token group) and emitted as a csv string for a stable comparison
     surface. Columns: token, df, total_tf, postings. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partial_tf(df: pd.DataFrame) -> pd.DataFrame:
@@ -661,13 +591,11 @@ def inverted_index(sf_dir: str, max_postings: int = 8):
             .explode("token")
             .dropna(subset=["token"])
         )
-        g = (
+        return (
             ex.groupby(["token", "doc_id"], sort=False)
             .size()
             .reset_index(name="tf")
         )
-        g["bucket"] = bucket_of(g["token"], n_b)
-        return g
 
     def finalise_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # (token, doc_id) pairs appear once per source block: sum to exact
@@ -693,11 +621,7 @@ def inverted_index(sf_dir: str, max_postings: int = 8):
             }
         )
 
-    return (
-        ds.map_batches(partial_tf, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(finalise_bucket, batch_format="pandas")
-    )
+    return keyed_fold(ds, finalise_bucket, "token", rows=partial_tf)
 
 
 _TFIDF_K = 5
@@ -719,9 +643,7 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K):
     ``bucket(doc_id)`` assigns final ranks with one vectorized grouped
     cumcount. Ties at rank k break by token asc. Columns: doc_id, token,
     tf, df, score, rank."""
-    from ..functions.bucketing import bucket_of, default_buckets
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def exact_tf(df: pd.DataFrame) -> pd.DataFrame:
@@ -737,7 +659,6 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K):
             .reset_index(name="tf")
         )
         g["tf"] = g["tf"].astype("int64")
-        g["bucket"] = bucket_of(g["token"], n_b)
         return g
 
     def df_and_trim(df: pd.DataFrame) -> pd.DataFrame:
@@ -759,7 +680,6 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K):
                 "tf": out["tf"].to_numpy(),
                 "df": out["df"].to_numpy(),
                 "score": out["score"].to_numpy(),
-                "bucket": bucket_of(out["doc_id"], n_b).to_numpy(),
             }
         )
 
@@ -781,13 +701,8 @@ def tfidf_top_terms(sf_dir: str, k: int = _TFIDF_K):
             }
         )
 
-    return (
-        ds.map_batches(exact_tf, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(df_and_trim, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(rank_in_bucket, batch_format="pandas")
-    )
+    trimmed = keyed_fold(ds, df_and_trim, "token", rows=exact_tf)
+    return keyed_fold(trimmed, rank_in_bucket, "doc_id")
 
 
 _PACK_CONTEXT = 512  # tokens per training context window
@@ -1176,33 +1091,24 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
     Words are stored as space-joined symbol strings ending in the
     ``</w>`` marker. Columns: step, left, right, n — deterministic, so
     the oracle is a sequential recompute rendered as VALUES."""
-    from ..functions.bucketing import bucket_of, coalesce_blocks, default_buckets, typed_empty
-
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def word_partials(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return typed_empty(word=str, n="int64", bucket="int32")
+            return typed_empty(word=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame({"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
-        out["bucket"] = bucket_of(out["word"], n_b)
-        return out
+        return pd.DataFrame({"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
 
     def word_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(word=str, n="int64")
         g = df.groupby("word", sort=False)["n"].sum().reset_index()
         g["sym"] = [" ".join(list(w)) + " </w>" for w in g["word"]]
         return g[["sym", "n"]]
 
-    words = (
-        ds.map_batches(word_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(word_fold, batch_format="pandas")
-    )
-    words = coalesce_blocks(words)
+    words = coalesce_blocks(keyed_fold(
+        ds, word_fold, "word", rows=word_partials, empty=dict(sym=str, n="int64")
+    ))
+    pairs = dict(left=str, right=str, n="int64")
 
     def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -1213,7 +1119,7 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
             for a, b in zip(parts, parts[1:]):
                 c[(a, b)] += int(n)
         if not c:
-            return typed_empty(left=str, right=str, n="int64", bucket="int32")
+            return typed_empty(**pairs)
         out = pd.DataFrame(
             {
                 "left": [p[0] for p in c],
@@ -1222,7 +1128,6 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
             }
         )
         out["n"] = out["n"].astype("int64")
-        out["bucket"] = bucket_of(out["left"] + "\x00" + out["right"], n_b)
         return out
 
     def pair_fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -1230,8 +1135,6 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
         # one bucket, so in-bucket sums are exact and the global argmax
         # is among the bucket winners — a valid combiner that removes the
         # per-iteration global sort (the driver folds <= n_buckets rows)
-        if not len(df):
-            return typed_empty(left=str, right=str, n="int64")
         g = df.groupby(["left", "right"], sort=False)["n"].sum().reset_index()
         g = g.sort_values(
             ["n", "left", "right"], ascending=[False, True, True],
@@ -1241,12 +1144,9 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
 
     merges: list[dict] = []
     for step in range(1, n_merges + 1):
-        cand = (
-            words.map_batches(pair_partials, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(pair_fold, batch_format="pandas")
-            .to_pandas()
-        )
+        cand = keyed_fold(
+            words, pair_fold, ("left", "right"), rows=pair_partials, empty=pairs
+        ).to_pandas()
         if not len(cand):
             break
         cand = cand.sort_values(
@@ -1387,38 +1287,22 @@ def unigram_train(
     import math
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def word_partials(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return typed_empty(word=str, n="int64", bucket="int32")
+            return typed_empty(word=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
         )
-        out["bucket"] = bucket_of(out["word"], n_b)
-        return out
 
-    def word_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(word=str, n="int64")
-        return df.groupby("word", sort=False)["n"].sum().reset_index()
-
-    words = (
-        ds.map_batches(word_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(word_fold, batch_format="pandas")
-    )
-    words = coalesce_blocks(words)
+    words = coalesce_blocks(keyed_fold(
+        ds, sum_in_bucket("word", "n"), "word", rows=word_partials,
+        empty=dict(word=str, n="int64"),
+    ))
 
     # --- seed scores ------------------------------------------------------
     def seed_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -1432,20 +1316,17 @@ def unigram_train(
                 for b in range(a + 1, min(a + max_len, L) + 1):
                     c[w[a:b]] += n
         if not c:
-            return typed_empty(piece=str, score="int64", bucket="int32")
+            return typed_empty(piece=str, score="int64")
         out = pd.DataFrame(
             {"piece": list(c.keys()), "score": list(c.values())}
         )
         out["score"] = out["score"].astype("int64")
-        out["bucket"] = bucket_of(out["piece"], n_b)
         return out
 
     def seed_fold(df: pd.DataFrame) -> pd.DataFrame:
         # exact in-bucket sums; singles pass through whole, multis keep
         # only the bucket's top seed_multi (a valid partial top-k: the
         # global top-k is a subset of the per-bucket top-k union)
-        if not len(df):
-            return typed_empty(piece=str, score="int64")
         g = df.groupby("piece", sort=False)["score"].sum().reset_index()
         singles = g[g["piece"].str.len() == 1]
         multi = g[g["piece"].str.len() > 1]
@@ -1454,12 +1335,10 @@ def unigram_train(
         ).head(seed_multi)
         return pd.concat([singles, multi], ignore_index=True)
 
-    seeds = (
-        words.map_batches(seed_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(seed_fold, batch_format="pandas")
-        .to_pandas()
-    )
+    seeds = keyed_fold(
+        words, seed_fold, "piece", rows=seed_partials,
+        empty=dict(piece=str, score="int64"),
+    ).to_pandas()
     singles = seeds[seeds["piece"].str.len() == 1]
     multi = (
         seeds[seeds["piece"].str.len() > 1]
@@ -1486,30 +1365,22 @@ def unigram_train(
                 for piece in viterbi_segment(w, lp, max_len):
                     c[piece] += int(n)
             if not c:
-                return typed_empty(piece=str, n="int64", bucket="int32")
+                return typed_empty(piece=str, n="int64")
             out = pd.DataFrame({"piece": list(c.keys()), "n": list(c.values())})
             out["n"] = out["n"].astype("int64")
-            out["bucket"] = bucket_of(out["piece"], n_b)
             return out
 
         return estep
-
-    def count_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(piece=str, n="int64")
-        return df.groupby("piece", sort=False)["n"].sum().reset_index()
 
     import ray
 
     new_counts: dict = counts
     for _ in range(n_iters):
         lp_ref = ray.put(logp_of(new_counts))
-        got = (
-            words.map_batches(estep_partials_fn(lp_ref), batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(count_fold, batch_format="pandas")
-            .to_pandas()
-        )
+        got = keyed_fold(
+            words, sum_in_bucket("piece", "n"), "piece", rows=estep_partials_fn(lp_ref),
+            empty=dict(piece=str, n="int64"),
+        ).to_pandas()
         used = dict(zip(got["piece"], got["n"].astype(int)))
         # unused pieces stay in the vocab at count 0 until the prune
         new_counts = {s: used.get(s, 0) for s in new_counts}
@@ -1684,32 +1555,25 @@ def word_embeddings(
     import ray.data as rd
 
     from ..functions.broadcast import get_broadcast
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def count_partials(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return typed_empty(token=str, n="int64", bucket="int32")
+            return typed_empty(token=str, n="int64")
         vc = ex.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"token": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
         )
-        out["bucket"] = bucket_of(out["token"], n_b)
-        return out
 
     def top_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(token=str, n="int64")
         g = df.groupby("token", sort=False)["n"].sum().reset_index()
         return g.sort_values(["n", "token"], ascending=[False, True]).head(vocab_k)
 
     vocab_df = (
-        ds.map_batches(count_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(top_in_bucket, batch_format="pandas")
+        keyed_fold(ds, top_in_bucket, "token", rows=count_partials,
+                   empty=dict(token=str, n="int64"))
         .to_pandas()
         .sort_values(["n", "token"], ascending=[False, True], kind="mergesort")
         .head(vocab_k)
@@ -1851,9 +1715,7 @@ def source_quality_report(sf_dir: str):
     Per-batch integer partials (combiner) -> ONE tiny bucketed fold by
     source. Columns: source, n_docs, n_tokens, n_chars,
     mean_tokens_r, mean_distinct_ratio_r."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -1883,16 +1745,9 @@ def source_quality_report(sf_dir: str):
             .sum()
             .reset_index()
         )
-        g["bucket"] = bucket_of(g["source"], n_b)
         return g
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                source=str, n_docs="int64", n_tokens="int64",
-                n_chars="int64", mean_tokens_r="float64",
-                mean_distinct_ratio_r="float64",
-            )
         g = (
             df.groupby("source", sort=False)[
                 ["n_docs", "n_tokens", "n_chars", "ratio_ppm"]
@@ -1903,7 +1758,7 @@ def source_quality_report(sf_dir: str):
         for c in ("n_docs", "n_tokens", "n_chars"):
             g[c] = g[c].astype("int64")
         nd = g["n_docs"].to_numpy().astype("float64")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "source": g["source"],
                 "n_docs": g["n_docs"],
@@ -1918,12 +1773,11 @@ def source_quality_report(sf_dir: str):
                 ),
             }
         )
-        return out
 
-    return (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+    return keyed_fold(
+        ds, fold, "source", rows=partials,
+        empty=dict(source=str, n_docs="int64", n_tokens="int64", n_chars="int64",
+                   mean_tokens_r="float64", mean_distinct_ratio_r="float64"),
     )
 
 
@@ -1949,15 +1803,7 @@ def rank_blend(sf_dir: str):
     block-offset arange, driver folds only block COUNTS) + one bucketed
     co-group joining the two rank columns by doc_id. Columns: doc_id,
     r_quality, r_read, blend_rank. SQL-oracle-checked."""
-    from ..functions.bucketing import (
-        bucket_of,
-        coalesce_blocks,
-        default_buckets,
-        typed_empty,
-    )
     from ..functions.ranking import global_row_number
-
-    n_b = default_buckets()
 
     q = quality_score(sf_dir).select_columns(["doc_id", "distinct_ratio"])
     f = readability_scores(sf_dir).select_columns(["doc_id", "flesch_r"])
@@ -1969,44 +1815,34 @@ def rank_blend(sf_dir: str):
     )
 
     def tag1(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].astype("int64"),
                 "r_quality": df["r_quality"].astype("int64"),
                 "r_read": np.full(len(df), -1, dtype="int64"),
             }
         )
-        out["bucket"] = bucket_of(out["doc_id"], n_b)
-        return out
 
     def tag2(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].astype("int64"),
                 "r_quality": np.full(len(df), -1, dtype="int64"),
                 "r_read": df["r_read"].astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["doc_id"], n_b)
-        return out
 
     def join_ranks(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                doc_id="int64", r_quality="int64", r_read="int64", blend="int64"
-            )
         a = df[df["r_read"] == -1][["doc_id", "r_quality"]]
         b = df[df["r_quality"] == -1][["doc_id", "r_read"]]
         m = a.merge(b, on="doc_id", how="inner")
         m["blend"] = (m["r_quality"] + m["r_read"]).astype("int64")
         return m
 
-    joined = coalesce_blocks(
-        r1.map_batches(tag1, batch_format="pandas")
-        .union(r2.map_batches(tag2, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(join_ranks, batch_format="pandas")
-    )
+    joined = coalesce_blocks(keyed_fold(
+        (r1, r2), join_ranks, "doc_id", rows=(tag1, tag2),
+        empty=dict(doc_id="int64", r_quality="int64", r_read="int64", blend="int64"),
+    ))
     return global_row_number(
         joined,
         ["blend", "doc_id"],
@@ -2033,9 +1869,7 @@ def entropy_by_source(sf_dir: str):
     partials in the same group fn → bounded driver fold. Columns:
     source, n_tokens, n_distinct, entropy_r (round 6).
     SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -2043,17 +1877,12 @@ def entropy_by_source(sf_dir: str):
             "tok"
         ).dropna(subset=["tok"])
         if not len(ex):
-            return typed_empty(source=str, tok=str, n="int64", bucket="int32")
+            return typed_empty(source=str, tok=str, n="int64")
         g = ex.groupby(["source", "tok"], sort=False).size().reset_index(name="n")
         g["n"] = g["n"].astype("int64")
-        g["bucket"] = bucket_of(g["source"] + "\x1f" + g["tok"], n_b)
         return g
 
     def fold_tokens(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(
-                source=str, n_tok="int64", n_dist="int64", q="int64"
-            )
         g = df.groupby(["source", "tok"], sort=False)["n"].sum().reset_index()
         c = g["n"].to_numpy(dtype=np.float64)
         q = np.floor(c * np.log(c) * 1_000_000 + 0.5).astype(np.int64)
@@ -2067,20 +1896,13 @@ def entropy_by_source(sf_dir: str):
             per[col] = per[col].astype("int64")
         return per
 
-    parts = (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(fold_tokens, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_fold(
+        ds, fold_tokens, ("source", "tok"), rows=partial_counts,
+        empty=dict(source=str, n_tok="int64", n_dist="int64", q="int64"),
+    ).to_pandas()
     if not len(parts):
-        return pd.DataFrame(
-            {
-                "source": pd.Series([], dtype=str),
-                "n_tokens": pd.Series([], dtype="int64"),
-                "n_distinct": pd.Series([], dtype="int64"),
-                "entropy_r": pd.Series([], dtype="float64"),
-            }
+        return typed_empty(
+            source=str, n_tokens="int64", n_distinct="int64", entropy_r="float64"
         )
     agg = (
         parts.groupby("source", sort=False)
@@ -2202,33 +2024,20 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
     vocabulary-sized, so no broadcast); final per-batch top-k partials →
     bounded global sort+limit (the ngram_topk tail, ties → gram asc).
     Columns: gram, c12, c1, c2, pmi_r. SQL-oracle-checked."""
-    from ..functions.bucketing import bucket_of, default_buckets, typed_empty
 
-    n_b = default_buckets()
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def uni_partials(df: pd.DataFrame) -> pd.DataFrame:
         ex = df["text"].str.split().explode().dropna()
         if ex.empty:
-            return typed_empty(tok=str, c="int64", bucket="int32")
-        vc = ex.value_counts()
-        out = pd.DataFrame({"tok": vc.index, "c": vc.to_numpy().astype("int64")})
-        out["bucket"] = bucket_of(out["tok"], n_b)
-        return out
-
-    def uni_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
             return typed_empty(tok=str, c="int64")
-        g = df.groupby("tok", sort=False)["c"].sum().reset_index()
-        g["c"] = g["c"].astype("int64")
-        return g
+        vc = ex.value_counts()
+        return pd.DataFrame({"tok": vc.index, "c": vc.to_numpy().astype("int64")})
 
-    uni = (
-        ds.map_batches(uni_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(uni_fold, batch_format="pandas")
-        .materialize()
-    )
+    uni = keyed_fold(
+        ds, sum_in_bucket("tok", "c"), "tok", rows=uni_partials,
+        empty=dict(tok=str, c="int64"),
+    ).materialize()
     n_total = int(uni.sum("c", ignore_nulls=True) or 0)
 
     def big_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -2238,43 +2047,25 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
         )
         ex = grams.explode().dropna()
         if ex.empty:
-            return typed_empty(w1=str, w2=str, c12="int64", bucket="int32")
+            return typed_empty(w1=str, w2=str, c12="int64")
         vc = ex.value_counts()
         idx = vc.index.to_list()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "w1": [p[0] for p in idx],
                 "w2": [p[1] for p in idx],
                 "c12": vc.to_numpy().astype("int64"),
             }
         )
-        out["bucket"] = bucket_of(out["w1"] + "\x1f" + out["w2"], n_b)
-        return out
 
-    def big_fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return typed_empty(w1=str, w2=str, c12="int64")
-        g = df.groupby(["w1", "w2"], sort=False)["c12"].sum().reset_index()
-        g["c12"] = g["c12"].astype("int64")
-        return g
-
-    big = (
-        ds.map_batches(big_partials, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(big_fold, batch_format="pandas")
-        .materialize()
-    )
+    big = keyed_fold(
+        ds, sum_in_bucket(["w1", "w2"], "c12"), ("w1", "w2"), rows=big_partials,
+        empty=dict(w1=str, w2=str, c12="int64"),
+    ).materialize()
     b_total = int(big.sum("c12", ignore_nulls=True) or 0)
+    result = dict(gram=str, c12="int64", c1="int64", c2="int64", pmi_r="float64")
     if not n_total or not b_total:
-        return pd.DataFrame(
-            {
-                "gram": pd.Series([], dtype=str),
-                "c12": pd.Series([], dtype="int64"),
-                "c1": pd.Series([], dtype="int64"),
-                "c2": pd.Series([], dtype="int64"),
-                "pmi_r": pd.Series([], dtype="float64"),
-            }
-        )
+        return typed_empty(**result)
     survivors = big.filter(expr=f"c12 >= {int(min_count)}")
 
     def _attach(pairs_ds, key_col: str, out_col: str):
@@ -2282,8 +2073,7 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
             if not len(df):
                 return typed_empty(
                     key=str, w1=str, w2=str, c12="int64",
-                    c1="int64", c2="int64", c="int64",
-                    side="int64", bucket="int32",
+                    c1="int64", c2="int64", c="int64", side="int64",
                 )
             out = df.copy()
             for col in ("c1", "c2"):
@@ -2292,14 +2082,11 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
             out["key"] = out[key_col].astype(object)
             out["c"] = np.zeros(len(out), dtype="int64")
             out["side"] = np.zeros(len(out), dtype="int64")
-            out["bucket"] = bucket_of(out["key"], n_b)
-            return out[
-                ["key", "w1", "w2", "c12", "c1", "c2", "c", "side", "bucket"]
-            ]
+            return out[["key", "w1", "w2", "c12", "c1", "c2", "c", "side"]]
 
         def tag_uni(df: pd.DataFrame) -> pd.DataFrame:
             n = len(df)
-            out = pd.DataFrame(
+            return pd.DataFrame(
                 {
                     "key": df["tok"].astype(object),
                     "w1": np.full(n, "", dtype=object),
@@ -2311,14 +2098,8 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
                     "side": np.ones(n, dtype="int64"),
                 }
             )
-            out["bucket"] = bucket_of(out["key"], n_b)
-            return out
 
         def join_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return typed_empty(
-                    w1=str, w2=str, c12="int64", c1="int64", c2="int64"
-                )
             counts = (
                 df[df["side"] == 1].drop_duplicates("key").set_index("key")["c"]
             )
@@ -2326,11 +2107,9 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
             w[out_col] = w["key"].map(counts).fillna(0).astype("int64")
             return w[["w1", "w2", "c12", "c1", "c2"]].reset_index(drop=True)
 
-        tagged = pairs_ds.map_batches(tag_pairs, batch_format="pandas").union(
-            uni.map_batches(tag_uni, batch_format="pandas")
-        )
-        return tagged.groupby("bucket").map_groups(
-            join_in_bucket, batch_format="pandas"
+        return keyed_fold(
+            (pairs_ds, uni), join_in_bucket, "key", rows=(tag_pairs, tag_uni),
+            empty=dict(w1=str, w2=str, c12="int64", c1="int64", c2="int64"),
         )
 
     attached = _attach(_attach(survivors, "w1", "c1"), "w2", "c2")
