@@ -491,6 +491,75 @@ _WARC_FIXTURES = (
 )
 
 
+def _materialize_bytes(name: str, data: bytes) -> str:
+    """Write ``data`` once as ``{_ORACLE_MAT}/{sha1 prefix}/{name}``: the
+    cache is keyed on the bytes, so a changed fixture recipe never reads
+    a stale file (and the basename — the ``source_file`` column — stays
+    ``name``)."""
+    import hashlib
+    import os
+
+    d = f"{_ORACLE_MAT}/{hashlib.sha1(data).hexdigest()[:16]}"
+    out = f"{d}/{name}"
+    if not os.path.exists(out):
+        os.makedirs(d, exist_ok=True)
+        tmp = out + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, out)
+    return out
+
+
+def _tiny_png(width: int, height: int) -> bytes:
+    """A valid, deterministic RGB PNG of the given size (all black)."""
+    import struct
+    import zlib
+
+    def chunk(tag: bytes, data: bytes) -> bytes:
+        return (
+            struct.pack(">I", len(data)) + tag + data
+            + struct.pack(">I", zlib.crc32(tag + data))
+        )
+
+    rows = b"".join(b"\x00" + b"\x00" * 3 * width for _ in range(height))
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
+        + chunk(b"IDAT", zlib.compress(rows, 9))
+        + chunk(b"IEND", b"")
+    )
+
+
+def _synthetic_warc_bytes() -> bytes:
+    """The synthetic fallback WARC.gz: ``build_synthetic_warc_gz`` plus
+    one capture for each record-level query family it has nothing for —
+    an image (warc_media), a robots.txt (warc_robots), two responses
+    sharing a payload (warc_digest_dups) and a page with an absolute
+    link (warc_regex)."""
+    from webarchive_discovery_ray.oracle.warc_oracle import build_synthetic_warc_gz
+    from webarchive_discovery_ray.sources.warc import build_response_member
+
+    mirrored = b"<html><body><p>Mirrored notice.</p></body></html>"
+    return build_synthetic_warc_gz() + b"".join(
+        build_response_member(url, ts, 200, mime, payload)
+        for url, ts, mime, payload in (
+            ("http://site1.example.org/img/logo.png", "20160102030406",
+             "image/png", _tiny_png(3, 2)),
+            ("http://site1.example.org/robots.txt", "20160102030407",
+             "text/plain",
+             b"User-agent: *\nDisallow: /private/\nAllow: /private/open\n"
+             b"Crawl-delay: 2\nSitemap: http://site1.example.org/sitemap.xml\n"),
+            ("http://site2.example.org/notice", "20160102030408",
+             "text/html", mirrored),
+            ("http://site3.example.org/notice", "20160102030409",
+             "text/html", mirrored),
+            ("http://site4.example.org/links", "20160102030410", "text/html",
+             b'<html><body><a href="http://elsewhere.example.net/landing">'
+             b"away</a></body></html>"),
+        )
+    )
+
+
 def _warc_input_paths() -> list[str]:
     """Reference fixture (W)ARCs when the read-only reference tree is
     present; otherwise a deterministic synthetic WARC.gz (same bytes feed
@@ -501,18 +570,7 @@ def _warc_input_paths() -> list[str]:
     paths = [p for p in paths if os.path.exists(p)]
     if paths:
         return paths
-    out = f"{_ORACLE_MAT}/synthetic.warc.gz"
-    if not os.path.exists(out):
-        from webarchive_discovery_ray.oracle.warc_oracle import (
-            build_synthetic_warc_gz,
-        )
-
-        os.makedirs(_ORACLE_MAT, exist_ok=True)
-        tmp = out + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(build_synthetic_warc_gz())
-        os.replace(tmp, out)
-    return [out]
+    return [_materialize_bytes("synthetic.warc.gz", _synthetic_warc_bytes())]
 
 
 def _warc_extract(sf_dir: str):
@@ -2049,34 +2107,21 @@ def _warc_dedup_paths() -> list[str]:
     fixture plus three appended deterministic captures, two sharing a
     payload — a collection with REAL duplicates regardless of which
     fixture (reference or synthetic) is present."""
-    import os
-
+    from webarchive_discovery_ray.oracle.warc_oracle import build_synthetic_warc_gz
     from webarchive_discovery_ray.sources.warc import build_response_member
 
-    out = f"{_ORACLE_MAT}/dedup_input.warc.gz"
-    if not os.path.exists(out):
-        from webarchive_discovery_ray.oracle.warc_oracle import (
-            build_synthetic_warc_gz,
-        )
-
-        # synthetic base only: the reference fixture set mixes gzip and
-        # plain ARC files, which cannot concatenate into one member
-        # stream — and the dedup input must be ONE deterministic file
-        base = build_synthetic_warc_gz()
-        extra = (
-            build_response_member("http://dup.example/a", "20200101000000",
-                                  200, "text/html", b"<html>same body</html>")
-            + build_response_member("http://dup.example/b", "20200102000000",
-                                    200, "text/html", b"<html>same body</html>")
-            + build_response_member("http://uniq.example/c", "20200103000000",
-                                    200, "text/html", b"<html>other</html>")
-        )
-        os.makedirs(_ORACLE_MAT, exist_ok=True)
-        tmp = out + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(base + extra)
-        os.replace(tmp, out)
-    return [out]
+    # synthetic base only: the reference fixture set mixes gzip and
+    # plain ARC files, which cannot concatenate into one member
+    # stream — and the dedup input must be ONE deterministic file
+    extra = (
+        build_response_member("http://dup.example/a", "20200101000000",
+                              200, "text/html", b"<html>same body</html>")
+        + build_response_member("http://dup.example/b", "20200102000000",
+                                200, "text/html", b"<html>same body</html>")
+        + build_response_member("http://uniq.example/c", "20200103000000",
+                                200, "text/html", b"<html>other</html>")
+    )
+    return [_materialize_bytes("dedup_input.warc.gz", build_synthetic_warc_gz() + extra)]
 
 
 def _warc_dedup_census(sf_dir: str):

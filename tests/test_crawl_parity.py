@@ -48,7 +48,7 @@ def test_oracle_sanity(oracle_result):
 
 
 def test_ray_crawl_matches_oracle(ray_session, seeds, oracle_result):
-    got = run_crawl(seeds, CRAWL, SYN, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(seeds, CRAWL, SYN, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     exp = oracle_result
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
@@ -473,7 +473,7 @@ def test_closed_loop_crawl_byte_parity(ray_session):
     caps, ranks = _loop_captures_and_ranks()
     seed_rows = oracle_recrawl_seeds(caps, ranks)
     seeds = [(r["url"], int(r["priority"])) for r in seed_rows]
-    got = run_crawl(seeds, CRAWL, SYN, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(seeds, CRAWL, SYN, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     exp = oracle_crawl(seeds, CRAWL, SYN)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
@@ -552,7 +552,7 @@ def test_forced_spill_crawl_byte_parity(ray_session, seeds, oracle_result, tmp_p
         seen_spill_threshold=16,
         seen_spill_dir=spill_dir,
     )
-    got = run_crawl(seeds, cfg, SYN, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(seeds, cfg, SYN, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     exp = oracle_result
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
@@ -695,7 +695,7 @@ def test_crawl_delay_budget_byte_parity(ray_session):
     sds = seed_urls(syn, n_seeds=6)
     cfg = CrawlConfig(politeness_budget=3, max_waves=4, seen_shards=4)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -738,7 +738,7 @@ def test_sitemap_discovery_byte_parity(ray_session):
     sds = seed_urls(syn, n_seeds=6)
     cfg = CrawlConfig(politeness_budget=3, max_waves=5, seen_shards=4)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -774,7 +774,7 @@ def test_backoff_503_byte_parity_and_sensitivity(ray_session):
     cfg = CrawlConfig(politeness_budget=4, max_waves=6, seen_shards=4,
                       backoff_503=True)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -797,7 +797,7 @@ def test_backoff_503_byte_parity_and_sensitivity(ray_session):
     assert bitten, "no host demonstrably halved after a 5xx wave"
     off = run_crawl(
         sds, CrawlConfig(politeness_budget=4, max_waves=6, seen_shards=4),
-        syn, fetch_concurrency=2, fetch_batch_size=16, collect_log=True,
+        syn, fetch_concurrency=2, collect_log=True,
     )
     assert [_log_key(e) for e in off.fetch_log] != [
         _log_key(e) for e in got.fetch_log
@@ -812,14 +812,14 @@ def test_backoff_503_checkpoint_resume_identical(ray_session, tmp_path_factory):
     sds = seed_urls(syn, n_seeds=6)
     cfg = CrawlConfig(politeness_budget=4, max_waves=6, seen_shards=4,
                       backoff_503=True)
-    full = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    full = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                      collect_log=True, collect_seen=True)
     ckdir = str(tmp_path_factory.mktemp("backoff_ck"))
     cfg1 = CrawlConfig(politeness_budget=4, max_waves=3, seen_shards=4,
                        backoff_503=True)
-    run_crawl(sds, cfg1, syn, fetch_concurrency=2, fetch_batch_size=16,
+    run_crawl(sds, cfg1, syn, fetch_concurrency=2,
               checkpoint_dir=ckdir)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in full.fetch_log]
@@ -849,7 +849,7 @@ def test_robots_allow_longest_match_byte_parity(ray_session):
     sds = seed_urls(syn, n_seeds=8)
     cfg = CrawlConfig(politeness_budget=4, max_waves=5, seen_shards=4)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -907,7 +907,7 @@ def test_sitemap_index_recursion_byte_parity(ray_session):
     sds = seed_urls(syn, n_seeds=8)
     cfg = CrawlConfig(politeness_budget=3, max_waves=6, seen_shards=4)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -937,15 +937,15 @@ def test_sitemap_checkpoint_resume_identical(ray_session, tmp_path_factory):
     )
     sds = seed_urls(syn, n_seeds=6)
     cfg = CrawlConfig(politeness_budget=3, max_waves=5, seen_shards=4)
-    full = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    full = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                      collect_log=True, collect_seen=True)
     ckdir = str(tmp_path_factory.mktemp("sitemap_ck"))
     # phase 1: stop after wave 1 (robots of wave 0 known, sitemaps pending)
     cfg1 = CrawlConfig(politeness_budget=3, max_waves=2, seen_shards=4)
-    run_crawl(sds, cfg1, syn, fetch_concurrency=2, fetch_batch_size=16,
+    run_crawl(sds, cfg1, syn, fetch_concurrency=2,
               checkpoint_dir=ckdir)
     # phase 2: resume to completion
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in full.fetch_log]
@@ -988,7 +988,7 @@ def test_all_politeness_features_combined_resume(ray_session, tmp_path_factory):
 
     cfg = mk(6, spill, warc_full)
     exp = oracle_crawl(sds, cfg, syn)
-    full = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    full = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                      collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in full.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert full.seen_sorted == exp.seen_sorted
@@ -1003,9 +1003,9 @@ def test_all_politeness_features_combined_resume(ray_session, tmp_path_factory):
     spill2 = str(tmp_path_factory.mktemp("combined_spill2"))
     warc_res = str(tmp_path_factory.mktemp("combined_warc_res"))
     run_crawl(sds, mk(3, spill2, warc_res), syn, fetch_concurrency=2,
-              fetch_batch_size=16, checkpoint_dir=ckdir)
+              checkpoint_dir=ckdir)
     got = run_crawl(sds, mk(6, spill2, warc_res), syn, fetch_concurrency=2,
-                    fetch_batch_size=16, checkpoint_dir=ckdir, resume=True,
+                    checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in full.fetch_log]
     assert got.seen_sorted == full.seen_sorted
@@ -1035,7 +1035,7 @@ def test_nofollow_byte_parity(ray_session):
     cfg = CrawlConfig(politeness_budget=3, max_waves=4, seen_shards=4)
     sds = seed_urls(syn, n_seeds=6)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -1094,7 +1094,7 @@ def test_dedup_content_byte_parity(ray_session):
                       dedup_content=True)
     sds = seed_urls(syn, n_seeds=6)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -1155,14 +1155,14 @@ def test_dedup_content_checkpoint_resume_identical(ray_session, tmp_path_factory
     sds = seed_urls(syn, n_seeds=6)
     cfg = CrawlConfig(politeness_budget=3, max_waves=5, seen_shards=4,
                       dedup_content=True)
-    full = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    full = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                      collect_log=True, collect_seen=True)
     ckdir = str(tmp_path_factory.mktemp("dedup_ck"))
     cfg1 = CrawlConfig(politeness_budget=3, max_waves=2, seen_shards=4,
                        dedup_content=True)
-    run_crawl(sds, cfg1, syn, fetch_concurrency=2, fetch_batch_size=16,
+    run_crawl(sds, cfg1, syn, fetch_concurrency=2,
               checkpoint_dir=ckdir)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in full.fetch_log]
@@ -1375,7 +1375,7 @@ def test_retry_5xx_byte_parity_and_sensitivity(ray_session):
     cfg = CrawlConfig(politeness_budget=4, max_waves=6, seen_shards=4,
                       retry_5xx=2)
     exp = oracle_crawl(sds, cfg, syn)
-    got = run_crawl(sds, cfg, syn, fetch_concurrency=2, fetch_batch_size=16,
+    got = run_crawl(sds, cfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
@@ -1438,3 +1438,75 @@ def test_retry_composes_with_adaptive_and_backoff(ray_session):
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
     assert max(Counter(e["url"] for e in got.fetch_log).values()) <= 3
+
+
+def test_policy_state_checkpoint_roundtrip():
+    """PolicyState <-> robots.json body is lossless with all five
+    policies populated, also through the on-disk JSON encoding."""
+    import json
+
+    from webarchive_discovery_ray.pipelines.crawl import PolicyState
+
+    s = PolicyState(
+        scheduled={"a.example", "b.example"},
+        rules={"a.example": ["/private/", "crawl-delay:2"], "b.example": []},
+        backoff={"b.example"},
+        host_fetched={"a.example": 3, "b.example": 1},
+        last_dur={"a.example": 120, "b.example": 95},
+        retry_attempts={"example,a)/x": 1},
+        retry_pending=[("http://a.example/x", "example,a)/x", "a.example", 0, 1, 7)],
+    )
+    body = s.to_checkpoint()
+    assert list(body) == [
+        "scheduled", "rules", "backoff", "host_fetched",
+        "adaptive_last_dur", "retry_attempts", "retry_pending",
+    ]
+    assert PolicyState.from_checkpoint(body) == s
+    assert PolicyState.from_checkpoint(json.loads(json.dumps(body))) == s
+
+
+def test_pre_backoff_checkpoint_resumes_with_empty_policy_state(
+    ray_session, seeds, oracle_result, tmp_path_factory
+):
+    """A wave whose robots.json holds only ``scheduled`` and ``rules``
+    (the layout before the backoff/quota/adaptive/retry keys) loads as
+    empty policy state and resumes to the uninterrupted result."""
+    import json
+    import os
+
+    from webarchive_discovery_ray.pipelines.crawl import PolicyState
+    from webarchive_discovery_ray.state.checkpoint import (
+        latest_complete_wave,
+        load_wave_checkpoint,
+    )
+
+    ckpt = str(tmp_path_factory.mktemp("crawl_ckpt_pre_backoff"))
+    partial_cfg = CrawlConfig(
+        politeness_budget=CRAWL.politeness_budget, max_waves=2,
+        seen_shards=CRAWL.seen_shards,
+    )
+    run_crawl(seeds, partial_cfg, SYN, checkpoint_dir=ckpt, fetch_concurrency=2)
+    last = latest_complete_wave(ckpt)
+    path = os.path.join(ckpt, f"wave_{last:04d}", "robots.json")
+    with open(path) as f:
+        body = json.load(f)
+    with open(path, "w") as f:
+        json.dump({"scheduled": body["scheduled"], "rules": body["rules"]}, f)
+    policy = PolicyState.from_checkpoint(load_wave_checkpoint(ckpt, last)["policy"])
+    assert policy == PolicyState(
+        scheduled=set(body["scheduled"]), rules=body["rules"]
+    )
+    all_on = CrawlConfig(
+        backoff_503=True, max_pages_per_host=10, adaptive_politeness=True,
+        retry_5xx=1,
+    )
+    on = policy.configured(all_on)
+    assert (on.backoff, on.host_fetched, on.last_dur, on.retry_attempts,
+            on.retry_pending) == (set(), {}, {}, {}, [])
+    resumed = run_crawl(
+        seeds, CRAWL, SYN, checkpoint_dir=ckpt, resume=True, fetch_concurrency=2,
+        collect_log=True, collect_seen=True,
+    )
+    exp = oracle_result
+    assert [_log_key(e) for e in resumed.fetch_log] == [_log_key(e) for e in exp.fetch_log]
+    assert resumed.seen_sorted == exp.seen_sorted

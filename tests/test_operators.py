@@ -1494,7 +1494,8 @@ def test_host_components_crafted_graph(ray_session):
 
 def test_crawl_lineage_table(ray_session, tmp_path):
     """The lineage table carries one row per complete wave with monotone
-    seq watermarks and fetch counts matching the manifests."""
+    seq watermarks, fetch counts matching the manifests, and the wave's
+    phase timings."""
     import json
     import os
 
@@ -1519,11 +1520,17 @@ def test_crawl_lineage_table(ray_session, tmp_path):
     assert list(df["wave"]) == waves
     assert (df["seq"].diff().dropna() >= 0).all()  # monotone watermark
     for _, row in df.iterrows():
+        # iterrows upcasts a row to float once float (phase) columns exist
         m = json.load(
-            open(os.path.join(ckpt, f"wave_{row['wave']:04d}", "manifest.json"))
+            open(os.path.join(ckpt, f"wave_{int(row['wave']):04d}", "manifest.json"))
         )
         assert row["n_fetched"] == m["n_fetched"]
     assert df["n_fetched"].sum() > 0
+    # per-wave driver phase seconds, always recorded
+    for phase in ("robots", "assemble", "exec", "split", "log", "discovery"):
+        col = f"stat_phase_{phase}_s"
+        assert col in df.columns
+        assert (df[col] >= 0).all()
 
 
 def test_gram_novelty_matches_sequential_reference(ray_session):

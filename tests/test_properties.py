@@ -171,6 +171,7 @@ def test_simhash_order_independent(tokens):
 
 # --- crawl-plane primitives --------------------------------------------------
 
+from webarchive_discovery_ray.config import CrawlConfig
 from webarchive_discovery_ray.pipelines.crawl import (
     _make_drain_fn,
     _partition_by_host,
@@ -226,7 +227,7 @@ def test_drain_budget_and_order(rows, budget):
             "surt": [f"{h})/{i}" for i, (h, _) in enumerate(rows)],
         }
     )
-    out = _make_drain_fn(budget, None)(df)
+    out = _make_drain_fn(CrawlConfig(politeness_budget=budget))(df)
     sel = out[out["selected"]]
     # politeness bound
     assert (sel.groupby("host").size() <= budget).all()

@@ -69,8 +69,8 @@ class CrawlConfig:
     * 5xx backoff (backoff_503): a host serving any status>=500 response
       in wave W fetches at ``max(1, effective_budget // 2)`` in wave W+1
       only — the transient-overload half of the token bucket (the
-      backoff host set rides its own small broadcast + checkpoint field,
-      never a robots-rules re-ship);
+      backoff host set is a field of the crawl's one per-host policy
+      state, pipelines/crawl.PolicyState);
     * robots ``Allow:`` prefixes (RFC 9309 §2.2.2) participate in a
       longest-match verdict against the Disallow prefixes (tie → Allow;
       no match → allowed) — with no Allow lines this is exactly the old
@@ -134,10 +134,9 @@ class CrawlConfig:
     # Crawl-delay shrink and the 5xx halving, BEFORE the quota cap
     # (pinned order, mirrored in the oracle). Fetch durations come from
     # state/robots.fetch_duration_ms (the synthetic world's
-    # deterministic clock). Last-duration state is a per-host dict
-    # folded from split metas (robots-rules discipline, bounded by
-    # |hosts|), broadcast per wave, checkpointed and restored. Default
-    # OFF: fixtures byte-identical.
+    # deterministic clock). Last-duration state is a per-host dict in
+    # pipelines/crawl.PolicyState (bounded by |hosts|). Default OFF:
+    # fixtures byte-identical.
     # 5xx fetch retries (the Heritrix fetch-retry schedule mapped onto
     # waves): a SELECTED fetch that returns status >= 500 re-enters the
     # NEXT wave's frontier with its original (priority, hop, seq) — the
@@ -145,8 +144,9 @@ class CrawlConfig:
     # additional attempts per surt. Retries drain under the normal
     # politeness chain (incl. the 5xx backoff halving, if on), consume
     # per-host quota (a fetch is a fetch) and log one fetch-log row per
-    # attempt. Pending retry rows + per-surt attempt counts are
-    # checkpointed. Default None: fixtures byte-identical.
+    # attempt. Pending retry rows + per-surt attempt counts live in
+    # pipelines/crawl.PolicyState (checkpointed with it). Default None:
+    # fixtures byte-identical.
     retry_5xx: int | None = None
     adaptive_politeness: bool = False
     adaptive_delay_factor_permil: int = 5000  # Heritrix delayFactor 5.0
@@ -184,10 +184,9 @@ class CrawlConfig:
     # whole crawl (robots/sitemap fetches count — a fetch is a fetch),
     # the host retires — its queued rows are DROPPED at the next drain
     # (not carried), and a wave's effective budget is capped at the
-    # host's remaining quota. Quota state is a per-host counter folded
-    # from split metas (the robots-rules driver-dict discipline, bounded
-    # by |hosts|), broadcast per wave, checkpointed and restored.
-    # Default None: fixtures byte-identical.
+    # host's remaining quota. Quota state is a per-host counter in
+    # pipelines/crawl.PolicyState (bounded by |hosts|). Default None:
+    # fixtures byte-identical.
     max_pages_per_host: int | None = None
     # crawl-end fragment compaction (sources/sinks.maybe_compact_fragments):
     # when docs_dir holds more than this many parquet fragments at crawl

@@ -37,8 +37,13 @@ Per wave:
    from per-range offsets, and hash-partition their slice — the next
    wave's assembly consumes the per-(range, part) outputs by reference.
    The per-wave fetch-log concat/sort/build runs fully OFF the critical
-   path (wave counts and robots rules come from the split metas; one
-   durability barrier at crawl end joins the streamed log writes).
+   path (wave counts and policy observations come from the split
+   metas; one durability barrier at crawl end joins the streamed log
+   writes).
+
+The cross-wave per-host policy state (robots, 5xx backoff, quota,
+adaptive delay, 5xx retries) is one :class:`PolicyState`: one broadcast
+per wave, one fold on the driver, one ``robots.json`` in the checkpoint.
 
 Crawl ordering and the final seen set are byte-identical to
 ``oracle/crawl_oracle.py`` under the same seed list + politeness budget
@@ -54,7 +59,7 @@ O(winners + fetched), independent of frontier size.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
@@ -341,102 +346,211 @@ def _robots_drop(df: pd.DataFrame, robots_rules: dict[str, list[str]]) -> pd.Dat
     return df.drop(index=drop_idx) if len(drop_idx) else df
 
 
-def _acfg_of(ccfg: CrawlConfig) -> tuple:
-    """The four adaptive-politeness integers as a positional tuple for
-    adaptive_budget_cap (ships in task args beside the boxed dict)."""
-    return (
-        ccfg.adaptive_delay_factor_permil,
-        ccfg.adaptive_min_delay_ms,
-        ccfg.adaptive_max_delay_ms,
-        ccfg.adaptive_wave_window_ms,
-    )
+@dataclass
+class PolicyState:
+    """The crawl's cross-wave per-host policy state, in one object.
+
+    Fields: robots (``scheduled`` hosts whose robots.txt was injected,
+    parsed ``rules`` per host); the 5xx-``backoff`` hosts of the last
+    wave; per-host ``host_fetched`` counts (max_pages_per_host quota);
+    adaptive ``last_dur`` (each host's last fetch duration, ms); 5xx
+    ``retry_attempts`` per surt and the ``retry_pending`` frontier rows
+    re-injected next wave. An optional policy's dict is None while its
+    knob is off (robots.json stores ``null``; see :meth:`configured`).
+
+    Each wave the driver ``ray.put``s ONE :meth:`drain_view`, every
+    drain asks it for :meth:`budgets`, every split task reports its
+    block's :meth:`observe` in the split meta, the driver applies
+    :meth:`fold` to the wave's observations, and the checkpoint stores
+    :meth:`to_checkpoint` as ``robots.json``. A new policy touches four
+    places here — a field, ``observe``, ``fold`` and ``budgets`` (plus
+    its key in ``to_checkpoint``/``from_checkpoint``) — then its knob in
+    ``CrawlConfig`` and its rule in ``oracle/crawl_oracle.py``; the wave
+    loop, the drain tasks and the checkpoint module stay as they are."""
+
+    scheduled: set[str] = field(default_factory=set)
+    rules: dict[str, list[str]] = field(default_factory=dict)
+    backoff: set[str] = field(default_factory=set)
+    host_fetched: dict[str, int] | None = None
+    last_dur: dict[str, int] | None = None
+    retry_attempts: dict[str, int] | None = None
+    retry_pending: list[tuple] = field(default_factory=list)
+
+    def configured(self, ccfg: CrawlConfig) -> "PolicyState":
+        """This state with each optional policy's dict present exactly
+        when ``ccfg`` turns the policy on."""
+
+        def on(flag, d):
+            return (d if d is not None else {}) if flag else None
+
+        return replace(
+            self,
+            host_fetched=on(ccfg.max_pages_per_host is not None, self.host_fetched),
+            last_dur=on(ccfg.adaptive_politeness, self.last_dur),
+            retry_attempts=on(bool(ccfg.retry_5xx), self.retry_attempts),
+        )
+
+    def drain_view(self) -> "PolicyState":
+        """The part the drains read — the wave's one policy broadcast."""
+        return PolicyState(
+            rules=self.rules, backoff=self.backoff,
+            host_fetched=self.host_fetched, last_dur=self.last_dur,
+        )
+
+    def budgets(self, hosts: pd.Series, ccfg: CrawlConfig) -> np.ndarray:
+        """Per-row effective politeness budget, computed once per UNIQUE
+        host. Pinned chain (mirrored in the oracle): the Crawl-delay rule
+        (state/robots.effective_budget), the one-wave 5xx backoff halving
+        ``max(1, eff // 2)``, the adaptive cap, then the
+        max_pages_per_host quota — a value <= 0 marks the host RETIRED."""
+        budget, quota = ccfg.politeness_budget, ccfg.max_pages_per_host
+        backoff = self.backoff if ccfg.backoff_503 else ()
+        last_dur = self.last_dur if ccfg.adaptive_politeness else None
+        if not (self.rules or backoff or last_dur) and quota is None:
+            return np.full(len(hosts), budget, dtype=np.int64)
+        m = {}
+        for h in hosts.unique():
+            eff = effective_budget(budget, self.rules.get(h)) if self.rules else budget
+            if h in backoff:
+                eff = max(1, eff // 2)
+            if last_dur and h in last_dur:
+                eff = min(eff, adaptive_budget_cap(
+                    last_dur[h], ccfg.adaptive_delay_factor_permil,
+                    ccfg.adaptive_min_delay_ms, ccfg.adaptive_max_delay_ms,
+                    ccfg.adaptive_wave_window_ms,
+                ))
+            if quota is not None:
+                eff = min(eff, quota - (self.host_fetched or {}).get(h, 0))
+            m[h] = eff
+        return hosts.map(m).to_numpy(dtype=np.int64)
+
+    @staticmethod
+    def observe(fetched: pa.Table) -> dict:
+        """One fetch block's policy observations, carried back in its
+        split meta. Tiny: bounded by the block's hosts and 5xx rows."""
+        import pyarrow.compute as pc
+
+        hits = fetched.filter(
+            pc.and_(fetched["is_robots"], pc.equal(fetched["fetch_status"], 200))
+        )
+        errs = fetched.filter(pc.greater_equal(fetched["fetch_status"], 500))
+        hosts = fetched["fetch_host"].to_pylist()
+        counts = pd.Series(hosts).value_counts()
+        fd = pd.DataFrame(
+            {"h": hosts, "sl": fetched["slot"].to_pylist(),
+             "d": fetched["fetch_ms"].to_pylist()}
+        )
+        last = fd.loc[fd.groupby("h")["sl"].idxmax()]
+        return {
+            "robots": list(
+                zip(hits["fetch_host"].to_pylist(), hits["robots_rules"].to_pylist())
+            ),
+            "backoff": sorted(set(errs["fetch_host"].to_pylist())),
+            "host_counts": list(
+                zip(counts.index.tolist(), counts.to_numpy().astype(int).tolist())
+            ),
+            "last_dur": list(zip(last["h"].tolist(), last["d"].astype(int).tolist())),
+            # the failed rows' frontier identity, for retry_5xx
+            "retry": list(zip(*(errs[c].to_pylist() for c in FRONTIER_SCHEMA.names))),
+        }
+
+    def fold(self, observations: list, ccfg: CrawlConfig) -> dict[str, list[str]]:
+        """Fold one wave's block observations (in block order) into the
+        state; effective from the next wave's drain. Returns the robots
+        rules that arrived this wave."""
+        obs = [o for o in observations if o is not None]
+        new_rules = {h: list(r) for o in obs for h, r in o["robots"]}
+        self.rules.update(new_rules)
+        if ccfg.backoff_503:
+            # one-wave state: REPLACED each wave (a clean wave recovers)
+            self.backoff = {h for o in obs for h in o["backoff"]}
+        for o in obs:
+            if ccfg.max_pages_per_host is not None:
+                # quota counters: cumulative (the oracle's post-drain
+                # increment timing)
+                for h, n in o["host_counts"]:
+                    self.host_fetched[h] = self.host_fetched.get(h, 0) + int(n)
+            if ccfg.retry_5xx:
+                # re-inject next wave, up to retry_5xx extra attempts per
+                # surt (order irrelevant: the drain re-sorts per host)
+                for row in o["retry"]:
+                    a = self.retry_attempts.get(row[1], 0)
+                    if a < ccfg.retry_5xx:
+                        self.retry_attempts[row[1]] = a + 1
+                        self.retry_pending.append(tuple(row))
+            if ccfg.adaptive_politeness:
+                # this wave's value REPLACES the host's entry; hosts that
+                # did not fetch keep theirs (a host lives in one block)
+                for h, d in o["last_dur"]:
+                    self.last_dur[h] = int(d)
+        return new_rules
+
+    def to_checkpoint(self) -> dict:
+        """The ``robots.json`` body (key order and encoding pinned)."""
+        return {
+            "scheduled": sorted(self.scheduled),
+            "rules": self.rules,
+            "backoff": sorted(self.backoff),
+            "host_fetched": self.host_fetched,
+            "adaptive_last_dur": self.last_dur,
+            "retry_attempts": self.retry_attempts,
+            "retry_pending": (
+                None if self.retry_attempts is None
+                else [list(r) for r in self.retry_pending]
+            ),
+        }
+
+    @classmethod
+    def from_checkpoint(cls, body: dict) -> "PolicyState":
+        """Inverse of :meth:`to_checkpoint`; keys a pre-backoff
+        ``robots.json`` lacks come back empty."""
+        return cls(
+            scheduled=set(body["scheduled"]),
+            rules={h: list(r) for h, r in body["rules"].items()},
+            backoff=set(body.get("backoff", ())),
+            host_fetched=body.get("host_fetched"),
+            last_dur=body.get("adaptive_last_dur"),
+            retry_attempts=body.get("retry_attempts"),
+            retry_pending=[tuple(r) for r in body.get("retry_pending") or ()],
+        )
 
 
-def _make_drain_fn(budget: int, rules_ref, backoff_ref=None, quota_ref=None,
-                   max_pages: int | None = None, adaptive_ref=None,
-                   acfg: tuple | None = None):
-    """Vectorized politeness drain over a host-hash-partitioned block.
-
-    The block holds every (surviving) row of each host it contains, so
-    per-host queues are complete: order by (priority, seq), drop
-    robots-Disallowed rows, then ``cumcount`` assigns slots — first
-    ``budget`` per host are selected, the rest carry over.
-
-    ``rules_ref`` is an ObjectRef to the robots-rules dict: embedding the
-    dict in the task closure re-serializes it into EVERY task submission
-    (at 50k ruled hosts that dominates the wave's driver time); the ref
-    deserializes once per worker via the broadcast cache."""
+def _policy_of(boxed) -> PolicyState:
+    """Resolve the wave's boxed policy ref (``[ref]``: boxed so it
+    deserializes once per worker via the broadcast cache, not per task)."""
     from ..functions.broadcast import get_broadcast
 
+    return get_broadcast(boxed[0]) if boxed else PolicyState()
+
+
+def _drain_order(df: pd.DataFrame, ccfg: CrawlConfig, policy: PolicyState):
+    """The politeness drain over complete host groups, shared by the
+    fused drain and the salted pre-drain: order each host's queue by
+    (priority, seq, surt), drop robots-Disallowed rows and (under a
+    quota) every row of a retired host, then rank rows per host. Returns
+    ``(df, selected, rank)``: the first ``budget`` rows of each host are
+    selected, the rest carry over."""
+    df = df.sort_values(["host", "priority", "seq", "surt"], kind="mergesort")
+    df = _robots_drop(df, policy.rules)
+    budgets = policy.budgets(df["host"], ccfg)
+    if ccfg.max_pages_per_host is not None:
+        # retired hosts (no quota left) leave the frontier entirely
+        keep = budgets > 0
+        if not keep.all():
+            df, budgets = df[keep], budgets[keep]
+    ranks = df.groupby("host", sort=False).cumcount().to_numpy()
+    return df, ranks < budgets, ranks
+
+
+def _make_drain_fn(ccfg: CrawlConfig, policy_boxed=None):
+    """Vectorized politeness drain over a host-hash-partitioned block
+    (complete host groups): assigns ``slot`` / ``selected``."""
+
     def drain(df: pd.DataFrame) -> pd.DataFrame:
-        robots_rules = get_broadcast(rules_ref) if rules_ref is not None else {}
-        backoff = (
-            get_broadcast(backoff_ref) if backoff_ref is not None else None
-        )
-        fetched = get_broadcast(quota_ref) if quota_ref is not None else None
-        last_dur = (
-            get_broadcast(adaptive_ref) if adaptive_ref is not None else None
-        )
-        df = df.sort_values(
-            ["host", "priority", "seq", "surt"], kind="mergesort"
-        )
-        df = _robots_drop(df, robots_rules)
-        budgets = _host_budgets(
-            df["host"], budget, robots_rules, backoff, fetched, max_pages,
-            last_dur, acfg,
-        )
-        if max_pages is not None:
-            # retired hosts (no quota left): their rows leave the
-            # frontier entirely — not fetched, not carried
-            keep = budgets > 0
-            if not keep.all():
-                df = df[keep]
-                budgets = budgets[keep]
-        slots = df.groupby("host", sort=False).cumcount().to_numpy()
-        return df.assign(
-            slot=np.where(slots < budgets, slots, -1).astype("int32"),
-            selected=slots < budgets,
-        )
+        df, sel, ranks = _drain_order(df, ccfg, _policy_of(policy_boxed))
+        return df.assign(slot=np.where(sel, ranks, -1).astype("int32"), selected=sel)
 
     return drain
-
-
-def _host_budgets(
-    hosts: pd.Series,
-    budget: int,
-    robots_rules: dict,
-    backoff=None,
-    fetched: dict | None = None,
-    max_pages: int | None = None,
-    last_dur: dict | None = None,
-    acfg: tuple | None = None,
-) -> np.ndarray:
-    """Per-row effective politeness budget (Crawl-delay rule, pinned in
-    state/robots.effective_budget, then the one-wave 5xx backoff halving
-    ``max(1, eff // 2)``, then the max_pages_per_host quota cap — a
-    value <= 0 marks the host RETIRED) — computed once per UNIQUE host
-    in the block, then broadcast to rows."""
-    if (
-        not robots_rules
-        and not backoff
-        and max_pages is None
-        and not last_dur
-    ):
-        return np.full(len(hosts), budget, dtype=np.int64)
-    uniq = hosts.unique()
-    m = {}
-    for h in uniq:
-        eff = effective_budget(budget, robots_rules.get(h)) if robots_rules else budget
-        if backoff and h in backoff:
-            eff = max(1, eff // 2)
-        if last_dur and h in last_dur:
-            # adaptive politeness cap (pinned order: after Crawl-delay
-            # + 5xx, before quota — mirrored in the oracle)
-            eff = min(eff, adaptive_budget_cap(last_dur[h], *acfg))
-        if max_pages is not None:
-            eff = min(eff, max_pages - (fetched or {}).get(h, 0))
-        m[h] = eff
-    return hosts.map(m).to_numpy(dtype=np.int64)
 
 
 def _partition_by_host(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
@@ -713,70 +827,38 @@ def _salt_split(tbl: pa.Table, n_sub: int) -> list[pa.Table]:
 
 
 @_ray.remote(num_returns=2)
-def _pre_drain(tbl: pa.Table, budget: int, rules_boxed, backoff_boxed=None,
-               quota_boxed=None, max_pages: int | None = None,
-               adaptive_boxed=None, acfg: tuple | None = None):
-    """Salted phase-1 drain over ONE sub-block of a hot partition: apply
-    the robots drop (same rule as the main drain — dropped rows leave the
-    frontier), then keep each host's top ``budget`` rows by the global
-    (priority, seq) order as SURVIVORS; the rest carry over directly.
+def _pre_drain(tbl: pa.Table, ccfg: CrawlConfig, policy_boxed):
+    """Salted phase-1 drain over ONE sub-block of a hot partition: the
+    main drain's order, robots drop and quota retirement (dropped rows
+    leave the frontier), then each host's top ``budget`` rows by the
+    global (priority, seq) order SURVIVE; the rest carry over directly.
     Parity: a row selected by the global drain ranks < budget in any
     subset containing it, so the union of sub-block survivors contains
     every globally selected row, and the final drain over survivors
-    assigns identical slots. ``rules_boxed`` is ``[rules_ref]`` or None —
-    boxed so the dict deserializes once per worker via the broadcast
-    cache, not once per task."""
-    from ..functions.broadcast import get_broadcast
-
+    assigns identical slots."""
     if tbl.num_rows == 0:
         return tbl, tbl
-    robots_rules = get_broadcast(rules_boxed[0]) if rules_boxed else {}
-    backoff = get_broadcast(backoff_boxed[0]) if backoff_boxed else None
-    fetched = get_broadcast(quota_boxed[0]) if quota_boxed else None
-    last_dur = get_broadcast(adaptive_boxed[0]) if adaptive_boxed else None
-    df = tbl.to_pandas()
-    df = df.sort_values(["host", "priority", "seq", "surt"], kind="mergesort")
-    df = _robots_drop(df, robots_rules)
-    ranks = df.groupby("host", sort=False).cumcount().to_numpy()
-    budgets = _host_budgets(
-        df["host"], budget, robots_rules, backoff, fetched, max_pages,
-        last_dur, acfg,
-    )
-    survive = ranks < budgets
-    # quota parity: the final drain DROPS retired-host rows, so the
-    # salted pre-drain must not carry them either
-    carry_mask = ~survive if max_pages is None else (~survive) & (budgets > 0)
+    df, sel, _ = _drain_order(tbl.to_pandas(), ccfg, _policy_of(policy_boxed))
     cols = ["url", "surt", "host", "priority", "hop", "seq", "part"]
-    sv = pa.Table.from_pandas(df.loc[survive, cols], preserve_index=False)
-    cr = pa.Table.from_pandas(df.loc[carry_mask, cols], preserve_index=False)
+    sv = pa.Table.from_pandas(df.loc[sel, cols], preserve_index=False)
+    cr = pa.Table.from_pandas(df.loc[~sel, cols], preserve_index=False)
     return sv.cast(PART_SCHEMA), cr.cast(PART_SCHEMA)
 
 
 @_ray.remote
 def _drain_fetch(
     tbl: pa.Table,
-    budget: int,
-    rules_boxed,
+    policy_boxed,
     scfg: SyntheticConfig,
     icfg,
     wave: int,
     ccfg: CrawlConfig,
     docs_dir: str | None,
-    backoff_boxed=None,
-    quota_boxed=None,
-    adaptive_boxed=None,
 ) -> pa.Table:
     """Fused politeness drain + fetch/extract for ONE frontier block (the
     block holds complete host groups, so the drain's per-host queues are
-    whole). Robots rules arrive boxed (once-per-worker broadcast)."""
-    rules_ref = rules_boxed[0] if rules_boxed else None
-    backoff_ref = backoff_boxed[0] if backoff_boxed else None
-    quota_ref = quota_boxed[0] if quota_boxed else None
-    adaptive_ref = adaptive_boxed[0] if adaptive_boxed else None
-    drained = _make_drain_fn(
-        budget, rules_ref, backoff_ref, quota_ref, ccfg.max_pages_per_host,
-        adaptive_ref, _acfg_of(ccfg),
-    )(tbl.to_pandas())
+    whole)."""
+    drained = _make_drain_fn(ccfg, policy_boxed)(tbl.to_pandas())
     stage = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)
     return stage(pa.Table.from_pandas(drained, preserve_index=False))
 
@@ -889,68 +971,29 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
     untouched, duplicates just discover nothing."""
     import pyarrow.compute as pc
 
-    empty = (
-        {
-            "part": -1,
-            "cand_rows": 0,
-            "fetched_rows": 0,
-            "robots": [],
-            "backoff": [],
-            "host_counts": [],
-            "last_dur": [],
-            "retry": [],
-        },
-        FRONTIER_SCHEMA.empty_table(),
-        OUT_SCHEMA.empty_table().select(_PULL_COLS),
-        CAND_SCHEMA.empty_table(),
-    )
     if tbl.num_rows == 0 or "selected" not in tbl.column_names:
-        return empty  # empty input parts pass through the maps untouched
+        # empty input parts pass through the maps untouched
+        return (
+            {"part": -1, "cand_rows": 0, "fetched_rows": 0, "policy": None},
+            FRONTIER_SCHEMA.empty_table(),
+            OUT_SCHEMA.empty_table().select(_PULL_COLS),
+            CAND_SCHEMA.empty_table(),
+        )
     part = int(tbl["part"][0].as_py())
     sel = tbl["selected"]
     carry = tbl.filter(pc.invert(sel)).select(
         ["url", "surt", "host", "priority", "hop", "seq", "part"]
     )
     fetched = tbl.filter(sel)
-    # robots hits ride back in the meta dict (tiny): the driver needs the
-    # wave's parsed rules for the NEXT wave's drain without joining on the
+    # the block's policy observations ride back in the tiny meta: the
+    # driver folds them for the NEXT wave's drain without joining on the
     # fetch-log finalize chain
-    hits = fetched.filter(
-        pc.and_(fetched["is_robots"], pc.equal(fetched["fetch_status"], 200))
-    )
-    robots_pairs = list(
-        zip(hits["fetch_host"].to_pylist(), hits["robots_rules"].to_pylist())
-    )
-    # 5xx backoff hosts ride the same tiny meta (unique hosts that served
-    # any status >= 500 this wave in this part)
-    errs = fetched.filter(pc.greater_equal(fetched["fetch_status"], 500))
-    backoff_hosts = sorted(set(errs["fetch_host"].to_pylist()))
-    # 5xx retry carriers (ccfg.retry_5xx): the failed rows' frontier
-    # identity — bounded by failures-in-block, the backoff meta class
-    retry_rows = list(
-        zip(
-            errs["url"].to_pylist(), errs["surt"].to_pylist(),
-            errs["host"].to_pylist(), errs["priority"].to_pylist(),
-            errs["hop"].to_pylist(), errs["seq"].to_pylist(),
-        )
-    )
-    # per-host fetched counts (max_pages_per_host quota fold): tiny —
-    # bounded by hosts-in-block, the robots_pairs meta discipline
-    _hc = pd.Series(fetched["fetch_host"].to_pylist()).value_counts()
-    host_counts = list(zip(_hc.index.tolist(), _hc.to_numpy().astype(int).tolist()))
-    # adaptive-politeness fold: each host's LAST-slot fetch duration
-    # (tiny — bounded by hosts-in-block, the robots_pairs discipline)
-    _fd = pd.DataFrame(
-        {
-            "h": fetched["fetch_host"].to_pylist(),
-            "sl": fetched["slot"].to_pylist(),
-            "d": fetched["fetch_ms"].to_pylist(),
-        }
-    )
-    _li = _fd.groupby("h")["sl"].idxmax()
-    last_dur_pairs = list(
-        zip(_fd.loc[_li, "h"].tolist(), _fd.loc[_li, "d"].astype(int).tolist())
-    )
+    meta = {
+        "part": part,
+        "cand_rows": 0,
+        "fetched_rows": fetched.num_rows,
+        "policy": PolicyState.observe(fetched),
+    }
     # duplicate-content suppression: candidates flatten from cand_src,
     # which drops the gate's loser rows (fetched itself is unchanged)
     cand_src = fetched
@@ -976,21 +1019,7 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
     lengths = pc.list_value_length(cand_col).to_numpy().astype(np.int64)
     total = int(lengths.sum())
     if total == 0:
-        return (
-            {
-                "part": part,
-                "cand_rows": 0,
-                "fetched_rows": fetched.num_rows,
-                "robots": robots_pairs,
-                "backoff": backoff_hosts,
-                "host_counts": host_counts,
-                "last_dur": last_dur_pairs,
-                "retry": retry_rows,
-            },
-            carry,
-            fetched.select(_PULL_COLS),
-            CAND_SCHEMA.empty_table(),
-        )
+        return meta, carry, fetched.select(_PULL_COLS), CAND_SCHEMA.empty_table()
     parents = pc.list_parent_indices(cand_col)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     surts = pc.list_flatten(cand_src["cand_surts"].combine_chunks())
@@ -1024,45 +1053,23 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
     order = np.argsort(shards_arr, kind="stable")
     cand = cand.take(pa.array(order))
     sorted_shards = shards_arr[order]
-    bounds = np.searchsorted(sorted_shards, np.arange(n_shards + 1)).tolist()
-    return (
-        {
-            "part": part,
-            "cand_rows": total,
-            "fetched_rows": fetched.num_rows,
-            "shard_bounds": bounds,
-            "robots": robots_pairs,
-            "backoff": backoff_hosts,
-            "host_counts": host_counts,
-            "last_dur": last_dur_pairs,
-            "retry": retry_rows,
-        },
-        carry,
-        fetched.select(_PULL_COLS),
-        cand,
+    meta.update(
+        cand_rows=total,
+        shard_bounds=np.searchsorted(sorted_shards, np.arange(n_shards + 1)).tolist(),
     )
+    return meta, carry, fetched.select(_PULL_COLS), cand
 
 
-@_ray.remote(num_cpus=0)
-def _probe_ok(_x) -> int:
-    """Zero-payload durability probe: scheduling this task forces its
-    argument's producer to have SUCCEEDED (a failed producer fails the
-    probe with RayTaskError), so ray.get on the probe propagates writer
-    exceptions without pulling the producer's (large) result to the
-    driver — the error-surfacing replacement for ray.wait(fetch_local=
-    False), which silently ignores task failures."""
-    return 0
-
-
-@_ray.remote
+@_ray.remote(num_returns=2)
 def _finalize_fetch(wave: int, order_base: int, log_path: str | None, *parts):
     """Remote end-of-wave fetch finalization: concat the per-part fetched
     tables, apply the pinned rule-4 order (host, slot), build the wave's
     fetch-log table, optionally stream it to parquet (atomic publish).
-    OFF the wave critical path: the driver gets the wave's count and
-    robots map from the split metas and joins this chain only under
-    collect_log / checkpointing (or once at crawl end to make the
-    parquet writes durable)."""
+    Returns ``(wave_log, n_rows)``. OFF the wave critical path: the
+    driver gets the wave's count and policy observations from the split
+    metas and pulls the table only under collect_log / checkpointing;
+    the crawl-end durability barrier joins the tiny ``n_rows`` sentinel
+    (a failed writer raises there, and no table travels)."""
     import pyarrow.compute as pc
 
     tbl = (
@@ -1097,7 +1104,15 @@ def _finalize_fetch(wave: int, order_base: int, log_path: str | None, *parts):
         tmp = f"{log_path}.tmp-{uuid.uuid4().hex}"
         _pq.write_table(wave_log, tmp)
         os.replace(tmp, log_path)
-    return wave_log
+    return wave_log, n
+
+
+# run_crawl's per-wave phases, in order (stats keys phase_{name}_s)
+_PHASES = ("robots", "assemble", "exec", "split", "log", "discovery")
+
+
+def _sitemaps_of(rules: dict[str, list[str]]) -> list[str]:
+    return sorted({u for r in rules.values() for u in sitemap_urls_of(r)})
 
 
 def run_crawl(
@@ -1109,7 +1124,6 @@ def run_crawl(
     docs_dir: str | None = None,
     resume: bool = False,
     fetch_concurrency: int = 4,
-    fetch_batch_size: int = 64,  # kept for API compat; blocks are batches
     collect_log: bool = False,
     collect_seen: bool = False,
 ) -> CrawlResult:
@@ -1125,7 +1139,12 @@ def run_crawl(
     the driver — O(total fetched) / O(total seen) driver memory, never the
     default. Production runs stream the per-wave fetch log to parquet via
     ``checkpoint_dir`` (and, when only ``docs_dir`` is given, alongside
-    the per-wave docs fragments)."""
+    the per-wave docs fragments).
+
+    Each wave's ``stats`` carry the driver's wall seconds per phase
+    (``phase_{robots,assemble,exec,split,log,discovery}_s``)."""
+    import time
+
     import pyarrow.compute as pc
     import ray
 
@@ -1133,16 +1152,6 @@ def run_crawl(
     # keep stragglers short; parts are cheap (empty ones short-circuit)
     n_parts = max(16, fetch_concurrency * 4)
     n_shards = ccfg.seen_shards
-
-    import time as _time
-
-    _debug = bool(os.environ.get("CRAWL_DEBUG_TIMING"))
-    _marks: list[tuple[str, float]] = []
-
-    def _mark(label: str) -> None:
-        if _debug:
-            _marks.append((label, _time.monotonic()))
-
     res = CrawlResult(docs_dir=docs_dir)
     pool = SeenShardPool(
         ccfg.seen_shards,
@@ -1163,19 +1172,10 @@ def run_crawl(
         else None
     )
     pending_content_delta: list[str] = []
-    robots_scheduled: set[str] = set()
-    robots_rules: dict[str, list[str]] = {}
     # Sitemap URLs advertised by rules not yet offered to the seen set.
     # Not checkpointed: resume recomputes from the (checkpointed) rules —
     # the seen-set probe makes re-offering idempotent.
     sitemap_pending: list[str] = []
-    # hosts that served >=1 status>=500 response LAST wave (one-wave 5xx
-    # backoff state; checkpointed at wave boundaries)
-    backoff_hosts: set[str] = set()
-    host_fetched: dict[str, int] = {}  # max_pages_per_host quota state
-    adaptive_last_dur: dict[str, int] = {}  # adaptive politeness state
-    retry_attempts: dict[str, int] = {}  # retry_5xx attempts per surt
-    retry_pending: list[tuple] = []  # failed rows awaiting re-injection
     log_tables: list[pa.Table] = []  # retained ONLY under collect_log
     log_flush_refs: list = []  # streamed-log chains joined at crawl end
     warc_flush_refs: list = []  # WARC fragment writers, same join points
@@ -1197,17 +1197,9 @@ def run_crawl(
         pool.restore_from_parquet(ck["seen_delta_paths"])
         if content_pool is not None:
             content_pool.restore_from_parquet(ck["content_delta_paths"])
-        robots_scheduled = ck["robots_scheduled"]
-        robots_rules = {k: list(v) for k, v in ck["robots_rules"].items()}
+        policy = PolicyState.from_checkpoint(ck["policy"])
         if ccfg.follow_sitemaps:
-            sitemap_pending = sorted(
-                {u for r in robots_rules.values() for u in sitemap_urls_of(r)}
-            )
-        backoff_hosts = set(ck.get("backoff_hosts", set()))
-        host_fetched = dict(ck.get("host_fetched") or {})
-        adaptive_last_dur = dict(ck.get("adaptive_last_dur") or {})
-        retry_attempts = dict(ck.get("retry_attempts") or {})
-        retry_pending = [tuple(r) for r in ck.get("retry_pending") or []]
+            sitemap_pending = _sitemaps_of(policy.rules)
         order_base = ck["fetch_log"].num_rows
         if collect_log and order_base:
             log_tables.append(ck["fetch_log"])
@@ -1216,9 +1208,11 @@ def run_crawl(
         robots_check_hosts = set(pc.unique(extras["host"]).to_pylist())
     else:
         extras, seq = _seed_frontier(seeds, pool)
+        policy = PolicyState()
         robots_check_hosts = set(pc.unique(extras["host"]).to_pylist())
         if track_delta:
             pending_delta.extend(extras["surt"].to_pylist())
+    policy = policy.configured(ccfg)
     # the frontier lives as a PARTITION LIST in the object store between
     # waves; the driver holds only a ref + per-part row counts
     _seed_parts = _partition_by_host(extras, n_parts)
@@ -1231,13 +1225,13 @@ def run_crawl(
     winners_rows_refs: list = []
     pending_winner_rows = 0
     for wave in range(start_wave, ccfg.max_waves):
-        _mark(f"w{wave}:start")
+        marks = [time.monotonic()]  # phase boundaries -> stats phase_*_s
         # --- robots injection (new hosts only: a host already in the
         # frontier was scheduled at its first appearance) ----------------
         ru, rk, rh = [], [], []
         if ccfg.respect_robots:
-            new_hosts = sorted(robots_check_hosts - robots_scheduled)
-            robots_scheduled.update(new_hosts)
+            new_hosts = sorted(robots_check_hosts - policy.scheduled)
+            policy.scheduled.update(new_hosts)
             rurls, rkeys, rhashes = _chunked_remote(_robots_chunk, new_hosts, 3)
             if rkeys:
                 new_mask = np.asarray(
@@ -1271,21 +1265,13 @@ def run_crawl(
             if ccfg.respect_robots and ru
             else FRONTIER_SCHEMA.empty_table()
         )
-        if retry_pending:
+        if policy.retry_pending:
             # rule 6b (retry_5xx): failed fetches re-enter with their
             # ORIGINAL (priority, hop, seq) — already-seen rows riding
             # the injection path (the only path that re-fetches a URL)
-            rt = _frontier_table(
-                [r[0] for r in retry_pending], [r[1] for r in retry_pending],
-                [r[2] for r in retry_pending], [r[3] for r in retry_pending],
-                [r[4] for r in retry_pending], [r[5] for r in retry_pending],
-            )
-            robots_tbl = (
-                pa.concat_tables([robots_tbl, rt])
-                if robots_tbl.num_rows
-                else rt
-            )
-            retry_pending = []
+            rt = _frontier_table(*map(list, zip(*policy.retry_pending)))
+            robots_tbl = pa.concat_tables([robots_tbl, rt]) if robots_tbl.num_rows else rt
+            policy.retry_pending = []
         frontier_rows = (
             sum(extras_rows_per_part)
             + pending_winner_rows
@@ -1294,36 +1280,15 @@ def run_crawl(
         )
         if frontier_rows == 0:
             break
-        _mark(f"w{wave}:robots")
+        marks.append(time.monotonic())
         # --- assemble wave input blocks (object-store resident) ---------
         robots_parts = _partition_by_host(robots_tbl, n_parts)
         input_refs = []
         pre_carry: dict[int, list] = {}  # salted-path direct carryover
-        # robots rules enter the cluster ONCE per wave (object store), not
-        # once per task closure; BOXED so tasks resolve them through the
-        # per-worker broadcast cache instead of per-task deserialization
-        rules_boxed = [ray.put(robots_rules)] if robots_rules else None
-        # 5xx-backoff host set (last wave's offenders): its OWN small
-        # broadcast — transient state never re-ships the rules dict
-        backoff_boxed = (
-            [ray.put(frozenset(backoff_hosts))]
-            if ccfg.backoff_503 and backoff_hosts
-            else None
-        )
-        # max_pages_per_host quota counters: own small broadcast (the
-        # backoff discipline); None until a fetch happened, the drain
-        # still caps at max_pages via the ccfg scalar
-        quota_boxed = (
-            [ray.put(dict(host_fetched))]
-            if ccfg.max_pages_per_host is not None and host_fetched
-            else None
-        )
-        # adaptive-politeness last-duration dict: own small broadcast
-        adaptive_boxed = (
-            [ray.put(dict(adaptive_last_dur))]
-            if ccfg.adaptive_politeness and adaptive_last_dur
-            else None
-        )
+        # the policy state enters the cluster ONCE per wave (object
+        # store), not once per task closure; BOXED so tasks resolve it
+        # through the per-worker broadcast cache
+        policy_boxed = [ray.put(policy.drain_view())]
         # per-part winner rows from the range tasks (tiny lists, needed
         # for the salt decision; the tables themselves stay remote)
         winners_rows_per_part = [0] * n_parts
@@ -1353,21 +1318,14 @@ def run_crawl(
                 ).remote(assembled, ccfg.salt_factor)
                 if ccfg.salt_factor == 1:
                     subs = [subs]
-                outs = [
-                    _pre_drain.remote(
-                        sub, ccfg.politeness_budget, rules_boxed, backoff_boxed,
-                        quota_boxed, ccfg.max_pages_per_host,
-                        adaptive_boxed, _acfg_of(ccfg),
-                    )
-                    for sub in subs
-                ]
+                outs = [_pre_drain.remote(sub, ccfg, policy_boxed) for sub in subs]
                 input_refs.append(
                     _assemble.remote(None, -1, None, *[sv for sv, _ in outs])
                 )
                 pre_carry[p] = [cr for _, cr in outs]
             else:
                 input_refs.append(assembled)
-        _mark(f"w{wave}:assemble")
+        marks.append(time.monotonic())
         # resumable docs layout: clear this wave's fragment dir first so a
         # crashed prior attempt (possibly with a different n_parts) can't
         # leave stale part_*.parquet fragments beside the new ones
@@ -1392,13 +1350,10 @@ def run_crawl(
         # startup, and task outputs are stable (no eager block GC, so no
         # lineage reconstruction can re-run a fetch).
         block_refs = [
-            _drain_fetch.remote(
-                ref, ccfg.politeness_budget, rules_boxed, scfg, icfg, wave,
-                ccfg, docs_dir, backoff_boxed, quota_boxed, adaptive_boxed,
-            )
+            _drain_fetch.remote(ref, policy_boxed, scfg, icfg, wave, ccfg, docs_dir)
             for ref in input_refs
         ]
-        _mark(f"w{wave}:exec")
+        marks.append(time.monotonic())
         # --- duplicate-content gate (wave barrier, dedup_content only):
         # per-block (hash, host, slot) rows route BY REFERENCE to the
         # content shards (hash-sharded); each shard resolves first-wins
@@ -1433,9 +1388,8 @@ def run_crawl(
                 for ref in block_refs
             )
         # fetch-log finalization runs REMOTE (concat + rule-4 sort + log
-        # build + robots scrape of ~budget×hosts rows): the driver gets
-        # back only a count and the tiny robots map; the log table itself
-        # is pulled only under collect_log / checkpointing
+        # build of ~budget×hosts rows); the log table itself is pulled
+        # only under collect_log / checkpointing
         log_path = (
             os.path.join(docs_dir, f"wave_{wave:04d}", "fetch_log.parquet")
             if docs_dir is not None and checkpoint_dir is None
@@ -1447,11 +1401,11 @@ def run_crawl(
         # next wave's fetch tasks
         wave_log_ref = None
         if log_path is not None or collect_log or checkpoint_dir is not None:
-            wave_log_ref = _finalize_fetch.remote(
+            wave_log_ref, log_done = _finalize_fetch.remote(
                 wave, order_base, log_path, *[f for _, _, f, _ in splits]
             )
-        if log_path is not None:
-            log_flush_refs.append(wave_log_ref)
+            if log_path is not None:
+                log_flush_refs.append(log_done)
         metas = ray.get([m for m, _, _, _ in splits])
         carry_refs = {p: list(refs) for p, refs in pre_carry.items()}
         fetched_per_part: dict[int, int] = {}
@@ -1496,8 +1450,7 @@ def run_crawl(
             if c > 0:
                 carry_refs.setdefault(p, []).append(r)
                 carry_counts[p] = carry_counts.get(p, 0) + c
-
-        _mark(f"w{wave}:split")
+        marks.append(time.monotonic())
         # --- discovery barrier (two-phase parallel winners merge): the
         # shards finalize concurrently; the driver blocks ONLY on their
         # small dicts (counts, hosts, boundary samples, optional SURT
@@ -1507,19 +1460,18 @@ def run_crawl(
         # consumes BY REFERENCE (the classic two-phase distributed sort:
         # exact global seq from per-range offsets)
         winner_refs, small_refs = pool.finalize_wave_split(wave, track_delta)
-        # wave count + robots rules come straight from the split metas —
-        # the fetch-log build/sort/write chain runs fully off the wave
-        # critical path (joined only under collect_log / checkpointing,
-        # plus one durability barrier at crawl end for streamed logs)
+        # wave count + policy observations come straight from the split
+        # metas — the fetch-log build/sort/write chain runs fully off the
+        # wave critical path (joined only under collect_log /
+        # checkpointing, plus one durability barrier at crawl end)
         n_fetched = sum(m["fetched_rows"] for m in metas)
-        new_robots = {h: list(r) for m in metas for h, r in m["robots"]}
         res.total_docs += n_fetched
         wave_log = None  # pulled lazily (collect_log / checkpoint only)
         if collect_log:
             wave_log = ray.get(wave_log_ref)
             log_tables.append(wave_log)
         order_base += n_fetched
-        _mark(f"w{wave}:log")
+        marks.append(time.monotonic())
         smalls = ray.get(small_refs)
         n_new = sum(s["n"] for s in smalls)
         robots_check_hosts = set()
@@ -1554,38 +1506,9 @@ def run_crawl(
         extras_parts_ref = None  # the seed list is consumed by wave 0
         extras_rows_per_part = [0] * n_parts
         pending_winner_rows = n_new
-        robots_rules.update(new_robots)
-        if ccfg.follow_sitemaps and new_robots:
-            sitemap_pending = sorted(
-                {u for r in new_robots.values() for u in sitemap_urls_of(r)}
-            )
-        if ccfg.backoff_503:
-            # one-wave state: REPLACED each wave (a clean wave recovers)
-            backoff_hosts = {h for m in metas for h in m["backoff"]}
-        if ccfg.max_pages_per_host is not None:
-            # quota counters: CUMULATIVE fold (effective from next wave,
-            # matching the oracle's post-drain increment timing)
-            for m in metas:
-                for h, n in m["host_counts"]:
-                    host_fetched[h] = host_fetched.get(h, 0) + int(n)
-        if ccfg.retry_5xx:
-            # 5xx retry fold: re-inject next wave, up to retry_5xx
-            # additional attempts per surt (order irrelevant — the drain
-            # re-sorts by (priority, seq, surt) per host)
-            for m in metas:
-                for row in m.get("retry", []):
-                    a = retry_attempts.get(row[1], 0)
-                    if a < ccfg.retry_5xx:
-                        retry_attempts[row[1]] = a + 1
-                        retry_pending.append(tuple(row))
-        if ccfg.adaptive_politeness:
-            # last-duration fold: this wave's value REPLACES the host's
-            # entry (hosts that did not fetch keep their previous one —
-            # the oracle's persistent-dict timing); a host lives in one
-            # partition, so exactly one meta carries it per wave
-            for m in metas:
-                for h, d in m.get("last_dur", []):
-                    adaptive_last_dur[h] = int(d)
+        new_rules = policy.fold([m["policy"] for m in metas], ccfg)
+        if ccfg.follow_sitemaps and new_rules:
+            sitemap_pending = _sitemaps_of(new_rules)
         stats = {
             "wave": wave,
             "frontier": frontier_rows,
@@ -1603,9 +1526,13 @@ def run_crawl(
                 for p in sorted(set(fetched_per_part) | set(carry_counts))
             },
         }
+        marks.append(time.monotonic())
+        stats.update(
+            (f"phase_{name}_s", round(b - a, 4))
+            for name, a, b in zip(_PHASES, marks, marks[1:])
+        )
         res.wave_stats.append(stats)
         res.total_fetched += n_fetched
-        _mark(f"w{wave}:discovery")
         # --- checkpoint (sync point: frontier pulled once to persist) ---
         if content_pool is not None and track_delta and gate_small_refs:
             for sm in ray.get(gate_small_refs):
@@ -1637,50 +1564,24 @@ def run_crawl(
                 [t.select(FRONTIER_SCHEMA.names) for t in carry_tbls] + winner_tbls
             ) if (carry_tbls or winner_tbls) else FRONTIER_SCHEMA.empty_table()
             write_wave_checkpoint(
-                checkpoint_dir,
-                wave,
-                next_frontier,
-                wave_log,
-                pending_delta,
-                robots_scheduled,
-                robots_rules,
-                seq,
-                stats,
-                backoff_hosts=backoff_hosts,
+                checkpoint_dir, wave, next_frontier, wave_log, pending_delta,
+                seq, stats, policy.to_checkpoint(),
                 content_delta=(
                     pending_content_delta if content_pool is not None else None
                 ),
-                host_fetched=(
-                    host_fetched if ccfg.max_pages_per_host is not None else None
-                ),
-                adaptive_last_dur=(
-                    adaptive_last_dur if ccfg.adaptive_politeness else None
-                ),
-                retry_attempts=(retry_attempts if ccfg.retry_5xx else None),
-                retry_pending=(retry_pending if ccfg.retry_5xx else None),
             )
             pending_delta = []
             pending_content_delta = []
         if ccfg.max_urls is not None and order_base >= ccfg.max_urls:
             break
 
-    if _debug:
-        for (l1, t1), (l2, t2) in zip(_marks, _marks[1:]):
-            print(f"[crawl-timing] {l1} -> {l2}: {t2 - t1:.2f}s")
-    # durability barrier: streamed per-wave fetch-log writes happen in
-    # remote tasks off the wave critical path — join them once here so
-    # the files exist when run_crawl returns
-    # error-propagating barriers, not ray.wait(fetch_local=False): a
-    # failed writer task must raise here, not leave files silently
-    # missing behind a successful-looking return. warc refs hold tiny
-    # ints so ray.get is free; log refs hold full wave-log tables, so
-    # join them through a zero-payload probe task (a failed parent makes
-    # the probe fail, propagating the exception without shipping the
-    # table to the driver).
-    if log_flush_refs:
-        ray.get([_probe_ok.remote(r) for r in log_flush_refs])
-    if warc_flush_refs:
-        ray.get(warc_flush_refs)
+    # durability barrier: streamed per-wave fetch-log and WARC writes
+    # happen in remote tasks off the wave critical path — join them once
+    # here so the files exist when run_crawl returns. ray.get on the
+    # writers' tiny int sentinels, not ray.wait(fetch_local=False): a
+    # failed writer must raise here, not leave files silently missing
+    # behind a successful-looking return.
+    ray.get(log_flush_refs + warc_flush_refs)
     # driver-side materializations are OPT-IN (test/analysis hooks): the
     # production outputs are the streamed per-wave parquet artifacts
     if collect_log:

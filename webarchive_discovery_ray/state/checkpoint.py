@@ -22,7 +22,9 @@ Layout (one directory per wave)::
         fetchlog.parquet       # fetches performed in wave 3
         seen_delta.parquet     # SURT keys first seen during wave 3
         content_delta.parquet  # content hashes first seen (dedup_content)
-        robots.json            # scheduled hosts + effective rules
+        robots.json            # crawl policy state: robots scheduled hosts +
+                               # rules, 5xx backoff, quota, adaptive, retry
+                               # (pipelines/crawl.PolicyState.to_checkpoint)
 """
 
 from __future__ import annotations
@@ -70,17 +72,13 @@ def write_wave_checkpoint(
     next_frontier: pa.Table,
     wave_fetch_log: pa.Table,
     seen_delta: list[str],
-    robots_scheduled: set[str],
-    robots_rules: dict[str, list[str]],
     seq: int,
     stats: dict,
-    backoff_hosts: set[str] | None = None,
+    policy: dict,
     content_delta: list[str] | None = None,
-    host_fetched: dict[str, int] | None = None,
-    adaptive_last_dur: dict[str, int] | None = None,
-    retry_attempts: dict[str, int] | None = None,
-    retry_pending: list[tuple] | None = None,
 ) -> None:
+    """Write wave ``wave``'s checkpoint; ``policy`` is the JSON body of
+    ``robots.json`` (``PolicyState.to_checkpoint()``), stored verbatim."""
     os.makedirs(base, exist_ok=True)
     final = _wave_dir(base, wave)
     tmp = final + ".tmp"
@@ -133,30 +131,7 @@ def write_wave_checkpoint(
             os.path.join(tmp, "content_delta.parquet"),
         )
     with open(os.path.join(tmp, "robots.json"), "w") as f:
-        json.dump(
-            {
-                "scheduled": sorted(robots_scheduled),
-                "rules": robots_rules,
-                # one-wave 5xx-backoff state (absent in pre-backoff
-                # checkpoints; load_wave_checkpoint defaults to empty)
-                "backoff": sorted(backoff_hosts or ()),
-                # max_pages_per_host quota counters (None when the quota
-                # is off; loader defaults to {})
-                "host_fetched": host_fetched,
-                # adaptive-politeness per-host last-fetch durations
-                # (None when the knob is off; loader defaults to {})
-                "adaptive_last_dur": adaptive_last_dur,
-                # retry_5xx state: per-surt attempt counts + the rows
-                # pending re-injection into the NEXT wave
-                "retry_attempts": retry_attempts,
-                "retry_pending": (
-                    [list(r) for r in retry_pending]
-                    if retry_pending is not None
-                    else None
-                ),
-            },
-            f,
-        )
+        json.dump(policy, f)
     # manifest LAST: its presence marks the wave complete
     manifest = {
         "wave": wave,
@@ -185,11 +160,13 @@ def latest_complete_wave(base: str) -> int | None:
 
 
 def load_wave_checkpoint(base: str, wave: int) -> dict:
+    """Wave ``wave``'s checkpoint; ``policy`` is the ``robots.json`` body
+    as written (``PolicyState.from_checkpoint`` decodes it)."""
     d = _wave_dir(base, wave)
     with open(os.path.join(d, "manifest.json")) as f:
         manifest = json.load(f)
     with open(os.path.join(d, "robots.json")) as f:
-        robots = json.load(f)
+        policy = json.load(f)
     frontier = pq.read_table(os.path.join(d, "frontier_next.parquet"))
     # the seen set is NOT materialized here (VERDICT r3 #3): the driver
     # hands the per-wave delta paths to the shard actors, each of which
@@ -217,13 +194,7 @@ def load_wave_checkpoint(base: str, wave: int) -> dict:
         "frontier": frontier,
         "seen_delta_paths": seen_delta_paths,  # per-wave delta files
         "content_delta_paths": content_delta_paths,  # dedup_content crawls
-        "robots_scheduled": set(robots["scheduled"]),
-        "robots_rules": robots["rules"],
-        "backoff_hosts": set(robots.get("backoff", [])),
-        "host_fetched": robots.get("host_fetched") or {},
-        "adaptive_last_dur": robots.get("adaptive_last_dur") or {},
-        "retry_attempts": robots.get("retry_attempts") or {},
-        "retry_pending": robots.get("retry_pending") or [],
+        "policy": policy,
         "fetch_log": fetch_log,
         "seq": manifest["seq"],
     }
