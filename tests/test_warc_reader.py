@@ -794,3 +794,64 @@ def test_warc_deduplicate_roundtrip(ray_session, tmp_path):
         assert rv["payload_sha1"] in by_digest
         assert len(by_digest[rv["payload_sha1"]]) == 1
         assert not rv["payload"]  # payload dropped, headers retained
+
+
+def test_warc_deduplicate_driver_holds_only_per_file_counts(
+    ray_session, tmp_path, monkeypatch
+):
+    """Many losers spread over several files (cross-file duplicates, and
+    one file with none): the loser offsets stay in the per-file rewrite
+    fold, so no more rows than input files reach the driver through
+    ``Dataset.to_pandas`` / ``take_all``; the rewrite still mints exactly
+    the first-wins losers, in every file."""
+    import ray
+
+    from webarchive_discovery_ray.pipelines.cdx import warc_deduplicate
+    from webarchive_discovery_ray.sources.warc import build_response_member
+
+    src = tmp_path / "in"
+    src.mkdir()
+    paths, order = [], []
+    for f in range(3):
+        members = []
+        for i in range(12):
+            url = f"http://f{f}.example/{i}"
+            body = f"<html>shared {i % 4}</html>".encode()
+            members.append(build_response_member(
+                url, f"2020010{f + 1}0000{i:02d}", 200, "text/html", body
+            ))
+            order.append((url, body))
+        path = src / f"part-{f}.warc.gz"
+        path.write_bytes(b"".join(members))
+        paths.append(str(path))
+    solo = src / "solo.warc.gz"
+    solo.write_bytes(build_response_member(
+        "http://solo.example/", "20200109000000", 200, "text/html", b"<p>unique</p>"
+    ))
+    paths.append(str(solo))
+    seen, exp_losers = set(), set()
+    for url, body in order:  # the pinned (file, offset) order
+        if body in seen:
+            exp_losers.add(url)
+        seen.add(body)
+
+    driver_rows = []
+    for name in ("to_pandas", "take_all"):
+        orig = getattr(ray.data.Dataset, name)
+
+        def spy(self, *a, _orig=orig, **k):
+            out = _orig(self, *a, **k)
+            driver_rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(ray.data.Dataset, name, spy)
+    outs = warc_deduplicate(paths, str(tmp_path / "out"))
+    monkeypatch.undo()
+
+    assert sum(driver_rows) <= len(paths), driver_rows
+    minted = set()
+    for out in outs:
+        for r in parse_archive_bytes(open(out, "rb").read(), os.path.basename(out)):
+            if r["record_type"] == "revisit":
+                minted.add(r["url"])
+    assert len(exp_losers) == 32 and minted == exp_losers

@@ -183,7 +183,7 @@ def warc_stats(paths: list[str]):
 
     import ray
 
-    from ..sources.warc import parse_archive_stats
+    from ..sources.warc import open_archive, parse_archive_stats
 
     items = [
         {"path": os.path.abspath(p) if "://" not in p else p} for p in paths
@@ -192,14 +192,10 @@ def warc_stats(paths: list[str]):
     counts = dict(category=str, item=str, n="int64")
 
     def partial_counts(batch: pa.Table) -> pd.DataFrame:
-        from pyarrow import fs as pafs
-
         pairs: list[tuple[str, str]] = []
         for path in batch["path"].to_pylist():
-            filesystem, fs_path = pafs.FileSystem.from_uri(path)
-            with filesystem.open_input_stream(fs_path, compression=None) as fh:
-                blob = fh.read()
-            pairs.extend(parse_archive_stats(blob, path.rsplit("/", 1)[-1]))
+            with open_archive(path) as fh:
+                pairs.extend(parse_archive_stats(fh, path.rsplit("/", 1)[-1]))
         if not pairs:
             return typed_empty(**counts)
         df = pd.DataFrame(pairs, columns=["category", "item"])
@@ -1216,12 +1212,13 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
 
     Shape: phase 1 ships only (file, offset, digest) meta rows (never
     payloads) through ONE bucket(digest) grouped min-fold that emits the
-    LOSER rows; the per-file loser offset lists (bounded by the
-    collection's duplicate count) route to per-file rewrite tasks that
-    re-read their own file — payload bytes never leave the task that
-    owns the file. At the 100-TB design point the loser lists ship as
-    per-file object refs; the winner map itself is never materialised
-    anywhere."""
+    LOSER rows; phase 2 folds those by bucket(file), together with one
+    row per input file (so files without losers are rewritten too), and
+    rewrites each file inside that fold from its own loser offsets,
+    streaming the file record by record — payload bytes never leave the
+    task that owns the file. The driver receives one (file, member
+    count) row per input file; neither the loser list nor the winner
+    map is ever materialised on it."""
     import os
 
     import ray as _ray
@@ -1261,32 +1258,59 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
         out = df.loc[~first, ["file", "offset"]]
         return out.astype({"offset": "int64"}).reset_index(drop=True)
 
+    def rewrite_files(df: pd.DataFrame) -> pd.DataFrame:
+        # offset -1 is the every-file row; the rest are that file's losers
+        counts = [
+            (base, _rewrite_archive(
+                base_of[base], out_dir, frozenset(offs[offs >= 0].tolist())
+            ))
+            for base, offs in df.groupby("file", sort=True)["offset"]
+        ]
+        return pd.DataFrame(counts, columns=["file", "n"]).astype({"n": "int64"})
+
     losers = keyed_fold(
         read_archive_pages(paths), losers_in_bucket, "digest", rows=meta_rows,
         batch_format="pyarrow", empty=dict(file=str, offset="int64"),
-    ).to_pandas()  # bounded by the collection's DUPLICATE count
-    # no duplicates at all -> all-empty blocks surface as a zero-column frame
-    by_file: dict[str, set[int]] = {
-        f: set(g["offset"].tolist()) for f, g in losers.groupby("file")
-    } if len(losers) else {}
+    )
+    every_file = _ray.data.from_items(
+        [{"file": base, "offset": -1} for base in sorted(base_of)]
+    )
+    counts = keyed_fold(
+        (losers, every_file), rewrite_files, "file",
+        empty=dict(file=str, n="int64"),
+    ).take_all()  # one row per input file
+    if sorted(r["file"] for r in counts) != sorted(base_of):
+        raise RuntimeError("warc_deduplicate: not every input file was rewritten")
+    return [_dedup_out_path(out_dir, base) for base in sorted(base_of)]
 
-    @_ray.remote
-    def rewrite(path: str, out_path: str, loser_offsets: frozenset) -> int:
-        import uuid
 
-        from pyarrow import fs as pafs
+def _dedup_out_path(out_dir: str, base: str) -> str:
+    import os
 
-        from ..sources.warc import (
-            build_response_member,
-            build_revisit_member,
-            parse_archive_bytes,
-        )
+    return os.path.join(out_dir, base if base.endswith(".gz") else base + ".gz")
 
-        filesystem, fs_path = pafs.FileSystem.from_uri(os.path.abspath(path))
-        with filesystem.open_input_stream(fs_path, compression=None) as fh:
-            blob = fh.read()
-        members = []
-        for rec in parse_archive_bytes(blob, os.path.basename(path)):
+
+def _rewrite_archive(path: str, out_dir: str, loser_offsets: frozenset) -> int:
+    """``warc_deduplicate``'s per-file rewrite: stream ``path`` record by
+    record into ``out_dir``, minting a revisit for every record at one of
+    ``loser_offsets``; returns the member count written."""
+    import os
+    import uuid
+
+    from ..functions.hashing import sha1_b32
+    from ..sources.warc import (
+        build_response_member,
+        build_revisit_member,
+        iter_archive_rows,
+        open_archive,
+    )
+
+    os.makedirs(out_dir, exist_ok=True)
+    out_path = _dedup_out_path(out_dir, os.path.basename(path))
+    tmp = f"{out_path}.tmp-{uuid.uuid4().hex}"
+    n = 0
+    with open_archive(os.path.abspath(path)) as src, open(tmp, "wb") as out:
+        for rec in iter_archive_rows(src, os.path.basename(path)):
             if not rec["url"] or rec["status"] is None:
                 # auxiliary streams (warcinfo, request, metadata) carry
                 # per-file/per-capture context the rewritten CAPTURE
@@ -1298,45 +1322,25 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
             if rec["record_type"] == "revisit":
                 # already-deduplicated input capture: pass through with
                 # its carried digest
-                members.append(
-                    build_revisit_member(
-                        rec["url"], rec["timestamp14"], rec["status"],
-                        rec["mime_served"] or None,
-                        rec["payload_sha1"] or sha1_b32(payload),
-                        len(payload), rec["location"] or None,
-                    )
+                member = build_revisit_member(
+                    rec["url"], rec["timestamp14"], rec["status"],
+                    rec["mime_served"] or None,
+                    rec["payload_sha1"] or sha1_b32(payload),
+                    len(payload), rec["location"] or None,
                 )
-                continue
-            if rec["source_offset"] in loser_offsets:
-                members.append(
-                    build_revisit_member(
-                        rec["url"], rec["timestamp14"], rec["status"],
-                        rec["mime_served"] or None, sha1_b32(payload),
-                        len(payload), rec["location"] or None,
-                    )
+            elif rec["source_offset"] in loser_offsets:
+                member = build_revisit_member(
+                    rec["url"], rec["timestamp14"], rec["status"],
+                    rec["mime_served"] or None, sha1_b32(payload),
+                    len(payload), rec["location"] or None,
                 )
             else:
-                members.append(
-                    build_response_member(
-                        rec["url"], rec["timestamp14"], rec["status"],
-                        rec["mime_served"] or None, payload,
-                        rec["location"] or None,
-                    )
+                member = build_response_member(
+                    rec["url"], rec["timestamp14"], rec["status"],
+                    rec["mime_served"] or None, payload,
+                    rec["location"] or None,
                 )
-        os.makedirs(out_dir, exist_ok=True)
-        tmp = f"{out_path}.tmp-{uuid.uuid4().hex}"
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(members))
-        os.replace(tmp, out_path)
-        return len(members)
-
-    outs = []
-    refs = []
-    for base, path in sorted(base_of.items()):
-        out_path = os.path.join(out_dir, base if base.endswith(".gz") else base + ".gz")
-        outs.append(out_path)
-        refs.append(
-            rewrite.remote(path, out_path, frozenset(by_file.get(base, ())))
-        )
-    _ray.get(refs)  # error-propagating barrier (tiny int results)
-    return outs
+            out.write(member)
+            n += 1
+    os.replace(tmp, out_path)
+    return n

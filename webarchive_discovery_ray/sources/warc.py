@@ -6,10 +6,11 @@ from bytes, and gzip *multi-member* archives are split with ``zlib`` so
 every record keeps its **compressed member offset** (the CDX offset
 contract). Reference behaviour mirrored (semantics, not code):
 
-* ``ArchiveReaderFactory.get`` format sniffing + whole-file record
+* ``ArchiveReaderFactory.get`` format sniffing + streaming record
   iteration, one file per task
   (warc-hadoop-recordreaders/src/main/java/uk/bl/wa/hadoop/
-  ArchiveFileRecordReader.java:140-160);
+  ArchiveFileRecordReader.java:140-160; the indexer's one-record-at-a-time
+  loop, WARCIndexerCommand.java:202-221);
 * the 2-consecutive-failure skip rule: a record that fails to parse is
   skipped once (resync to the next record boundary); a second consecutive
   failure abandons the rest of the file
@@ -31,15 +32,21 @@ extraction chain (``stages/extract.py``) runs unchanged on real archives.
 Scale notes: a (W)ARC file is the natural parallel unit — gzip members are
 not splittable without an external index — so ``read_archive_pages`` maps
 one file to one task (exactly the reference's one-file-per-split), and the
-downstream extract stage re-batches to its own ``batch_size``. Payload
-bytes ride Arrow ``large_binary`` blocks; nothing is held on the driver.
+downstream extract stage re-batches to its own ``batch_size``. Every
+archive read goes through one member iterator, :func:`iter_archive_records`:
+it takes bytes or a binary stream, feeds gzip input to zlib in
+``READ_CHUNK`` pieces (linear in the file size) and holds one member — or,
+for a plain (W)ARC, one record — at a time, so a task's memory follows the
+largest record, not the file. The reader yields PAGES tables of at most
+Ray Data's ``target_max_block_size``. Payload bytes ride Arrow
+``large_binary`` blocks; nothing is held on the driver.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import pyarrow as pa
 
@@ -49,6 +56,9 @@ __all__ = [
     "split_gzip_members",
     "iter_warc_records",
     "iter_arc_records",
+    "iter_archive_records",
+    "iter_archive_rows",
+    "open_archive",
     "parse_archive_bytes",
     "parse_archive_stats",
     "record_stats_items",
@@ -61,25 +71,118 @@ __all__ = [
 GZIP_MAGIC = b"\x1f\x8b"
 _WARC_VERSION_RE = re.compile(rb"^WARC/\d+\.\d+\r?\n")
 _CRLF_SET = b"\r\n"
+# bytes per stream read and per zlib feed: what a reader holds beyond the
+# record it is on
+READ_CHUNK = 1 << 16
 
 
-def split_gzip_members(data: bytes) -> Iterator[tuple[int, bytes]]:
+def _chunks(source) -> Iterator:
+    """``source`` (bytes or a binary stream) as pieces of at most
+    ``READ_CHUNK`` bytes; in-memory bytes are sliced without copying."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        view = memoryview(source)
+        for i in range(0, len(view), READ_CHUNK):
+            yield view[i : i + READ_CHUNK]
+        return
+    while chunk := source.read(READ_CHUNK):
+        yield chunk
+
+
+def split_gzip_members(source) -> Iterator[tuple[int, bytes]]:
     """Yield ``(compressed_offset, decompressed_member)`` for each gzip
     member of a multi-member gzip file (one member per record is the
-    (W)ARC-gz convention; offsets are what CDX records)."""
+    (W)ARC-gz convention; offsets are what CDX records).
+
+    ``source`` is bytes or a binary stream. It is fed to one
+    ``zlib.decompressobj`` per member in ``READ_CHUNK`` pieces, so the
+    pass is linear in the file size and holds one member's output at a
+    time. A member cut short by the end of the input yields its partial
+    output; a missing gzip magic raises ``ValueError`` and a corrupt
+    member ``zlib.error``, each before that member is yielded."""
+    chunks = _chunks(source)
+    pending = b""
     pos = 0
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 2] != GZIP_MAGIC:
+    while True:
+        while len(pending) < 2 and (more := next(chunks, None)) is not None:
+            pending = bytes(pending) + bytes(more)
+        if not pending:
+            return
+        if pending[:2] != GZIP_MAGIC:
             raise ValueError(f"not a gzip member at offset {pos}")
-        d = zlib.decompressobj(wbits=31)
-        out = d.decompress(data[pos:])
-        out += d.flush()
-        consumed = (n - pos) - len(d.unused_data)
-        if consumed <= 0:  # pragma: no cover - corrupt stream guard
-            raise ValueError(f"gzip member at offset {pos} consumed no bytes")
-        yield pos, out
-        pos += consumed
+        start, d, parts = pos, zlib.decompressobj(wbits=31), []
+        while pending is not None:
+            parts.append(d.decompress(pending))
+            if d.eof:
+                pos += len(pending) - len(d.unused_data)
+                pending = d.unused_data
+                break
+            pos += len(pending)
+            pending = next(chunks, None)
+        else:  # the input ended inside this member
+            parts.append(d.flush())
+            pending = b""
+        yield start, b"".join(parts)
+
+
+class _Window:
+    """Bytes, or a binary stream read on demand, addressed by absolute
+    position. Everything before the last :meth:`release` point is dropped
+    at the next read, so a plain (W)ARC stream is held one record at a
+    time; a read is at least as large as what is kept, which keeps one
+    record larger than ``READ_CHUNK`` linear to assemble."""
+
+    def __init__(self, source):
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            self._buf, self._read = bytes(source), None
+        else:
+            self._buf, self._read = b"", source.read
+        self._base = 0  # absolute position of _buf[0]
+        self._keep = 0  # nothing before this is read again
+
+    def _more(self) -> bool:
+        if self._read is None:
+            return False
+        drop = self._keep - self._base
+        chunk = self._read(max(READ_CHUNK, len(self._buf) - drop))
+        if not chunk:
+            self._read = None
+            return False
+        self._buf = self._buf[drop:] + chunk
+        self._base = self._keep
+        return True
+
+    def fill(self, end: int) -> bool:
+        """Read until ``end`` is in the window; False if the source ends
+        first."""
+        while self._base + len(self._buf) < end:
+            if not self._more():
+                return False
+        return True
+
+    def byte(self, pos: int) -> int | None:
+        return self._buf[pos - self._base] if self.fill(pos + 1) else None
+
+    def get(self, start: int, end: int) -> bytes:
+        """Bytes ``start:end``, cut short where the source ends."""
+        self.fill(end)
+        return self._buf[start - self._base : end - self._base]
+
+    def find(self, pos: int, *subs: bytes) -> list[int]:
+        """Absolute position of each of ``subs`` at or after ``pos`` (-1
+        when absent), reading on until one is found or the source ends.
+        The caller takes the earliest found; for the header terminators
+        no absent one can start before it and end past the window."""
+        scan = pos
+        while True:
+            found = [self._buf.find(s, scan - self._base) for s in subs]
+            if any(f != -1 for f in found):
+                return [f if f == -1 else f + self._base for f in found]
+            scan = max(pos, self._base + len(self._buf) - max(map(len, subs)) + 1)
+            if not self._more():
+                return found
+
+    def release(self, pos: int) -> None:
+        self._keep = pos
 
 
 def _parse_header_lines(blob: bytes) -> dict[str, str]:
@@ -102,6 +205,15 @@ def _parse_header_lines(blob: bytes) -> dict[str, str]:
     return headers
 
 
+def _length(value) -> int:
+    """A record's declared length; a negative one is malformed (it would
+    step the cursor back into the record)."""
+    length = int(value)
+    if length < 0:
+        raise ValueError(f"negative record length {length}")
+    return length
+
+
 def iter_warc_records(
     data: bytes, *, offset: int = 0
 ) -> Iterator[tuple[int, dict[str, str], bytes]]:
@@ -113,37 +225,42 @@ def iter_warc_records(
     ``ValueError`` on a malformed record — the caller applies the
     2-consecutive-failure policy.
     """
+    return _warc_records(_Window(data), offset)
+
+
+def _warc_records(
+    w: _Window, offset: int
+) -> Iterator[tuple[int, dict[str, str], bytes]]:
     pos = 0
-    n = len(data)
-    while pos < n:
+    while True:
         # tolerate inter-record CRLF padding (records are terminated by
         # two CRLFs that are not counted in Content-Length)
-        while pos < n and data[pos] in _CRLF_SET:
+        while (c := w.byte(pos)) is not None and c in _CRLF_SET:
             pos += 1
-        if pos >= n:
+        if c is None:
             return
         rec_start = pos
-        if not _WARC_VERSION_RE.match(data[pos : pos + 16]):
+        if not _WARC_VERSION_RE.match(w.get(pos, pos + 16)):
             raise ValueError(f"no WARC version line at offset {offset + pos}")
-        hdr_end = data.find(b"\r\n\r\n", pos)
+        hdr_end, alt = w.find(pos, b"\r\n\r\n", b"\n\n")
         sep = 4
-        alt = data.find(b"\n\n", pos)
         if hdr_end == -1 or (alt != -1 and alt < hdr_end):
             hdr_end, sep = alt, 2
         if hdr_end == -1:
             raise ValueError(f"unterminated WARC header at offset {offset + pos}")
-        headers = _parse_header_lines(data[pos:hdr_end])
+        headers = _parse_header_lines(w.get(pos, hdr_end))
         try:
-            length = int(headers["content-length"])
+            length = _length(headers["content-length"])
         except (KeyError, ValueError) as exc:
             raise ValueError(
                 f"bad/missing Content-Length at offset {offset + pos}"
             ) from exc
         body_start = hdr_end + sep
-        if body_start + length > n:
+        if not w.fill(body_start + length):
             raise ValueError(f"truncated WARC block at offset {offset + pos}")
-        yield offset + rec_start, headers, data[body_start : body_start + length]
+        yield offset + rec_start, headers, w.get(body_start, body_start + length)
         pos = body_start + length
+        w.release(pos)
 
 
 _ARC_DATE_RE = re.compile(rb"^\d{14}$")
@@ -162,8 +279,7 @@ def _parse_arc_header_line(line: bytes) -> tuple[str, str, str, int]:
     url = parts[0].decode("latin1")
     date14 = parts[2].decode("ascii")
     mime = parts[3].decode("latin1")
-    length = int(parts[-1])
-    return url, date14, mime, length
+    return url, date14, mime, _length(parts[-1])
 
 
 def iter_arc_records(
@@ -175,20 +291,25 @@ def iter_arc_records(
     header line mapped onto pseudo-WARC headers (``arc`` key marks the
     origin; the ``filedesc://`` version record is yielded too — the
     reference iterates it and the protocol filter drops it downstream)."""
+    return _arc_records(_Window(data), offset)
+
+
+def _arc_records(
+    w: _Window, offset: int
+) -> Iterator[tuple[int, dict[str, str], bytes]]:
     pos = 0
-    n = len(data)
-    while pos < n:
-        while pos < n and data[pos] in _CRLF_SET:
+    while True:
+        while (c := w.byte(pos)) is not None and c in _CRLF_SET:
             pos += 1
-        if pos >= n:
+        if c is None:
             return
         rec_start = pos
-        eol = data.find(b"\n", pos)
+        (eol,) = w.find(pos, b"\n")
         if eol == -1:
             raise ValueError(f"unterminated ARC header line at offset {offset + pos}")
-        url, date14, mime, length = _parse_arc_header_line(data[pos:eol].rstrip(b"\r"))
+        url, date14, mime, length = _parse_arc_header_line(w.get(pos, eol).rstrip(b"\r"))
         body_start = eol + 1
-        if body_start + length > n:
+        if not w.fill(body_start + length):
             raise ValueError(f"truncated ARC block at offset {offset + pos}")
         headers = {
             "arc": "1",
@@ -197,8 +318,9 @@ def iter_arc_records(
             "content-type": mime,
             "content-length": str(length),
         }
-        yield offset + rec_start, headers, data[body_start : body_start + length]
+        yield offset + rec_start, headers, w.get(body_start, body_start + length)
         pos = body_start + length
+        w.release(pos)
 
 
 _HTTP_STATUS_RE = re.compile(rb"^HTTP/\S+[ \t]+(\d{3})")
@@ -288,17 +410,27 @@ def warc_record_to_page(
     }
 
 
-def _sniff_is_arc(head: bytes) -> bool:
-    return head.startswith(b"filedesc://")
+class _Unread:
+    """A binary stream with its first bytes (read to sniff the format)
+    handed back by the first ``read``."""
+
+    def __init__(self, head: bytes, stream):
+        self._head, self._stream = head, stream
+
+    def read(self, n: int) -> bytes:
+        if self._head:
+            head, self._head = self._head, b""
+            return head
+        return self._stream.read(n)
 
 
-def _safe_members(data: bytes) -> Iterator[tuple[int, bytes]]:
+def _safe_members(source) -> Iterator[tuple[int, bytes]]:
     """``split_gzip_members`` that treats a corrupt member as EOF: once a
     member fails to decompress, the following byte ranges are not
     addressable as records (the next member boundary is unknown), so the
     file ends there — everything parsed before it survives, mirroring
     the truncated-final-record behaviour."""
-    it = split_gzip_members(data)
+    it = split_gzip_members(source)  # the module global: tracing patches it
     while True:
         try:
             item = next(it)
@@ -309,32 +441,38 @@ def _safe_members(data: bytes) -> Iterator[tuple[int, bytes]]:
         yield item
 
 
-def _iter_archive(data: bytes, source_file: str) -> Iterator[dict]:
-    """Iterate PAGES rows from raw (possibly gzip) archive file bytes,
-    applying the 2-consecutive-failure skip rule per segment stream."""
-    for rec_offset, headers, block in _iter_archive_records(data):
+def iter_archive_rows(source, source_file: str) -> Iterator[dict]:
+    """PAGES rows of one (W)ARC file, in file order, one record at a time
+    from bytes or a binary stream (see :func:`iter_archive_records`)."""
+    for rec_offset, headers, block in iter_archive_records(source):
         yield warc_record_to_page(rec_offset, headers, block, source_file)
 
 
-def _iter_archive_records(data: bytes) -> Iterator[tuple[int, dict[str, str], bytes]]:
-    """Iterate raw (offset, headers, block) records from raw (possibly
-    gzip) archive file bytes, applying the 2-consecutive-failure skip
-    rule per segment stream."""
-    if data[:2] == GZIP_MAGIC:
-        segments: Iterable[tuple[int, bytes]] = _safe_members(data)
+def iter_archive_records(source) -> Iterator[tuple[int, dict[str, str], bytes]]:
+    """The member iterator every archive read goes through: raw
+    ``(offset, headers, block)`` records of one (possibly gzip) (W)ARC
+    file, from bytes or a binary stream, applying the
+    2-consecutive-failure skip rule per segment (gzip member, or the
+    whole plain file). Holds one member (plain: one record) plus
+    ``READ_CHUNK`` of input at a time."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        head = bytes(source[:2])
     else:
-        segments = [(0, data)]
+        head = source.read(2)
+        source = _Unread(head, source)
+    if head == GZIP_MAGIC:
+        segments = (
+            (off, _Window(member)) for off, member in _safe_members(source)
+        )
+    else:
+        segments = [(0, _Window(source))]
     is_arc: bool | None = None
     last_failed = -1
     index = 0
     for seg_offset, seg in segments:
         if is_arc is None:
-            is_arc = _sniff_is_arc(seg)
-        it = (
-            iter_arc_records(seg, offset=seg_offset)
-            if is_arc
-            else iter_warc_records(seg, offset=seg_offset)
-        )
+            is_arc = seg.get(0, 11).startswith(b"filedesc://")
+        it = (_arc_records if is_arc else _warc_records)(seg, seg_offset)
         while True:
             index += 1
             try:
@@ -353,7 +491,7 @@ def _iter_archive_records(data: bytes) -> Iterator[tuple[int, dict[str, str], by
 
 def parse_archive_bytes(data: bytes, source_file: str) -> list[dict]:
     """Parse one (W)ARC file's bytes into PAGES rows (file order)."""
-    return list(_iter_archive(data, source_file))
+    return list(iter_archive_rows(data, source_file))
 
 
 def record_stats_items(headers: dict[str, str]) -> list[tuple[str, str]]:
@@ -398,11 +536,12 @@ def record_stats_items(headers: dict[str, str]) -> list[tuple[str, str]]:
     return items
 
 
-def parse_archive_stats(data: bytes, source_file: str) -> list[tuple[str, str]]:
-    """Header-level raw-stats emissions for one (W)ARC file (payloads
-    are never inspected — this is the cheap whole-collection census)."""
+def parse_archive_stats(source, source_file: str) -> list[tuple[str, str]]:
+    """Header-level raw-stats emissions for one (W)ARC file, bytes or a
+    binary stream (payloads are never inspected — this is the cheap
+    whole-collection census)."""
     out: list[tuple[str, str]] = []
-    for _, headers, _ in _iter_archive_records(data):
+    for _, headers, _ in iter_archive_records(source):
         out.extend(record_stats_items(headers))
     return out
 
@@ -411,23 +550,40 @@ def _basename(path: str) -> str:
     return path.rsplit("/", 1)[-1]
 
 
+def open_archive(path: str):
+    """A raw binary stream over one archive file (local path or URI).
+    ``pyarrow.fs`` with compression disabled, because
+    ``read_binary_files`` transparently gunzips by extension — the RAW
+    bytes keep compressed member offsets CDX-addressable."""
+    from pyarrow import fs as pafs
+
+    filesystem, fs_path = pafs.FileSystem.from_uri(path)
+    return filesystem.open_input_stream(fs_path, compression=None)
+
+
 class _ArchiveToPages:
-    """map_batches callable: path rows -> PAGES_SCHEMA table.
+    """map_batches callable: path rows -> PAGES_SCHEMA tables, streamed
+    record by record and yielded whenever the rows reach Ray Data's
+    ``target_max_block_size``, so a task never holds a whole file."""
 
-    Opens each file itself (pyarrow.fs, compression disabled) because
-    ``read_binary_files`` transparently gunzips by extension — we need the
-    RAW bytes so compressed member offsets stay CDX-addressable."""
+    def __call__(self, batch: pa.Table) -> Iterator[pa.Table]:
+        from ray.data import DataContext
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from pyarrow import fs as pafs
-
+        cap = DataContext.get_current().target_max_block_size
         rows: list[dict] = []
+        size = tables = 0
         for path in batch["path"].to_pylist():
-            filesystem, fs_path = pafs.FileSystem.from_uri(path)
-            with filesystem.open_input_stream(fs_path, compression=None) as fh:
-                blob = fh.read()
-            rows.extend(parse_archive_bytes(blob, _basename(path)))
-        return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
+            with open_archive(path) as fh:
+                for row in iter_archive_rows(fh, _basename(path)):
+                    rows.append(row)
+                    size += sum(
+                        len(v) for v in row.values() if isinstance(v, (str, bytes))
+                    )
+                    if cap is not None and size >= cap:
+                        yield pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
+                        rows, size, tables = [], 0, tables + 1
+        if rows or not tables:
+            yield pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
 
 
 def read_archive_pages(paths: list[str]) -> "ray.data.Dataset":  # noqa: F821
@@ -436,8 +592,11 @@ def read_archive_pages(paths: list[str]) -> "ray.data.Dataset":  # noqa: F821
     One file per input block (= per task), matching the reference's
     one-file-per-split contract (ArchiveFileRecordReader.java:140-160);
     gzip members are not splittable so the file is the parallel unit.
-    Only paths ride the initial Dataset — each task opens and parses its
-    own file, so file bytes never pass through the driver."""
+    Only paths ride the initial Dataset — each task streams its own file
+    one record at a time (:func:`iter_archive_records`) and emits PAGES
+    tables of at most ``DataContext.target_max_block_size`` (one table
+    for a file below it), so file bytes never pass through the driver
+    and a task's memory does not grow with the file."""
     import os
 
     import ray
