@@ -1169,6 +1169,58 @@ def test_dedup_content_checkpoint_resume_identical(ray_session, tmp_path_factory
     assert got.seen_sorted == full.seen_sorted
 
 
+def test_dedup_content_crawl_runs_one_shard_pool(
+    ray_session, tmp_path_factory, monkeypatch
+):
+    """A dedup_content crawl keeps URL keys and content hashes in ONE
+    SeenShardPool (seen_shards actors, not twice that): spy on the pool's
+    constructor through a kill-and-resume run with the spill tier forced.
+    Content keys spill under <seen_spill_dir>/content/shard_XXX, and the
+    resumed result is byte-identical to the oracle."""
+    import os
+
+    from webarchive_discovery_ray.state.seen import SeenShardPool
+
+    pools = []
+    init = SeenShardPool.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pools.append(self)
+
+    monkeypatch.setattr(SeenShardPool, "__init__", spy)
+    syn = SyntheticConfig(
+        n_hosts=10, pages_per_host=60, max_fanout=6,
+        duplicate_content_ratio=0.35,
+    )
+    sds = seed_urls(syn, n_seeds=6)
+    spill = str(tmp_path_factory.mktemp("one_pool_spill"))
+    ckdir = str(tmp_path_factory.mktemp("one_pool_ck"))
+
+    def cfg(waves):
+        return CrawlConfig(politeness_budget=3, max_waves=waves, seen_shards=4,
+                           dedup_content=True, seen_spill_threshold=8,
+                           seen_spill_dir=spill)
+
+    run_crawl(sds, cfg(2), syn, fetch_concurrency=2, checkpoint_dir=ckdir)
+    assert len(pools) == 1 and len(pools[0].shards) == 4
+    assert sorted(os.listdir(os.path.join(spill, "content"))) == [
+        f"shard_{i:03d}" for i in range(4)
+    ]
+    assert any(
+        f.endswith(".parquet")
+        for i in range(4)
+        for f in os.listdir(os.path.join(spill, "content", f"shard_{i:03d}"))
+    ), "fixture must spill content keys"
+    got = run_crawl(sds, cfg(4), syn, fetch_concurrency=2,
+                    checkpoint_dir=ckdir, resume=True,
+                    collect_log=True, collect_seen=True)
+    assert len(pools) == 2 and len(pools[1].shards) == 4
+    exp = oracle_crawl(sds, cfg(4), syn)
+    assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
+    assert got.seen_sorted == exp.seen_sorted
+
+
 def test_max_pages_per_host_quota(ray_session, seeds, oracle_result, tmp_path_factory):
     """Heritrix queue-total-budget rule: per-host total fetch quota,
     retired hosts drop their queues. Byte-parity vs the sequential

@@ -425,9 +425,9 @@ def test_cuckoo_filter_membership_delete_and_overflow():
 
     # SeenSet falls back to Bloom on overflow and stays exact
     ss = SeenSet(n_bits=1 << 20)
-    ss._cuckoo = CuckooFilter(n_buckets=2, bucket_size=2)  # force overflow
+    ss._url._cuckoo = CuckooFilter(n_buckets=2, bucket_size=2)  # force overflow
     flags = ss.add_if_new([f"key{i}" for i in range(64)])
-    assert all(flags) and ss._bloom is not None
+    assert all(flags) and ss._url._bloom is not None
     assert ss.add_if_new(["key0", "key63", "fresh"]) == [False, False, True]
 
 

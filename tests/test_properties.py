@@ -1186,6 +1186,154 @@ def test_seen_spill_fuzz_matches_model_set(batches, threshold):
     assert ss.snapshot() == sorted(model)
 
 
+def _cand_table(rows):
+    """Wave candidate rows (order_host, order_slot, order_rank, surt)."""
+    return pa.table(
+        {
+            "url": pa.array([f"http://{s}" for *_, s in rows], pa.string()),
+            "surt": pa.array([s for *_, s in rows], pa.string()),
+            "host": pa.array([h for h, *_ in rows], pa.string()),
+            "priority": pa.array([0] * len(rows), pa.int32()),
+            "hop": pa.array([0] * len(rows), pa.int32()),
+            "order_host": pa.array([h for h, *_ in rows], pa.string()),
+            "order_slot": pa.array([sl for _, sl, _, _ in rows], pa.int32()),
+            "order_rank": pa.array([r for _, _, r, _ in rows], pa.int32()),
+        }
+    )
+
+
+def _gate_table(rows):
+    """Content-gate rows (host, slot, shard, key)."""
+    return pa.table(
+        {
+            "key": pa.array([k for *_, k in rows], pa.string()),
+            "host": pa.array([h for h, *_ in rows], pa.string()),
+            "slot": pa.array([sl for _, sl, _, _ in rows], pa.int32()),
+            "shard": pa.array([sh for _, _, sh, _ in rows], pa.int32()),
+        }
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3), st.integers(0, 5),
+                    st.integers(0, 3), st.integers(0, 40),
+                ),
+                max_size=30,
+            ),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3), st.integers(0, 8),
+                    st.integers(0, 1), st.integers(0, 40),
+                ),
+                max_size=20,
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.one_of(st.none(), st.integers(min_value=2, max_value=12)),
+)
+def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
+    """Property: ``finalize_wave`` winners and ``gate_first_seen`` losers
+    equal a plain-Python model over arbitrary waves, with and without
+    spilling. Both barriers draw keys from the SAME strings, so the model
+    also pins that the URL and content key spaces stay separate."""
+    import tempfile
+
+    import ray
+
+    from webarchive_discovery_ray.state.seen import SeenSet
+
+    ss = SeenSet(
+        spill_dir=tempfile.mkdtemp(), spill_threshold=threshold,
+        content_spill_dir=tempfile.mkdtemp(),
+    )
+    url_model: set[str] = set()
+    content_model: set[str] = set()
+    for wave, (cands, gates) in enumerate(waves):
+        # order keys are unique per candidate, (host, slot) per fetch
+        cands = list({(f"h{h}", sl, r): k for h, sl, r, k in cands}.items())
+        rows = [(*o, f"k{k}") for o, k in cands]
+        half = len(rows) // 2
+        for chunk in (rows[:half], rows[half:]):
+            if chunk:
+                ss.accept(wave, _cand_table(chunk))
+        want = []
+        for h, sl, r, key in sorted(rows):
+            if key not in url_model:
+                url_model.add(key)
+                want.append((h, sl, r, key))
+        w = ss.finalize_wave(wave)
+        got = [] if w is None else list(zip(
+            w["order_host"].to_pylist(), w["order_slot"].to_pylist(),
+            w["order_rank"].to_pylist(), w["surt"].to_pylist(),
+        ))
+        assert got == want
+        gates = list({(f"h{h}", sl): (sh, k) for h, sl, sh, k in gates}.items())
+        grows = [(h, sl, sh, f"k{k}") for (h, sl), (sh, k) in gates]
+        losers_want, new_want = [], []
+        for h, sl, sh, key in sorted(grows):
+            if sh != 0:
+                continue  # another shard's row
+            if key in content_model:
+                losers_want.append((h, sl))
+            else:
+                content_model.add(key)
+                new_want.append(key)
+        losers, small = ss.gate_first_seen(
+            [ray.put(_gate_table(grows))], 0, want_keys=True
+        )
+        got_losers = list(zip(losers["host"].to_pylist(), losers["slot"].to_pylist()))
+        assert got_losers == losers_want
+        assert small == {"n_new": len(new_want), "keys": new_want}
+        probe = [f"k{i}" for i in range(42)]
+        assert ss.contains(probe) == [k in url_model for k in probe]
+    assert ss.snapshot() == sorted(url_model)
+    assert ss.snapshot("content") == sorted(content_model)
+
+
+class _IterCountingSet(set):
+    """A set that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.iters = getattr(self, "iters", 0) + 1
+        return super().__iter__()
+
+
+def test_seen_probes_never_iterate_the_hot_set(ray_session):
+    """Every probe is O(batch): ``add_if_new``, ``contains``,
+    ``finalize_wave`` and ``gate_first_seen`` look keys up in the hot set
+    and never turn the whole set into an array (which costs O(|seen|)
+    per call)."""
+    import ray
+
+    from webarchive_discovery_ray.state.seen import SeenSet
+
+    ss = SeenSet()
+    keys = [f"com,h{i % 5})/p{i}" for i in range(200)]
+    assert ss.add_if_new(keys[:100]) == [True] * 100
+    ss.gate_first_seen([ray.put(_gate_table([("h0", 0, 0, k) for k in keys[:1]]))], 0)
+    spaces = (ss._url, ss._space("content"))
+    for space in spaces:
+        space._exact = _IterCountingSet(space._exact)
+    assert ss.add_if_new(keys) == [False] * 100 + [True] * 100
+    assert ss.contains(keys + ["com,never)/"]) == [True] * 200 + [False]
+    ss.accept(1, _cand_table([("h1", i, 0, k) for i, k in enumerate(keys[::2])]))
+    ss.accept(1, _cand_table([("h2", 0, 0, "com,fresh)/")]))
+    w = ss.finalize_wave(1)
+    assert w["surt"].to_pylist() == ["com,fresh)/"]
+    losers, small = ss.gate_first_seen(
+        [ray.put(_gate_table([("h0", i, 0, k) for i, k in enumerate(keys[:3])]))], 0
+    )
+    assert losers["slot"].to_pylist() == [0] and small["n_new"] == 2
+    assert [getattr(space._exact, "iters", 0) for space in spaces] == [0, 0]
+
+
 def test_viterbi_segment_matches_bruteforce():
     """Pinned DP vs exhaustive enumeration (incl. the longest-piece
     tie-break) on every word over a tiny vocab."""

@@ -121,9 +121,10 @@ class CrawlConfig:
     # payload hash was already seen by an EARLIER fetch (global pinned
     # order: wave, then host, slot) contributes NO candidates — links,
     # sitemap locs, everything; robots RULES still parse and the doc is
-    # still logged/written. State lives in a second SeenShardPool keyed
-    # by content hash (same spill tier + checkpoint-delta machinery as
-    # the URL-seen set). Default OFF: fixtures byte-identical.
+    # still logged/written. State is a second key space of content
+    # hashes in the same seen-set shard actors (same spill tier +
+    # checkpoint-delta machinery as the URL-seen set, separate keys).
+    # Default OFF: fixtures byte-identical.
     dedup_content: bool = False
     # adaptive politeness (Heritrix DispositionProcessor delayFactor /
     # minDelayMs / maxDelayMs mapped onto the wave model): a host whose

@@ -180,6 +180,7 @@ def warc_stats(paths: list[str]):
     never touched), one file per task, per-file partial counts
     (combiner), ONE bucketed grouped sum. Columns: category, item, n."""
     import os
+    from collections import Counter
 
     import ray
 
@@ -192,16 +193,16 @@ def warc_stats(paths: list[str]):
     counts = dict(category=str, item=str, n="int64")
 
     def partial_counts(batch: pa.Table) -> pd.DataFrame:
-        pairs: list[tuple[str, str]] = []
+        census: Counter = Counter()
         for path in batch["path"].to_pylist():
             with open_archive(path) as fh:
-                pairs.extend(parse_archive_stats(fh, path.rsplit("/", 1)[-1]))
-        if not pairs:
+                census.update(parse_archive_stats(fh, path.rsplit("/", 1)[-1]))
+        if not census:
             return typed_empty(**counts)
-        df = pd.DataFrame(pairs, columns=["category", "item"])
-        vc = df.value_counts(["category", "item"]).reset_index(name="n")
-        vc["n"] = vc["n"].astype("int64")
-        return vc
+        return pd.DataFrame(
+            [(c, i, n) for (c, i), n in census.items()],
+            columns=["category", "item", "n"],
+        ).astype({"n": "int64"})
 
     key = ("category", "item")
     return keyed_fold(

@@ -7,18 +7,20 @@ no candidate URL ever crosses the driver unless it wins discovery.
 
 Per wave:
 
-1. **assemble** — per partition, a remote task concatenates the previous
-   wave's carryover block (still in the object store) with the new rows
-   (previous winners + freshly injected robots fetches, host-hash-routed);
+1. **assemble** — per partition, the block's fetch task concatenates
+   its pieces itself: the previous wave's carryover blocks (still in the
+   object store) and the new rows (previous winners + freshly injected
+   robots fetches, host-hash-routed);
 2. **politeness drain** — vectorized per-block drain (blocks are complete
    host groups by construction): order (priority, seq), robots-Disallow
    drop, cumcount slot assignment under the per-host budget;
-3. **fetch + extract** — ONE plain Ray task per block fuses the drain
-   with deterministic page generation (stands in for HTTP fetch) + the
-   full extraction chain; candidate outlinks are filtered + SURT-keyed in
-   the task and emitted as list columns; when a document sink is
-   attached, docs are written straight to per-(wave, partition) parquet
-   fragments (atomic publish, resumable layout);
+3. **fetch + extract** — ONE plain Ray task per block fuses assembly,
+   the drain, deterministic page generation (stands in for HTTP fetch),
+   the full extraction chain and the block's duplicate-content gate
+   rows; candidate outlinks are filtered + SURT-keyed in the task and
+   emitted as list columns; when a document sink is attached, docs are
+   written straight to per-(wave, partition) parquet fragments (atomic
+   publish, resumable layout);
 4. **candidate routing** — a split task (chained on the block ref, so it
    overlaps with still-running fetches) flattens + shard-keys the
    candidates (vectorized); the DRIVER routes the wave's blocks to the
@@ -706,18 +708,17 @@ _PULL_COLS = [
 ]
 
 
-@_ray.remote
-def _assemble(parts_list, p: int, extras_small, *carries: pa.Table) -> pa.Table:
-    """Build one partition's wave-input block: the winner partition
-    (``parts_list`` is the remote-resolved list of per-part frontier
-    tables, read zero-copy from the shared plasma object) + the driver's
-    small robots-injection rows for this part + the carryover blocks."""
+def _assemble(parts_list, p: int, *pieces: pa.Table) -> pa.Table:
+    """One partition's wave-input block, built inside the task that
+    consumes it: the seed partition (``parts_list`` is the
+    remote-resolved list of per-part frontier tables, read zero-copy
+    from the shared plasma object; None after wave 0) + the pieces (the
+    driver's small injection rows for this part, the previous wave's
+    winner and carryover blocks, or a salted block's survivors)."""
     tbls = []
     if parts_list is not None and parts_list[p].num_rows:
         tbls.append(parts_list[p])
-    for t in (extras_small, *carries):
-        if t is not None and t.num_rows:
-            tbls.append(t)
+    tbls += [t for t in pieces if t is not None and t.num_rows]
     if not tbls:
         return PART_SCHEMA.empty_table()
     return tbls[0] if len(tbls) == 1 else pa.concat_tables(tbls)
@@ -807,15 +808,12 @@ def _pick_boundaries(samples: list[str], n_ranges: int) -> list[str]:
 
 
 @_ray.remote
-def _count_rows(tbl: pa.Table) -> int:
-    return tbl.num_rows
-
-
-@_ray.remote
-def _salt_split(tbl: pa.Table, n_sub: int) -> list[pa.Table]:
-    """Split a hot partition block into n_sub salted sub-blocks by a
-    stable per-URL hash. ANY split preserves parity (see _pre_drain), so
-    the hash only needs to spread rows evenly."""
+def _salt_split(n_sub: int, parts_list, p: int, *pieces) -> list[pa.Table]:
+    """Assemble a hot partition's block (:func:`_assemble`) and split it
+    into n_sub salted sub-blocks by a stable per-URL hash. ANY split
+    preserves parity (see _pre_drain), so the hash only needs to spread
+    rows evenly."""
+    tbl = _assemble(parts_list, p, *pieces)
     if n_sub == 1:
         # num_returns=1 delivers the return value unsplit — hand back the
         # table itself, not a 1-list the caller would see as a list object
@@ -826,7 +824,7 @@ def _salt_split(tbl: pa.Table, n_sub: int) -> list[pa.Table]:
     return [tbl.filter(pa.array(salts == s)) for s in range(n_sub)]
 
 
-@_ray.remote(num_returns=2)
+@_ray.remote(num_returns=3)
 def _pre_drain(tbl: pa.Table, ccfg: CrawlConfig, policy_boxed):
     """Salted phase-1 drain over ONE sub-block of a hot partition: the
     main drain's order, robots drop and quota retirement (dropped rows
@@ -835,40 +833,47 @@ def _pre_drain(tbl: pa.Table, ccfg: CrawlConfig, policy_boxed):
     Parity: a row selected by the global drain ranks < budget in any
     subset containing it, so the union of sub-block survivors contains
     every globally selected row, and the final drain over survivors
-    assigns identical slots."""
+    assigns identical slots. Returns ``(survivors, carry, carry rows)``."""
     if tbl.num_rows == 0:
-        return tbl, tbl
+        return tbl, tbl, 0
     df, sel, _ = _drain_order(tbl.to_pandas(), ccfg, _policy_of(policy_boxed))
     cols = ["url", "surt", "host", "priority", "hop", "seq", "part"]
     sv = pa.Table.from_pandas(df.loc[sel, cols], preserve_index=False)
     cr = pa.Table.from_pandas(df.loc[~sel, cols], preserve_index=False)
-    return sv.cast(PART_SCHEMA), cr.cast(PART_SCHEMA)
+    return sv.cast(PART_SCHEMA), cr.cast(PART_SCHEMA), cr.num_rows
 
 
-@_ray.remote
+@_ray.remote(num_returns=2)
 def _drain_fetch(
-    tbl: pa.Table,
     policy_boxed,
     scfg: SyntheticConfig,
     icfg,
     wave: int,
     ccfg: CrawlConfig,
     docs_dir: str | None,
-) -> pa.Table:
-    """Fused politeness drain + fetch/extract for ONE frontier block (the
-    block holds complete host groups, so the drain's per-host queues are
-    whole)."""
+    parts_list,
+    p: int,
+    *pieces: pa.Table,
+):
+    """Assembly + politeness drain + fetch/extract for ONE frontier block
+    (the block holds complete host groups, so the drain's per-host
+    queues are whole); ``parts_list, p, *pieces`` are
+    :func:`_assemble`'s. Returns ``(block, gate)``: ``gate`` is the
+    block's duplicate-content gate table under ``ccfg.dedup_content``,
+    else None."""
+    tbl = _assemble(parts_list, p, *pieces)
     drained = _make_drain_fn(ccfg, policy_boxed)(tbl.to_pandas())
     stage = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)
-    return stage(pa.Table.from_pandas(drained, preserve_index=False))
+    block = stage(pa.Table.from_pandas(drained, preserve_index=False))
+    gate = _gate_rows(ccfg.seen_shards, block) if ccfg.dedup_content else None
+    return block, gate
 
 
-@_ray.remote
 def _gate_rows(n_shards: int, tbl: pa.Table) -> pa.Table:
     """Per-block duplicate-content gate rows: (key, host, slot, shard)
     of every SELECTED status-200 fetch — ``shard = shard_of(hash)`` so
-    each content shard self-filters its rows from the shared block
-    (the cand-routing delivery shape)."""
+    each shard self-filters its rows from the shared block (the
+    cand-routing delivery shape)."""
     import pyarrow.compute as pc
 
     empty = pa.table(
@@ -879,7 +884,7 @@ def _gate_rows(n_shards: int, tbl: pa.Table) -> pa.Table:
             "shard": pa.array([], pa.int32()),
         }
     )
-    if tbl.num_rows == 0 or "selected" not in tbl.column_names:
+    if tbl.num_rows == 0:
         return empty
     f = tbl.filter(
         pc.and_(tbl["selected"], pc.equal(tbl["fetch_status"], 200))
@@ -962,7 +967,9 @@ def _write_warc_block(
 def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
     """(meta, carry_table, fetched_table, candidate_table).
 
-    Carry and candidates stay remote; candidates are flattened from the
+    The meta carries the block's row counts (``fetched_rows``,
+    ``carry_rows``, ``cand_rows``) and policy observations; carry and
+    candidates stay remote; candidates are flattened from the
     fetch stage's list columns (vectorized) and shard-keyed so each seen
     shard can self-filter its rows from the shared block.
     ``loser_tbls`` (dedup_content crawls only) are the content gate's
@@ -974,7 +981,8 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
     if tbl.num_rows == 0 or "selected" not in tbl.column_names:
         # empty input parts pass through the maps untouched
         return (
-            {"part": -1, "cand_rows": 0, "fetched_rows": 0, "policy": None},
+            {"part": -1, "cand_rows": 0, "fetched_rows": 0, "carry_rows": 0,
+             "policy": None},
             FRONTIER_SCHEMA.empty_table(),
             OUT_SCHEMA.empty_table().select(_PULL_COLS),
             CAND_SCHEMA.empty_table(),
@@ -992,6 +1000,7 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
         "part": part,
         "cand_rows": 0,
         "fetched_rows": fetched.num_rows,
+        "carry_rows": carry.num_rows,
         "policy": PolicyState.observe(fetched),
     }
     # duplicate-content suppression: candidates flatten from cand_src,
@@ -1153,23 +1162,14 @@ def run_crawl(
     n_parts = max(16, fetch_concurrency * 4)
     n_shards = ccfg.seen_shards
     res = CrawlResult(docs_dir=docs_dir)
+    # ONE actor per shard: the URL-seen set, plus (dedup_content) the
+    # duplicate-content gate's key space of content hashes — same
+    # shards, same spill tier and checkpoint machinery, separate keys
+    # (content spills under <seen_spill_dir>/content)
     pool = SeenShardPool(
         ccfg.seen_shards,
         spill_dir=ccfg.seen_spill_dir,
         spill_threshold=ccfg.seen_spill_threshold,
-    )
-    # duplicate-content gate state: a SECOND shard pool keyed by content
-    # hash (same spill tier + checkpoint machinery; separate namespace)
-    content_pool = (
-        SeenShardPool(
-            ccfg.seen_shards,
-            spill_dir=None
-            if ccfg.seen_spill_dir is None
-            else os.path.join(ccfg.seen_spill_dir, "content"),
-            spill_threshold=ccfg.seen_spill_threshold,
-        )
-        if ccfg.dedup_content
-        else None
     )
     pending_content_delta: list[str] = []
     # Sitemap URLs advertised by rules not yet offered to the seen set.
@@ -1195,8 +1195,8 @@ def run_crawl(
         # shard-side absorb: driver ships delta PATHS, each shard reads
         # its own slice (no driver-side key materialization)
         pool.restore_from_parquet(ck["seen_delta_paths"])
-        if content_pool is not None:
-            content_pool.restore_from_parquet(ck["content_delta_paths"])
+        if ccfg.dedup_content:
+            pool.restore_from_parquet(ck["content_delta_paths"], "content")
         policy = PolicyState.from_checkpoint(ck["policy"])
         if ccfg.follow_sitemaps:
             sitemap_pending = _sitemaps_of(policy.rules)
@@ -1281,10 +1281,11 @@ def run_crawl(
         if frontier_rows == 0:
             break
         marks.append(time.monotonic())
-        # --- assemble wave input blocks (object-store resident) ---------
+        # --- assemble wave input blocks (object-store resident): each
+        # block's pieces go straight to its fetch task ------------------
         robots_parts = _partition_by_host(robots_tbl, n_parts)
-        input_refs = []
-        pre_carry: dict[int, list] = {}  # salted-path direct carryover
+        fetch_args = []  # per block: _assemble's (parts_list, p, *pieces)
+        pre_carry: dict[int, list] = {}  # salted path: (carry, rows) refs
         # the policy state enters the cluster ONCE per wave (object
         # store), not once per task closure; BOXED so tasks resolve it
         # through the per-worker broadcast cache
@@ -1297,9 +1298,7 @@ def run_crawl(
                 for p, c in enumerate(rows):
                     winners_rows_per_part[p] += c
         for p in range(n_parts):
-            assembled = _assemble.remote(
-                extras_parts_ref,
-                p,
+            pieces = (
                 robots_parts[p],
                 *winners_part_refs.get(p, []),
                 *carry_refs.get(p, []),
@@ -1315,16 +1314,14 @@ def run_crawl(
                 # survivors (≤ salt_factor × budget per host) re-merge
                 subs = _salt_split.options(
                     num_returns=ccfg.salt_factor
-                ).remote(assembled, ccfg.salt_factor)
+                ).remote(ccfg.salt_factor, extras_parts_ref, p, *pieces)
                 if ccfg.salt_factor == 1:
                     subs = [subs]
                 outs = [_pre_drain.remote(sub, ccfg, policy_boxed) for sub in subs]
-                input_refs.append(
-                    _assemble.remote(None, -1, None, *[sv for sv, _ in outs])
-                )
-                pre_carry[p] = [cr for _, cr in outs]
+                fetch_args.append((None, -1, *[sv for sv, _, _ in outs]))
+                pre_carry[p] = [(cr, n) for _, cr, n in outs]
             else:
-                input_refs.append(assembled)
+                fetch_args.append((extras_parts_ref, p, *pieces))
         marks.append(time.monotonic())
         # resumable docs layout: clear this wave's fragment dir first so a
         # crashed prior attempt (possibly with a different n_parts) can't
@@ -1342,32 +1339,36 @@ def run_crawl(
 
                 shutil.rmtree(wwdir)
         # --- ONE execution per wave: fused drain -> fetch/extract -------
-        # ONE plain Ray task per block: the politeness drain and the
-        # fetch/extract chain run fused in the same task (whole block =
-        # complete host groups), and the split task chains directly on the
-        # block's ObjectRef — split of early blocks overlaps with later
-        # blocks still fetching, there is no per-wave streaming-executor
-        # startup, and task outputs are stable (no eager block GC, so no
-        # lineage reconstruction can re-run a fetch).
-        block_refs = [
-            _drain_fetch.remote(ref, policy_boxed, scfg, icfg, wave, ccfg, docs_dir)
-            for ref in input_refs
+        # ONE plain Ray task per block: assembly, the politeness drain,
+        # the fetch/extract chain and the gate rows run fused in the same
+        # task (whole block = complete host groups), and the split task
+        # chains directly on the block's ObjectRef — split of early blocks
+        # overlaps with later blocks still fetching, there is no per-wave
+        # streaming-executor startup, and task outputs are stable (no
+        # eager block GC, so no lineage reconstruction can re-run a fetch).
+        fetches = [
+            _drain_fetch.remote(
+                policy_boxed, scfg, icfg, wave, ccfg, docs_dir, *args
+            )
+            for args in fetch_args
         ]
+        block_refs = [b for b, _ in fetches]
         marks.append(time.monotonic())
         # --- duplicate-content gate (wave barrier, dedup_content only):
-        # per-block (hash, host, slot) rows route BY REFERENCE to the
-        # content shards (hash-sharded); each shard resolves first-wins
-        # in the pinned (host, slot) order against its persistent
-        # content-seen set and returns its loser table — the split tasks
-        # consume those refs and suppress the losers' candidate lists.
-        # Gate data is fetched-bounded (politeness budget x hosts), far
-        # below the candidate volume the seen shards already route.
+        # the fetch tasks' per-block (hash, host, slot) rows route BY
+        # REFERENCE to the shards (hash-sharded); each shard resolves
+        # first-wins in the pinned (host, slot) order against its
+        # persistent content key space and returns its loser table — the
+        # split tasks consume those refs and suppress the losers'
+        # candidate lists. Gate data is fetched-bounded (politeness
+        # budget x hosts), far below the candidate volume the shards
+        # already route.
         loser_refs: list = []
         gate_small_refs: list = []
-        if content_pool is not None:
-            gate_refs = [_gate_rows.remote(n_shards, ref) for ref in block_refs]
+        if ccfg.dedup_content:
+            gate_refs = [g for _, g in fetches]
             gate_outs = [
-                content_pool.shards[s]
+                pool.shards[s]
                 .gate_first_seen.options(num_returns=2)
                 .remote(gate_refs, s, track_delta)
                 for s in range(n_shards)
@@ -1406,14 +1407,25 @@ def run_crawl(
             )
             if log_path is not None:
                 log_flush_refs.append(log_done)
-        metas = ray.get([m for m, _, _, _ in splits])
-        carry_refs = {p: list(refs) for p, refs in pre_carry.items()}
+        # one get for the split metas and the salted carries' row counts:
+        # every carry count comes from the task that built the carry
+        got = ray.get(
+            [m for m, _, _, _ in splits]
+            + [n for outs in pre_carry.values() for _, n in outs]
+        )
+        metas, pre_rows = got[: len(splits)], iter(got[len(splits):])
+        carries = {
+            p: [(cr, next(pre_rows)) for cr, _ in outs]
+            for p, outs in pre_carry.items()
+        }
         fetched_per_part: dict[int, int] = {}
         cand_refs = []
         cand_bounds = []  # per block: n_shards+1 slice offsets
         for meta, (_, carry_ref, _, cand_ref) in zip(metas, splits):
             if meta["part"] >= 0:
-                carry_refs.setdefault(meta["part"], []).append(carry_ref)
+                carries.setdefault(meta["part"], []).append(
+                    (carry_ref, meta["carry_rows"])
+                )
                 fetched_per_part[meta["part"]] = meta["fetched_rows"]
             if meta["cand_rows"]:
                 cand_refs.append(cand_ref)
@@ -1429,27 +1441,18 @@ def run_crawl(
             ray.get(
                 [
                     pool.shards[s].accept_routed_many.remote(
-                        wave,
-                        cand_refs,
-                        s,
-                        [(b[s], b[s + 1]) for b in cand_bounds],
+                        wave, cand_refs, [(b[s], b[s + 1]) for b in cand_bounds]
                     )
                     for s in range(n_shards)
                 ]
             )  # delivery barrier before finalize
-        # carry counts via tiny remote probes (rows only, tables stay put)
-        count_refs = [
-            (p, r, _count_rows.remote(r))
-            for p, refs in carry_refs.items()
-            for r in refs
-        ]
-        counts = ray.get([c for _, _, c in count_refs])
-        del block_refs, splits  # wave's intermediates can be GC'd
+        del fetches, block_refs, splits  # wave's intermediates can be GC'd
         carry_refs, carry_counts = {}, {}
-        for (p, r, _), c in zip(count_refs, counts):
-            if c > 0:
-                carry_refs.setdefault(p, []).append(r)
-                carry_counts[p] = carry_counts.get(p, 0) + c
+        for p, refs in carries.items():
+            for r, c in refs:
+                if c > 0:
+                    carry_refs.setdefault(p, []).append(r)
+                    carry_counts[p] = carry_counts.get(p, 0) + c
         marks.append(time.monotonic())
         # --- discovery barrier (two-phase parallel winners merge): the
         # shards finalize concurrently; the driver blocks ONLY on their
@@ -1534,7 +1537,7 @@ def run_crawl(
         res.wave_stats.append(stats)
         res.total_fetched += n_fetched
         # --- checkpoint (sync point: frontier pulled once to persist) ---
-        if content_pool is not None and track_delta and gate_small_refs:
+        if track_delta and gate_small_refs:
             for sm in ray.get(gate_small_refs):
                 pending_content_delta.extend(sm["keys"])
         if checkpoint_dir is not None:
@@ -1567,7 +1570,7 @@ def run_crawl(
                 checkpoint_dir, wave, next_frontier, wave_log, pending_delta,
                 seq, stats, policy.to_checkpoint(),
                 content_delta=(
-                    pending_content_delta if content_pool is not None else None
+                    pending_content_delta if ccfg.dedup_content else None
                 ),
             )
             pending_delta = []

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 import zlib
+from collections import Counter
 from typing import Iterator
 
 import pyarrow as pa
@@ -536,14 +537,16 @@ def record_stats_items(headers: dict[str, str]) -> list[tuple[str, str]]:
     return items
 
 
-def parse_archive_stats(source, source_file: str) -> list[tuple[str, str]]:
-    """Header-level raw-stats emissions for one (W)ARC file, bytes or a
-    binary stream (payloads are never inspected — this is the cheap
+def parse_archive_stats(source, source_file: str) -> Counter:
+    """Header-level raw-stats census of one (W)ARC file, bytes or a
+    binary stream: emissions per (category, item), counted as the
+    records stream, so memory grows with the distinct items, not the
+    record count (payloads are never inspected — this is the cheap
     whole-collection census)."""
-    out: list[tuple[str, str]] = []
+    counts: Counter = Counter()
     for _, headers, _ in iter_archive_records(source):
-        out.extend(record_stats_items(headers))
-    return out
+        counts.update(record_stats_items(headers))
+    return counts
 
 
 def _basename(path: str) -> str:
