@@ -30,3 +30,12 @@ def quiet_ray_data():
     except Exception:
         pass
     yield
+
+
+@pytest.fixture
+def exchange_path(monkeypatch):
+    """Force every bucketed pass and the BPE merge loop onto their
+    distributed paths (no input is below the one-task size)."""
+    from webarchive_discovery_ray.functions import bucketing
+
+    monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", 0)

@@ -1042,6 +1042,38 @@ def test_new_ops_empty_input(ray_session, tmp_path):
         assert len(got) == 0, fn.__name__
 
 
+@pytest.mark.parametrize("one_task", [True, False], ids=["one_task", "exchange"])
+def test_small_state_loops_on_degenerate_input(ray_session, tmp_path, monkeypatch, one_task):
+    """Both paths (one task below TARGET_BLOCK_BYTES, the exchange and
+    the per-round BPE loop above it) handle degenerate input alike: an
+    empty corpus trains no BPE merge, merge rounds that run out of pairs
+    stop early, and an empty pair list leaves every node its own
+    cluster."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions import bucketing
+    from webarchive_discovery_ray.pipelines.dedup import neardup_clusters
+    from webarchive_discovery_ray.pipelines.textops import bpe_train
+
+    if not one_task:
+        monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", 0)
+    assert len(bpe_train(_empty_sf(tmp_path)).to_pandas()) == 0
+    short = tmp_path / "short"
+    short.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": [0, 1], "text": ["ab ab", "a"]}), str(short / "documents.parquet")
+    )
+    got = bpe_train(str(short), n_merges=6).to_pandas().sort_values("step")
+    assert list(zip(got["left"], got["right"], got["n"])) == [
+        ("a", "b", 2), ("ab", "</w>", 2), ("a", "</w>", 1)
+    ]
+    no_pairs = rd.from_items([{"doc_a": 1, "doc_b": 2}]).filter(lambda r: False)
+    nodes = rd.from_items([{"doc_id": i} for i in range(3)])
+    got = neardup_clusters(no_pairs, nodes).to_pandas()
+    assert sorted(zip(got["doc_id"], got["cluster_id"])) == [(0, 0), (1, 1), (2, 2)]
+
+
 def test_url_quality_filter_params_after_first_question_mark(ray_session, tmp_path):
     """The query is everything after the FIRST '?': a second '?' is a
     query character, so ``?a=1?b=2&c=3`` carries two params. Pipeline

@@ -658,3 +658,54 @@ def test_tpch_synth_numpy_sql_bit_parity():
     # domain sanity: every synthesized value set is exercised
     assert set(df["l_shipmode"]) == set(T.SHIP_MODES)
     assert set(df["l_shipinstruct"]) == set(T.SHIP_INSTRUCTS)
+
+
+def test_keyed_fold_small_input_runs_in_one_worker_task(ray_session):
+    """Below TARGET_BLOCK_BYTES the whole pass is one remote task: every
+    bucket is folded in the same worker process (never the driver), in
+    ascending bucket order, into a one-block materialized result."""
+    import os
+
+    import pandas as pd
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions.bucketing import in_one_task, keyed_fold
+
+    def where(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"bucket": df["bucket"].iloc[:1], "pid": [os.getpid()]})
+
+    ds = rd.from_pandas(pd.DataFrame({"k": range(200)})).repartition(4)
+    out = keyed_fold(ds, where, "k")
+    assert isinstance(out, rd.dataset.MaterializedDataset) and out.num_blocks() == 1
+    got = out.to_pandas()
+    assert len(got) > 1 and got["pid"].nunique() == 1
+    assert os.getpid() not in set(got["pid"])
+    assert got["bucket"].is_monotonic_increasing
+
+    def pid_of(frame: pd.DataFrame, extra: int) -> tuple:
+        return os.getpid(), len(frame) + extra
+
+    pid, n = in_one_task(pid_of, ds, 1)
+    assert pid != os.getpid() and n == 201
+
+
+def test_keyed_fold_at_the_size_constant_takes_the_exchange(ray_session, monkeypatch):
+    """An input at or above TARGET_BLOCK_BYTES runs the groupby/map_groups
+    exchange (a lazy Dataset), and a small-state loop is left to its
+    distributed rounds."""
+    import pandas as pd
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions import bucketing
+
+    ds = rd.from_pandas(pd.DataFrame({"k": range(200), "v": 1}))
+    size = bucketing.bucketed(ds, "k").materialize().size_bytes()
+    fold = bucketing.sum_in_bucket("k", "v")
+    monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size)
+    out = bucketing.keyed_fold(ds, fold, "k")
+    assert not isinstance(out, rd.dataset.MaterializedDataset)
+    assert sorted(out.to_pandas()["k"]) == list(range(200))
+    assert bucketing.in_one_task(len, bucketing.bucketed(ds, "k")) is None
+    monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size + 1)
+    out = bucketing.keyed_fold(ds, fold, "k")
+    assert isinstance(out, rd.dataset.MaterializedDataset) and out.num_blocks() == 1

@@ -1400,3 +1400,55 @@ def test_unigram_train_learns_frequent_words(ray_session, tmp_path):
     # counts conserve: total piece count == total segmented word tokens'
     # piece count, all integers
     assert (out["n"] >= 0).all() and out["n"].dtype == "int64"
+
+
+# --- keyed_fold: one-task path == exchange path --------------------------------
+
+
+@given(
+    keys=st.lists(st.integers(0, 60), max_size=80),
+    one_key=st.booleans(),
+    top1=st.booleans(),
+    n_blocks=st.integers(1, 4),
+)
+@settings(max_examples=12, deadline=None)
+def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks):
+    """The one-task fold and the groupby/map_groups exchange yield the
+    same rows (as a sorted multiset) on random keys, on a single bucket
+    (every row one key), on empty input, and for a per-bucket top-1
+    fold, whose result depends on the bucket boundaries."""
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions import bucketing
+
+    if one_key:
+        keys = [7] * len(keys)
+    df = pd.DataFrame(
+        {"k": np.array(keys, dtype="int64"), "v": np.arange(len(keys), dtype="int64") % 5}
+    )
+    ds = rd.from_pandas(df)
+    if len(df):
+        ds = ds.repartition(n_blocks)
+
+    def top1_fold(frame: pd.DataFrame) -> pd.DataFrame:
+        g = frame.groupby("k", sort=False)["v"].sum().reset_index()
+        return g.sort_values(["v", "k"], ascending=[False, True], kind="mergesort").head(1)
+
+    fold = top1_fold if top1 else bucketing.sum_in_bucket("k", "v")
+    empty = dict(k="int64", v="int64")
+
+    def rows():
+        out = bucketing.keyed_fold(ds, fold, "k", empty=empty).to_pandas()
+        return sorted(zip(out["k"], out["v"])) if len(out) else []
+
+    one_task = rows()
+    saved = bucketing.TARGET_BLOCK_BYTES
+    bucketing.TARGET_BLOCK_BYTES = 0
+    try:
+        exchange = rows()
+    finally:
+        bucketing.TARGET_BLOCK_BYTES = saved
+    assert one_task == exchange
+    if not top1:
+        want = df.groupby("k")["v"].sum()
+        assert one_task == sorted(want.items())

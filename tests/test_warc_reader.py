@@ -796,6 +796,43 @@ def test_warc_deduplicate_roundtrip(ray_session, tmp_path):
         assert not rv["payload"]  # payload dropped, headers retained
 
 
+def test_warc_deduplicate_rewrites_each_file_in_its_own_task(ray_session, tmp_path, monkeypatch):
+    """The loser table is tiny but the rewrites are not: the rewrite of
+    every input file is its own task (one block per file), whichever
+    path the grouped passes before it take."""
+    import re
+
+    import ray
+
+    from webarchive_discovery_ray.pipelines.cdx import warc_deduplicate
+    from webarchive_discovery_ray.sources.warc import build_response_member
+
+    paths = []
+    for f in range(3):
+        path = tmp_path / f"part-{f}.warc.gz"
+        path.write_bytes(b"".join(
+            build_response_member(
+                f"http://f{f}.example/{i}", f"2020010{f + 1}00000{i}", 200,
+                "text/html", f"<p>{i % 2}</p>".encode(),
+            )
+            for i in range(4)
+        ))
+        paths.append(str(path))
+    stats = []
+    orig = ray.data.Dataset.take_all
+
+    def spy(self, *a, **k):
+        out = orig(self, *a, **k)
+        stats.append(self.stats())
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", spy)
+    warc_deduplicate(paths, str(tmp_path / "out"))
+    monkeypatch.undo()
+    found = re.search(r"MapBatches\(rewrite_files\)\S*: (\d+) tasks executed", "\n".join(stats))
+    assert found and int(found.group(1)) == len(paths), stats
+
+
 def test_warc_deduplicate_driver_holds_only_per_file_counts(
     ray_session, tmp_path, monkeypatch
 ):

@@ -1,5 +1,5 @@
 """Bucketed grouped passes — the repo's scale-safe alternative to raw-key
-``groupby``.
+``groupby`` — and the size rule that picks how each one runs.
 
 Measured on this Ray version (see BASELINE.md "grouped-pass discipline"):
 ``Dataset.groupby(key).aggregate(...)`` over raw rows costs ~1.3 ms/row of
@@ -10,20 +10,42 @@ is pre-aggregated/small; both are pathological over per-token / per-URL /
 per-user row streams.
 
 The bucketed pass keeps the SAME co-location guarantee with bounded group
-count: attach ``bucket = stable_hash(key) % n_buckets`` (vectorized),
-``groupby("bucket").map_groups(fn)`` so the shuffle machinery handles only
-``n_buckets`` groups, and do the real per-key grouping INSIDE ``fn`` with
-vectorized pandas kernels. All rows of a key land in one bucket, so any
-per-key computation stays exact; skew is bounded by the hash (salt the key
-first if one key dominates a bucket).
+count: attach ``bucket = stable_hash(key) % n_buckets`` (vectorized), hand
+each bucket to the pipeline's fold, and do the real per-key grouping
+INSIDE the fold with vectorized pandas kernels. All rows of a key land in
+one bucket, so any per-key computation stays exact; skew is bounded by the
+hash (salt the key first if one key dominates a bucket).
+
+The size rule. ``keyed_fold`` materializes its tagged input (the exchange
+barriers it anyway) and reads its size:
+
+- below ``TARGET_BLOCK_BYTES`` (16 MiB) the whole input goes to ONE
+  remote task as one pandas frame, which folds every bucket in ascending
+  bucket order into one block. A sort exchange over a few kilobytes is all
+  fixed cost (task scheduling per block, per partition, per reducer; cf.
+  Hyper Dimension Shuffle, VLDB'19), and on the benchmark's corpus
+  passes it dominated the fold itself;
+- at or above it, ``groupby("bucket").map_groups(fold)`` runs over the
+  input re-pinned to ``ceil(size / TARGET_BLOCK_BYTES)`` blocks
+  (:func:`coalesce_blocks`), so the exchange is data-sized.
+
+Both paths hand the fold the same frames (one bucket, fresh index) and
+yield the same rows in the same bucket order, and the one-task path holds
+at most ``TARGET_BLOCK_BYTES`` of input. A loop whose whole state is one
+small table can apply the same rule one level up with
+:func:`in_one_task`: below the constant every round runs inside one
+task. Only BPE training does (its merge rounds are the curate
+benchmark's largest pass); the other small-state loops (unigram EM,
+PageRank, label propagation) run their distributed rounds, each pass of
+which is one task anyway.
 
 ``keyed_fold`` (with its tagging half ``bucketed``) is the only way
 pipelines build a bucketed pass: a pipeline supplies its per-batch
-partial, its key and its in-bucket fold, and only this module knows the bucket count, the ``bucket`` column, the empty-
-upstream quirk and the ``map_batches -> groupby -> map_groups`` chain. It
-is also the one place to re-test Ray's hash shuffle (keyed
-``repartition``) on a later Ray: on this build it measured ~11x slower
-than the bucketed pass, and raises under the default sort shuffle.
+partial, its key and its in-bucket fold, and only this module knows the
+bucket count, the ``bucket`` column, the empty-upstream rule and the two
+execution paths. It is also the one place to re-test Ray's hash shuffle
+(keyed ``repartition``) on a later Ray: on this build it measured ~11x
+slower than the bucketed pass, and raises under the default sort shuffle.
 """
 
 from __future__ import annotations
@@ -31,18 +53,25 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 __all__ = [
+    "TARGET_BLOCK_BYTES",
     "bucket_of",
     "default_buckets",
     "coalesce_blocks",
     "bucketed",
     "keyed_fold",
+    "in_one_task",
     "sum_in_bucket",
     "typed_empty",
 ]
 
 _KNUTH = np.uint64(2654435761)
+
+# the one size constant: exchange block size, and the input size below
+# which a grouped pass or a small-state loop runs in one task
+TARGET_BLOCK_BYTES = 16 << 20
 
 
 def bucket_of(values: pd.Series, n_buckets: int) -> pd.Series:
@@ -60,22 +89,22 @@ def bucket_of(values: pd.Series, n_buckets: int) -> pd.Series:
     return pd.Series((h % np.uint64(n_buckets)).astype(np.int32), index=values.index)
 
 
-def coalesce_blocks(ds, target_block_bytes: int = 16 << 20):
-    """Materialize a Dataset and re-pin its block count to its SIZE.
+def coalesce_blocks(ds):
+    """Materialize a Dataset and re-pin its block count to its SIZE:
+    ``ceil(size_bytes / TARGET_BLOCK_BYTES)`` blocks, never more than it
+    has.
 
     A narrow stream produced by per-block map tasks inherits the corpus
     read's parallelism (e.g. 64 near-empty blocks for a few-MB candidate
-    list), and every downstream all-to-all (groupby / sort) then pays
-    scheduling per block — measured here: a 3-sort chain over 64–192 tiny
-    blocks costs seconds of pure orchestration for milliseconds of
-    compute. Re-pinning to ``ceil(size_bytes / target_block_bytes)``
-    blocks makes the exchange data-sized. At real scale this is a no-op:
-    when upstream blocks already hold ≥ ``target_block_bytes`` the
-    condition never triggers and no extra exchange is added (the
-    materialize is free — every all-to-all barriers its input anyway)."""
+    list), and every downstream all-to-all (groupby / sort) or per-block
+    map then pays scheduling per block. ``keyed_fold`` applies this to
+    every exchange it runs, so call it only for a Dataset that feeds
+    something else (a sort, a map reused in a loop). At real scale it is
+    a no-op: when upstream blocks already hold ≥ ``TARGET_BLOCK_BYTES``
+    no extra exchange is added."""
     m = ds.materialize()
     nb = m.num_blocks()
-    target = max(1, min(nb, -(-m.size_bytes() // target_block_bytes)))
+    target = max(1, min(nb, -(-m.size_bytes() // max(1, TARGET_BLOCK_BYTES))))
     if target < nb:
         m = m.repartition(target).materialize()
     return m
@@ -90,8 +119,6 @@ def default_buckets(min_b: int = 16, per_cpu: int = 2, cap: int = 128) -> int:
     """Bucket count sized to the cluster: enough groups to spread over
     every CPU (×``per_cpu`` for stragglers), capped so tiny clusters do
     not shuffle hundreds of near-empty buckets."""
-    import ray
-
     n_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return int(min(cap, max(min_b, n_cpus * per_cpu)))
 
@@ -134,9 +161,8 @@ def bucketed(ds, key, *, rows=None, batch_format="pandas"):
     with NUL) or a callable frame -> Series over the partial's output
     (column keys only when the partial returns an Arrow table).
 
-    Call it directly only when something must sit between the tag and
-    the exchange (``coalesce_blocks``, a union with an already-tagged
-    input), then hand the result to ``keyed_fold(..., key=None)``."""
+    Call it directly when tagged rows are co-grouped with rows tagged
+    elsewhere, then hand the result to ``keyed_fold(..., key=None)``."""
     n_b = default_buckets()
 
     def tag(batch):
@@ -148,19 +174,53 @@ def bucketed(ds, key, *, rows=None, batch_format="pandas"):
     return ds.map_batches(tag, batch_format=batch_format)
 
 
+@ray.remote
+def _on_frame(fn, args, *blocks):
+    """``fn(frame, *args)`` in a worker, over one pandas frame of
+    ``blocks`` (pandas or Arrow) in order."""
+    from ray.data.block import BlockAccessor
+
+    parts = [BlockAccessor.for_block(b).to_pandas() for b in blocks]
+    # empty blocks only pass their columns on when nothing else does
+    rows = [f for f in parts if len(f)] or parts[:1] or [pd.DataFrame()]
+    return fn(pd.concat(rows, ignore_index=True), *args)
+
+
+def _one_task(fn, m, *args):
+    """Submit ``fn(frame, *args)`` as ONE remote task over the blocks of
+    the materialized Dataset ``m``; return its object ref."""
+    refs = [r for bundle in m.iter_internal_ref_bundles() for r, _ in bundle.blocks]
+    return _on_frame.options(name=fn.__name__).remote(fn, args, *refs)
+
+
+def _fold_in_order(df: pd.DataFrame, fold) -> pd.DataFrame:
+    """The one-task path of :func:`keyed_fold`: fold each bucket in
+    ascending bucket order, as ``map_groups`` would."""
+    outs = [fold(g.reset_index(drop=True)) for _, g in df.groupby("bucket", sort=True)]
+    # as in _on_frame: an empty output (often object-typed) must not
+    # widen the dtypes of the others
+    return pd.concat([o for o in outs if len(o)] or outs[:1], ignore_index=True)
+
+
 def keyed_fold(ds, fold, key, *, rows=None, batch_format="pandas", empty=None):
     """One bucketed grouped pass: :func:`bucketed` by ``key`` (with the
     optional per-batch ``rows`` partial), then ``fold`` every bucket —
     all rows of a key arrive in one ``fold`` call, as a pandas frame.
 
     ``ds`` may be a tuple of datasets co-grouped by the same key (a keyed
-    join), with ``rows`` a matching tuple; the tagged inputs are unioned
-    before the exchange. ``key=None`` takes input already tagged by
-    :func:`bucketed`. ``empty`` is the fold's output schema
-    ``{column: dtype}``: when the upstream is completely empty Ray hands
-    the fold a ZERO-COLUMN block, and the pass returns that schema
-    instead of calling ``fold``. Chained passes nest calls: the next
-    pass's tag fuses into this pass's ``map_groups`` stage."""
+    join), with ``rows`` a matching tuple; each tagged input is
+    materialized on its own, then they are unioned. Pass co-grouped
+    inputs this way rather than as one ``a.union(b)``: on a single CPU a
+    union whose live branch holds the CPU can starve the sampling tasks
+    of a sort inside another branch. ``key=None`` takes input already
+    tagged by :func:`bucketed`. The size rule of the module docstring
+    then picks the path: below ``TARGET_BLOCK_BYTES`` one remote task
+    over the whole input (a one-block MaterializedDataset), else the
+    ``groupby("bucket").map_groups`` exchange (a lazy Dataset).
+    ``empty`` is the fold's output schema ``{column: dtype}``: the fold
+    never sees an empty bucket, and a completely empty upstream yields
+    ``empty``'s schema when it is given, else the exchange's own
+    zero-column block."""
     inputs = tuple(ds) if isinstance(ds, (tuple, list)) else (ds,)
     if key is not None:
         partials = rows if isinstance(rows, (tuple, list)) else (rows,) * len(inputs)
@@ -169,17 +229,32 @@ def keyed_fold(ds, fold, key, *, rows=None, batch_format="pandas", empty=None):
             for d, p in zip(inputs, partials)
         ]
 
-    def fold_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if empty is not None and not len(df):
-            return typed_empty(**empty)
-        return fold(df)
-
-    fold_bucket.__name__ = fold.__name__
-
+    inputs = [d.materialize() for d in inputs]
     union = inputs[0]
     for more in inputs[1:]:  # pairwise, as a.union(b).union(c) plans it
         union = union.union(more)
-    return union.groupby("bucket").map_groups(fold_bucket, batch_format="pandas")
+    tagged = union.materialize()
+    n_rows = tagged.count()
+    import ray.data as rd  # lazily, as in the pipelines: workers import this module
+
+    if n_rows and tagged.size_bytes() < TARGET_BLOCK_BYTES:
+        return rd.from_pandas_refs(_one_task(_fold_in_order, tagged, fold))
+    if not n_rows and empty is not None:
+        return rd.from_pandas(typed_empty(**empty))
+    return coalesce_blocks(tagged).groupby("bucket").map_groups(fold, batch_format="pandas")
+
+
+def in_one_task(fn, ds, *args):
+    """The size rule for a loop over its own small state: when ``ds``
+    holds less than ``TARGET_BLOCK_BYTES``, return ``fn(frame, *args)``
+    computed in ONE remote task over ``ds`` as one pandas frame;
+    otherwise return None and leave the distributed loop to the caller.
+    ``fn`` must compute what the loop's rounds compute, on a whole
+    frame."""
+    m = ds.materialize()
+    if m.size_bytes() >= TARGET_BLOCK_BYTES:
+        return None
+    return ray.get(_one_task(fn, m, *args))
 
 
 def sum_in_bucket(key, *vals: str):

@@ -914,8 +914,6 @@ def recrawl_seed_list(captures, ranks):
     the sequential oracle's follow-up crawl byte-for-byte
     (tests/test_crawl_parity.py). Columns: surt_key, url, host,
     next_fetch_s, priority, boost, seed_rank."""
-    from ..functions.bucketing import coalesce_blocks
-
     # latest-capture URL per SURT (bucketed arg-max, same exchange as the
     # schedule pass)
     def latest_url_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -1157,7 +1155,7 @@ def warc_digest_dups(paths: list[str]):
         out = pd.DataFrame(rows, columns=["hash", "n", "n_urls", "first_url"])
         return out.astype({"n": "int64", "n_urls": "int64"})
 
-    partial = coalesce_blocks(bucketed(docs, "hash", rows=partials, batch_format="pyarrow"))
+    partial = bucketed(docs, "hash", rows=partials, batch_format="pyarrow")
     return keyed_fold(
         partial, fold, None, empty=dict(hash=str, n="int64", n_urls="int64", first_url=str)
     )
@@ -1214,10 +1212,11 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
     Shape: phase 1 ships only (file, offset, digest) meta rows (never
     payloads) through ONE bucket(digest) grouped min-fold that emits the
     LOSER rows; phase 2 folds those by bucket(file), together with one
-    row per input file (so files without losers are rewritten too), and
-    rewrites each file inside that fold from its own loser offsets,
-    streaming the file record by record — payload bytes never leave the
-    task that owns the file. The driver receives one (file, member
+    row per input file (so files without losers are rewritten too), into
+    one (file, loser offsets) row per file, and rewrites each file in its
+    own task (one block per file) from its own loser offsets, streaming
+    the file record by record — payload bytes never leave the task that
+    owns the file. The driver receives one (file, member
     count) row per input file; neither the loser list nor the winner
     map is ever materialised on it."""
     import os
@@ -1259,13 +1258,17 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
         out = df.loc[~first, ["file", "offset"]]
         return out.astype({"offset": "int64"}).reset_index(drop=True)
 
-    def rewrite_files(df: pd.DataFrame) -> pd.DataFrame:
+    def offsets_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # offset -1 is the every-file row; the rest are that file's losers
+        return pd.DataFrame(
+            [(base, offs[offs >= 0].to_numpy()) for base, offs in df.groupby("file")["offset"]],
+            columns=["file", "offsets"],
+        )
+
+    def rewrite_files(df: pd.DataFrame) -> pd.DataFrame:
         counts = [
-            (base, _rewrite_archive(
-                base_of[base], out_dir, frozenset(offs[offs >= 0].tolist())
-            ))
-            for base, offs in df.groupby("file", sort=True)["offset"]
+            (base, _rewrite_archive(base_of[base], out_dir, frozenset(offs.tolist())))
+            for base, offs in zip(df["file"], df["offsets"])
         ]
         return pd.DataFrame(counts, columns=["file", "n"]).astype({"n": "int64"})
 
@@ -1276,9 +1279,11 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
     every_file = _ray.data.from_items(
         [{"file": base, "offset": -1} for base in sorted(base_of)]
     )
-    counts = keyed_fold(
-        (losers, every_file), rewrite_files, "file",
-        empty=dict(file=str, n="int64"),
+    per_file = keyed_fold((losers, every_file), offsets_in_bucket, "file")
+    # one block, hence one rewrite task, per file: the per-file table is
+    # tiny, the rewrites are not
+    counts = per_file.repartition(max(1, len(base_of))).map_batches(
+        rewrite_files, batch_size=None, batch_format="pandas"
     ).take_all()  # one row per input file
     if sorted(r["file"] for r in counts) != sorted(base_of):
         raise RuntimeError("warc_deduplicate: not every input file was rewritten")

@@ -189,7 +189,7 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
             }
         )
 
-    return keyed_fold(dup_pos.union(toks), coverage_bucket, "doc_id")
+    return keyed_fold((dup_pos, toks), coverage_bucket, "doc_id")
 
 
 _PARA_W = 16  # paragraph width in whitespace tokens
@@ -605,11 +605,8 @@ def _lsh_candidate_pairs(ds, cross_parity: bool = False):
             {"doc_a": m["doc_id_x"].to_numpy(), "doc_b": m["doc_id_y"].to_numpy()}
         )
 
-    # bands are ~100x narrower than the text they come from but inherit
-    # the corpus read's block count — re-pin to data size so the band
-    # sort schedules over data-sized blocks (no-op at real scale)
     bands = bucketed(ds.map_batches(to_bands, batch_format="pyarrow"), "band")
-    raw_pairs = keyed_fold(coalesce_blocks(bands), pairs_in_bucket, None)
+    raw_pairs = keyed_fold(bands, pairs_in_bucket, None)
 
     # No standalone distinct pass: a pair rediscovered in k band buckets
     # emits k copies, but every copy of (pair, side) lands in the SAME
@@ -681,7 +678,7 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
             }
         )
 
-    partials = coalesce_blocks(bucketed(verified, "delta_id", rows=match_partials))
+    partials = bucketed(verified, "delta_id", rows=match_partials)
     return keyed_fold(
         partials, fold_matches, None,
         empty=dict(delta_id="int64", n_matches="int64", best_match="int64"),
@@ -748,13 +745,11 @@ def _attach_pair_texts(ds, distinct_pairs):
         return m[["doc_a", "doc_b", "side", "text"]].copy()
 
     tagged = (
-        coalesce_blocks(bucketed(ds, "key", rows=tag_texts))
+        bucketed(ds, "key", rows=tag_texts)
         .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_a", 1)))
         .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_b", 2)))
     )
-    return coalesce_blocks(
-        bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
-    )
+    return bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
 
 
 def _attach_verify_jaccard(ds, distinct_pairs, threshold: float):
@@ -963,10 +958,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
             {"doc_a": m["doc_id_x"].to_numpy(), "doc_b": m["doc_id_y"].to_numpy()}
         ).drop_duplicates(ignore_index=True)
 
-    grams = coalesce_blocks(ds.map_batches(to_grams, batch_format="pyarrow"))
+    grams = ds.map_batches(to_grams, batch_format="pyarrow")
     with_df = keyed_fold(grams, df_in_bucket, "g")
-    prefixes = keyed_fold(coalesce_blocks(with_df), prefix_in_bucket, "doc_id")
-    raw_pairs = keyed_fold(coalesce_blocks(prefixes), pairs_in_bucket, "g")
+    prefixes = keyed_fold(with_df, prefix_in_bucket, "doc_id")
+    raw_pairs = keyed_fold(prefixes, pairs_in_bucket, "g")
     distinct_pairs = coalesce_blocks(raw_pairs)
 
     # ---- signature attach + vectorized verify ---------------------------
@@ -1009,7 +1004,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
             }
         )
 
-    sig_rows = bucketed(keyed_fold(grams, sigs_in_bucket, "doc_id"), "key")
+    sig_rows = keyed_fold(grams, sigs_in_bucket, "doc_id")
 
     def tag_side(col: str, side: int):
         def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -1054,14 +1049,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
                 out.append({"doc_a": int(da), "doc_b": int(db), "jaccard": round(j, 6)})
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "jaccard"])
 
-    tagged = (
-        coalesce_blocks(sig_rows)
-        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_a", 1)))
-        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_b", 2)))
-    )
-    attached = coalesce_blocks(
-        bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
-    )
+    attached = bucketed(keyed_fold(
+        (sig_rows, distinct_pairs, distinct_pairs), attach_in_bucket, "key",
+        rows=(None, tag_side("doc_a", 1), tag_side("doc_b", 2)),
+    ), _pair_key)
     return keyed_fold(attached, verify_in_bucket, None)
 
 
@@ -1219,14 +1210,9 @@ def cluster_representatives(clusters_ds, quality_ds):
             }
         )
 
-    # both sides are narrow id/score streams that inherit the corpus
-    # read's block count — re-pin to data size before each exchange
-    tagged = coalesce_blocks(
-        bucketed(clusters_ds, "doc_id", rows=tag_clusters).union(
-            bucketed(quality_ds, "doc_id", rows=tag_quality)
-        )
-    )
-    joined = coalesce_blocks(bucketed(keyed_fold(tagged, attach, None), "cluster_id"))
+    joined = bucketed(keyed_fold(
+        (clusters_ds, quality_ds), attach, "doc_id", rows=(tag_clusters, tag_quality)
+    ), "cluster_id")
     return keyed_fold(joined, argmax_in_bucket, None)
 
 
@@ -1288,18 +1274,16 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
         docs = df[df["side"] == 1][["doc_id", "text_md5"]]
         return kept.merge(docs, on="doc_id", how="inner")
 
-    sizes = coalesce_blocks(bucketed(clusters_ds, "cluster_id", rows=size_partials))
+    sizes = bucketed(clusters_ds, "cluster_id", rows=size_partials)
     # fold buckets by cluster_id; its output re-buckets by the kept doc_id
     # (== cluster_id, same hash — the exchange key is reused)
     folded = keyed_fold(
         sizes, fold_sizes, None,
         empty=dict(doc_id="int64", n_merged="int64", side="int64", text_md5=str),
     )
-    tagged = coalesce_blocks(
-        bucketed(folded, "doc_id").union(bucketed(docs_ds, "doc_id", rows=tag_docs))
-    )
     return keyed_fold(
-        tagged, join_kept, None, empty=dict(doc_id="int64", n_merged="int64", text_md5=str)
+        (folded, docs_ds), join_kept, "doc_id", rows=(None, tag_docs),
+        empty=dict(doc_id="int64", n_merged="int64", text_md5=str),
     ).select_columns(["doc_id", "n_merged", "text_md5"])
 
 
@@ -1406,9 +1390,9 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     so per-round data is bounded by the LSH-verified pair set, not the
     corpus; nodes in no pair never enter the loop and are attached as
     singleton clusters by ONE final bucketed anti-join pass. Each
-    iteration chains THREE bucketed grouped passes in ONE streaming
-    execution — (1) pointer doubling: label[u] <- label[label[u]]
-    via a co-group of (label[u] -> u) requests with (doc_id -> label) rows
+    iteration is THREE bucketed grouped passes — (1) pointer doubling:
+    label[u] <- label[label[u]] via a co-group of (label[u] -> u)
+    requests with (doc_id -> label) rows
     (label values are always doc_ids of the same component, so the lookup
     always resolves); (2) a co-grouped edge⨝label merge (edges keyed by
     bucket(src), labels by bucket(doc_id): same hash, so a vectorized
@@ -1549,9 +1533,7 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
                 rows=(tag_requests, tag_label_rows),
             )
         # label columns: edges carry no label — pandas aligns on concat in
-        # the grouped pass, so tag label rows with the full column set.
-        # The shortcut chains INTO the same streaming execution as the
-        # edge pass: three bucketed exchanges, ONE executor launch.
+        # the grouped pass, so tag label rows with the full column set
         routed = edges.union(bucketed(doubled, "key", rows=tag_labels))
         agg = (
             keyed_fold(keyed_fold(routed, propagate_in_bucket, None), minmax_in_bucket, "doc_id")
@@ -1764,7 +1746,7 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
         )
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    hashed = coalesce_blocks(bucketed(ds, "h", rows=windows, batch_format="pyarrow"))
+    hashed = bucketed(ds, "h", rows=windows, batch_format="pyarrow")
     return keyed_fold(keyed_fold(hashed, dup_positions, None), merge_islands, "doc_id")
 
 
@@ -1959,16 +1941,14 @@ def containment_pairs(
     def pair_key(df: pd.DataFrame) -> pd.Series:
         return df["a"] * np.int64(2654435761) + df["b"]
 
-    chain = coalesce_blocks(bucketed(keyed_fold(
+    chain = bucketed(keyed_fold(
         ds, df_cap, "g", rows=to_grams, batch_format="pyarrow",
         empty=dict(doc_id="int64", g=str),
-    ), "doc_id"))
-    sized = coalesce_blocks(bucketed(keyed_fold(
+    ), "doc_id")
+    sized = bucketed(keyed_fold(
         chain, attach_size, None, empty=dict(doc_id="int64", g=str, sz="int64"),
-    ), "g"))
-    pairs = coalesce_blocks(bucketed(
-        keyed_fold(sized, pair_partials, None, empty=partial_rows), pair_key
-    ))
+    ), "g")
+    pairs = bucketed(keyed_fold(sized, pair_partials, None, empty=partial_rows), pair_key)
     return keyed_fold(
         pairs, fold, None,
         empty=dict(doc_a="int64", doc_b="int64", n_shared="int64", containment_ppm="int64"),

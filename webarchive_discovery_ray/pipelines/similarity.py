@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, typed_empty
+from ..functions.bucketing import bucketed, keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = ["ann_cosine_topk", "ann_range_search", "mmr_select", "contrastive_triplets",
@@ -1119,10 +1119,8 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
             }
         )
 
-    routed = coalesce_blocks(bucketed(ds, "cell", rows=route))
-    partials = coalesce_blocks(
-        bucketed(keyed_fold(routed, cell_topk, None, empty=candidates), "src")
-    )
+    routed = bucketed(ds, "cell", rows=route)
+    partials = bucketed(keyed_fold(routed, cell_topk, None, empty=candidates), "src")
     return keyed_fold(
         partials, fold_topk, None,
         empty=dict(src_vec_id="int64", dst_vec_id="int64", rank="int64", cos_sim="float64"),
@@ -1203,14 +1201,10 @@ def label_propagation(edges_ds, labels_ds):
             }
         )
 
-    tagged = coalesce_blocks(
-        bucketed(edges_ds, "key", rows=tag_edges).union(
-            bucketed(labels_ds, "key", rows=tag_labels)
-        )
-    )
-    votes = coalesce_blocks(
-        bucketed(keyed_fold(tagged, attach_votes, None, empty=votes_rows), "src")
-    )
+    votes = bucketed(keyed_fold(
+        (edges_ds, labels_ds), attach_votes, "key", rows=(tag_edges, tag_labels),
+        empty=votes_rows,
+    ), "src")
     return keyed_fold(
         votes, majority_fold, None,
         empty=dict(vec_id="int64", pred_label="int64", n_votes="int64"),

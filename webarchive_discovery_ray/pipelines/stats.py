@@ -26,7 +26,13 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig, SyntheticConfig
-from ..functions.bucketing import bucketed, keyed_fold, sum_in_bucket, typed_empty
+from ..functions.bucketing import (
+    bucketed,
+    coalesce_blocks,
+    keyed_fold,
+    sum_in_bucket,
+    typed_empty,
+)
 from ..sources.synthetic import fixture_pages_ds
 from ..stages.extract import extract_batch
 
@@ -464,10 +470,6 @@ def host_pagerank(
     The driver holds two scalars (N, iteration counter), never a rank
     vector. Columns: host, rank_r (round 8). SQL-oracle-checked via a
     DuckDB recursive CTE over the same materialized link base."""
-    import ray.data as rd
-
-    from ..functions.bucketing import coalesce_blocks
-
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     # one-time prep: attach outdeg share to every edge (bucketed by src)
@@ -554,11 +556,8 @@ def host_pagerank(
         contrib = keyed_fold(
             (ranks, edges), contrib_in_bucket, "key", rows=(tag_rank, tag_edge)
         )
-        all_c = contrib.union(
-            nodes.map_batches(zero_contrib, batch_format="pandas")
-        )
         ranks = (
-            keyed_fold(all_c, fold_in_bucket, "host")
+            keyed_fold((contrib, nodes), fold_in_bucket, "host", rows=(None, zero_contrib))
             # re-pin the rank table's block count every round: the
             # bucketed pass would otherwise multiply blocks per iteration
             # (quadratic sort scheduling by round 4-5)
@@ -1322,7 +1321,6 @@ def host_components(docs):
     Columns: host, component_id (the component's minimum hashed id —
     deterministic and SQL-mirrorable). SQL-oracle-checked via the same
     recursive-CTE reachability mirror as ``neardup_clusters``."""
-    from ..functions.bucketing import coalesce_blocks
     from .dedup import neardup_clusters  # type: ignore[attr-defined]
 
     def page_edges(batch: pa.Table) -> pd.DataFrame:
@@ -1348,10 +1346,8 @@ def host_components(docs):
         ).drop_duplicates()
         return pd.DataFrame({"host": hosts.to_numpy()})
 
-    edges = coalesce_blocks(docs.map_batches(page_edges, batch_format="pyarrow"))
-    host_rows = coalesce_blocks(
-        docs.map_batches(page_nodes, batch_format="pyarrow")
-    )
+    edges = docs.map_batches(page_edges, batch_format="pyarrow")
+    host_rows = docs.map_batches(page_nodes, batch_format="pyarrow")
 
     def dedup_hosts(df: pd.DataFrame) -> pd.DataFrame:
         out = df[["host"]].drop_duplicates()
@@ -1599,8 +1595,6 @@ def host_hits(
     SQL-oracle-checked over the same materialized link base."""
     import ray.data as rd
 
-    from ..functions.bucketing import coalesce_blocks
-
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     def edge_cast(df: pd.DataFrame) -> pd.DataFrame:
@@ -1621,9 +1615,7 @@ def host_hits(
     def dedup_nodes(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("host")
 
-    nodes = coalesce_blocks(
-        keyed_fold(edges, dedup_nodes, "host", rows=to_nodes)
-    ).materialize()
+    nodes = coalesce_blocks(keyed_fold(edges, dedup_nodes, "host", rows=to_nodes))
 
     def init_vec(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1674,7 +1666,7 @@ def host_hits(
             )
 
         joined = keyed_fold((vec, edges), contrib, "key", rows=(tag_vec, tag_edge))
-        return coalesce_blocks(keyed_fold(joined, fold, "host")).materialize()
+        return coalesce_blocks(keyed_fold(joined, fold, "host"))
 
     h = nodes.map_batches(init_vec, batch_format="pandas").materialize()
     a = None
@@ -1792,16 +1784,12 @@ def host_distances(
     into the known set with a grouped min — the driver holds the round
     counter. Columns: host, dist (0..max_d; unreached hosts omitted).
     SQL-oracle-checked (recursive CTE with a path-length bound)."""
-    from ..functions.bucketing import coalesce_blocks
-
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     def edge_cast(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"src": df["src_host"], "dst": df["dst_host"]})
 
-    edges = coalesce_blocks(
-        edges_raw.map_batches(edge_cast, batch_format="pandas")
-    ).materialize()
+    edges = coalesce_blocks(edges_raw.map_batches(edge_cast, batch_format="pandas"))
 
     # seed selection: global min-k by host string — per-block partial
     # top-k, driver folds #blocks × k rows
@@ -1863,9 +1851,8 @@ def host_distances(
             return g
 
         dist = coalesce_blocks(
-            keyed_fold(dist.union(cands), merge_min, "host",
-                       empty=dict(host=str, dist="int64"))
-        ).materialize()
+            keyed_fold((dist, cands), merge_min, "host", empty=dict(host=str, dist="int64"))
+        )
 
         def this_level(df: pd.DataFrame, _lv=level) -> pd.DataFrame:
             return df[df["dist"] == _lv][["host", "dist"]]
@@ -1965,8 +1952,6 @@ def host_triangles(
     (sum over nodes of C(deg,2)), n_triangles, clustering_ppm
     (1e6 * 3*triangles // wedges). SQL-oracle-checked (3-way self-join
     over the same materialized link base)."""
-    from ..functions.bucketing import coalesce_blocks
-
     # \x1f, NOT \x00: pandas Series `+` strips embedded NULs (numpy
     # fixed-width unicode), and this key is both grouped on and split back
     sep = "\x1f"
@@ -2027,10 +2012,10 @@ def host_triangles(
         m = halves.merge(dd, on="key", how="inner")
         return m[["pair", "side", "d"]].reset_index(drop=True)
 
-    attached = coalesce_blocks(bucketed(keyed_fold(
+    attached = bucketed(keyed_fold(
         (und, degs), attach_deg, "key", rows=(half_rows, deg_rows),
         empty=dict(pair=str, side="int64", d="int64"),
-    ), "pair"))
+    ), "pair")
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         da = df[df["side"] == 0][["pair", "d"]].rename(columns={"d": "da"})
@@ -2049,9 +2034,9 @@ def host_triangles(
             {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
         )
 
-    oriented = coalesce_blocks(bucketed(
+    oriented = bucketed(
         keyed_fold(attached, orient, None, empty=dict(src=str, dst=str)), "src"
-    ))
+    )
 
     def wedge_gen(df: pd.DataFrame) -> pd.DataFrame:
         g = df[["src", "dst"]]
@@ -2138,8 +2123,6 @@ def cocitation_hosts(
     jaccard arithmetic. No broadcast — the per-host in-degree table is
     corpus-sized at 100 TB. Columns: dst_a, dst_b, n_co, jaccard_ppm.
     SQL-oracle-checked over the materialized link base."""
-    from ..functions.bucketing import coalesce_blocks
-
     edges = host_link_graph(n_pages, scfg, docs=docs)
     tagged_rows = dict(side="int64", a=str, b=str, n="int64")
 
@@ -2240,15 +2223,13 @@ def cocitation_hosts(
             }
         )
 
-    tagged = coalesce_blocks(bucketed(keyed_fold(
+    tagged = bucketed(keyed_fold(
         edges, pairs_and_indeg, "src", rows=src_dst, empty=tagged_rows,
-    ), ("side", "a", "b")))
-    folded = coalesce_blocks(
-        bucketed(keyed_fold(tagged, fold, None, empty=tagged_rows), "a")
-    )
-    with_a = coalesce_blocks(bucketed(keyed_fold(
+    ), ("side", "a", "b"))
+    folded = bucketed(keyed_fold(tagged, fold, None, empty=tagged_rows), "a")
+    with_a = bucketed(keyed_fold(
         folded, attach_a, None, empty=dict(tagged_rows, ind_a="int64"),
-    ), dst_b_or_dst))
+    ), dst_b_or_dst)
     return keyed_fold(with_a, attach_b, None, empty=result)
 
 
@@ -2280,8 +2261,6 @@ def kcore_hosts(
     host, core. VALUES-oracle-checked vs sequential Matula–Beck
     peeling."""
     import ray.data as rd
-
-    from ..functions.bucketing import coalesce_blocks
 
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
@@ -2321,7 +2300,7 @@ def kcore_hosts(
     base = coalesce_blocks(keyed_fold(
         edges, dedup_and_degree, "node", rows=both_dirs,
         empty=dict(side="int64", node=str, nbr=str, est="int64"),
-    )).materialize()
+    ))
     def adj_rows(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["side"] == 0][["node", "nbr"]]
 
@@ -2409,7 +2388,7 @@ def kcore_hosts(
         )
         nxt = coalesce_blocks(keyed_fold(
             attached, h_fold, "node", empty=dict(node=str, est="int64", chg="int64")
-        )).materialize()
+        ))
         changed = nxt.sum("chg") or 0
         est = nxt.drop_columns(["chg"]).materialize()
         if changed == 0:
@@ -2534,8 +2513,6 @@ def host_assortativity(
     degree), then nbr-keyed degree attach + per-bucket moment partials.
     Columns: m_samples, sum_x, sum_xy, sum_x2, assortativity_r
     (round 6). SQL-oracle-checked."""
-    from ..functions.bucketing import coalesce_blocks
-
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
@@ -2587,10 +2564,10 @@ def host_assortativity(
             }
         )
 
-    adj = coalesce_blocks(bucketed(keyed_fold(
+    adj = bucketed(keyed_fold(
         edges, dedup_degree, "node", rows=both_dirs,
         empty=dict(side="int64", node=str, nbr=str, deg="int64"),
-    ), route))
+    ), route)
     parts = keyed_fold(
         adj, moment_partials, None,
         empty=dict(m="int64", sx="int64", sxy="int64", sx2="int64"),

@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.bucketing import coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
+from ..functions.bucketing import coalesce_blocks, in_one_task, keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -1069,6 +1069,88 @@ def doc_length_histogram(sf_dir: str, edges: tuple = HIST_BIN_EDGES):
     )
 
 BPE_N_MERGES = 8
+_BPE_PAIRS = dict(left=str, right=str, n="int64")
+
+
+def word_partials(df: pd.DataFrame) -> pd.DataFrame:
+    """Tokenizer training: per-batch (word, n) counts of the ``text`` column."""
+    ex = df["text"].str.split().explode().dropna()
+    if ex.empty:
+        return typed_empty(word=str, n="int64")
+    vc = ex.value_counts()
+    return pd.DataFrame({"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
+
+
+def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
+    """BPE: weighted adjacent-symbol-pair counts of a word-table slice."""
+    from collections import Counter
+
+    c: Counter = Counter()
+    for sym, n in zip(df["sym"], df["n"]):
+        parts = sym.split(" ")
+        for a, b in zip(parts, parts[1:]):
+            c[(a, b)] += int(n)
+    if not c:
+        return typed_empty(**_BPE_PAIRS)
+    out = pd.DataFrame(
+        {
+            "left": [p[0] for p in c],
+            "right": [p[1] for p in c],
+            "n": list(c.values()),
+        }
+    )
+    out["n"] = out["n"].astype("int64")
+    return out
+
+
+def pair_fold(df: pd.DataFrame) -> pd.DataFrame:
+    """BPE: the TOP-1 pair of one bucket (tie-break: highest n, then
+    lexicographically smallest (left, right)). Every (left, right) pair
+    co-locates in one bucket, so in-bucket sums are exact and the global
+    argmax is among the bucket winners — a valid combiner that removes
+    the per-round global sort (the driver folds <= n_buckets rows)."""
+    g = df.groupby(["left", "right"], sort=False)["n"].sum().reset_index()
+    return g.sort_values(
+        ["n", "left", "right"], ascending=[False, True, True], kind="mergesort"
+    ).head(1)
+
+
+def _merge_pair(parts: list[str], left: str, right: str) -> list[str]:
+    """One BPE merge over a symbol list, left-to-right non-overlapping."""
+    res: list[str] = []
+    i, n = 0, len(parts)
+    while i < n:
+        if i + 1 < n and parts[i] == left and parts[i + 1] == right:
+            res.append(left + right)
+            i += 2
+        else:
+            res.append(parts[i])
+            i += 1
+    return res
+
+
+def apply_merge(df: pd.DataFrame, left: str, right: str) -> pd.DataFrame:
+    """BPE: apply the merge (left, right) to every word of a word-table
+    slice (the table is vocab-sized — this loop is NOT on the corpus)."""
+    out = [" ".join(_merge_pair(sym.split(" "), left, right)) for sym in df["sym"]]
+    return pd.DataFrame({"sym": pd.Series(out, dtype=str), "n": df["n"]})
+
+
+def _bpe_rounds(
+    words, n_merges: int, top_pair=lambda w: pair_fold(pair_partials(w)), merge=apply_merge
+) -> list[tuple]:
+    """The merge rounds: ``top_pair(words)`` is the round's winner (one
+    row, none when no pair is left) and ``merge(words, left, right)``
+    applies it. The defaults run on one word-table frame in one process."""
+    merges = []
+    for step in range(1, n_merges + 1):
+        win = top_pair(words)
+        if not len(win):
+            break
+        left, right = win["left"].iat[0], win["right"].iat[0]
+        merges.append((step, left, right, int(win["n"].iat[0])))
+        words = merge(words, left, right)
+    return merges
 
 
 def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
@@ -1081,24 +1163,21 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
     (per-batch value_counts combiner + bucketed grouped sum — the table
     is vocabulary-sized, orders of magnitude smaller than the corpus,
     which is exactly why textbook BPE trains on word counts); the
-    iteration loop then runs entirely on that small table: each round is
-    a map_batches emitting weighted adjacent-symbol-pair partial counts,
-    a bucketed grouped sum, a bounded sort to pick the winner
-    (tie-break: highest n, then lexicographically smallest (left,
-    right)), and a map_batches applying the merge left-to-right
-    non-overlapping. The corpus is never touched again after pass 1.
+    iteration loop then runs entirely on that small table. Below
+    ``TARGET_BLOCK_BYTES`` every round runs in one task
+    (``in_one_task``); above it each round is a map_batches emitting
+    weighted adjacent-symbol-pair partial counts, a bucketed grouped
+    top-1, a driver pick of the winner (tie-break: highest n, then
+    lexicographically smallest (left, right)), and a map_batches
+    applying the merge left-to-right non-overlapping. The corpus is
+    never touched again after pass 1.
 
     Words are stored as space-joined symbol strings ending in the
     ``</w>`` marker. Columns: step, left, right, n — deterministic, so
     the oracle is a sequential recompute rendered as VALUES."""
-    ds = read_table(sf_dir, "documents", columns=["text"])
+    import ray.data as rd
 
-    def word_partials(df: pd.DataFrame) -> pd.DataFrame:
-        ex = df["text"].str.split().explode().dropna()
-        if ex.empty:
-            return typed_empty(word=str, n="int64")
-        vc = ex.value_counts()
-        return pd.DataFrame({"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")})
+    ds = read_table(sf_dir, "documents", columns=["text"])
 
     def word_fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("word", sort=False)["n"].sum().reset_index()
@@ -1108,86 +1187,25 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
     words = coalesce_blocks(keyed_fold(
         ds, word_fold, "word", rows=word_partials, empty=dict(sym=str, n="int64")
     ))
-    pairs = dict(left=str, right=str, n="int64")
 
-    def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for sym, n in zip(df["sym"], df["n"]):
-            parts = sym.split(" ")
-            for a, b in zip(parts, parts[1:]):
-                c[(a, b)] += int(n)
-        if not c:
-            return typed_empty(**pairs)
-        out = pd.DataFrame(
-            {
-                "left": [p[0] for p in c],
-                "right": [p[1] for p in c],
-                "n": list(c.values()),
-            }
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    def pair_fold(df: pd.DataFrame) -> pd.DataFrame:
-        # per-bucket TOP-1 only: every (left, right) pair co-locates in
-        # one bucket, so in-bucket sums are exact and the global argmax
-        # is among the bucket winners — a valid combiner that removes the
-        # per-iteration global sort (the driver folds <= n_buckets rows)
-        g = df.groupby(["left", "right"], sort=False)["n"].sum().reset_index()
-        g = g.sort_values(
-            ["n", "left", "right"], ascending=[False, True, True],
-            kind="mergesort",
-        )
-        return g.head(1)
-
-    merges: list[dict] = []
-    for step in range(1, n_merges + 1):
+    def distributed_top_pair(words_ds) -> pd.DataFrame:
         cand = keyed_fold(
-            words, pair_fold, ("left", "right"), rows=pair_partials, empty=pairs
+            words_ds, pair_fold, ("left", "right"), rows=pair_partials, empty=_BPE_PAIRS
         ).to_pandas()
-        if not len(cand):
-            break
-        cand = cand.sort_values(
-            ["n", "left", "right"], ascending=[False, True, True],
-            kind="mergesort",
+        return pair_fold(cand) if len(cand) else cand  # the bucket winners' winner
+
+    merges = in_one_task(_bpe_rounds, words, n_merges)
+    if merges is None:
+        merges = _bpe_rounds(
+            words, n_merges, top_pair=distributed_top_pair,
+            merge=lambda w, left, right: coalesce_blocks(w.map_batches(
+                apply_merge, fn_kwargs=dict(left=left, right=right), batch_format="pandas"
+            )),
         )
-        win = cand.iloc[0]
-        left, right, n = win["left"], win["right"], int(win["n"])
-        merges.append({"step": step, "left": left, "right": right, "n": n})
-        bigram = f"{left} {right}"
-        merged = f"{left}{right}"
-
-        def apply_merge(df: pd.DataFrame, bigram=bigram, merged=merged) -> pd.DataFrame:
-            # left-to-right non-overlapping: split-scan per word (the
-            # word table is vocab-sized — this loop is NOT on the corpus)
-            out = []
-            for sym in df["sym"]:
-                parts = sym.split(" ")
-                res = []
-                i = 0
-                while i < len(parts):
-                    if (
-                        i + 1 < len(parts)
-                        and parts[i] == left
-                        and parts[i + 1] == right
-                    ):
-                        res.append(merged)
-                        i += 2
-                    else:
-                        res.append(parts[i])
-                        i += 1
-                out.append(" ".join(res))
-            return pd.DataFrame({"sym": pd.Series(out, dtype=str), "n": df["n"]})
-
-        words = coalesce_blocks(words.map_batches(apply_merge, batch_format="pandas"))
 
     out = pd.DataFrame(
         merges, columns=["step", "left", "right", "n"]
     ).astype({"step": "int64", "n": "int64"})
-    import ray.data as rd
-
     return rd.from_pandas(out)
 
 
@@ -1200,17 +1218,7 @@ def _bpe_encode_word(word: str, merges: list[tuple[str, str]]) -> list[str]:
     §3.2: apply merges 'in the order they were learned')."""
     parts = list(word) + ["</w>"]
     for left, right in merges:
-        res: list[str] = []
-        i = 0
-        n = len(parts)
-        while i < n:
-            if i + 1 < n and parts[i] == left and parts[i + 1] == right:
-                res.append(left + right)
-                i += 2
-            else:
-                res.append(parts[i])
-                i += 1
-        parts = res
+        parts = _merge_pair(parts, left, right)
     return parts
 
 
@@ -1289,15 +1297,6 @@ def unigram_train(
     from ..functions.broadcast import get_broadcast
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-
-    def word_partials(df: pd.DataFrame) -> pd.DataFrame:
-        ex = df["text"].str.split().explode().dropna()
-        if ex.empty:
-            return typed_empty(word=str, n="int64")
-        vc = ex.value_counts()
-        return pd.DataFrame(
-            {"word": vc.index.astype(str), "n": vc.to_numpy().astype("int64")}
-        )
 
     words = coalesce_blocks(keyed_fold(
         ds, sum_in_bucket("word", "n"), "word", rows=word_partials,
