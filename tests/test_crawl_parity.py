@@ -952,15 +952,64 @@ def test_sitemap_checkpoint_resume_identical(ray_session, tmp_path_factory):
     assert got.seen_sorted == full.seen_sorted
 
 
-def test_all_politeness_features_combined_resume(ray_session, tmp_path_factory):
+def _warc_records(warc_dir: str) -> list[tuple]:
+    """Every record of a crawl's WARC fragments, parsed back by the
+    independent oracle reader, sorted: (url, type, status, payload)."""
+    import glob
+    import os
+
+    from webarchive_discovery_ray.oracle.warc_oracle import oracle_parse_archive
+
+    rows = []
+    for f in glob.glob(os.path.join(warc_dir, "wave_*", "part_*.warc.gz")):
+        with open(f, "rb") as fh:
+            rows += oracle_parse_archive(fh.read(), f)
+    return sorted((r["url"], r["record_type"], r["status"], r["payload"]) for r in rows)
+
+
+def _oracle_warc_records(exp, ccfg: CrawlConfig, syn: SyntheticConfig) -> list[tuple]:
+    """The WARC records an oracle crawl implies, sorted like
+    ``_warc_records``: one per logged fetch, and under ``dedup_content``
+    a payload-less revisit for each 200 whose payload hash an earlier
+    fetch in log order already had (the oracle's own gate rule)."""
+    from webarchive_discovery_ray.oracle.crawl_oracle import crawl_index_config
+    from webarchive_discovery_ray.oracle.extract_oracle import oracle_extract_record
+    from webarchive_discovery_ray.sources.synthetic import page_for_url
+
+    icfg = crawl_index_config(None)
+    hashes: set[str] = set()
+    out = []
+    for e in exp.fetch_log:
+        rec = page_for_url(e["url"], syn)
+        rtype, payload = "response", rec["payload"] or b""
+        doc = oracle_extract_record(rec, icfg) if ccfg.dedup_content else None
+        if doc is not None and rec["status"] == 200:
+            if doc["hash"] in hashes:
+                rtype, payload = "revisit", b""
+            hashes.add(doc["hash"])
+        out.append((e["url"], rtype, rec["status"], payload))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "fc_full, fc_resume",
+    [pytest.param(1, 1, id="fc1"), pytest.param(8, 8, id="fc8"),
+     pytest.param(8, 1, id="fc8-resume-fc1")],
+)
+def test_all_politeness_features_combined_resume(
+    ray_session, tmp_path_factory, fc_full, fc_resume
+):
     """Everything at once: forced seen-set spill + Crawl-delay + Allow
     carve-outs + sitemap-index recursion + 5xx backoff + rel/meta
     nofollow + the duplicate-content gate + SURT scope + per-host total
     quota + the WARC sink, byte-parity vs the oracle AND kill-and-resume
     identical across the combined state (spill runs, pending sitemaps,
-    backoff set, quota counters, rules with all three sentinel kinds),
-    with the resumed run's WARC fragments byte-identical to the
-    uninterrupted run's."""
+    backoff set, quota counters, rules with all three sentinel kinds).
+    Runs at 4 and 32 host blocks per wave (``fetch_concurrency`` 1 and 8)
+    and across a resume that changes 32 blocks to 4: the fetch log, the
+    seen set and the parsed WARC records equal the oracle's whatever the
+    block count, and at one block count the resumed run's WARC fragments
+    are byte-identical to the uninterrupted run's."""
     import glob
     import os
 
@@ -988,27 +1037,31 @@ def test_all_politeness_features_combined_resume(ray_session, tmp_path_factory):
 
     cfg = mk(6, spill, warc_full)
     exp = oracle_crawl(sds, cfg, syn)
-    full = run_crawl(sds, cfg, syn, fetch_concurrency=2,
+    full = run_crawl(sds, cfg, syn, fetch_concurrency=fc_full,
                      collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in full.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert full.seen_sorted == exp.seen_sorted
+    exp_warc = _oracle_warc_records(exp, cfg, syn)
+    assert any(r[1] == "revisit" for r in exp_warc), "fixture must mint revisits"
+    assert _warc_records(warc_full) == exp_warc
     # quota + scope bite under the combination
     per: dict[str, int] = {}
     for e in exp.fetch_log:
         per[e["host"]] = per.get(e["host"], 0) + 1
     assert per and max(per.values()) <= 12
-    # kill after wave 2, resume to completion — byte-identical, and the
-    # WARC fragment set matches the uninterrupted run byte-for-byte
+    # kill after wave 2, resume to completion (at fc_resume) — the same
+    # fetch log, seen set and WARC records as the uninterrupted run
     ckdir = str(tmp_path_factory.mktemp("combined_ck"))
     spill2 = str(tmp_path_factory.mktemp("combined_spill2"))
     warc_res = str(tmp_path_factory.mktemp("combined_warc_res"))
-    run_crawl(sds, mk(3, spill2, warc_res), syn, fetch_concurrency=2,
+    run_crawl(sds, mk(3, spill2, warc_res), syn, fetch_concurrency=fc_full,
               checkpoint_dir=ckdir)
-    got = run_crawl(sds, mk(6, spill2, warc_res), syn, fetch_concurrency=2,
+    got = run_crawl(sds, mk(6, spill2, warc_res), syn, fetch_concurrency=fc_resume,
                     checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in full.fetch_log]
     assert got.seen_sorted == full.seen_sorted
+    assert _warc_records(warc_res) == exp_warc
 
     def frags(d):
         return {
@@ -1016,7 +1069,10 @@ def test_all_politeness_features_combined_resume(ray_session, tmp_path_factory):
             for f in sorted(glob.glob(os.path.join(d, "wave_*", "part_*.warc.gz")))
         }
 
-    assert frags(warc_full) == frags(warc_res)
+    # fragment files are grouped by block, so bytes compare only at one
+    # block count; across a block-count change the records compare above
+    if fc_resume == fc_full:
+        assert frags(warc_full) == frags(warc_res)
 
 
 def test_nofollow_byte_parity(ray_session):
@@ -1175,20 +1231,12 @@ def test_dedup_content_crawl_runs_one_shard_pool(
     """A dedup_content crawl keeps URL keys and content hashes in ONE
     SeenShardPool (seen_shards actors, not twice that): spy on the pool's
     constructor through a kill-and-resume run with the spill tier forced.
-    Content keys spill under <seen_spill_dir>/content/shard_XXX, and the
-    resumed result is byte-identical to the oracle."""
+    Content keys spill under <seen_spill_dir>/content/shard_XXX, the
+    resumed result is byte-identical to the oracle, and each run kills
+    its shard actors when it returns."""
     import os
 
-    from webarchive_discovery_ray.state.seen import SeenShardPool
-
-    pools = []
-    init = SeenShardPool.__init__
-
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        pools.append(self)
-
-    monkeypatch.setattr(SeenShardPool, "__init__", spy)
+    pools = _spy_pools(monkeypatch)
     syn = SyntheticConfig(
         n_hosts=10, pages_per_host=60, max_fanout=6,
         duplicate_content_ratio=0.35,
@@ -1219,6 +1267,70 @@ def test_dedup_content_crawl_runs_one_shard_pool(
     exp = oracle_crawl(sds, cfg(4), syn)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
+    # each run killed its own shard actors when it returned
+    _assert_actors_dead([h for p in pools for h in p.shards])
+
+
+def _spy_pools(monkeypatch) -> list:
+    """Record every SeenShardPool constructed while the test runs."""
+    from webarchive_discovery_ray.state.seen import SeenShardPool
+
+    pools = []
+    init = SeenShardPool.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pools.append(self)
+
+    monkeypatch.setattr(SeenShardPool, "__init__", spy)
+    return pools
+
+
+def _assert_actors_dead(handles) -> None:
+    import ray
+
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.spill_stats.remote(), timeout=60)
+
+
+def test_failed_crawl_kills_seen_shard_actors(
+    ray_session, tmp_path_factory, monkeypatch
+):
+    """A crawl that raises (its WARC directory cannot be created) still
+    kills its seen-set shard actors: the traceback holds the pool, but
+    every call on a shard handle afterwards raises RayActorError."""
+    import ray
+
+    pools = _spy_pools(monkeypatch)
+    base = tmp_path_factory.mktemp("pool_fail")
+    blocker = base / "blocker"
+    blocker.write_text("not a directory")
+    with pytest.raises((OSError, ray.exceptions.RayTaskError)):
+        run_crawl(
+            seed_urls(SYN, n_seeds=4),
+            CrawlConfig(politeness_budget=3, max_waves=2, seen_shards=2,
+                        warc_dir=str(blocker / "warc")),
+            SYN, checkpoint_dir=str(base / "ck"), fetch_concurrency=1,
+        )
+    assert len(pools) == 1 and len(pools[0].shards) == 2
+    _assert_actors_dead(pools[0].shards)
+
+
+@pytest.mark.parametrize("fc", [0, -1])
+def test_fetch_concurrency_below_one_rejected(ray_session, monkeypatch, fc):
+    """fetch_concurrency sizes the wave at 4 blocks per slot, so fewer
+    than one slot is an error, raised before any shard actor starts;
+    the CLI's --fetch-concurrency gives the same error."""
+    from webarchive_discovery_ray.cli import main
+
+    pools = _spy_pools(monkeypatch)
+    with pytest.raises(ValueError, match="fetch_concurrency must be >= 1"):
+        run_crawl(seed_urls(SYN, n_seeds=2), CRAWL, SYN, fetch_concurrency=fc)
+    with pytest.raises(ValueError, match="fetch_concurrency must be >= 1"):
+        main(["crawl", "--hosts", "4", "--pages-per-host", "10",
+              "--n-seeds", "2", "--waves", "1", "--fetch-concurrency", str(fc)])
+    assert pools == []
 
 
 def test_max_pages_per_host_quota(ray_session, seeds, oracle_result, tmp_path_factory):

@@ -312,7 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     cr.add_argument("--budget", type=int, default=8)
     cr.add_argument("--waves", type=int, default=4)
     cr.add_argument("--seen-shards", type=int, default=8)
-    cr.add_argument("--fetch-concurrency", type=int, default=8)
+    cr.add_argument("--fetch-concurrency", type=int, default=8,
+                    help="fetch slots a wave is sized for (>= 1): each "
+                         "wave runs 4 host blocks per slot")
     cr.add_argument("--no-robots", action="store_true")
     cr.add_argument("--no-nofollow", action="store_true",
                     help="ignore rel=nofollow / meta robots nofollow")

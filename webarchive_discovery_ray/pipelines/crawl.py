@@ -1138,10 +1138,16 @@ def run_crawl(
 ) -> CrawlResult:
     """Run the crawl (optionally resuming from the last complete wave).
 
-    ``fetch_concurrency`` sizes the partition count (``n_parts``), not an
-    actor pool — the fused drain+fetch stage is a task pool that scales
-    elastically to every free CPU (tasks never call actors; candidate
-    routing is driver-submitted by reference).
+    ``fetch_concurrency`` (≥ 1, else ``ValueError``) is the number of fetch
+    slots a wave is sized for: each wave splits its frontier into exactly
+    ``4 * fetch_concurrency`` host blocks, and each block costs one fetch,
+    one split and (with ``warc_dir``) one WARC-writer task. Four blocks
+    per slot keep a skewed host from holding back a whole wave. The fetch
+    tasks are a plain task pool, not an actor pool, and they use every
+    free CPU (tasks never call actors; candidate routing is submitted by
+    reference from the driver). The fetch log, the seen set and the WARC
+    records do not depend on the block count; the grouping of WARC and
+    docs fragment files and the per-partition lineage in ``stats`` do.
 
     ``collect_log`` / ``collect_seen`` are TEST/ANALYSIS hooks: they pull
     the full fetch log (as Python dicts) / the sorted global seen set onto
@@ -1151,17 +1157,12 @@ def run_crawl(
     the per-wave docs fragments).
 
     Each wave's ``stats`` carry the driver's wall seconds per phase
-    (``phase_{robots,assemble,exec,split,log,discovery}_s``)."""
-    import time
+    (``phase_{robots,assemble,exec,split,log,discovery}_s``).
 
-    import pyarrow.compute as pc
-    import ray
-
-    # partitions ≫ workers: fine-grained blocks balance skewed hosts and
-    # keep stragglers short; parts are cheap (empty ones short-circuit)
-    n_parts = max(16, fetch_concurrency * 4)
-    n_shards = ccfg.seen_shards
-    res = CrawlResult(docs_dir=docs_dir)
+    The seen-set shard actors live for this call only: they are killed
+    when it returns or raises."""
+    if fetch_concurrency < 1:
+        raise ValueError(f"fetch_concurrency must be >= 1, got {fetch_concurrency}")
     # ONE actor per shard: the URL-seen set, plus (dedup_content) the
     # duplicate-content gate's key space of content hashes — same
     # shards, same spill tier and checkpoint machinery, separate keys
@@ -1171,6 +1172,36 @@ def run_crawl(
         spill_dir=ccfg.seen_spill_dir,
         spill_threshold=ccfg.seen_spill_threshold,
     )
+    try:
+        return _crawl_waves(
+            pool, 4 * fetch_concurrency, seeds, ccfg, scfg, icfg,
+            checkpoint_dir, docs_dir, resume, collect_log, collect_seen,
+        )
+    finally:
+        pool.close()
+
+
+def _crawl_waves(
+    pool: SeenShardPool,
+    n_parts: int,
+    seeds: list[tuple[str, int]],
+    ccfg: CrawlConfig,
+    scfg: SyntheticConfig,
+    icfg: IndexConfig | None,
+    checkpoint_dir: str | None,
+    docs_dir: str | None,
+    resume: bool,
+    collect_log: bool,
+    collect_seen: bool,
+) -> CrawlResult:
+    """``run_crawl``'s wave loop over ``n_parts`` host blocks per wave."""
+    import time
+
+    import pyarrow.compute as pc
+    import ray
+
+    n_shards = ccfg.seen_shards
+    res = CrawlResult(docs_dir=docs_dir)
     pending_content_delta: list[str] = []
     # Sitemap URLs advertised by rules not yet offered to the seen set.
     # Not checkpointed: resume recomputes from the (checkpointed) rules —

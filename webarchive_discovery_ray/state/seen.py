@@ -839,3 +839,13 @@ class SeenShardPool:
         for snap in self.snapshot():
             out.extend(snap)
         return sorted(out)
+
+    def close(self) -> None:
+        """Kill every shard actor now, instead of when the last handle
+        is dropped (a traceback that holds the pool would keep the shard
+        processes and their key spaces alive). Any later call on a
+        handle raises ``RayActorError``."""
+        import ray
+
+        for s in self._shards:
+            ray.kill(s, no_restart=True)
