@@ -137,40 +137,89 @@ def test_hot_host_budget_bound(ray_session):
     assert any(s["carryover"] > 0 for s in got.wave_stats)
 
 
-def test_salted_predrain_byte_parity(ray_session):
-    """Hot-host salting (SURVEY §7.1-7): with salt_threshold forced low so
-    EVERY sizeable partition takes the salted pre-drain path, the fetch
-    log, seen set, and wave stats must stay byte-identical to the
-    sequential oracle — the salted top-budget union provably contains the
-    global per-host selection, and carryover (survivor losers + salted
-    direct carry) must sum to the oracle's count. Politeness invariants
-    (budget bound, pinned order) must survive the split."""
+def test_hot_host_carry_parity_and_resume(ray_session, tmp_path_factory):
+    """Hot-host skew (SURVEY §7.1-7): one host owns 60% of the link
+    targets, so its block carries most of its queue from wave to wave
+    through the fetch task's Arrow carry. Fetch log, seen set and wave
+    stats stay byte-identical to the sequential oracle, uninterrupted
+    and killed after wave 1 then resumed from the checkpointed frontier;
+    the budget still bounds every host's per-wave fetches."""
     syn = SyntheticConfig(n_hosts=8, pages_per_host=80, max_fanout=8, hot_host_share=0.6)
     seeds = seed_urls(syn, n_seeds=8)
 
     def cfg(**kw):
-        return CrawlConfig(politeness_budget=2, max_waves=4, seen_shards=2, **kw)
+        return CrawlConfig(politeness_budget=2, seen_shards=2, **kw)
 
-    exp = oracle_crawl(seeds, cfg(), syn)
-    got = run_crawl(
-        seeds,
-        # threshold 0: EVERY non-empty partition takes the salted path
-        cfg(salt_threshold=0, salt_factor=4),
-        syn,
-        fetch_concurrency=2,
-        collect_log=True,
-        collect_seen=True,
-    )
+    exp = oracle_crawl(seeds, cfg(max_waves=4), syn)
+    keys = ("wave", "frontier", "fetched", "carryover", "new_urls")
+
+    def stats(waves):
+        return [{k: s[k] for k in keys} for s in waves]
+
+    got = run_crawl(seeds, cfg(max_waves=4), syn, fetch_concurrency=2,
+                    collect_log=True, collect_seen=True)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
-    keys = ("wave", "frontier", "fetched", "carryover", "new_urls")
-    assert [{k: s[k] for k in keys} for s in got.wave_stats] == [
-        {k: s[k] for k in keys} for s in exp.wave_stats
-    ]
+    assert stats(got.wave_stats) == stats(exp.wave_stats)
+    # the hot host's queue outgrows its budget: most rows carry
+    assert max(s["carryover"] for s in got.wave_stats) > max(
+        s["fetched"] for s in got.wave_stats
+    )
     per = {}
     for e in got.fetch_log:
         per[(e["wave"], e["host"])] = per.get((e["wave"], e["host"]), 0) + 1
     assert max(per.values()) <= 2
+    # killed after wave 1, resumed: the carry comes back from the
+    # checkpointed frontier as wave 2's carry
+    ckpt = str(tmp_path_factory.mktemp("hot_host_ckpt"))
+    first = run_crawl(seeds, cfg(max_waves=2), syn, checkpoint_dir=ckpt,
+                      fetch_concurrency=2)
+    resumed = run_crawl(seeds, cfg(max_waves=4), syn, checkpoint_dir=ckpt,
+                        resume=True, fetch_concurrency=2, collect_log=True,
+                        collect_seen=True)
+    assert [_log_key(e) for e in resumed.fetch_log] == [_log_key(e) for e in exp.fetch_log]
+    assert resumed.seen_sorted == exp.seen_sorted
+    assert stats(first.wave_stats + resumed.wave_stats) == stats(exp.wave_stats)
+
+
+def test_drain_fetch_returns_arrow_carry(ray_session):
+    """One block of one host: the fetch task fetches the host's
+    top-``budget`` rows by (priority, seq, surt) and returns every other
+    row as the carry — PART_SCHEMA exactly, no pandas metadata, in drain
+    order — with its row count from the same task."""
+    import pyarrow as pa
+    import ray
+
+    from webarchive_discovery_ray.pipelines.crawl import PART_SCHEMA, _drain_fetch
+
+    syn = SyntheticConfig(n_hosts=4, pages_per_host=40)
+    n = 12
+    block = pa.table(
+        {
+            "url": [f"http://hot.example.com/p{i}" for i in range(n)],
+            "surt": [f"com,example,hot)/p{i}" for i in range(n)],
+            "host": ["hot.example.com"] * n,
+            "priority": pa.array([0] * n, pa.int32()),
+            "hop": pa.array([1] * n, pa.int32()),
+            "seq": pa.array(list(range(n, 0, -1)), pa.int64()),  # reversed
+            "part": pa.array([3] * n, pa.int32()),
+        },
+        schema=PART_SCHEMA,
+    )
+    fetched, gate, carry, carry_rows = ray.get(
+        _drain_fetch.remote(
+            None, syn, None, 0, CrawlConfig(politeness_budget=3), None,
+            block.slice(0, 5), block.slice(5),
+        )
+    )
+    assert gate is None
+    assert fetched["seq"].to_pylist() == [1, 2, 3]
+    assert fetched["slot"].to_pylist() == [0, 1, 2]
+    assert carry.schema.equals(PART_SCHEMA, check_metadata=True)
+    assert carry.schema.metadata is None
+    assert carry_rows == carry.num_rows == n - 3
+    assert carry["seq"].to_pylist() == list(range(4, n + 1))
+    assert carry["part"].to_pylist() == [3] * (n - 3)
 
 
 def test_resume_with_different_n_parts_leaves_no_stale_fragments(
@@ -213,27 +262,6 @@ def test_max_urls_stop_condition(ray_session, seeds):
     assert got.total_fetched >= 20  # crossed within the stopping wave
     full = run_crawl(seeds, CRAWL, SYN, fetch_concurrency=2, collect_log=True)
     assert got.total_fetched < full.total_fetched  # it actually stopped early
-
-
-def test_salted_predrain_factor_one(ray_session):
-    """Regression: salt_factor=1 (degenerate split) must not crash —
-    with num_returns=1 Ray hands back the return value unsplit, so
-    _salt_split returns the table itself, and parity must still hold."""
-    syn = SyntheticConfig(n_hosts=4, pages_per_host=40, max_fanout=6)
-    seeds = seed_urls(syn, n_seeds=4)
-
-    def cfg(**kw):
-        return CrawlConfig(politeness_budget=2, max_waves=3, seen_shards=2, **kw)
-
-    exp = oracle_crawl(seeds, cfg(), syn)
-    got = run_crawl(
-        seeds,
-        cfg(salt_threshold=0, salt_factor=1),
-        syn,
-        fetch_concurrency=2,
-        collect_log=True,
-    )
-    assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
 
 
 def test_finalize_wave_split_matches_single_finalize(ray_session):
@@ -346,13 +374,12 @@ def test_range_finalize_reproduces_global_sort(ray_session):
     for r in range(len(boundaries) + 1):
         outs = ray.get(
             list(
-                _range_finalize.options(num_returns=n_parts + 1).remote(
+                _range_finalize.options(num_returns=n_parts).remote(
                     boundaries, r, int(offs[r]), n_parts, *refs
                 )
             )
         )
-        rows = outs[n_parts]
-        assert sum(rows) == per_range[r]
+        assert sum(t.num_rows for t in outs) == per_range[r]
         for p in range(n_parts):
             for surt, seq in zip(
                 outs[p]["surt"].to_pylist(), outs[p]["seq"].to_pylist()
@@ -1362,17 +1389,6 @@ def test_max_pages_per_host_quota(ray_session, seeds, oracle_result, tmp_path_fa
     assert [_log_key(e) for e in off.fetch_log] == [
         _log_key(e) for e in oracle_result.fetch_log
     ]
-    # salted pre-drain path agrees (any split factor is parity-safe,
-    # including retired-host drops)
-    salted_cfg = CrawlConfig(politeness_budget=3, max_waves=4, seen_shards=4,
-                             max_pages_per_host=5, salt_threshold=1,
-                             salt_factor=3)
-    salted = run_crawl(seeds, salted_cfg, SYN, fetch_concurrency=2,
-                       collect_log=True, collect_seen=True)
-    assert [_log_key(e) for e in salted.fetch_log] == [
-        _log_key(e) for e in exp.fetch_log
-    ]
-    assert salted.seen_sorted == exp.seen_sorted
     # kill-and-resume: counters checkpoint and restore
     ckpt = str(tmp_path_factory.mktemp("quota_ckpt"))
     partial = CrawlConfig(politeness_budget=3, max_waves=2, seen_shards=4,
@@ -1498,19 +1514,15 @@ def test_adaptive_politeness_resume(ray_session, seeds, tmp_path_factory):
     assert resumed.seen_sorted == exp.seen_sorted
 
 
-def test_adaptive_composes_with_salt_quota_backoff(ray_session):
-    """Feature composition: adaptive politeness + hot-host salting +
-    per-host quota + 5xx backoff active at once must stay byte-identical
-    to the sequential oracle (the adaptive cap sits inside the pinned
-    shrink chain, and the salted pre-drain applies the SAME budget
-    vector, so the survivor-union containment argument still holds)."""
+def test_adaptive_composes_with_quota_backoff(ray_session):
+    """Feature composition: adaptive politeness + per-host quota + 5xx
+    backoff active at once on a hot-host web must stay byte-identical to
+    the sequential oracle (the adaptive cap sits inside the pinned
+    shrink chain that every block's one drain applies)."""
     syn = SyntheticConfig(n_hosts=8, pages_per_host=80, max_fanout=8,
                           hot_host_share=0.5)
     sds = seed_urls(syn, n_seeds=5)
-    ccfg = _adaptive_cfg(
-        salt_threshold=1, salt_factor=4,
-        max_pages_per_host=9, backoff_503=True,
-    )
+    ccfg = _adaptive_cfg(max_pages_per_host=9, backoff_503=True)
     exp = oracle_crawl(sds, ccfg, syn)
     got = run_crawl(sds, ccfg, syn, fetch_concurrency=2,
                     collect_log=True, collect_seen=True)

@@ -173,7 +173,8 @@ def test_simhash_order_independent(tokens):
 
 from webarchive_discovery_ray.config import CrawlConfig
 from webarchive_discovery_ray.pipelines.crawl import (
-    _make_drain_fn,
+    PolicyState,
+    _drain_order,
     _partition_by_host,
 )
 
@@ -227,7 +228,14 @@ def test_drain_budget_and_order(rows, budget):
             "surt": [f"{h})/{i}" for i, (h, _) in enumerate(rows)],
         }
     )
-    out = _make_drain_fn(CrawlConfig(politeness_budget=budget))(df)
+    out, selected, rank = _drain_order(
+        df, CrawlConfig(politeness_budget=budget), PolicyState()
+    )
+    # no robots rules, no quota: nothing drops, and the index maps every
+    # drained row back to its input row (the Arrow split's take indices)
+    assert sorted(out.index) == list(range(len(df)))
+    assert (df.loc[out.index, "url"].to_numpy() == out["url"].to_numpy()).all()
+    out = out.assign(selected=selected, slot=rank)
     sel = out[out["selected"]]
     # politeness bound
     assert (sel.groupby("host").size() <= budget).all()

@@ -90,6 +90,11 @@ class CrawlConfig:
     * duplicate-content gate (dedup_content): a status-200 fetch whose
       extraction payload hash was seen by an earlier fetch (global
       (wave, host, slot) order) contributes NO candidates at all.
+
+    Hot-host skew needs no knob: all of a host's rows sit in one block,
+    the budget bounds what the host fetches per wave, and the rest of
+    its queue is the block's carry, which never enters the per-row fetch
+    loop.
     """
 
     politeness_budget: int = 4  # fetch tokens per host per wave
@@ -155,15 +160,6 @@ class CrawlConfig:
     adaptive_max_delay_ms: int = 30000  # Heritrix maxDelayMs
     adaptive_wave_window_ms: int = 240_000
     max_urls: int | None = None  # overall stop condition (None = unbounded)
-    # hot-host skew (SURVEY §7.1-7): a frontier partition whose assembled
-    # block exceeds salt_threshold rows is split into salt_factor salted
-    # sub-blocks; each is pre-drained in parallel (robots filter + per-host
-    # top-budget by the global (priority, seq) order) and only the
-    # survivors re-merge into the politeness drain. Byte-parity holds for
-    # ANY split: the global top-budget of a host is contained in the union
-    # of its sub-block top-budgets. None disables salting.
-    salt_threshold: int | None = 100_000
-    salt_factor: int = 8
     # seen-set spill tier (state/seen.py SpilledRuns): once a shard's hot
     # set reaches seen_spill_threshold keys it is persisted to sorted
     # parquet runs (under seen_spill_dir, or a tempdir) and membership

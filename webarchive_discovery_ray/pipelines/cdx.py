@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import IndexConfig, SyntheticConfig
-from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
+from ..functions.bucketing import coalesce_blocks, keyed_fold, sum_in_bucket, typed_empty
 from ..schema import CAPTURES_SCHEMA
 from ..stages.extract import extract_batch
 
@@ -1155,9 +1155,9 @@ def warc_digest_dups(paths: list[str]):
         out = pd.DataFrame(rows, columns=["hash", "n", "n_urls", "first_url"])
         return out.astype({"n": "int64", "n_urls": "int64"})
 
-    partial = bucketed(docs, "hash", rows=partials, batch_format="pyarrow")
     return keyed_fold(
-        partial, fold, None, empty=dict(hash=str, n="int64", n_urls="int64", first_url=str)
+        docs, fold, "hash", rows=partials, batch_format="pyarrow",
+        empty=dict(hash=str, n="int64", n_urls="int64", first_url=str),
     )
 
 

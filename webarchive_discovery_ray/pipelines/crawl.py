@@ -8,12 +8,16 @@ no candidate URL ever crosses the driver unless it wins discovery.
 Per wave:
 
 1. **assemble** — per partition, the block's fetch task concatenates
-   its pieces itself: the previous wave's carryover blocks (still in the
-   object store) and the new rows (previous winners + freshly injected
-   robots fetches, host-hash-routed);
+   its pieces itself: the previous wave's carry (still in the object
+   store; the seed or resume frontier is wave 0's carry) and the new
+   rows (previous winners + freshly injected robots fetches,
+   host-hash-routed);
 2. **politeness drain** — vectorized per-block drain (blocks are complete
-   host groups by construction): order (priority, seq), robots-Disallow
-   drop, cumcount slot assignment under the per-host budget;
+   host groups by construction): order (host, priority, seq, surt),
+   robots-Disallow drop, cumcount slot assignment under the per-host
+   budget; the drained block is split in Arrow into the rows fetched
+   this wave and the block's carry, which goes back to the object store
+   as its own table;
 3. **fetch + extract** — ONE plain Ray task per block fuses assembly,
    the drain, deterministic page generation (stands in for HTTP fetch),
    the full extraction chain and the block's duplicate-content gate
@@ -53,9 +57,11 @@ Crawl ordering and the final seen set are byte-identical to
 with per-wave lineage + metrics (``state/checkpoint.py``).
 
 Scale notes: hot-host skew is bounded by the politeness budget itself (a
-host fetches at most K URLs per wave no matter how many are queued) and
-carryover stays in the object store; the driver's per-wave work is
-O(winners + fetched), independent of frontier size.
+host fetches at most K URLs per wave no matter how many are queued, and
+only those K rows enter the per-row fetch loop) and carryover stays in
+the object store; a hot host's block is never split (BASELINE.md has the
+measurement behind that). The driver's per-wave work is O(winners +
+fetched), independent of frontier size.
 """
 
 from __future__ import annotations
@@ -103,14 +109,13 @@ __all__ = ["FetchExtractStage", "run_crawl", "CrawlResult", "DOCS_OUT_SCHEMA"]
 # back to its host partition without inspecting rows
 PART_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("part", pa.int32())])
 
-# scheduler-facing output of the fetch stage (carry rows pass through with
-# null fetch columns); candidate outlinks ride as list columns until the
-# split task flattens + shard-keys them
+# scheduler-facing output of the fetch stage, one row per fetch;
+# candidate outlinks ride as list columns until the split task flattens +
+# shard-keys them
 OUT_SCHEMA = pa.schema(
     list(PART_SCHEMA)
     + [
         pa.field("slot", pa.int32()),
-        pa.field("selected", pa.bool_()),
         pa.field("fetch_host", pa.string()),
         pa.field("fetch_status", pa.int32()),
         pa.field("is_robots", pa.bool_()),
@@ -174,7 +179,8 @@ DOCS_OUT_SCHEMA = pa.schema(
 
 
 class FetchExtractStage:
-    """Fetch + extract, one task per frontier block.
+    """Fetch + extract, one task per frontier block, over the block's
+    drained rows that fetch this wave (the frontier columns + ``slot``).
 
     The page generator stands in for the HTTP fetch (FIXTURES.md §2); the
     extraction chain is the real one (``stages/extract.py``). Candidate
@@ -206,15 +212,6 @@ class FetchExtractStage:
         docs: list[dict] | None = [] if self.docs_dir is not None else None
         part = int(batch["part"][0].as_py()) if batch.num_rows else -1
         for r in batch.to_pylist():
-            if not r.get("selected", True):
-                out.append(
-                    {
-                        k: r[k]
-                        for k in ("url", "surt", "host", "priority", "hop", "seq", "part")
-                    }
-                    | {"selected": False, "slot": -1}
-                )
-                continue
             rec = page_for_url_cached(r["url"], self.scfg)
             doc = extract_record(rec, self.icfg)
             assert doc is not None, f"crawl extraction must not filter {r['url']}"
@@ -263,7 +260,6 @@ class FetchExtractStage:
                 "seq": r["seq"],
                 "part": r["part"],
                 "slot": r["slot"],
-                "selected": True,
                 "fetch_host": r["host"],
                 "fetch_status": rec["status"],
                 "is_robots": is_robots,
@@ -526,12 +522,13 @@ def _policy_of(boxed) -> PolicyState:
 
 
 def _drain_order(df: pd.DataFrame, ccfg: CrawlConfig, policy: PolicyState):
-    """The politeness drain over complete host groups, shared by the
-    fused drain and the salted pre-drain: order each host's queue by
-    (priority, seq, surt), drop robots-Disallowed rows and (under a
-    quota) every row of a retired host, then rank rows per host. Returns
-    ``(df, selected, rank)``: the first ``budget`` rows of each host are
-    selected, the rest carry over."""
+    """The politeness drain over complete host groups: order each host's
+    queue by (priority, seq, surt), drop robots-Disallowed rows and
+    (under a quota) every row of a retired host, then rank rows per host.
+    Returns ``(df, selected, rank)``: ``df`` keeps its input index, so
+    ``df.index`` gives each drained row's position in the input; the
+    first ``budget`` rows of each host are selected, the rest carry
+    over."""
     df = df.sort_values(["host", "priority", "seq", "surt"], kind="mergesort")
     df = _robots_drop(df, policy.rules)
     budgets = policy.budgets(df["host"], ccfg)
@@ -542,17 +539,6 @@ def _drain_order(df: pd.DataFrame, ccfg: CrawlConfig, policy: PolicyState):
             df, budgets = df[keep], budgets[keep]
     ranks = df.groupby("host", sort=False).cumcount().to_numpy()
     return df, ranks < budgets, ranks
-
-
-def _make_drain_fn(ccfg: CrawlConfig, policy_boxed=None):
-    """Vectorized politeness drain over a host-hash-partitioned block
-    (complete host groups): assigns ``slot`` / ``selected``."""
-
-    def drain(df: pd.DataFrame) -> pd.DataFrame:
-        df, sel, ranks = _drain_order(df, ccfg, _policy_of(policy_boxed))
-        return df.assign(slot=np.where(sel, ranks, -1).astype("int32"), selected=sel)
-
-    return drain
 
 
 def _partition_by_host(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
@@ -648,15 +634,15 @@ def _sitemap_chunk(urls: list) -> tuple[list, list, list, list]:
     return cu, keys, hs, hashes
 
 
-def _robots_chunk(hosts: list) -> tuple[list, list, list]:
-    """(robots URL, SURT key, shard hash64) per host chunk — the sha1
-    shard hashing rides in the chunked remote tasks so the driver's only
-    per-host work is a vectorized modulo."""
+def _robots_chunk(hosts: list) -> tuple[list, list, list, list]:
+    """(robots URL, SURT key, host, shard hash64) per host chunk — the
+    sha1 shard hashing rides in the chunked remote tasks so the driver's
+    only per-host work is a vectorized modulo."""
     from ..state.seen import _SHARD_SEED
 
     urls = [robots_url_for_host(h) for h in hosts]
     keys = [surt_key(u) for u in urls]
-    return urls, keys, [stable_hash64(k, _SHARD_SEED) for k in keys]
+    return urls, keys, list(hosts), [stable_hash64(k, _SHARD_SEED) for k in keys]
 
 
 _PAR_CHUNK = 4096  # below this, remote dispatch costs more than it saves
@@ -682,6 +668,18 @@ def _chunked_remote(fn, items: list, n_out: int) -> tuple[list, ...]:
     return tuple([x for o in outs for x in o[i]] for i in range(n_out))
 
 
+def _offer_new(pool: SeenShardPool, chunk_fn, items: list) -> tuple[list, list, list]:
+    """Injection rows: ``chunk_fn`` (:func:`_robots_chunk` or
+    :func:`_sitemap_chunk`) over ``items`` in chunked tasks, offered to
+    the seen set; returns (URL, SURT key, host) of the first-seen ones,
+    in order."""
+    urls, keys, hosts, hashes = _chunked_remote(chunk_fn, items, 4)
+    if not keys:
+        return [], [], []
+    new = np.flatnonzero(np.asarray(pool.add_if_new_hashed(keys, hashes), dtype=bool))
+    return [urls[i] for i in new], [keys[i] for i in new], [hosts[i] for i in new]
+
+
 def _seed_frontier(seeds, pool: SeenShardPool) -> tuple[pa.Table, int]:
     """Seeds in list order; first occurrence of a SURT wins (at a 10^10
     design point the seed list is itself a Dataset read — the dedupe is
@@ -704,21 +702,16 @@ import ray as _ray
 
 _PULL_COLS = [
     "url", "surt", "host", "priority", "hop", "seq", "part", "slot",
-    "selected", "fetch_host", "fetch_status", "is_robots", "robots_rules",
+    "fetch_host", "fetch_status", "is_robots", "robots_rules",
 ]
 
 
-def _assemble(parts_list, p: int, *pieces: pa.Table) -> pa.Table:
+def _assemble(*pieces: pa.Table) -> pa.Table:
     """One partition's wave-input block, built inside the task that
-    consumes it: the seed partition (``parts_list`` is the
-    remote-resolved list of per-part frontier tables, read zero-copy
-    from the shared plasma object; None after wave 0) + the pieces (the
-    driver's small injection rows for this part, the previous wave's
-    winner and carryover blocks, or a salted block's survivors)."""
-    tbls = []
-    if parts_list is not None and parts_list[p].num_rows:
-        tbls.append(parts_list[p])
-    tbls += [t for t in pieces if t is not None and t.num_rows]
+    consumes it: the concatenation of its pieces (the driver's small
+    injection rows for this part, the previous wave's winner blocks and
+    its carry)."""
+    tbls = [t for t in pieces if t.num_rows]
     if not tbls:
         return PART_SCHEMA.empty_table()
     return tbls[0] if len(tbls) == 1 else pa.concat_tables(tbls)
@@ -748,9 +741,7 @@ def _range_finalize(
     parent slot, link rank — unique per candidate, so the range-local
     sort reproduces the global order exactly), assign ``seq`` from this
     range's global offset, and hash-partition by host. Invoked with
-    ``num_returns=n_parts + 1``: the per-part frontier tables stay
-    remote; the last return is the small rows-per-part list the driver
-    needs for the salt decision."""
+    ``num_returns=n_parts``: the per-part frontier tables stay remote."""
     import pyarrow.compute as pc
 
     lo = boundaries[r - 1] if r > 0 else None
@@ -765,8 +756,7 @@ def _range_finalize(
         if b > a:
             slices.append(t.slice(a, b - a))
     if not slices:
-        plist = _partition_by_host(FRONTIER_SCHEMA.empty_table(), n_parts)
-        return (*plist, [0] * n_parts)
+        return _partition_by_host(FRONTIER_SCHEMA.empty_table(), n_parts)
     winners = pa.concat_tables(slices).combine_chunks()
     winners = winners.take(
         pc.sort_indices(
@@ -789,8 +779,7 @@ def _range_finalize(
             "seq": pa.array(np.arange(seq_start, seq_start + n), pa.int64()),
         }
     ).cast(FRONTIER_SCHEMA)
-    plist = _partition_by_host(extras, n_parts)
-    return (*plist, [t.num_rows for t in plist])
+    return _partition_by_host(extras, n_parts)
 
 
 def _pick_boundaries(samples: list[str], n_ranges: int) -> list[str]:
@@ -807,43 +796,11 @@ def _pick_boundaries(samples: list[str], n_ranges: int) -> list[str]:
     return picks
 
 
-@_ray.remote
-def _salt_split(n_sub: int, parts_list, p: int, *pieces) -> list[pa.Table]:
-    """Assemble a hot partition's block (:func:`_assemble`) and split it
-    into n_sub salted sub-blocks by a stable per-URL hash. ANY split
-    preserves parity (see _pre_drain), so the hash only needs to spread
-    rows evenly."""
-    tbl = _assemble(parts_list, p, *pieces)
-    if n_sub == 1:
-        # num_returns=1 delivers the return value unsplit — hand back the
-        # table itself, not a 1-list the caller would see as a list object
-        return tbl
-    salts = pd.util.hash_array(
-        np.asarray(tbl["surt"].to_pylist(), dtype=object), categorize=False
-    ) % n_sub
-    return [tbl.filter(pa.array(salts == s)) for s in range(n_sub)]
+# the drain's sort and robots keys: the only columns it converts to pandas
+_DRAIN_COLS = ["url", "surt", "host", "priority", "seq"]
 
 
-@_ray.remote(num_returns=3)
-def _pre_drain(tbl: pa.Table, ccfg: CrawlConfig, policy_boxed):
-    """Salted phase-1 drain over ONE sub-block of a hot partition: the
-    main drain's order, robots drop and quota retirement (dropped rows
-    leave the frontier), then each host's top ``budget`` rows by the
-    global (priority, seq) order SURVIVE; the rest carry over directly.
-    Parity: a row selected by the global drain ranks < budget in any
-    subset containing it, so the union of sub-block survivors contains
-    every globally selected row, and the final drain over survivors
-    assigns identical slots. Returns ``(survivors, carry, carry rows)``."""
-    if tbl.num_rows == 0:
-        return tbl, tbl, 0
-    df, sel, _ = _drain_order(tbl.to_pandas(), ccfg, _policy_of(policy_boxed))
-    cols = ["url", "surt", "host", "priority", "hop", "seq", "part"]
-    sv = pa.Table.from_pandas(df.loc[sel, cols], preserve_index=False)
-    cr = pa.Table.from_pandas(df.loc[~sel, cols], preserve_index=False)
-    return sv.cast(PART_SCHEMA), cr.cast(PART_SCHEMA), cr.num_rows
-
-
-@_ray.remote(num_returns=2)
+@_ray.remote(num_returns=4)
 def _drain_fetch(
     policy_boxed,
     scfg: SyntheticConfig,
@@ -851,27 +808,33 @@ def _drain_fetch(
     wave: int,
     ccfg: CrawlConfig,
     docs_dir: str | None,
-    parts_list,
-    p: int,
     *pieces: pa.Table,
 ):
     """Assembly + politeness drain + fetch/extract for ONE frontier block
     (the block holds complete host groups, so the drain's per-host
-    queues are whole); ``parts_list, p, *pieces`` are
-    :func:`_assemble`'s. Returns ``(block, gate)``: ``gate`` is the
+    queues are whole); ``pieces`` are :func:`_assemble`'s. The drained
+    block splits in Arrow: its selected rows (with their ``slot``) go to
+    the fetch stage, the rest are the block's carry, in drain order.
+    Returns ``(block, gate, carry, carry_rows)``: ``gate`` is the
     block's duplicate-content gate table under ``ccfg.dedup_content``,
-    else None."""
-    tbl = _assemble(parts_list, p, *pieces)
-    drained = _make_drain_fn(ccfg, policy_boxed)(tbl.to_pandas())
-    stage = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)
-    block = stage(pa.Table.from_pandas(drained, preserve_index=False))
+    else None; ``carry`` has exactly PART_SCHEMA."""
+    tbl = _assemble(*pieces)
+    df, sel, ranks = _drain_order(
+        tbl.select(_DRAIN_COLS).to_pandas(), ccfg, _policy_of(policy_boxed)
+    )
+    rows = df.index.to_numpy()
+    carry = tbl.take(pa.array(rows[~sel], pa.int64())).cast(PART_SCHEMA)
+    fetch = tbl.take(pa.array(rows[sel], pa.int64())).append_column(
+        "slot", pa.array(ranks[sel], pa.int32())
+    )
+    block = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)(fetch)
     gate = _gate_rows(ccfg.seen_shards, block) if ccfg.dedup_content else None
-    return block, gate
+    return block, gate, carry, carry.num_rows
 
 
 def _gate_rows(n_shards: int, tbl: pa.Table) -> pa.Table:
     """Per-block duplicate-content gate rows: (key, host, slot, shard)
-    of every SELECTED status-200 fetch — ``shard = shard_of(hash)`` so
+    of every status-200 fetch — ``shard = shard_of(hash)`` so
     each shard self-filters its rows from the shared block (the
     cand-routing delivery shape)."""
     import pyarrow.compute as pc
@@ -886,9 +849,7 @@ def _gate_rows(n_shards: int, tbl: pa.Table) -> pa.Table:
     )
     if tbl.num_rows == 0:
         return empty
-    f = tbl.filter(
-        pc.and_(tbl["selected"], pc.equal(tbl["fetch_status"], 200))
-    )
+    f = tbl.filter(pc.equal(tbl["fetch_status"], 200))
     if f.num_rows == 0:
         return empty
     keys = f["content_hash"].to_pylist()
@@ -910,8 +871,8 @@ def _write_warc_block(
     warc_dir: str, wave: int, tbl: pa.Table, *loser_tbls: pa.Table
 ) -> int:
     """Serialise ONE fetch block as ONE ``wave_{W}/part_{P}.warc.gz``
-    fragment (multi-member gzip, one ISO-28500 record per SELECTED fetch
-    in the block's pinned drain order). Content-gate losers — (host,
+    fragment (multi-member gzip, one ISO-28500 record per fetch in the
+    block's pinned drain order). Content-gate losers — (host,
     slot) pairs in ``loser_tbls``, status-200 by construction — become
     ``revisit`` members (identical-payload-digest, payload dropped);
     everything else a ``response`` member. Deterministic bytes (pinned
@@ -924,10 +885,7 @@ def _write_warc_block(
     from ..functions.hashing import sha1_b32
     from ..sources.warc import build_response_member, build_revisit_member
 
-    if tbl.num_rows == 0 or "selected" not in tbl.column_names:
-        return 0
-    fetched = tbl.filter(tbl["selected"])
-    if fetched.num_rows == 0:
+    if tbl.num_rows == 0:
         return 0
     part = int(tbl["part"][0].as_py())
     losers: set[tuple[str, int]] = set()
@@ -937,7 +895,7 @@ def _write_warc_block(
     members = []
     cols = ["url", "fetch_host", "slot", "fetch_status",
             "w_ts14", "w_mime", "w_loc", "w_payload"]
-    for r in fetched.select(cols).to_pylist():
+    for r in tbl.select(cols).to_pylist():
         payload = r["w_payload"] or b""
         if (r["fetch_host"], r["slot"]) in losers and r["fetch_status"] == 200:
             members.append(
@@ -963,72 +921,61 @@ def _write_warc_block(
     return len(members)
 
 
-@_ray.remote(num_returns=4)
-def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
-    """(meta, carry_table, fetched_table, candidate_table).
+@_ray.remote(num_returns=3)
+def _split_block(n_shards: int, fetched: pa.Table, *loser_tbls: pa.Table):
+    """(meta, fetched_table, candidate_table) of one fetch block.
 
     The meta carries the block's row counts (``fetched_rows``,
-    ``carry_rows``, ``cand_rows``) and policy observations; carry and
-    candidates stay remote; candidates are flattened from the
-    fetch stage's list columns (vectorized) and shard-keyed so each seen
-    shard can self-filter its rows from the shared block.
+    ``cand_rows``) and policy observations; candidates stay remote,
+    flattened from the fetch stage's list columns (vectorized) and
+    shard-keyed so each seen shard can self-filter its rows from the
+    shared block.
     ``loser_tbls`` (dedup_content crawls only) are the content gate's
     per-shard (host, slot) verdicts: those rows' candidate lists are
     suppressed before flattening — the fetched/log/doc surface is
     untouched, duplicates just discover nothing."""
     import pyarrow.compute as pc
 
-    if tbl.num_rows == 0 or "selected" not in tbl.column_names:
-        # empty input parts pass through the maps untouched
+    if fetched.num_rows == 0:
         return (
-            {"part": -1, "cand_rows": 0, "fetched_rows": 0, "carry_rows": 0,
-             "policy": None},
-            FRONTIER_SCHEMA.empty_table(),
+            {"cand_rows": 0, "fetched_rows": 0, "policy": None},
             OUT_SCHEMA.empty_table().select(_PULL_COLS),
             CAND_SCHEMA.empty_table(),
         )
-    part = int(tbl["part"][0].as_py())
-    sel = tbl["selected"]
-    carry = tbl.filter(pc.invert(sel)).select(
-        ["url", "surt", "host", "priority", "hop", "seq", "part"]
-    )
-    fetched = tbl.filter(sel)
     # the block's policy observations ride back in the tiny meta: the
     # driver folds them for the NEXT wave's drain without joining on the
     # fetch-log finalize chain
     meta = {
-        "part": part,
         "cand_rows": 0,
         "fetched_rows": fetched.num_rows,
-        "carry_rows": carry.num_rows,
         "policy": PolicyState.observe(fetched),
     }
     # duplicate-content suppression: candidates flatten from cand_src,
     # which drops the gate's loser rows (fetched itself is unchanged)
     cand_src = fetched
-    if loser_tbls:
-        lt = pa.concat_tables([t for t in loser_tbls if t.num_rows])\
-            if any(t.num_rows for t in loser_tbls) else None
-        if lt is not None and lt.num_rows and fetched.num_rows:
-            lk = set(zip(lt["host"].to_pylist(), lt["slot"].to_pylist()))
-            keep = np.fromiter(
-                (
-                    (h, sl) not in lk
-                    for h, sl in zip(
-                        fetched["fetch_host"].to_pylist(),
-                        fetched["slot"].to_pylist(),
-                    )
-                ),
-                dtype=bool,
-                count=fetched.num_rows,
-            )
-            if not keep.all():
-                cand_src = fetched.filter(pa.array(keep))
+    lk = {
+        hs for lt in loser_tbls
+        for hs in zip(lt["host"].to_pylist(), lt["slot"].to_pylist())
+    }
+    if lk:
+        keep = np.fromiter(
+            (
+                (h, sl) not in lk
+                for h, sl in zip(
+                    fetched["fetch_host"].to_pylist(),
+                    fetched["slot"].to_pylist(),
+                )
+            ),
+            dtype=bool,
+            count=fetched.num_rows,
+        )
+        if not keep.all():
+            cand_src = fetched.filter(pa.array(keep))
     cand_col = cand_src["cand_urls"].combine_chunks()
     lengths = pc.list_value_length(cand_col).to_numpy().astype(np.int64)
     total = int(lengths.sum())
     if total == 0:
-        return meta, carry, fetched.select(_PULL_COLS), CAND_SCHEMA.empty_table()
+        return meta, fetched.select(_PULL_COLS), CAND_SCHEMA.empty_table()
     parents = pc.list_parent_indices(cand_col)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     surts = pc.list_flatten(cand_src["cand_surts"].combine_chunks())
@@ -1066,7 +1013,7 @@ def _split_block(n_shards: int, tbl: pa.Table, *loser_tbls: pa.Table):
         cand_rows=total,
         shard_bounds=np.searchsorted(sorted_shards, np.arange(n_shards + 1)).tolist(),
     )
-    return meta, carry, fetched.select(_PULL_COLS), cand
+    return meta, fetched.select(_PULL_COLS), cand
 
 
 @_ray.remote(num_returns=2)
@@ -1149,6 +1096,11 @@ def run_crawl(
     records do not depend on the block count; the grouping of WARC and
     docs fragment files and the per-partition lineage in ``stats`` do.
 
+    Every block takes the same path whatever its size: one drain, then
+    the rows it fetches go through the fetch loop and the rest of the
+    block goes back to the object store as its Arrow carry. A hot host
+    is never split; the budget bounds what it fetches per wave.
+
     ``collect_log`` / ``collect_seen`` are TEST/ANALYSIS hooks: they pull
     the full fetch log (as Python dicts) / the sorted global seen set onto
     the driver — O(total fetched) / O(total seen) driver memory, never the
@@ -1217,8 +1169,6 @@ def _crawl_waves(
     pending_delta: list[str] = []
     start_wave = 0
     order_base = 0
-    carry_refs: dict[int, list["ray.ObjectRef"]] = {}
-    carry_counts: dict[int, int] = {}
 
     if resume and checkpoint_dir is not None and (last := latest_complete_wave(checkpoint_dir)) is not None:
         ck = load_wave_checkpoint(checkpoint_dir, last)
@@ -1244,58 +1194,35 @@ def _crawl_waves(
         if track_delta:
             pending_delta.extend(extras["surt"].to_pylist())
     policy = policy.configured(ccfg)
-    # the frontier lives as a PARTITION LIST in the object store between
-    # waves; the driver holds only a ref + per-part row counts
-    _seed_parts = _partition_by_host(extras, n_parts)
-    extras_parts_ref = ray.put(_seed_parts)
-    extras_rows_per_part = [t.num_rows for t in _seed_parts]
-    del extras, _seed_parts
+    # the frontier lives in the object store between waves as one carry
+    # table per host partition (the seed or resume frontier is wave 0's
+    # carry); the driver holds only the refs + per-part row counts
+    seed_parts = _partition_by_host(extras, n_parts)
+    carry_refs = [ray.put(t) for t in seed_parts]
+    carry_counts = [t.num_rows for t in seed_parts]
+    del extras, seed_parts
     # winners of the previous wave arrive as per-(range, part) refs from
     # the parallel merge; empty before wave 0
     winners_part_refs: dict[int, list] = {}
-    winners_rows_refs: list = []
     pending_winner_rows = 0
     for wave in range(start_wave, ccfg.max_waves):
         marks = [time.monotonic()]  # phase boundaries -> stats phase_*_s
         # --- robots injection (new hosts only: a host already in the
-        # frontier was scheduled at its first appearance) ----------------
+        # frontier was scheduled at its first appearance), then sitemap
+        # injection (rule 2b): advertised Sitemap URLs enter as priority
+        # -1 fetches the first time their SURT is unseen -----------------
         ru, rk, rh = [], [], []
         if ccfg.respect_robots:
             new_hosts = sorted(robots_check_hosts - policy.scheduled)
             policy.scheduled.update(new_hosts)
-            rurls, rkeys, rhashes = _chunked_remote(_robots_chunk, new_hosts, 3)
-            if rkeys:
-                new_mask = np.asarray(
-                    pool.add_if_new_hashed(rkeys, rhashes), dtype=bool
-                )
-                idx = np.flatnonzero(new_mask)
-                ru = [rurls[i] for i in idx]
-                rk = [rkeys[i] for i in idx]
-                rh = [new_hosts[i] for i in idx]
-                if track_delta:
-                    pending_delta.extend(rk)
-        # --- sitemap injection (rule 2b): advertised Sitemap URLs enter
-        # as priority -1 fetches the first time their SURT is unseen ----
-        if ccfg.respect_robots and ccfg.follow_sitemaps and sitemap_pending:
-            pend, sitemap_pending = sitemap_pending, []
-            surls, skeys, shosts, shashes = _chunked_remote(
-                _sitemap_chunk, pend, 4
-            )
-            if skeys:
-                smask = np.asarray(
-                    pool.add_if_new_hashed(skeys, shashes), dtype=bool
-                )
-                sidx = np.flatnonzero(smask)
-                ru += [surls[i] for i in sidx]
-                rk += [skeys[i] for i in sidx]
-                rh += [shosts[i] for i in sidx]
-                if track_delta:
-                    pending_delta.extend(skeys[i] for i in sidx)
-        robots_tbl = (
-            _frontier_table(ru, rk, rh, [-1] * len(ru), [0] * len(ru), [-1] * len(ru))
-            if ccfg.respect_robots and ru
-            else FRONTIER_SCHEMA.empty_table()
-        )
+            ru, rk, rh = _offer_new(pool, _robots_chunk, new_hosts)
+            if ccfg.follow_sitemaps and sitemap_pending:
+                su, sk, sh = _offer_new(pool, _sitemap_chunk, sitemap_pending)
+                ru, rk, rh, sitemap_pending = ru + su, rk + sk, rh + sh, []
+            if track_delta:
+                pending_delta.extend(rk)
+        n_inj = len(ru)
+        robots_tbl = _frontier_table(ru, rk, rh, [-1] * n_inj, [0] * n_inj, [-1] * n_inj)
         if policy.retry_pending:
             # rule 6b (retry_5xx): failed fetches re-enter with their
             # ORIGINAL (priority, hop, seq) — already-seen rows riding
@@ -1303,56 +1230,17 @@ def _crawl_waves(
             rt = _frontier_table(*map(list, zip(*policy.retry_pending)))
             robots_tbl = pa.concat_tables([robots_tbl, rt]) if robots_tbl.num_rows else rt
             policy.retry_pending = []
-        frontier_rows = (
-            sum(extras_rows_per_part)
-            + pending_winner_rows
-            + robots_tbl.num_rows
-            + sum(carry_counts.values())
-        )
+        frontier_rows = pending_winner_rows + robots_tbl.num_rows + sum(carry_counts)
         if frontier_rows == 0:
             break
         marks.append(time.monotonic())
         # --- assemble wave input blocks (object-store resident): each
         # block's pieces go straight to its fetch task ------------------
         robots_parts = _partition_by_host(robots_tbl, n_parts)
-        fetch_args = []  # per block: _assemble's (parts_list, p, *pieces)
-        pre_carry: dict[int, list] = {}  # salted path: (carry, rows) refs
         # the policy state enters the cluster ONCE per wave (object
         # store), not once per task closure; BOXED so tasks resolve it
         # through the per-worker broadcast cache
         policy_boxed = [ray.put(policy.drain_view())]
-        # per-part winner rows from the range tasks (tiny lists, needed
-        # for the salt decision; the tables themselves stay remote)
-        winners_rows_per_part = [0] * n_parts
-        if winners_rows_refs:
-            for rows in ray.get(winners_rows_refs):
-                for p, c in enumerate(rows):
-                    winners_rows_per_part[p] += c
-        for p in range(n_parts):
-            pieces = (
-                robots_parts[p],
-                *winners_part_refs.get(p, []),
-                *carry_refs.get(p, []),
-            )
-            rows_p = (
-                extras_rows_per_part[p]
-                + winners_rows_per_part[p]
-                + robots_parts[p].num_rows
-                + carry_counts.get(p, 0)
-            )
-            if ccfg.salt_threshold is not None and rows_p > ccfg.salt_threshold:
-                # hot-host path: salted phase-1 drain in parallel, only
-                # survivors (≤ salt_factor × budget per host) re-merge
-                subs = _salt_split.options(
-                    num_returns=ccfg.salt_factor
-                ).remote(ccfg.salt_factor, extras_parts_ref, p, *pieces)
-                if ccfg.salt_factor == 1:
-                    subs = [subs]
-                outs = [_pre_drain.remote(sub, ccfg, policy_boxed) for sub in subs]
-                fetch_args.append((None, -1, *[sv for sv, _, _ in outs]))
-                pre_carry[p] = [(cr, n) for _, cr, n in outs]
-            else:
-                fetch_args.append((extras_parts_ref, p, *pieces))
         marks.append(time.monotonic())
         # resumable docs layout: clear this wave's fragment dir first so a
         # crashed prior attempt (possibly with a different n_parts) can't
@@ -1379,11 +1267,12 @@ def _crawl_waves(
         # eager block GC, so no lineage reconstruction can re-run a fetch).
         fetches = [
             _drain_fetch.remote(
-                policy_boxed, scfg, icfg, wave, ccfg, docs_dir, *args
+                policy_boxed, scfg, icfg, wave, ccfg, docs_dir,
+                robots_parts[p], *winners_part_refs.get(p, []), carry_refs[p],
             )
-            for args in fetch_args
+            for p in range(n_parts)
         ]
-        block_refs = [b for b, _ in fetches]
+        block_refs = [f[0] for f in fetches]
         marks.append(time.monotonic())
         # --- duplicate-content gate (wave barrier, dedup_content only):
         # the fetch tasks' per-block (hash, host, slot) rows route BY
@@ -1397,7 +1286,7 @@ def _crawl_waves(
         loser_refs: list = []
         gate_small_refs: list = []
         if ccfg.dedup_content:
-            gate_refs = [g for _, g in fetches]
+            gate_refs = [f[1] for f in fetches]
             gate_outs = [
                 pool.shards[s]
                 .gate_first_seen.options(num_returns=2)
@@ -1434,30 +1323,17 @@ def _crawl_waves(
         wave_log_ref = None
         if log_path is not None or collect_log or checkpoint_dir is not None:
             wave_log_ref, log_done = _finalize_fetch.remote(
-                wave, order_base, log_path, *[f for _, _, f, _ in splits]
+                wave, order_base, log_path, *[f for _, f, _ in splits]
             )
             if log_path is not None:
                 log_flush_refs.append(log_done)
-        # one get for the split metas and the salted carries' row counts:
-        # every carry count comes from the task that built the carry
-        got = ray.get(
-            [m for m, _, _, _ in splits]
-            + [n for outs in pre_carry.values() for _, n in outs]
-        )
-        metas, pre_rows = got[: len(splits)], iter(got[len(splits):])
-        carries = {
-            p: [(cr, next(pre_rows)) for cr, _ in outs]
-            for p, outs in pre_carry.items()
-        }
-        fetched_per_part: dict[int, int] = {}
+        # one get for the split metas and the carries' row counts
+        got = ray.get([m for m, _, _ in splits] + [f[3] for f in fetches])
+        metas, carry_counts = got[:n_parts], got[n_parts:]
+        carry_refs = [f[2] for f in fetches]
         cand_refs = []
         cand_bounds = []  # per block: n_shards+1 slice offsets
-        for meta, (_, carry_ref, _, cand_ref) in zip(metas, splits):
-            if meta["part"] >= 0:
-                carries.setdefault(meta["part"], []).append(
-                    (carry_ref, meta["carry_rows"])
-                )
-                fetched_per_part[meta["part"]] = meta["fetched_rows"]
+        for meta, (_, _, cand_ref) in zip(metas, splits):
             if meta["cand_rows"]:
                 cand_refs.append(cand_ref)
                 cand_bounds.append(meta["shard_bounds"])
@@ -1478,12 +1354,6 @@ def _crawl_waves(
                 ]
             )  # delivery barrier before finalize
         del fetches, block_refs, splits  # wave's intermediates can be GC'd
-        carry_refs, carry_counts = {}, {}
-        for p, refs in carries.items():
-            for r, c in refs:
-                if c > 0:
-                    carry_refs.setdefault(p, []).append(r)
-                    carry_counts[p] = carry_counts.get(p, 0) + c
         marks.append(time.monotonic())
         # --- discovery barrier (two-phase parallel winners merge): the
         # shards finalize concurrently; the driver blocks ONLY on their
@@ -1498,7 +1368,8 @@ def _crawl_waves(
         # metas — the fetch-log build/sort/write chain runs fully off the
         # wave critical path (joined only under collect_log /
         # checkpointing, plus one durability barrier at crawl end)
-        n_fetched = sum(m["fetched_rows"] for m in metas)
+        fetched_per_part = [m["fetched_rows"] for m in metas]
+        n_fetched = sum(fetched_per_part)
         res.total_docs += n_fetched
         wave_log = None  # pulled lazily (collect_log / checkpoint only)
         if collect_log:
@@ -1514,20 +1385,21 @@ def _crawl_waves(
             if track_delta:
                 pending_delta.extend(s["surts"])
         winners_part_refs = {}
-        winners_rows_refs = []
         if n_new:
             # few ranges for small waves (task overhead), more for wide
             n_ranges = 1 if n_new < 50_000 else min(8, n_shards)
             boundaries = _pick_boundaries(
                 [x for s in smalls for x in s["samples"]], n_ranges
             )
-            per_shard = ray.get(
-                [_range_counts.remote(boundaries, w) for w in winner_refs]
+            per_range = (
+                np.sum(ray.get(
+                    [_range_counts.remote(boundaries, w) for w in winner_refs]
+                ), axis=0)
+                if boundaries else [n_new]
             )
-            per_range = np.sum(per_shard, axis=0)
             offs = seq + np.concatenate([[0], np.cumsum(per_range)[:-1]])
             outs = [
-                _range_finalize.options(num_returns=n_parts + 1).remote(
+                _range_finalize.options(num_returns=n_parts).remote(
                     boundaries, r, int(offs[r]), n_parts, *winner_refs
                 )
                 for r in range(len(boundaries) + 1)
@@ -1535,10 +1407,7 @@ def _crawl_waves(
             winners_part_refs = {
                 p: [o[p] for o in outs] for p in range(n_parts)
             }
-            winners_rows_refs = [o[n_parts] for o in outs]
         seq += n_new
-        extras_parts_ref = None  # the seed list is consumed by wave 0
-        extras_rows_per_part = [0] * n_parts
         pending_winner_rows = n_new
         new_rules = policy.fold([m["policy"] for m in metas], ccfg)
         if ccfg.follow_sitemaps and new_rules:
@@ -1547,17 +1416,15 @@ def _crawl_waves(
             "wave": wave,
             "frontier": frontier_rows,
             "fetched": n_fetched,
-            "carryover": sum(carry_counts.values()),
+            "carryover": sum(carry_counts),
             "new_urls": n_new,
             # per-partition lineage (north_rule): what each host partition
             # contributed this wave — replays/audits read this per (wave,
             # partition) alongside the docs fragment of the same name
             "partitions": {
-                str(p): {
-                    "fetched": fetched_per_part.get(p, 0),
-                    "carryover": carry_counts.get(p, 0),
-                }
-                for p in sorted(set(fetched_per_part) | set(carry_counts))
+                str(p): {"fetched": f, "carryover": c}
+                for p, (f, c) in enumerate(zip(fetched_per_part, carry_counts))
+                if f or c
             },
         }
         marks.append(time.monotonic())
@@ -1585,18 +1452,20 @@ def _crawl_waves(
                 warc_flush_refs = []
             if wave_log is None:
                 wave_log = ray.get(wave_log_ref)
-            carry_tbls = ray.get([r for refs in carry_refs.values() for r in refs])
-            all_winner_refs = [
-                r for refs in winners_part_refs.values() for r in refs
-            ]
-            winner_tbls = [
+            # carries in part order, then winners in (part, range) order
+            frontier_tbls = [
                 t.select(FRONTIER_SCHEMA.names)
-                for t in ray.get(all_winner_refs)
+                for t in ray.get(
+                    carry_refs
+                    + [r for refs in winners_part_refs.values() for r in refs]
+                )
                 if t.num_rows
             ]
-            next_frontier = pa.concat_tables(
-                [t.select(FRONTIER_SCHEMA.names) for t in carry_tbls] + winner_tbls
-            ) if (carry_tbls or winner_tbls) else FRONTIER_SCHEMA.empty_table()
+            next_frontier = (
+                pa.concat_tables(frontier_tbls)
+                if frontier_tbls
+                else FRONTIER_SCHEMA.empty_table()
+            )
             write_wave_checkpoint(
                 checkpoint_dir, wave, next_frontier, wave_log, pending_delta,
                 seq, stats, policy.to_checkpoint(),

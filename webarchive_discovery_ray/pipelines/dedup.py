@@ -605,8 +605,8 @@ def _lsh_candidate_pairs(ds, cross_parity: bool = False):
             {"doc_a": m["doc_id_x"].to_numpy(), "doc_b": m["doc_id_y"].to_numpy()}
         )
 
-    bands = bucketed(ds.map_batches(to_bands, batch_format="pyarrow"), "band")
-    raw_pairs = keyed_fold(bands, pairs_in_bucket, None)
+    bands = ds.map_batches(to_bands, batch_format="pyarrow")
+    raw_pairs = keyed_fold(bands, pairs_in_bucket, "band")
 
     # No standalone distinct pass: a pair rediscovered in k band buckets
     # emits k copies, but every copy of (pair, side) lands in the SAME
@@ -678,9 +678,8 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
             }
         )
 
-    partials = bucketed(verified, "delta_id", rows=match_partials)
     return keyed_fold(
-        partials, fold_matches, None,
+        verified, fold_matches, "delta_id", rows=match_partials,
         empty=dict(delta_id="int64", n_matches="int64", best_match="int64"),
     )
 
@@ -1049,11 +1048,11 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
                 out.append({"doc_a": int(da), "doc_b": int(db), "jaccard": round(j, 6)})
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "jaccard"])
 
-    attached = bucketed(keyed_fold(
+    attached = keyed_fold(
         (sig_rows, distinct_pairs, distinct_pairs), attach_in_bucket, "key",
         rows=(None, tag_side("doc_a", 1), tag_side("doc_b", 2)),
-    ), _pair_key)
-    return keyed_fold(attached, verify_in_bucket, None)
+    )
+    return keyed_fold(attached, verify_in_bucket, _pair_key)
 
 
 def simhash_batch(texts) -> list[str]:
@@ -1210,10 +1209,10 @@ def cluster_representatives(clusters_ds, quality_ds):
             }
         )
 
-    joined = bucketed(keyed_fold(
+    joined = keyed_fold(
         (clusters_ds, quality_ds), attach, "doc_id", rows=(tag_clusters, tag_quality)
-    ), "cluster_id")
-    return keyed_fold(joined, argmax_in_bucket, None)
+    )
+    return keyed_fold(joined, argmax_in_bucket, "cluster_id")
 
 
 def neardup_dedup_apply(clusters_ds, docs_ds):
@@ -1274,11 +1273,10 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
         docs = df[df["side"] == 1][["doc_id", "text_md5"]]
         return kept.merge(docs, on="doc_id", how="inner")
 
-    sizes = bucketed(clusters_ds, "cluster_id", rows=size_partials)
     # fold buckets by cluster_id; its output re-buckets by the kept doc_id
     # (== cluster_id, same hash — the exchange key is reused)
     folded = keyed_fold(
-        sizes, fold_sizes, None,
+        clusters_ds, fold_sizes, "cluster_id", rows=size_partials,
         empty=dict(doc_id="int64", n_merged="int64", side="int64", text_md5=str),
     )
     return keyed_fold(
@@ -1746,8 +1744,8 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
         )
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    hashed = bucketed(ds, "h", rows=windows, batch_format="pyarrow")
-    return keyed_fold(keyed_fold(hashed, dup_positions, None), merge_islands, "doc_id")
+    positions = keyed_fold(ds, dup_positions, "h", rows=windows, batch_format="pyarrow")
+    return keyed_fold(positions, merge_islands, "doc_id")
 
 
 def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
@@ -1941,16 +1939,16 @@ def containment_pairs(
     def pair_key(df: pd.DataFrame) -> pd.Series:
         return df["a"] * np.int64(2654435761) + df["b"]
 
-    chain = bucketed(keyed_fold(
+    chain = keyed_fold(
         ds, df_cap, "g", rows=to_grams, batch_format="pyarrow",
         empty=dict(doc_id="int64", g=str),
-    ), "doc_id")
-    sized = bucketed(keyed_fold(
-        chain, attach_size, None, empty=dict(doc_id="int64", g=str, sz="int64"),
-    ), "g")
-    pairs = bucketed(keyed_fold(sized, pair_partials, None, empty=partial_rows), pair_key)
+    )
+    sized = keyed_fold(
+        chain, attach_size, "doc_id", empty=dict(doc_id="int64", g=str, sz="int64"),
+    )
+    pairs = keyed_fold(sized, pair_partials, "g", empty=partial_rows)
     return keyed_fold(
-        pairs, fold, None,
+        pairs, fold, pair_key,
         empty=dict(doc_a="int64", doc_b="int64", n_shared="int64", containment_ppm="int64"),
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..functions.bucketing import bucketed, keyed_fold, typed_empty
+from ..functions.bucketing import keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = ["ann_cosine_topk", "ann_range_search", "mmr_select", "contrastive_triplets",
@@ -1119,10 +1119,9 @@ def knn_graph(sf_dir: str, k: int = 3, n_probe: int = 2):
             }
         )
 
-    routed = bucketed(ds, "cell", rows=route)
-    partials = bucketed(keyed_fold(routed, cell_topk, None, empty=candidates), "src")
+    partials = keyed_fold(ds, cell_topk, "cell", rows=route, empty=candidates)
     return keyed_fold(
-        partials, fold_topk, None,
+        partials, fold_topk, "src",
         empty=dict(src_vec_id="int64", dst_vec_id="int64", rank="int64", cos_sim="float64"),
     )
 
@@ -1201,12 +1200,12 @@ def label_propagation(edges_ds, labels_ds):
             }
         )
 
-    votes = bucketed(keyed_fold(
+    votes = keyed_fold(
         (edges_ds, labels_ds), attach_votes, "key", rows=(tag_edges, tag_labels),
         empty=votes_rows,
-    ), "src")
+    )
     return keyed_fold(
-        votes, majority_fold, None,
+        votes, majority_fold, "src",
         empty=dict(vec_id="int64", pred_label="int64", n_votes="int64"),
     )
 

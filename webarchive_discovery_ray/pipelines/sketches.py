@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from ..functions.bucketing import bucketed, keyed_fold, sum_in_bucket, typed_empty
+from ..functions.bucketing import keyed_fold, sum_in_bucket, typed_empty
 from ..sources.io import read_table
 
 __all__ = ["bloom_semi_join", "heavy_hitters", "hll_distinct_tokens",
@@ -680,7 +680,7 @@ def kmv_source_similarity(sf_dir: str, k: int = _KMV_K):
         return pd.concat(outs, ignore_index=True)
 
     sketch = keyed_fold(
-        bucketed(ds, "source", rows=partials), fold, None,
+        ds, fold, "source", rows=partials,
         empty=dict(source=str, x="uint64"),
     ).to_pandas()  # bounded: n_sources x k rows
     cols = ["source_a", "source_b", "n_union", "n_common", "kmv_jaccard_ppm"]

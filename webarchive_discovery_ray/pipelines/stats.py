@@ -27,7 +27,6 @@ import pyarrow as pa
 
 from ..config import IndexConfig, SyntheticConfig
 from ..functions.bucketing import (
-    bucketed,
     coalesce_blocks,
     keyed_fold,
     sum_in_bucket,
@@ -2012,10 +2011,10 @@ def host_triangles(
         m = halves.merge(dd, on="key", how="inner")
         return m[["pair", "side", "d"]].reset_index(drop=True)
 
-    attached = bucketed(keyed_fold(
+    attached = keyed_fold(
         (und, degs), attach_deg, "key", rows=(half_rows, deg_rows),
         empty=dict(pair=str, side="int64", d="int64"),
-    ), "pair")
+    )
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         da = df[df["side"] == 0][["pair", "d"]].rename(columns={"d": "da"})
@@ -2034,9 +2033,7 @@ def host_triangles(
             {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
         )
 
-    oriented = bucketed(
-        keyed_fold(attached, orient, None, empty=dict(src=str, dst=str)), "src"
-    )
+    oriented = keyed_fold(attached, orient, "pair", empty=dict(src=str, dst=str))
 
     def wedge_gen(df: pd.DataFrame) -> pd.DataFrame:
         g = df[["src", "dst"]]
@@ -2057,7 +2054,7 @@ def host_triangles(
         n = int((closed["count"] - closed["sum"]).sum())
         return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
-    wedges = keyed_fold(oriented, wedge_gen, None, empty=dict(key=str, is_edge="int64"))
+    wedges = keyed_fold(oriented, wedge_gen, "src", empty=dict(key=str, is_edge="int64"))
     tri_parts = keyed_fold(
         (wedges, und), count_tri, "key", rows=(None, edge_marks),
         empty=dict(n_triangles="int64"),
@@ -2223,14 +2220,14 @@ def cocitation_hosts(
             }
         )
 
-    tagged = bucketed(keyed_fold(
+    tagged = keyed_fold(
         edges, pairs_and_indeg, "src", rows=src_dst, empty=tagged_rows,
-    ), ("side", "a", "b"))
-    folded = bucketed(keyed_fold(tagged, fold, None, empty=tagged_rows), "a")
-    with_a = bucketed(keyed_fold(
-        folded, attach_a, None, empty=dict(tagged_rows, ind_a="int64"),
-    ), dst_b_or_dst)
-    return keyed_fold(with_a, attach_b, None, empty=result)
+    )
+    folded = keyed_fold(tagged, fold, ("side", "a", "b"), empty=tagged_rows)
+    with_a = keyed_fold(
+        folded, attach_a, "a", empty=dict(tagged_rows, ind_a="int64"),
+    )
+    return keyed_fold(with_a, attach_b, dst_b_or_dst, empty=result)
 
 
 def kcore_hosts(
@@ -2564,12 +2561,12 @@ def host_assortativity(
             }
         )
 
-    adj = bucketed(keyed_fold(
+    adj = keyed_fold(
         edges, dedup_degree, "node", rows=both_dirs,
         empty=dict(side="int64", node=str, nbr=str, deg="int64"),
-    ), route)
+    )
     parts = keyed_fold(
-        adj, moment_partials, None,
+        adj, moment_partials, route,
         empty=dict(m="int64", sx="int64", sxy="int64", sx2="int64"),
     ).to_pandas()
     m = int(parts["m"].sum()) if len(parts) else 0
