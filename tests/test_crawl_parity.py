@@ -1259,8 +1259,9 @@ def test_dedup_content_crawl_runs_one_shard_pool(
     SeenShardPool (seen_shards actors, not twice that): spy on the pool's
     constructor through a kill-and-resume run with the spill tier forced.
     Content keys spill under <seen_spill_dir>/content/shard_XXX, the
-    resumed result is byte-identical to the oracle, and each run kills
-    its shard actors when it returns."""
+    resumed result is byte-identical to the oracle, and each run parks
+    its shard actors empty when it returns: the resumed run reuses the
+    first run's actors instead of starting new ones."""
     import os
 
     pools = _spy_pools(monkeypatch)
@@ -1279,6 +1280,7 @@ def test_dedup_content_crawl_runs_one_shard_pool(
 
     run_crawl(sds, cfg(2), syn, fetch_concurrency=2, checkpoint_dir=ckdir)
     assert len(pools) == 1 and len(pools[0].shards) == 4
+    _assert_parked_empty(pools[0].shards)
     assert sorted(os.listdir(os.path.join(spill, "content"))) == [
         f"shard_{i:03d}" for i in range(4)
     ]
@@ -1290,12 +1292,11 @@ def test_dedup_content_crawl_runs_one_shard_pool(
     got = run_crawl(sds, cfg(4), syn, fetch_concurrency=2,
                     checkpoint_dir=ckdir, resume=True,
                     collect_log=True, collect_seen=True)
-    assert len(pools) == 2 and len(pools[1].shards) == 4
+    assert len(pools) == 2 and pools[1].shards == pools[0].shards
+    _assert_parked_empty(pools[1].shards)
     exp = oracle_crawl(sds, cfg(4), syn)
     assert [_log_key(e) for e in got.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert got.seen_sorted == exp.seen_sorted
-    # each run killed its own shard actors when it returned
-    _assert_actors_dead([h for p in pools for h in p.shards])
 
 
 def _spy_pools(monkeypatch) -> list:
@@ -1311,6 +1312,98 @@ def _spy_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(SeenShardPool, "__init__", spy)
     return pools
+
+
+def _assert_parked_empty(handles) -> None:
+    """Every shard is alive and holds no key of either key space."""
+    import ray
+
+    for h in handles:
+        assert ray.get(h.__len__.remote(), timeout=60) == 0
+        assert ray.get(h.spill_stats.remote(), timeout=60) == {
+            "hot": 0, "spilled": 0, "runs": 0
+        }
+        assert ray.get(h.snapshot.remote("content"), timeout=60) == []
+
+
+def test_reused_shard_actors_leak_no_state(
+    ray_session, tmp_path_factory, monkeypatch
+):
+    """Shard actors parked by one crawl and reset by the next carry no
+    state across crawls. Back-to-back crawls of the same seeds in one
+    session each equal the oracle (fetch log, seen set, parsed WARC
+    records): shard count 4 -> 2 -> 4, the content gate off then on, the
+    spill tier forced on one run, and a kill-and-resume on reused
+    actors. After ``ray.shutdown()`` + ``ray.init()`` the next crawl
+    starts fresh actors and never calls a handle of the ended session."""
+    import os
+
+    import ray
+
+    from webarchive_discovery_ray.state import seen
+
+    pools = _spy_pools(monkeypatch)
+    awaited = []
+    reset_ok = seen._reset_ok
+
+    def spy_reset_ok(handle, ref):
+        awaited.append(handle)
+        return reset_ok(handle, ref)
+
+    monkeypatch.setattr(seen, "_reset_ok", spy_reset_ok)
+    syn = SyntheticConfig(
+        n_hosts=10, pages_per_host=60, max_fanout=6,
+        duplicate_content_ratio=0.35,
+    )
+    sds = seed_urls(syn, n_seeds=6)
+
+    def cfg(shards, dedup, waves=4, spill=None, warc=None):
+        return CrawlConfig(
+            politeness_budget=3, max_waves=waves, seen_shards=shards,
+            dedup_content=dedup, seen_spill_threshold=8 if spill else None,
+            seen_spill_dir=spill,
+            warc_dir=warc or str(tmp_path_factory.mktemp("reuse_warc")),
+        )
+
+    def crawl(ccfg, **kw):
+        """Crawl, check against the oracle, check the parked shards."""
+        got = run_crawl(sds, ccfg, syn, fetch_concurrency=1,
+                        collect_log=True, collect_seen=True, **kw)
+        exp = oracle_crawl(sds, ccfg, syn)
+        assert [_log_key(e) for e in got.fetch_log] == [
+            _log_key(e) for e in exp.fetch_log
+        ]
+        assert got.seen_sorted == exp.seen_sorted
+        assert _warc_records(ccfg.warc_dir) == _oracle_warc_records(exp, ccfg, syn)
+        _assert_parked_empty(pools[-1].shards)
+
+    crawl(cfg(4, dedup=False))
+    first = set(pools[0].shards)
+    crawl(cfg(2, dedup=True))
+    assert set(pools[1].shards) < first
+    spill = str(tmp_path_factory.mktemp("reuse_spill"))
+    crawl(cfg(4, dedup=True, spill=spill))
+    assert set(pools[2].shards) == first
+    assert any(
+        f.endswith(".parquet") for _, _, files in os.walk(spill) for f in files
+    ), "fixture must spill"
+    # killed after wave 2, resumed to wave 4: both runs on reused actors
+    ckdir = str(tmp_path_factory.mktemp("reuse_ck"))
+    spill = str(tmp_path_factory.mktemp("reuse_spill_ck"))
+    warc = str(tmp_path_factory.mktemp("reuse_warc_ck"))
+    run_crawl(sds, cfg(4, True, waves=2, spill=spill, warc=warc), syn,
+              fetch_concurrency=1, checkpoint_dir=ckdir)
+    crawl(cfg(4, True, spill=spill, warc=warc), checkpoint_dir=ckdir, resume=True)
+    assert len(pools) == 5 and all(set(p.shards) == first for p in pools[3:])
+    assert set(awaited) == first
+    # a new session: nothing parked by the old one is taken or called
+    ray.shutdown()
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
+             logging_level="ERROR")
+    awaited.clear()
+    crawl(cfg(4, dedup=True))
+    assert not set(pools[-1].shards) & first
+    assert awaited and not set(awaited) & first
 
 
 def _assert_actors_dead(handles) -> None:
@@ -1342,6 +1435,21 @@ def test_failed_crawl_kills_seen_shard_actors(
         )
     assert len(pools) == 1 and len(pools[0].shards) == 2
     _assert_actors_dead(pools[0].shards)
+
+
+def test_close_kills_warm_shard_actors_before_later_calls(ray_session):
+    """``ray.kill`` is asynchronous, and a warm (reused) shard actor can
+    still answer a call made right after it. ``close()`` must leave no
+    such window: every call after it raises RayActorError."""
+    from webarchive_discovery_ray.state.seen import SeenShardPool
+
+    SeenShardPool(2).park()
+    for _ in range(10):
+        pool = SeenShardPool(2)  # takes the two parked, warm actors
+        assert pool.add_if_new(["com,example)/"]) == [True]
+        pool.close()
+        _assert_actors_dead(pool.shards)
+        SeenShardPool(2).park()
 
 
 @pytest.mark.parametrize("fc", [0, -1])

@@ -1,5 +1,5 @@
 """Sinks (S4/S6/S7), XML namespace (M25), date sniffing (M36), seeded
-sampling (O2/O3), instrumentation (A5), multimodal resize/frame-sample."""
+sampling (O2/O3), multimodal resize/frame-sample."""
 
 import glob
 import json
@@ -78,24 +78,6 @@ def test_seeded_reservoir_fixed_and_partition_independent():
     picked2 = {shuffled[i] for i in seeded_reservoir(shuffled, 10)}
     assert picked1 == picked2
     assert seeded_reservoir(keys[:5], 10) == [0, 1, 2, 3, 4]
-
-
-# --- A5 ----------------------------------------------------------------------
-
-from webarchive_discovery_ray.functions.instrument import Instrument
-
-
-def test_instrument_timer_merge_topk():
-    a, b = Instrument(), Instrument()
-    with a.timer("extract.tika"):
-        pass
-    a.add("extract.html", 5_000_000, 2)
-    b.add("extract.tika", 1_000_000)
-    merged = a.merge(b)
-    assert merged.count["extract.tika"] == 2
-    top = merged.top_k(1)
-    assert top[0]["path"] == "extract.html"
-    assert "extract.html" in merged.report()
 
 
 # --- S4/S6/S7 ----------------------------------------------------------------

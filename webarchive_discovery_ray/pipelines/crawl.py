@@ -1111,8 +1111,11 @@ def run_crawl(
     Each wave's ``stats`` carry the driver's wall seconds per phase
     (``phase_{robots,assemble,exec,split,log,discovery}_s``).
 
-    The seen-set shard actors live for this call only: they are killed
-    when it returns or raises."""
+    The seen-set shard actors are taken from the ones an earlier call
+    of this Ray session parked, and started only for the shards still
+    missing. When the call returns, they are emptied and parked for the
+    next call; when it raises, they are killed, so no key space outlives
+    a failed crawl behind its traceback."""
     if fetch_concurrency < 1:
         raise ValueError(f"fetch_concurrency must be >= 1, got {fetch_concurrency}")
     # ONE actor per shard: the URL-seen set, plus (dedup_content) the
@@ -1125,12 +1128,15 @@ def run_crawl(
         spill_threshold=ccfg.seen_spill_threshold,
     )
     try:
-        return _crawl_waves(
+        result = _crawl_waves(
             pool, 4 * fetch_concurrency, seeds, ccfg, scfg, icfg,
             checkpoint_dir, docs_dir, resume, collect_log, collect_seen,
         )
-    finally:
+    except BaseException:
         pool.close()
+        raise
+    pool.park()
+    return result
 
 
 def _crawl_waves(

@@ -35,8 +35,10 @@ and the north star's sharded cuckoo-filter seen set with Bloom fallback:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
+import threading
 
 import numpy as np
 
@@ -566,6 +568,17 @@ class SeenSet:
         self._content_args = (n_bits, content_spill_dir, spill_threshold)
         self._pending: dict[int, list] = {}
 
+    def reset(self, *args, **kwargs) -> None:
+        """Empty this shard and rebuild it with the next crawl's settings
+        (the constructor's arguments). The old key spaces and pending
+        candidates are dropped and collected BEFORE the new ones are
+        built, so the process never holds both. Spill runs already on
+        disk are left where they are, as a killed shard leaves them."""
+        self._url = self._content = None
+        self._pending = {}
+        gc.collect()
+        self.__init__(*args, **kwargs)
+
     def _space(self, space: str) -> KeySpace:
         if space == "url":
             return self._url
@@ -726,12 +739,50 @@ class SeenSet:
         return len(self._url)
 
 
+# SeenSet actors parked by SeenShardPool.park() for the next pool of the
+# same Ray session, under its (node id, job id): a handle never crosses
+# ray.shutdown()/ray.init(), where a new session may reuse the job id but
+# not the node id.
+_IDLE_LOCK = threading.Lock()
+_IDLE: dict[tuple[str, str], list] = {}
+
+
+def _ray_session() -> tuple[str, str]:
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _take_idle(n: int) -> list:
+    """Up to ``n`` parked handles of the current session; handles parked
+    by an ended session are dropped, never called."""
+    import ray
+
+    if not ray.is_initialized():
+        return []
+    session = _ray_session()
+    with _IDLE_LOCK:
+        idle = _IDLE.pop(session, [])
+        _IDLE.clear()
+        _IDLE[session] = idle[n:]
+    return idle[:n]
+
+
 class SeenShardPool:
     """Driver-side facade over ``n_shards`` SeenSet actors: ONE actor per
-    shard holds both key spaces, so a content-gated crawl starts
+    shard holds both key spaces, so a content-gated crawl runs
     ``n_shards`` actors, not twice that. With a ``spill_dir``, shard
     ``i`` spills its URL keys under ``<spill_dir>/shard_i`` and its
     content keys under ``<spill_dir>/content/shard_i``.
+
+    The actors outlive the pool: ``park()`` empties them and hands them
+    to the next pool of the same Ray session, which resets them to its
+    own settings instead of starting new processes (a new actor spends
+    most of a CPU second starting up). ``close()`` kills them instead.
+    Parked actors are empty and die with the session. Their number needs
+    no cap: it is bounded by the largest number of shards in use at once
+    in the session.
 
     Batch calls are partitioned by shard and issued concurrently; results
     are re-assembled in input order. Construction is lazy so the module
@@ -749,15 +800,21 @@ class SeenShardPool:
         def under(*parts):
             return None if spill_dir is None else os.path.join(spill_dir, *parts)
 
-        self.n_shards = n_shards
-        shard_cls = ray.remote(num_cpus=0)(SeenSet)
-        self._shards = [
-            shard_cls.remote(
-                n_bits,
+        def settings(i):
+            return dict(
+                n_bits=n_bits,
                 spill_dir=under(f"shard_{i:03d}"),
                 spill_threshold=spill_threshold,
                 content_spill_dir=under("content", f"shard_{i:03d}"),
             )
+
+        self.n_shards = n_shards
+        idle = _take_idle(n_shards)
+        resets = [h.reset.remote(**settings(i)) for i, h in enumerate(idle)]
+        shard_cls = ray.remote(num_cpus=0)(SeenSet)
+        self._shards = [
+            idle[i] if i < len(idle) and _reset_ok(idle[i], resets[i])
+            else shard_cls.remote(**settings(i))
             for i in range(n_shards)
         ]
 
@@ -840,6 +897,17 @@ class SeenShardPool:
             out.extend(snap)
         return sorted(out)
 
+    def park(self) -> None:
+        """Reset every shard to empty and park it for the next pool of this
+        Ray session (a shard whose reset fails is killed instead). The
+        pool must not be used afterwards: its actors belong to the next
+        pool that takes them."""
+        resets = [s.reset.remote() for s in self._shards]
+        parked = [s for s, ref in zip(self._shards, resets) if _reset_ok(s, ref)]
+        session = _ray_session()
+        with _IDLE_LOCK:
+            _IDLE.setdefault(session, []).extend(parked)
+
     def close(self) -> None:
         """Kill every shard actor now, instead of when the last handle
         is dropped (a traceback that holds the pool would keep the shard
@@ -848,4 +916,21 @@ class SeenShardPool:
         import ray
 
         for s in self._shards:
+            # ray.kill is asynchronous: a warm actor can still run a call
+            # made right after it. The exit task is queued ahead of any
+            # later call from this process, so that call fails either way.
+            s.__ray_terminate__.remote()
             ray.kill(s, no_restart=True)
+
+
+def _reset_ok(handle, ref) -> bool:
+    """Wait for a ``SeenSet.reset``; a shard that died or failed its reset
+    is killed and reported unusable."""
+    import ray
+
+    try:
+        ray.get(ref)
+    except ray.exceptions.RayError:
+        ray.kill(handle, no_restart=True)
+        return False
+    return True
