@@ -567,6 +567,69 @@ def test_seen_spill_compaction_folds_runs(tmp_path):
     assert ss.contains(["com,h99)/nope"]) == [False]
 
 
+def test_seen_spill_filter_negatives_read_no_row_group(tmp_path, monkeypatch):
+    """Each spill run's filter gates its parquet IO: probing keys that no
+    run's filter admits reads no row group, through ``contains`` and
+    through ``add_if_new``."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from webarchive_discovery_ray.state.seen import SeenSet, _key_hashes
+
+    ss = SeenSet(spill_dir=str(tmp_path / "spill"), spill_threshold=100)
+    added = [f"com,h{i % 7})/p{i}" for i in range(500)]
+    for i in range(0, 500, 100):
+        ss.add_if_new(added[i : i + 100])
+    runs = ss._url._runs._runs
+    assert ss.spill_stats() == {"hot": 0, "spilled": 500, "runs": len(runs)} and len(runs) == 5
+    probe = np.asarray([f"com,never)/x{i}" for i in range(400)], dtype=object)
+    fp, h = _key_hashes(probe)
+    admitted = np.zeros(len(probe), dtype=bool)
+    for run in runs:
+        admitted |= run["filter"].might_contain_many(probe, fp, h)
+    negatives = probe[~admitted].tolist()
+    assert len(negatives) >= 390  # 16-bit fingerprints: ~0.06% per key here
+
+    reads = []
+    read_row_group = pq.ParquetFile.read_row_group
+
+    def counting(self, *args, **kwargs):
+        reads.append(args[0])
+        return read_row_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
+    assert ss.contains(negatives) == [False] * len(negatives)
+    assert ss.add_if_new(negatives) == [True] * len(negatives)
+    assert reads == []
+    assert ss.contains(added[:1]) == [True] and len(reads) == 1  # the spy counts
+
+
+def test_seen_spaces_are_plain_sets_until_they_spill(tmp_path):
+    """A resident shard allocates no filter: building and resetting one
+    stays under 1 MiB of Python heap. With a spill threshold, a key
+    space makes its spill directory only with its first key, so a crawl
+    that never adds a content key leaves no content spill directory."""
+    import os
+    import tracemalloc
+
+    from webarchive_discovery_ray.state.seen import SeenSet
+
+    tracemalloc.start()
+    try:
+        SeenSet().reset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    url_dir, content_dir = str(tmp_path / "url"), str(tmp_path / "content")
+    ss = SeenSet(spill_dir=url_dir, spill_threshold=4, content_spill_dir=content_dir)
+    assert not os.path.exists(url_dir) and not os.path.exists(content_dir)
+    ss.add_if_new([f"com,h)/p{i}" for i in range(10)])
+    assert os.listdir(url_dir) and not os.path.exists(content_dir)
+    assert ss.snapshot("content") == []
+
+
 def test_forced_spill_crawl_byte_parity(ray_session, seeds, oracle_result, tmp_path_factory):
     """The VERDICT-r3 done-gate: the crawl byte-parity suite with the
     spill tier FORCED (tiny per-shard memory cap) — fetch log and final

@@ -400,10 +400,12 @@ def test_simhash_batch_matches_scalar_definition():
     assert simhash_batch(texts) == [scalar(t) for t in texts]
 
 
-def test_cuckoo_filter_membership_delete_and_overflow():
+def test_cuckoo_filter_membership_delete_and_overflow(monkeypatch, tmp_path):
     """Cuckoo filter: no false negatives, low false-positive rate, delete
     works (Bloom can't), involution i2 = i1 ^ H(fp) holds, and a saturated
-    filter reports insert failure so SeenSet can engage its Bloom overflow."""
+    filter reports insert failure so a spill run can engage its Bloom
+    overflow."""
+    from webarchive_discovery_ray.state import seen
     from webarchive_discovery_ray.state.seen import CuckooFilter, SeenSet
 
     cf = CuckooFilter(n_buckets=1 << 10, bucket_size=4)  # 4096 slots
@@ -423,12 +425,44 @@ def test_cuckoo_filter_membership_delete_and_overflow():
     results = [tiny.add(f"k{i}") for i in range(16)]
     assert not all(results)
 
-    # SeenSet falls back to Bloom on overflow and stays exact
-    ss = SeenSet(n_bits=1 << 20)
-    ss._url._cuckoo = CuckooFilter(n_buckets=2, bucket_size=2)  # force overflow
-    flags = ss.add_if_new([f"key{i}" for i in range(64)])
-    assert all(flags) and ss._url._bloom is not None
+    # a spill run whose cuckoo filter overflows falls back to Bloom and
+    # membership stays exact
+    monkeypatch.setattr(seen, "_cuckoo_buckets", lambda n_keys: 2)
+    ss = SeenSet(spill_dir=str(tmp_path), spill_threshold=64)
+    keys = [f"key{i}" for i in range(64)]
+    assert ss.add_if_new(keys) == [True] * 64
+    (run,) = ss._url._runs._runs
+    assert run["filter"].cuckoo.saturated and run["filter"].bloom is not None
     assert ss.add_if_new(["key0", "key63", "fresh"]) == [False, False, True]
+    assert ss.contains(keys + ["never-added"]) == [True] * 64 + [False]
+
+
+def test_cuckoo_batch_probe_matches_scalar_buckets():
+    """The numpy batch probe (uint64 arithmetic, which wraps) answers
+    exactly what a scalar look into the key's two buckets and the stash
+    answers (Python ints, which do not), on a filter with relocations
+    and on a saturated one with a stash, for 2^1..2^20 buckets."""
+    from webarchive_discovery_ray.state.seen import CuckooFilter, _key_hashes
+
+    def scalar(cf, key):
+        fp, i1 = cf._fp_and_index(key)
+        i2 = cf._alt_index(i1, fp)
+        b = cf.bucket_size
+        return any(
+            fp in cf.table[i * b : (i + 1) * b] or (i, fp) in cf.stash
+            for i in (i1, i2)
+        )
+
+    stashed = []
+    for n_buckets, n_keys in ((2, 40), (1 << 8, 900), (1 << 20, 3000)):
+        cf = CuckooFilter(n_buckets=n_buckets)
+        cf.add_many([f"k{i}" for i in range(n_keys)])
+        stashed.append(bool(cf.stash))
+        probe = [f"k{i}" for i in range(0, 2 * n_keys, 3)]
+        got = cf.might_contain_many(*_key_hashes(probe)).tolist()
+        assert got == [scalar(cf, k) for k in probe]
+        assert got == [cf.might_contain(k) for k in probe]
+    assert stashed[0] and not stashed[-1]
 
 
 def test_language_id_deterministic_across_runs(ray_session):

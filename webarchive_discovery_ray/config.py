@@ -163,7 +163,8 @@ class CrawlConfig:
     # seen-set spill tier (state/seen.py SpilledRuns): once a shard's hot
     # set reaches seen_spill_threshold keys it is persisted to sorted
     # parquet runs (under seen_spill_dir, or a tempdir) and membership
-    # probes go filter -> hot set -> fence-indexed row-group reads. None
+    # probes go hot set -> per-run filter -> fence-indexed row-group
+    # reads. None
     # keeps the whole set resident (small crawls / tests); at the
     # 10^10-URL design point set this to the per-shard RAM budget.
     seen_spill_threshold: int | None = None

@@ -40,6 +40,3 @@ def get_broadcast_derived(ref, tag: str, build) -> Any:
         _CACHE[key] = build(get_broadcast(ref))
     return _CACHE[key]
 
-
-def clear_broadcast_cache() -> None:
-    _CACHE.clear()

@@ -17,7 +17,6 @@ import hashlib
 __all__ = [
     "md5_b64",
     "record_id",
-    "sha1_hex",
     "sha1_b32",
     "stable_hash64",
     "seeded_gate",
@@ -32,10 +31,6 @@ def md5_b64(value: str) -> str:
 def record_id(wayback_date: str, url: str) -> str:
     """``{waybackDate}/{base64(md5(url))}`` — WARCIndexer.java:543-546."""
     return f"{wayback_date}/{md5_b64(url)}"
-
-
-def sha1_hex(payload: bytes) -> str:
-    return hashlib.sha1(payload).hexdigest()
 
 
 def sha1_b32(payload: bytes) -> str:

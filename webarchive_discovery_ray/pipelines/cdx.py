@@ -36,7 +36,6 @@ __all__ = [
     "warc_robots",
     "warc_digest_dups",
     "warc_deduplicate",
-    "revisit_captures",
     "capture_intervals",
     "url_templates",
     "capture_diff",
@@ -723,11 +722,6 @@ def warc_corpus(
         .map_batches(pack_key, batch_format="pyarrow")
     )
     return interleaved_pack(docs, context=context, media_tokens=media_tokens)
-
-
-def revisit_captures(n_pages: int = 400, scfg: SyntheticConfig | None = None):
-    """Captures table (digest-keyed) for the reduplication pipeline (J3)."""
-    return cdx_sorted(n_pages, scfg)
 
 
 def capture_intervals(captures):

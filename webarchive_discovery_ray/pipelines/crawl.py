@@ -34,8 +34,9 @@ Per wave:
    never touch the driver, and shards read the shared blocks zero-copy;
 5. **discovery barrier** — each seen shard sorts its candidates by the
    pinned global order key (parent host, parent slot, link rank) and
-   keeps first-unseen SURTs (vectorized batch dedup + batched
-   cuckoo/bloom absorption); the winner merge is a TWO-PHASE PARALLEL
+   keeps first-unseen SURTs (one batch of set probes and adds; past the
+   spill threshold, filter-gated probes of the shard's parquet runs);
+   the winner merge is a TWO-PHASE PARALLEL
    SORT: the driver blocks only on per-shard smalls (counts, hosts,
    order_host boundary samples) and tiny per-range counts, then
    range-parallel tasks each merge one order_host range (binary-search
@@ -597,41 +598,27 @@ def _frontier_table(
     )
 
 
-def _canon_seed_chunk(pairs: list) -> tuple[list, list, list, list]:
-    """canonicalise + host + SURT for a seed chunk (regex-heavy: runs as a
-    remote task per chunk so a wide seed list doesn't serialize on the
-    driver)."""
-    urls, keys, hosts, pris = [], [], [], []
+def _canon_chunk(pairs: list) -> tuple[list, list, list, list, list]:
+    """(canonical URL, SURT key, host, priority, shard hash64) per
+    ``(url, priority)`` pair of a seed or sitemap chunk, malformed hosts
+    dropped (regex-heavy: runs as a remote task per chunk so a wide seed
+    list doesn't serialize on the driver; robots URLs are constructed
+    canonical and skip this)."""
+    from ..state.seen import _SHARD_SEED
+
+    urls, keys, hosts, pris, hashes = [], [], [], [], []
     for url, pri in pairs:
         u = canonicalise_url(url)
         host = extract_host(u)
         if host == MALFORMED_HOST:
             continue
+        k = surt_key(u)
         urls.append(u)
-        keys.append(surt_key(u))
+        keys.append(k)
         hosts.append(host)
         pris.append(pri)
-    return urls, keys, hosts, pris
-
-
-def _sitemap_chunk(urls: list) -> tuple[list, list, list, list]:
-    """(canonical URL, SURT key, host, shard hash64) per advertised
-    sitemap URL chunk — sitemap URLs come from robots payloads, so they
-    canonicalise here (robots URLs are constructed canonical)."""
-    from ..state.seen import _SHARD_SEED
-
-    cu, keys, hs, hashes = [], [], [], []
-    for u0 in urls:
-        u = canonicalise_url(u0)
-        h = extract_host(u)
-        if h == MALFORMED_HOST:
-            continue
-        k = surt_key(u)
-        cu.append(u)
-        keys.append(k)
-        hs.append(h)
         hashes.append(stable_hash64(k, _SHARD_SEED))
-    return cu, keys, hs, hashes
+    return urls, keys, hosts, pris, hashes
 
 
 def _robots_chunk(hosts: list) -> tuple[list, list, list, list]:
@@ -651,7 +638,7 @@ _PAR_CHUNK = 4096  # below this, remote dispatch costs more than it saves
 _REMOTE_FN_CACHE: dict = {}
 
 
-def _chunked_remote(fn, items: list, n_out: int) -> tuple[list, ...]:
+def _chunked_remote(fn, items: list) -> tuple[list, ...]:
     """Run ``fn`` over chunks of ``items`` as Ray tasks; concatenate the
     per-chunk output lists in order (inline below the dispatch threshold).
     The remote wrapper is cached per function — ray.remote(fn) on every
@@ -665,35 +652,26 @@ def _chunked_remote(fn, items: list, n_out: int) -> tuple[list, ...]:
         rfn = _REMOTE_FN_CACHE[fn] = ray.remote(fn)
     chunks = [items[i : i + _PAR_CHUNK] for i in range(0, len(items), _PAR_CHUNK)]
     outs = ray.get([rfn.remote(c) for c in chunks])
-    return tuple([x for o in outs for x in o[i]] for i in range(n_out))
+    return tuple([x for o in outs for x in col] for col in zip(*outs))
 
 
-def _offer_new(pool: SeenShardPool, chunk_fn, items: list) -> tuple[list, list, list]:
-    """Injection rows: ``chunk_fn`` (:func:`_robots_chunk` or
-    :func:`_sitemap_chunk`) over ``items`` in chunked tasks, offered to
-    the seen set; returns (URL, SURT key, host) of the first-seen ones,
-    in order."""
-    urls, keys, hosts, hashes = _chunked_remote(chunk_fn, items, 4)
-    if not keys:
-        return [], [], []
-    new = np.flatnonzero(np.asarray(pool.add_if_new_hashed(keys, hashes), dtype=bool))
-    return [urls[i] for i in new], [keys[i] for i in new], [hosts[i] for i in new]
+def _offer_new(pool: SeenShardPool, chunk_fn, items: list) -> list[list]:
+    """Injection rows: ``chunk_fn`` (:func:`_canon_chunk` or
+    :func:`_robots_chunk`) over ``items`` in chunked tasks, offered to the
+    seen set by their shard hash (the chunk's last column); returns the
+    other columns of the first-seen rows, in order."""
+    *cols, hashes = _chunked_remote(chunk_fn, items)
+    new = np.flatnonzero(np.asarray(pool.add_if_new_hashed(cols[1], hashes), dtype=bool))
+    return [[col[i] for i in new] for col in cols]
 
 
 def _seed_frontier(seeds, pool: SeenShardPool) -> tuple[pa.Table, int]:
     """Seeds in list order; first occurrence of a SURT wins (at a 10^10
     design point the seed list is itself a Dataset read — the dedupe is
     the same shard probe). Canonicalisation fans out as chunked tasks."""
-    urls, keys, hosts, pris = _chunked_remote(_canon_seed_chunk, list(seeds), 4)
-    fu, fk, fh, fp = [], [], [], []
-    for u, k, h, p, new in zip(urls, keys, hosts, pris, pool.add_if_new(keys)):
-        if new:
-            fu.append(u)
-            fk.append(k)
-            fh.append(h)
-            fp.append(p)
-    n = len(fu)
-    return _frontier_table(fu, fk, fh, fp, [0] * n, list(range(n))), n
+    urls, keys, hosts, pris = _offer_new(pool, _canon_chunk, list(seeds))
+    n = len(urls)
+    return _frontier_table(urls, keys, hosts, pris, [0] * n, list(range(n))), n
 
 
 # --- module-level remote tasks (registered/exported ONCE per Ray session;
@@ -1223,7 +1201,9 @@ def _crawl_waves(
             policy.scheduled.update(new_hosts)
             ru, rk, rh = _offer_new(pool, _robots_chunk, new_hosts)
             if ccfg.follow_sitemaps and sitemap_pending:
-                su, sk, sh = _offer_new(pool, _sitemap_chunk, sitemap_pending)
+                su, sk, sh, _ = _offer_new(
+                    pool, _canon_chunk, [(u, -1) for u in sitemap_pending]
+                )
                 ru, rk, rh, sitemap_pending = ru + su, rk + sk, rh + sh, []
             if track_delta:
                 pending_delta.extend(rk)

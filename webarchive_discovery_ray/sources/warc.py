@@ -56,7 +56,6 @@ from ..schema import PAGES_SCHEMA
 __all__ = [
     "split_gzip_members",
     "iter_warc_records",
-    "iter_arc_records",
     "iter_archive_records",
     "iter_archive_rows",
     "open_archive",
@@ -283,21 +282,13 @@ def _parse_arc_header_line(line: bytes) -> tuple[str, str, str, int]:
     return url, date14, mime, _length(parts[-1])
 
 
-def iter_arc_records(
-    data: bytes, *, offset: int = 0
-) -> Iterator[tuple[int, dict[str, str], bytes]]:
-    """Iterate ARC records in a plain byte buffer.
-
-    Yields the same shape as :func:`iter_warc_records`, with the ARC
-    header line mapped onto pseudo-WARC headers (``arc`` key marks the
-    origin; the ``filedesc://`` version record is yielded too — the
-    reference iterates it and the protocol filter drops it downstream)."""
-    return _arc_records(_Window(data), offset)
-
-
 def _arc_records(
     w: _Window, offset: int
 ) -> Iterator[tuple[int, dict[str, str], bytes]]:
+    """ARC records in the shape of :func:`_warc_records`: the header line
+    maps onto pseudo-WARC headers (the ``arc`` key marks the origin), and
+    the ``filedesc://`` version record is yielded too (the protocol filter
+    drops it downstream, as the reference does)."""
     pos = 0
     while True:
         while (c := w.byte(pos)) is not None and c in _CRLF_SET:

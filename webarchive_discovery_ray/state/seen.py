@@ -1,36 +1,41 @@
-"""Sharded URL-seen set: cuckoo-filter-accelerated exact membership actors.
+"""Sharded URL-seen set: exact membership actors with a filter-gated spill tier.
 
 New construction per BASELINE.json north_rule (the reference leaves URL
 dedup to post-hoc MDX hash grouping and notes the non-scalable Solr
 dup-check at ``WARCIndexer.java:184-187``). Design per SURVEY.md §2.7/§7.4
-and the north star's sharded cuckoo-filter seen set with Bloom fallback:
+and the north star's sharded cuckoo-filter seen set with Bloom fallback
+for spill partitions:
 
 * keys are SURT URL keys, routed to ``hash(surt) % n_shards`` actor shards;
   the same actor holds a second, separate key space for the
   duplicate-content gate (payload hashes, same routing), so a crawl runs
   one actor per shard whichever gates are on;
-* each shard holds a CUCKOO filter (2-choice bucketed 16-bit fingerprints,
-  xor-partial-key relocation — supports delete, unlike Bloom) as the fast
-  *definitely-new* path, plus the exact Python set as the authoritative
-  membership store — probabilistic structures are accelerators only,
-  because the north rule demands byte-identical final seen sets vs the
-  oracle. When a cuckoo insert fails (filter saturated), the shard falls
-  back to a Bloom filter for the overflow — the north star's
-  bloom-fallback-for-spill-partitions rule;
+* each key space is an exact Python set (the HOT set): the authoritative
+  membership store, probed in O(batch), because the north rule demands
+  byte-identical final seen sets vs the oracle. A resident space (no
+  spill threshold, the default) is nothing else;
 * snapshots serialise the sorted key list (the byte-comparable
   representation) for checkpoint/resume;
 * SPILL TIER (round-4): past a configurable hot-set size each shard
   persists its exact keys to sorted parquet runs on local disk and keeps
-  only the filters + the hot (not-yet-spilled) set in RAM. Membership is
-  an LSM-style probe: filter-negative -> definitely new (no IO);
-  filter-positive and not in the hot set -> binary-search the per-run
-  row-group fence index held in RAM (1/row_group_size of the keys) and
-  read exactly the needed row groups. Runs are disjoint by construction
-  (a key enters the hot set only when globally unseen), and tiered
-  compaction folds runs together when their count crosses a bound, so a
-  probe touches O(log) runs. This is what lets a shard hold its slice of
-  a 10^10-URL seen set with bounded RAM while the byte-identical-seen-set
-  rule still holds (``snapshot`` streams the runs back).
+  only the hot (not-yet-spilled) set in RAM. Each run is one parquet
+  file, its row-group fences and its FILTER: a CUCKOO filter (2-choice
+  bucketed 16-bit fingerprints, xor-partial-key relocation — supports
+  delete, unlike Bloom) sized to the run's key count and built once when
+  the run is written, with a Bloom filter for the keys a saturated
+  cuckoo could not place (the north star's bloom-fallback-for-spill-
+  partitions rule). Membership is an LSM-style probe: hot-set hit ->
+  seen; otherwise, per run, filter-negative -> not in that run (no IO);
+  filter-positive -> binary-search the run's row-group fence index held
+  in RAM (1/row_group_size of the keys) and read exactly the needed row
+  groups. The filters are accelerators only: a false positive costs a
+  row-group read, never a wrong answer. Runs are disjoint by
+  construction (a key enters the hot set only when globally unseen), and
+  tiered compaction folds runs together (with a fresh filter) when their
+  count crosses a bound, so a probe touches O(log) runs. This is what
+  lets a shard hold its slice of a 10^10-URL seen set with bounded RAM
+  while the byte-identical-seen-set rule still holds (``snapshot``
+  streams the runs back).
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
+import tempfile
 import threading
+from array import array
 
 import numpy as np
 
@@ -81,19 +88,8 @@ class BloomFilter:
 
     def add_many(self, keys: list[str]) -> None:
         """Batched add: one vectorized scatter instead of per-key numpy
-        ops (the wave-barrier path — shards absorb whole winner lists)."""
-        if not keys:
-            return
-        n_bits, k = self.n_bits, self.k
-        pos = np.empty(len(keys) * k, dtype=np.int64)
-        j = 0
-        for key in keys:
-            d = hashlib.sha1(key.encode("utf-8")).digest()
-            h1 = int.from_bytes(d[:8], "big")
-            h2 = int.from_bytes(d[8:16], "big") | 1
-            for i in range(k):
-                pos[j] = (h1 + i * h2) % n_bits
-                j += 1
+        ops."""
+        pos = np.asarray([p for key in keys for p in self._positions(key)], dtype=np.int64)
         np.bitwise_or.at(
             self.bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8)
         )
@@ -102,17 +98,40 @@ class BloomFilter:
         return all(self.bits[p >> 3] & (1 << (p & 7)) for p in self._positions(key))
 
 
+def _key_hashes(keys) -> tuple[np.ndarray, np.ndarray]:
+    """(16-bit fingerprint, 64-bit bucket hash) per key, from one sha1 of
+    each key: its bytes 0-2 (0 maps to 1, since 0 marks an empty slot) and
+    2-10, big-endian."""
+    raw = np.frombuffer(
+        b"".join(hashlib.sha1(k.encode("utf-8")).digest()[:10] for k in keys),
+        dtype=[("fp", ">u2"), ("h", ">u8")],
+    )
+    fp = raw["fp"].astype(np.uint16)
+    fp[fp == 0] = 1
+    return fp, raw["h"].astype(np.uint64)
+
+
+# odd 64-bit multiplier (2^64 / golden ratio) hashing a fingerprint to
+# its alternate-bucket offset: bits 32 and up of fp * _FP_MIX
+_FP_MIX = 0x9E3779B97F4A7C15
+# keys hashed at once by CuckooFilter.add_many
+_HASH_BATCH = 1 << 12
+
+
 class CuckooFilter:
     """Deterministic cuckoo filter (Fan et al., CoNEXT'14 construction):
-    ``n_buckets`` (power of two) buckets of ``bucket_size`` 16-bit
-    fingerprints; candidate buckets ``i1 = H(key)`` and
-    ``i2 = i1 ^ H(fp)`` (xor partial-key — an involution, so either
-    bucket recovers the other from the stored fingerprint alone), with
-    bounded random-walk relocation on insert. Supports delete, which
-    Bloom cannot; ~95% load factor at bucket_size 4.
+    ``n_buckets`` (power of two, at most 2^32) buckets of ``bucket_size``
+    16-bit fingerprints, stored flat in one ``array('H')`` (2 bytes a
+    slot); candidate buckets ``i1 = H(key)`` and ``i2 = i1 ^ H(fp)`` (xor
+    partial-key — an involution, so either bucket recovers the other from
+    the stored fingerprint alone), with bounded relocation on insert.
+    Supports delete, which Bloom cannot; ~95% load factor at bucket_size 4.
+    Batch probes (:meth:`might_contain_many`) are numpy over a view of
+    the same table.
 
     ``add`` returns False when the relocation walk fails (filter full) —
-    the caller is expected to fall back (SeenSet uses a Bloom overflow)."""
+    the caller is expected to fall back (a spill run's filter adds the
+    key to its Bloom overflow)."""
 
     MAX_KICKS = 500
 
@@ -120,16 +139,7 @@ class CuckooFilter:
         assert n_buckets & (n_buckets - 1) == 0, "n_buckets must be a power of two"
         self.n_buckets = n_buckets
         self.bucket_size = bucket_size
-        # buckets as plain Python lists: scalar membership (`fp in row`)
-        # and slot writes are ~10x cheaper than per-key numpy ops on
-        # 4-element rows — this class sits on the wave-barrier hot path
-        self.table: list[list[int]] = [
-            [0] * bucket_size for _ in range(n_buckets)
-        ]
-        self.count = 0
-        # memoized H(fp) for the alt-index involution (fp space is 16-bit;
-        # walks and probes revisit the same fingerprints constantly)
-        self._alt_cache: dict[int, int] = {}
+        self.table = array("H", bytes(2 * n_buckets * bucket_size))
         # victim stash: a failed relocation walk must NOT drop the evicted
         # fingerprint (that would be a false negative for an EARLIER key);
         # the homeless (bucket, fp) pair parks here
@@ -140,130 +150,143 @@ class CuckooFilter:
         self.saturated = False
 
     def _fp_and_index(self, key: str) -> tuple[int, int]:
-        d = hashlib.sha1(key.encode("utf-8")).digest()
-        fp = int.from_bytes(d[:2], "big") or 1  # 0 marks an empty slot
-        i1 = int.from_bytes(d[2:10], "big") & (self.n_buckets - 1)
-        return fp, i1
+        fp, h = _key_hashes([key])
+        return int(fp[0]), int(h[0]) & (self.n_buckets - 1)
 
     def _alt_index(self, i: int, fp: int) -> int:
         # xor with a hash of the fingerprint (mod 2^k keeps the involution)
-        h = self._alt_cache.get(fp)
-        if h is None:
-            h = self._alt_cache[fp] = int.from_bytes(
-                hashlib.sha1(fp.to_bytes(2, "big")).digest()[:8], "big"
-            )
-        return (i ^ h) & (self.n_buckets - 1)
+        return (i ^ (fp * _FP_MIX >> 32)) & (self.n_buckets - 1)
+
+    def _slots(self, i: int) -> range:
+        return range(i * self.bucket_size, (i + 1) * self.bucket_size)
 
     def _bucket_insert(self, i: int, fp: int) -> bool:
-        row = self.table[i]
-        for s in range(self.bucket_size):
-            if row[s] == 0:
-                row[s] = fp
+        table = self.table
+        for s in self._slots(i):
+            if table[s] == 0:
+                table[s] = fp
                 return True
         return False
 
-    def add(self, key: str) -> bool:
-        fp, i1 = self._fp_and_index(key)
+    def _insert(self, fp: int, i1: int) -> bool:
         i2 = self._alt_index(i1, fp)
         if self._bucket_insert(i1, fp) or self._bucket_insert(i2, fp):
-            self.count += 1
             return True
         # relocation walk (deterministic slot choice keeps runs replayable)
+        table = self.table
         i = i1 if (fp & 1) else i2
         for kick in range(self.MAX_KICKS):
-            slot = (fp + kick) % self.bucket_size
-            row = self.table[i]
-            fp, row[slot] = row[slot], fp
+            s = self._slots(i)[(fp + kick) % self.bucket_size]
+            fp, table[s] = table[s], fp
             i = self._alt_index(i, fp)
             if self._bucket_insert(i, fp):
-                self.count += 1
                 return True
         # walk failed: park the homeless victim in the stash (it belongs
-        # to an EARLIER key — dropping it would create a false negative;
-        # the walk's swaps keep the table's population constant, so the
-        # net effect of this add is +1 stored fingerprint: the new key's)
+        # to an EARLIER key — dropping it would create a false negative)
         # and signal saturation so the caller engages its fallback for
         # THIS key and every later one
         self.stash.add((i, fp))
-        self.count += 1
         self.saturated = True
         return False
 
-    def add_many(self, keys: list[str]) -> list[bool]:
-        """Batched add with the same per-key semantics as :meth:`add`
-        (including walks/stash/saturation) but one tight loop — the
-        fast common case (an empty slot in bucket 1 or 2) costs a digest
-        plus a few list ops."""
-        out = []
-        table = self.table
-        rng = range(self.bucket_size)
-        for key in keys:
-            if self.saturated:
-                out.append(False)
-                continue
-            d = hashlib.sha1(key.encode("utf-8")).digest()
-            fp = int.from_bytes(d[:2], "big") or 1
-            i1 = int.from_bytes(d[2:10], "big") & (self.n_buckets - 1)
-            placed = False
-            row = table[i1]
-            for s in rng:
-                if row[s] == 0:
-                    row[s] = fp
-                    placed = True
-                    break
-            if not placed:
-                row = table[self._alt_index(i1, fp)]
-                for s in rng:
-                    if row[s] == 0:
-                        row[s] = fp
-                        placed = True
-                        break
-            if placed:
-                self.count += 1
-                out.append(True)
-            else:
-                # rare: both buckets full — take the full relocation-walk
-                # path (which does its own counting/stash/saturation)
-                out.append(self.add(key))
-        return out
+    def add(self, key: str) -> bool:
+        return self._insert(*self._fp_and_index(key))
+
+    def add_many(self, keys) -> list[bool]:
+        """:meth:`add` per key, hashed ``_HASH_BATCH`` keys at a time (so a
+        large run's build holds small transient lists); once the filter is
+        saturated, every later key reports False without a walk."""
+        placed: list[bool] = []
+        for lo in range(0, len(keys), _HASH_BATCH):
+            fps, hs = _key_hashes(keys[lo : lo + _HASH_BATCH])
+            i1s = (hs & np.uint64(self.n_buckets - 1)).tolist()
+            placed += [
+                not self.saturated and self._insert(fp, i1)
+                for fp, i1 in zip(fps.tolist(), i1s)
+            ]
+        return placed
 
     def might_contain(self, key: str) -> bool:
-        fp, i1 = self._fp_and_index(key)
-        if fp in self.table[i1]:
-            return True
-        i2 = self._alt_index(i1, fp)
-        if fp in self.table[i2]:
-            return True
-        return bool(self.stash) and (
-            (i1, fp) in self.stash or (i2, fp) in self.stash
+        return bool(self.might_contain_many(*_key_hashes([key]))[0])
+
+    def might_contain_many(self, fp: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Bool mask: :meth:`might_contain` for the keys whose
+        :func:`_key_hashes` are ``fp`` and ``h``."""
+        mask = np.uint64(self.n_buckets - 1)
+        i1 = h & mask
+        i2 = (i1 ^ (fp.astype(np.uint64) * np.uint64(_FP_MIX) >> np.uint64(32))) & mask
+        table = np.frombuffer(self.table, dtype=np.uint16).reshape(
+            self.n_buckets, self.bucket_size
         )
+        col = fp[:, None]
+        hit = (table[i1] == col).any(axis=1) | (table[i2] == col).any(axis=1)
+        if self.stash:
+            hit |= np.fromiter(
+                (
+                    (a, f) in self.stash or (b, f) in self.stash
+                    for a, b, f in zip(i1.tolist(), i2.tolist(), fp.tolist())
+                ),
+                dtype=bool, count=len(fp),
+            )
+        return hit
 
     def delete(self, key: str) -> bool:
         fp, i1 = self._fp_and_index(key)
         for i in (i1, self._alt_index(i1, fp)):
-            row = self.table[i]
-            for s in range(self.bucket_size):
-                if row[s] == fp:
-                    row[s] = 0
-                    self.count -= 1
+            for s in self._slots(i):
+                if self.table[s] == fp:
+                    self.table[s] = 0
                     return True
             if (i, fp) in self.stash:
                 self.stash.discard((i, fp))
-                self.count -= 1
                 return True
         return False
 
 
+def _cuckoo_buckets(n_keys: int) -> int:
+    """Buckets for a filter of ``n_keys``: the smallest power of two that
+    keeps the load at or under 3/4 (4 slots a bucket), well below the
+    ~95% where relocation walks start to fail."""
+    return 1 << (-(-n_keys // 3) - 1).bit_length()
+
+
+class _RunFilter:
+    """The probe gate of one spill run, built once from the run's keys: a
+    cuckoo filter sized to them, plus a Bloom filter sized from the same
+    count for the keys the cuckoo could not place (None when it placed
+    them all)."""
+
+    def __init__(self, keys):
+        self.cuckoo = CuckooFilter(n_buckets=_cuckoo_buckets(len(keys)))
+        overflow = [k for k, ok in zip(keys, self.cuckoo.add_many(keys)) if not ok]
+        self.bloom = None
+        if overflow:
+            self.bloom = BloomFilter(n_bits=16 * len(keys))
+            self.bloom.add_many(overflow)
+
+    def might_contain_many(self, keys, fp: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Bool mask over ``keys``, given their :func:`_key_hashes`."""
+        hit = self.cuckoo.might_contain_many(fp, h)
+        if self.bloom is not None:
+            hit |= np.fromiter(
+                (self.bloom.might_contain(k) for k in keys), dtype=bool, count=len(keys)
+            )
+        return hit
+
+
 class SpilledRuns:
     """Per-shard on-disk tier of the exact seen set: sorted, mutually
-    disjoint parquet runs with an in-RAM row-group fence index.
+    disjoint parquet runs, each with an in-RAM row-group fence index and
+    filter.
 
     Each run is ONE parquet file holding a single sorted ``surt`` string
     column written with ``row_group_size = fence_every``; the fences (the
-    first key of every row group) stay in RAM, so a membership probe is
-    ``searchsorted`` over the fences followed by reading exactly the row
-    groups that could contain the queried keys. RAM cost per run is
-    ~len(run)/fence_every keys; probe IO is one row group per hit range.
+    first key of every row group) and the run's :class:`_RunFilter` stay in
+    RAM, so a membership probe drops the filter's negatives, then does
+    ``searchsorted`` over the fences and reads exactly the row groups that
+    could contain the remaining keys. RAM cost per run is
+    ~len(run)/fence_every keys plus 3-6 bytes a key of filter; probe
+    IO is one row group per hit range.
 
     Tiered compaction: when the run count exceeds ``max_runs``, all runs
     merge into one (numpy sorted merge of disjoint sorted arrays =
@@ -274,7 +297,7 @@ class SpilledRuns:
         self.spill_dir = spill_dir
         self.fence_every = fence_every
         self.max_runs = max_runs
-        self._runs: list[dict] = []  # {path, fences(np object), n}
+        self._runs: list[dict] = []  # {path, fences(np object), filter, n}
         self._next_id = 0
         os.makedirs(spill_dir, exist_ok=True)
 
@@ -297,12 +320,18 @@ class SpilledRuns:
             path,
             row_group_size=self.fence_every,
         )
-        fences = sorted_keys[:: self.fence_every].copy()
-        return {"path": path, "fences": fences, "n": len(sorted_keys)}
+        return {
+            "path": path,
+            "fences": sorted_keys[:: self.fence_every].copy(),
+            "filter": _RunFilter(sorted_keys),
+            "n": len(sorted_keys),
+        }
 
     def spill(self, keys: set[str]) -> None:
         """Persist ``keys`` (disjoint from every existing run by the
-        caller's invariant) as a new run; compact when over ``max_runs``."""
+        caller's invariant) as a new run; compact when over ``max_runs``
+        (the merged run gets a fresh filter; the old ones go with their
+        files)."""
         if not keys:
             return
         arr = np.sort(np.asarray(list(keys), dtype=object))
@@ -325,41 +354,36 @@ class SpilledRuns:
         )
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized membership over all runs: per run, route each query
-        key to its row group via the fence index, read only the row groups
-        that received queries, binary-search inside. Returns a bool mask
-        aligned with ``keys``."""
+        """Vectorized membership over all runs: per run, only the keys its
+        filter admits go on; each is routed to its row group via the fence
+        index, only the row groups that received keys are read, and a
+        binary search inside decides. Returns a bool mask aligned with
+        ``keys``."""
         import pyarrow.parquet as pq
 
         found = np.zeros(len(keys), dtype=bool)
-        if not len(keys):
-            return found
+        fp, h = _key_hashes(keys)
         for run in self._runs:
-            todo = ~found
-            if not todo.any():
+            todo = np.flatnonzero(~found)
+            if not len(todo):
                 break
-            q = keys[todo]
-            # row group of each query: rightmost fence <= key
-            rg = np.searchsorted(run["fences"], q, side="right") - 1
-            valid = rg >= 0
-            if not valid.any():
+            gated = todo[
+                run["filter"].might_contain_many(keys[todo], fp[todo], h[todo])
+            ]
+            # row group of each gated key: rightmost fence <= key
+            rg = np.searchsorted(run["fences"], keys[gated], side="right") - 1
+            groups = np.unique(rg[rg >= 0])
+            if not len(groups):
                 continue
             pf = pq.ParquetFile(run["path"])
-            hit = np.zeros(len(q), dtype=bool)
-            for g in np.unique(rg[valid]):
-                sel = valid & (rg == g)
+            for g in groups:
+                sel = gated[rg == g]
                 block = np.asarray(
                     pf.read_row_group(int(g), columns=["surt"])["surt"].to_pylist(),
                     dtype=object,
                 )
-                pos = np.searchsorted(block, q[sel])
-                pos_ok = pos < len(block)
-                eq = np.zeros(sel.sum(), dtype=bool)
-                if pos_ok.any():
-                    eq[pos_ok] = block[pos[pos_ok]] == q[sel][pos_ok]
-                hit[sel] = eq
-            idx = np.flatnonzero(todo)
-            found[idx[hit]] = True
+                pos = np.minimum(np.searchsorted(block, keys[sel]), len(block) - 1)
+                found[sel] = block[pos] == keys[sel]
         return found
 
     def all_keys(self) -> list[str]:
@@ -379,94 +403,60 @@ class SpilledRuns:
 
 
 class KeySpace:
-    """One key space of a shard: the exact HOT set, the cuckoo
-    accelerator (+ Bloom overflow) and the optional spill tier.
+    """One key space of a shard: the exact HOT set plus, under a spill
+    threshold, the spill tier (:class:`SpilledRuns`, with one filter per
+    run). The tier and its directory are made with the space's first key,
+    so a space that never receives one leaves nothing on disk.
 
     The authoritative membership is hot ∪ spilled runs (disjoint: a key
     enters the hot set only when the full probe said unseen, and
     spilling moves the whole hot set). Probes are plain ``set`` lookups,
     O(batch) whatever the set's size; only when the spill tier holds
-    keys do the hot-set misses take the filter-gated probe of the runs
-    (filter negative = definitely never added, no IO)."""
+    keys do the hot-set misses go on to the runs, where each run's
+    filter keeps the keys it never held off parquet."""
 
     def __init__(
         self,
-        n_bits: int = 1 << 20,
         spill_dir: str | None = None,
         spill_threshold: int | None = None,
     ):
-        self._n_bits = n_bits
-        # cuckoo slots sized n_bits/4 (4 slots/bucket = n_bits/16 buckets,
-        # ~0.5 MB at the 1M-bit default); Bloom engages only as the
-        # overflow fallback once the cuckoo walk first fails
-        self._cuckoo = CuckooFilter(n_buckets=max(1 << 10, n_bits >> 4))
-        self._bloom: BloomFilter | None = None
         self._exact: set[str] = set()
-        # SPILL tier (None threshold = resident-only, the small-crawl mode)
+        # None threshold = resident-only, the small-crawl mode
+        self._spill_dir = spill_dir
         self._spill_threshold = spill_threshold
         self._runs: SpilledRuns | None = None
-        if spill_threshold is not None:
-            if spill_dir is None:
-                import tempfile
-
-                spill_dir = tempfile.mkdtemp(prefix="seen_spill_")
-            self._runs = SpilledRuns(spill_dir)
 
     def _reset(self) -> None:
         if self._runs is not None:
             self._runs.clear()
         self._exact = set()
-        self._cuckoo = CuckooFilter(n_buckets=max(1 << 10, self._n_bits >> 4))
-        self._bloom = None
-
-    def _maybe_spill(self) -> None:
-        if (
-            self._spill_threshold is not None
-            and len(self._exact) >= self._spill_threshold
-        ):
-            self._runs.spill(self._exact)
-            self._exact = set()
 
     def _spilling(self) -> bool:
         return self._runs is not None and self._runs.n_keys > 0
 
     def _spilled(self, keys: list[str], idx: list[int]) -> list[int]:
-        """The positions in ``idx`` whose key is in the spill tier; only
-        the accelerator's positives touch parquet."""
-        gated = [i for i in idx if self._acc_might_contain(keys[i])]
-        if not gated:
-            return []
+        """The positions in ``idx`` whose key is in the spill tier."""
         hit = self._runs.contains_many(
-            np.asarray([keys[i] for i in gated], dtype=object)
+            np.asarray([keys[i] for i in idx], dtype=object)
         )
-        return [i for i, h in zip(gated, hit) if h]
-
-    def _acc_add_many(self, keys: list[str]) -> None:
-        """Batched accelerator add: cuckoo add_many, overflow failures go
-        to the Bloom in ONE vectorized scatter."""
-        if not keys:
-            return
-        ok = self._cuckoo.add_many(keys)
-        spill = [k for k, o in zip(keys, ok) if not o]
-        if spill:
-            if self._bloom is None:  # overflow fallback (north-star rule)
-                self._bloom = BloomFilter(self._n_bits)
-            self._bloom.add_many(spill)
-
-    def _acc_might_contain(self, key: str) -> bool:
-        return self._cuckoo.might_contain(key) or (
-            self._bloom is not None and self._bloom.might_contain(key)
-        )
+        return [i for i, h in zip(idx, hit) if h]
 
     def _absorb(self, keys: list[str]) -> None:
         self._exact.update(keys)
-        self._acc_add_many(keys)
-        self._maybe_spill()
+        if self._spill_threshold is None or not keys:
+            return
+        if self._runs is None:
+            self._runs = SpilledRuns(
+                self._spill_dir or tempfile.mkdtemp(prefix="seen_spill_")
+            )
+        if len(self._exact) >= self._spill_threshold:
+            self._runs.spill(self._exact)
+            self._exact = set()
 
     def first_new(self, keys: list[str]) -> list[bool]:
         """For each key: True at its first occurrence in ``keys`` when it
-        was not seen before. Those keys are added (hot set, one batched
-        accelerator add, spill as configured)."""
+        was not seen before. Those keys are added (hot set, spill as
+        configured)."""
         exact = self._exact
         batch: set[str] = set()
         mask = []
@@ -542,9 +532,11 @@ class SeenSet:
     ``contains`` and the wave candidates' ``finalize_wave``) and the
     content space (payload hashes — the duplicate-content
     ``gate_first_seen``). Each space is its own :class:`KeySpace` (exact
-    set, cuckoo filter with Bloom fallback, spill tier under its own
-    directory); the content space is built on first use, so a crawl
-    without the content gate never allocates it.
+    set, plus a spill tier under its own directory when a threshold is
+    set). Both are built here; an empty resident space is an empty set,
+    and a spill tier makes its directory only with the space's first
+    key, so a crawl without the content gate leaves no content spill
+    directory.
 
     Besides point membership, a shard resolves WAVE CANDIDATES: the
     driver routes candidate blocks to it by reference
@@ -558,14 +550,12 @@ class SeenSet:
 
     def __init__(
         self,
-        n_bits: int = 1 << 20,
         spill_dir: str | None = None,
         spill_threshold: int | None = None,
         content_spill_dir: str | None = None,
     ):
-        self._url = KeySpace(n_bits, spill_dir, spill_threshold)
-        self._content: KeySpace | None = None
-        self._content_args = (n_bits, content_spill_dir, spill_threshold)
+        self._url = KeySpace(spill_dir, spill_threshold)
+        self._content = KeySpace(content_spill_dir, spill_threshold)
         self._pending: dict[int, list] = {}
 
     def reset(self, *args, **kwargs) -> None:
@@ -582,11 +572,9 @@ class SeenSet:
     def _space(self, space: str) -> KeySpace:
         if space == "url":
             return self._url
-        if space != "content":
-            raise ValueError(f"unknown key space {space!r}")
-        if self._content is None:
-            self._content = KeySpace(*self._content_args)
-        return self._content
+        if space == "content":
+            return self._content
+        raise ValueError(f"unknown key space {space!r}")
 
     def add_if_new(self, keys: list[str]) -> list[bool]:
         """For each URL key: True when newly added (first occurrence in
@@ -679,7 +667,7 @@ class SeenSet:
         ``accept_routed_many``). This shard takes its ``shard`` rows,
         sorts them by the pinned global fetch order (host, slot), keeps
         the FIRST occurrence of each key not already in the content
-        space (adding it — exact set + accelerator + spill tier), and
+        space (adding it — hot set, spill as configured), and
         returns ``(losers, small)``: ``losers`` is the (host, slot) table
         of suppressed rows (duplicate content ⇒ the row contributes no
         candidates), ``small`` carries the newly seen keys when
@@ -727,8 +715,8 @@ class SeenSet:
         """Shard-side checkpoint resume (round-4, VERDICT r3 #2): read
         the checkpoint's delta parquet files HERE (``seen_delta`` for the
         URL space, ``content_delta`` for the content space), keep only
-        the keys this shard owns, absorb them into filters + hot set,
-        spill as configured. The driver passes paths, never key lists.
+        the keys this shard owns, absorb them into the hot set, spill as
+        configured. The driver passes paths, never key lists.
         Returns the number of keys absorbed."""
         return self._space(space).restore_from_parquet(paths, shard_id, n_shards)
 
@@ -791,7 +779,6 @@ class SeenShardPool:
     def __init__(
         self,
         n_shards: int,
-        n_bits: int = 1 << 20,
         spill_dir: str | None = None,
         spill_threshold: int | None = None,
     ):
@@ -802,7 +789,6 @@ class SeenShardPool:
 
         def settings(i):
             return dict(
-                n_bits=n_bits,
                 spill_dir=under(f"shard_{i:03d}"),
                 spill_threshold=spill_threshold,
                 content_spill_dir=under("content", f"shard_{i:03d}"),
