@@ -186,7 +186,7 @@ def test_drain_fetch_returns_arrow_carry(ray_session):
     """One block of one host: the fetch task fetches the host's
     top-``budget`` rows by (priority, seq, surt) and returns every other
     row as the carry — PART_SCHEMA exactly, no pandas metadata, in drain
-    order — with its row count from the same task."""
+    order — with its row count in the same task's meta."""
     import pyarrow as pa
     import ray
 
@@ -206,18 +206,21 @@ def test_drain_fetch_returns_arrow_carry(ray_session):
         },
         schema=PART_SCHEMA,
     )
-    fetched, gate, carry, carry_rows = ray.get(
+    meta, fetched, _, gate, carry = ray.get(
         _drain_fetch.remote(
             None, syn, None, 0, CrawlConfig(politeness_budget=3), None,
             block.slice(0, 5), block.slice(5),
         )
     )
     assert gate is None
-    assert fetched["seq"].to_pylist() == [1, 2, 3]
+    # the rows of seq 1, 2, 3 (row i has seq n - i)
+    assert fetched["url"].to_pylist() == [
+        f"http://hot.example.com/p{i}" for i in (n - 1, n - 2, n - 3)
+    ]
     assert fetched["slot"].to_pylist() == [0, 1, 2]
     assert carry.schema.equals(PART_SCHEMA, check_metadata=True)
     assert carry.schema.metadata is None
-    assert carry_rows == carry.num_rows == n - 3
+    assert meta["carry_rows"] == carry.num_rows == n - 3
     assert carry["seq"].to_pylist() == list(range(4, n + 1))
     assert carry["part"].to_pylist() == [3] * (n - 3)
 
@@ -268,6 +271,7 @@ def test_finalize_wave_split_matches_single_finalize(ray_session):
     """The (winners, small) split finalize must agree with the plain
     finalize on counts/hosts/samples, including the empty-shard case."""
     import pyarrow as pa
+    import ray
 
     from webarchive_discovery_ray.state.seen import SeenSet
 
@@ -284,20 +288,19 @@ def test_finalize_wave_split_matches_single_finalize(ray_session):
             "order_rank": pa.array([i % 3 for i in range(30)], pa.int32()),
         }
     )
-    ss.accept(7, t)
-    w, small = ss.finalize_wave_split(7, want_surts=True, n_samples=5)
+    ref = ray.put(t)
+    w, small = ss.finalize_wave_split(7, [ref], [(0, 30)], [], True, n_samples=5)
     assert small["n"] == w.num_rows == 30
     assert set(small["hosts"]) == {"h0.com", "h1.com", "h2.com"}
     assert set(small["surts"]) == set(t["surt"].to_pylist())
     assert len(small["samples"]) == 5
     # samples are drawn from the SORTED order_host column
     assert small["samples"] == sorted(small["samples"])
-    # empty shard: no candidates accepted for this wave
-    w2, small2 = ss.finalize_wave_split(8, want_surts=True, n_samples=5)
+    # empty shard: no candidate rows for this shard in this wave
+    w2, small2 = ss.finalize_wave_split(8, [ref], [(0, 0)], [], True, n_samples=5)
     assert w2 is None and small2["n"] == 0 and small2["samples"] == []
     # re-finalizing wave 7 returns nothing new (all SURTs now seen)
-    ss.accept(9, t)
-    w3, small3 = ss.finalize_wave_split(9, want_surts=False, n_samples=5)
+    w3, small3 = ss.finalize_wave_split(9, [ref], [(0, 30)], [], False, n_samples=5)
     assert w3 is None and small3["n"] == 0
 
 
@@ -666,11 +669,18 @@ def test_checkpoint_resume_shard_side_no_driver_keys(
         seen_shards=CRAWL.seen_shards,
     )
     run_crawl(seeds, partial_cfg, SYN, checkpoint_dir=ckpt, fetch_concurrency=2)
-    # the checkpoint loader exposes paths, not materialized keys
+    # the checkpoint loader exposes paths, not materialized keys or
+    # fetch-log rows
     ck = load_wave_checkpoint(ckpt, latest_complete_wave(ckpt))
-    assert "seen_keys" not in ck
+    assert "seen_keys" not in ck and "fetch_log" not in ck
     assert ck["seen_delta_paths"] and all(
         p.endswith("seen_delta.parquet") for p in ck["seen_delta_paths"]
+    )
+    assert len(ck["fetch_log_paths"]) == 2 and all(
+        p.endswith("fetchlog.parquet") for p in ck["fetch_log_paths"]
+    )
+    assert ck["fetch_log_rows"] == sum(
+        e["wave"] < 2 for e in oracle_result.fetch_log
     )
     spill_dir = str(tmp_path_factory.mktemp("seen_spill_resume"))
     cfg = CrawlConfig(
@@ -1857,3 +1867,104 @@ def test_pre_backoff_checkpoint_resumes_with_empty_policy_state(
     exp = oracle_result
     assert [_log_key(e) for e in resumed.fetch_log] == [_log_key(e) for e in exp.fetch_log]
     assert resumed.seen_sorted == exp.seen_sorted
+
+
+def _differential_case():
+    """One draw of the randomized crawl differential: a small synthetic
+    web, a crawl policy over the existing knobs, a block count, and an
+    optional kill wave."""
+    from hypothesis import strategies as st
+
+    ratio = st.sampled_from([0.0, 0.3, 0.6])
+    web = st.builds(
+        SyntheticConfig,
+        seed=st.integers(0, 1000),
+        n_hosts=st.integers(2, 8),
+        pages_per_host=st.integers(10, 60),
+        max_fanout=st.integers(3, 7),
+        hot_host_share=st.sampled_from([0.0, 0.3, 0.8]),
+        duplicate_content_ratio=ratio,
+        robots_disallow_ratio=ratio,
+        robots_crawl_delay_ratio=ratio,
+        robots_sitemap_ratio=ratio,
+    )
+    policy = st.fixed_dictionaries(
+        {
+            "politeness_budget": st.integers(1, 5),
+            "max_waves": st.integers(2, 5),
+            "dedup_content": st.booleans(),
+            "seen_shards": st.integers(1, 3),
+            "backoff_503": st.booleans(),
+            "retry_5xx": st.sampled_from([None, 1, 2]),
+            "max_pages_per_host": st.sampled_from([None, 3, 8]),
+            "adaptive_politeness": st.booleans(),
+            # a short wave window makes the adaptive cap bite at these
+            # budgets
+            "adaptive_wave_window_ms": st.sampled_from([240_000, 12_000]),
+            "seen_spill_threshold": st.sampled_from([None, 4, 16]),
+        }
+    )
+    return st.tuples(
+        web, policy, st.integers(1, 3), st.integers(1, 6),
+        st.one_of(st.none(), st.integers(1, 4)),
+    )
+
+
+def test_randomized_crawl_differential_with_kill(ray_session):
+    """Crawl differential over the policy cross-product: for each drawn
+    web, policy, block count and optional kill wave (a checkpointed run
+    stopped after that wave, then resumed to the end), the fetch log,
+    the seen set and the WARC records read back by the oracle reader
+    equal ``oracle_crawl``'s (a kill wave at or past the last wave runs
+    the crawl uninterrupted). The examples run back to back on one Ray
+    session, so parked shard actors are reused across shard counts,
+    gates and spill settings."""
+    import shutil
+    import tempfile
+
+    from hypothesis import example, given, settings
+
+    # the frontier empties after wave 0 while the robots.txt fetched in
+    # it advertises sitemaps: the crawl stops there, as the oracle does
+    sitemap_only = (
+        SyntheticConfig(
+            seed=3, n_hosts=2, pages_per_host=8, max_fanout=2,
+            hot_host_share=0.0, robots_disallow_ratio=0.0,
+            robots_sitemap_ratio=0.3,
+        ),
+        {"politeness_budget": 2, "max_waves": 2, "seen_shards": 1},
+        1, 1, None,
+    )
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(_differential_case())
+    @example(sitemap_only)
+    def check(case):
+        syn, knobs, fc, n_seeds, kill = case
+        tmp = tempfile.mkdtemp(prefix="crawl_diff_")
+        try:
+            def mk(waves):
+                return CrawlConfig(
+                    **{**knobs, "max_waves": waves},
+                    seen_spill_dir=f"{tmp}/spill", warc_dir=f"{tmp}/warc",
+                )
+
+            cfg = mk(knobs["max_waves"])
+            sds = seed_urls(syn, n_seeds=n_seeds)
+            exp = oracle_crawl(sds, cfg, syn)
+            kw = dict(fetch_concurrency=fc, collect_log=True, collect_seen=True)
+            if kill is not None and kill < cfg.max_waves:
+                ck = f"{tmp}/ck"
+                run_crawl(sds, mk(kill), syn, fetch_concurrency=fc, checkpoint_dir=ck)
+                got = run_crawl(sds, cfg, syn, checkpoint_dir=ck, resume=True, **kw)
+            else:
+                got = run_crawl(sds, cfg, syn, **kw)
+            assert [_log_key(e) for e in got.fetch_log] == [
+                _log_key(e) for e in exp.fetch_log
+            ]
+            assert got.seen_sorted == exp.seen_sorted
+            assert _warc_records(f"{tmp}/warc") == _oracle_warc_records(exp, cfg, syn)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+    check()

@@ -1211,13 +1211,12 @@ def _cand_table(rows):
 
 
 def _gate_table(rows):
-    """Content-gate rows (host, slot, shard, key)."""
+    """Content-gate rows (host, slot, key)."""
     return pa.table(
         {
             "key": pa.array([k for *_, k in rows], pa.string()),
             "host": pa.array([h for h, *_ in rows], pa.string()),
-            "slot": pa.array([sl for _, sl, _, _ in rows], pa.int32()),
-            "shard": pa.array([sh for _, _, sh, _ in rows], pa.int32()),
+            "slot": pa.array([sl for _, sl, _ in rows], pa.int32()),
         }
     )
 
@@ -1240,6 +1239,7 @@ def _gate_table(rows):
                 ),
                 max_size=20,
             ),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=6),
         ),
         min_size=1,
         max_size=5,
@@ -1247,10 +1247,13 @@ def _gate_table(rows):
     st.one_of(st.none(), st.integers(min_value=2, max_value=12)),
 )
 def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
-    """Property: ``finalize_wave`` winners and ``gate_first_seen`` losers
-    equal a plain-Python model over arbitrary waves, with and without
-    spilling. Both barriers draw keys from the SAME strings, so the model
-    also pins that the URL and content key spaces stay separate."""
+    """Property: ``finalize_wave_split`` winners and ``gate_first_seen``
+    losers equal a plain-Python model over arbitrary waves, with and
+    without spilling. Each wave's discovery call also gets loser
+    (host, slot) pairs, whose candidates the model drops, and takes only
+    its slice of each candidate block. Both barriers draw keys from the
+    SAME strings, so the model also pins that the URL and content key
+    spaces stay separate."""
     import tempfile
 
     import ray
@@ -1263,27 +1266,42 @@ def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
     )
     url_model: set[str] = set()
     content_model: set[str] = set()
-    for wave, (cands, gates) in enumerate(waves):
+    for wave, (cands, gates, lost) in enumerate(waves):
         # order keys are unique per candidate, (host, slot) per fetch
         cands = list({(f"h{h}", sl, r): k for h, sl, r, k in cands}.items())
         rows = [(*o, f"k{k}") for o, k in cands]
+        lost = sorted({(f"h{h}", sl) for h, sl in lost})
         half = len(rows) // 2
-        for chunk in (rows[:half], rows[half:]):
-            if chunk:
-                ss.accept(wave, _cand_table(chunk))
+        # each block leads with another shard's row, outside this
+        # shard's slice
+        foreign = ("h9", 0, 0, "kforeign")
+        blocks = [_cand_table([foreign] + c) for c in (rows[:half], rows[half:])]
+        loser_tbls = [
+            pa.table({"host": [h for h, _ in part], "slot": pa.array(
+                [sl for _, sl in part], pa.int32())})
+            for part in (lost[::2], lost[1::2])
+        ]
         want = []
         for h, sl, r, key in sorted(rows):
-            if key not in url_model:
+            if (h, sl) not in lost and key not in url_model:
                 url_model.add(key)
                 want.append((h, sl, r, key))
-        w = ss.finalize_wave(wave)
+        w, small = ss.finalize_wave_split(
+            wave, [ray.put(b) for b in blocks],
+            [(1, b.num_rows) for b in blocks],
+            [ray.put(t) for t in loser_tbls], True, 5,
+        )
         got = [] if w is None else list(zip(
             w["order_host"].to_pylist(), w["order_slot"].to_pylist(),
             w["order_rank"].to_pylist(), w["surt"].to_pylist(),
         ))
         assert got == want
+        assert small["n"] == len(want) and small["surts"] == [k for *_, k in want]
         gates = list({(f"h{h}", sl): (sh, k) for h, sl, sh, k in gates}.items())
-        grows = [(h, sl, sh, f"k{k}") for (h, sl), (sh, k) in gates]
+        grows = sorted(
+            ((h, sl, sh, f"k{k}") for (h, sl), (sh, k) in gates),
+            key=lambda g: g[2],
+        )
         losers_want, new_want = [], []
         for h, sl, sh, key in sorted(grows):
             if sh != 0:
@@ -1293,8 +1311,11 @@ def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
             else:
                 content_model.add(key)
                 new_want.append(key)
+        # the block is sorted by shard: shard 0's slice is its first rows
+        n0 = sum(sh == 0 for _, _, sh, _ in grows)
         losers, small = ss.gate_first_seen(
-            [ray.put(_gate_table(grows))], 0, want_keys=True
+            [ray.put(_gate_table([(h, sl, k) for h, sl, _, k in grows]))],
+            [(0, n0)], want_keys=True,
         )
         got_losers = list(zip(losers["host"].to_pylist(), losers["slot"].to_pylist()))
         assert got_losers == losers_want
@@ -1315,9 +1336,9 @@ class _IterCountingSet(set):
 
 def test_seen_probes_never_iterate_the_hot_set(ray_session):
     """Every probe is O(batch): ``add_if_new``, ``contains``,
-    ``finalize_wave`` and ``gate_first_seen`` look keys up in the hot set
-    and never turn the whole set into an array (which costs O(|seen|)
-    per call)."""
+    ``finalize_wave_split`` and ``gate_first_seen`` look keys up in the
+    hot set and never turn the whole set into an array (which costs
+    O(|seen|) per call)."""
     import ray
 
     from webarchive_discovery_ray.state.seen import SeenSet
@@ -1325,18 +1346,24 @@ def test_seen_probes_never_iterate_the_hot_set(ray_session):
     ss = SeenSet()
     keys = [f"com,h{i % 5})/p{i}" for i in range(200)]
     assert ss.add_if_new(keys[:100]) == [True] * 100
-    ss.gate_first_seen([ray.put(_gate_table([("h0", 0, 0, k) for k in keys[:1]]))], 0)
+    ss.gate_first_seen([ray.put(_gate_table([("h0", 0, k) for k in keys[:1]]))], [(0, 1)])
     spaces = (ss._url, ss._space("content"))
     for space in spaces:
         space._exact = _IterCountingSet(space._exact)
     assert ss.add_if_new(keys) == [False] * 100 + [True] * 100
     assert ss.contains(keys + ["com,never)/"]) == [True] * 200 + [False]
-    ss.accept(1, _cand_table([("h1", i, 0, k) for i, k in enumerate(keys[::2])]))
-    ss.accept(1, _cand_table([("h2", 0, 0, "com,fresh)/")]))
-    w = ss.finalize_wave(1)
+    blocks = [
+        _cand_table([("h1", i, 0, k) for i, k in enumerate(keys[::2])]),
+        _cand_table([("h2", 0, 0, "com,fresh)/")]),
+    ]
+    w, _ = ss.finalize_wave_split(
+        1, [ray.put(b) for b in blocks], [(0, b.num_rows) for b in blocks], [],
+        False, 5,
+    )
     assert w["surt"].to_pylist() == ["com,fresh)/"]
     losers, small = ss.gate_first_seen(
-        [ray.put(_gate_table([("h0", i, 0, k) for i, k in enumerate(keys[:3])]))], 0
+        [ray.put(_gate_table([("h0", i, k) for i, k in enumerate(keys[:3])]))],
+        [(0, 3)],
     )
     assert losers["slot"].to_pylist() == [0] and small["n_new"] == 2
     assert [getattr(space._exact, "iters", 0) for space in spaces] == [0, 0]

@@ -18,24 +18,29 @@ Per wave:
    budget; the drained block is split in Arrow into the rows fetched
    this wave and the block's carry, which goes back to the object store
    as its own table;
-3. **fetch + extract** — ONE plain Ray task per block fuses assembly,
-   the drain, deterministic page generation (stands in for HTTP fetch),
-   the full extraction chain and the block's duplicate-content gate
-   rows; candidate outlinks are filtered + SURT-keyed in the task and
-   emitted as list columns; when a document sink is attached, docs are
-   written straight to per-(wave, partition) parquet fragments (atomic
-   publish, resumable layout);
-4. **candidate routing** — a split task (chained on the block ref, so it
-   overlaps with still-running fetches) flattens + shard-keys the
-   candidates (vectorized); the DRIVER routes the wave's blocks to the
-   seen shards BY REFERENCE, ONE batched call per shard — tasks never
-   call actors (a task-side RPC couples fetch slots to actor channel
-   health and one delayed message stalls the wave), candidate bytes
-   never touch the driver, and shards read the shared blocks zero-copy;
-5. **discovery barrier** — each seen shard sorts its candidates by the
-   pinned global order key (parent host, parent slot, link rank) and
-   keeps first-unseen SURTs (one batch of set probes and adds; past the
-   spill threshold, filter-gated probes of the shard's parquet runs);
+3. **fetch + extract + routing** — ONE plain Ray task per block fuses
+   assembly, the drain, deterministic page generation (stands in for
+   HTTP fetch) and the full extraction chain; candidate outlinks are
+   filtered + SURT-keyed, flattened to one row per (parent fetch, link),
+   and sorted by seen shard, and so are the block's duplicate-content
+   gate rows; the task returns a small meta (row counts, per-shard slice
+   offsets, the block's policy observations), the fetched rows, the
+   candidate and gate tables and the carry; when a document sink is
+   attached, docs are written straight to per-(wave, partition) parquet
+   fragments (atomic publish, resumable layout);
+4. **content gate** (``dedup_content`` only) — the driver waits for the
+   metas only, then makes ONE call per seen shard with every block's
+   gate table BY REFERENCE; each shard takes its zero-copy slice,
+   resolves first-wins in the pinned (host, slot) order and returns its
+   losers. Tasks never call actors (a task-side RPC couples fetch slots
+   to actor channel health and one delayed message stalls the wave), and
+   candidate bytes never touch the driver;
+5. **discovery barrier** — ONE call per seen shard with every block's
+   candidate table by reference and the gate's loser tables: the shard
+   takes its slice, drops the candidates of loser parents, sorts the rest
+   by the pinned global order key (parent host, parent slot, link rank)
+   and keeps first-unseen SURTs (one batch of set probes and adds; past
+   the spill threshold, filter-gated probes of the shard's parquet runs);
    the winner merge is a TWO-PHASE PARALLEL
    SORT: the driver blocks only on per-shard smalls (counts, hosts,
    order_host boundary samples) and tiny per-range counts, then
@@ -43,10 +48,13 @@ Per wave:
    slices of the pre-sorted shard tables), assign exact global ``seq``
    from per-range offsets, and hash-partition their slice — the next
    wave's assembly consumes the per-(range, part) outputs by reference.
-   The per-wave fetch-log concat/sort/build runs fully OFF the critical
-   path (wave counts and policy observations come from the split
-   metas; one durability barrier at crawl end joins the streamed log
-   writes).
+   The per-wave fetch-log concat/sort/build and the WARC writers run
+   fully OFF the critical path (wave counts and policy observations come
+   from the fetch metas; one durability barrier at crawl end joins the
+   streamed log writes).
+
+So a content-gated wave makes two actor calls per shard, and a wave
+without the gate one.
 
 The cross-wave per-host policy state (robots, 5xx backoff, quota,
 adaptive delay, 5xx retries) is one :class:`PolicyState`: one broadcast
@@ -101,7 +109,7 @@ from ..state.robots import (
     robots_url_for_host,
     sitemap_urls_of,
 )
-from ..state.seen import SeenShardPool, shard_of
+from ..state.seen import _SHARD_SEED, SeenShardPool
 from ..stages.extract import extract_record
 
 __all__ = ["FetchExtractStage", "run_crawl", "CrawlResult", "DOCS_OUT_SCHEMA"]
@@ -111,8 +119,8 @@ __all__ = ["FetchExtractStage", "run_crawl", "CrawlResult", "DOCS_OUT_SCHEMA"]
 PART_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("part", pa.int32())])
 
 # scheduler-facing output of the fetch stage, one row per fetch;
-# candidate outlinks ride as list columns until the split task flattens +
-# shard-keys them
+# candidate outlinks ride as list columns until the fetch task flattens +
+# shard-routes them
 OUT_SCHEMA = pa.schema(
     list(PART_SCHEMA)
     + [
@@ -132,7 +140,7 @@ OUT_SCHEMA = pa.schema(
         # the duplicate-content gate key (ccfg.dedup_content)
         pa.field("content_hash", pa.string()),
         # modeled fetch duration (state/robots.fetch_duration_ms): the
-        # adaptive-politeness input, folded per host in the split meta
+        # adaptive-politeness input, folded per host in the fetch meta
         pa.field("fetch_ms", pa.int32()),
         # WARC-sink carriers (populated only when ccfg.warc_dir is set —
         # empty strings / b"" otherwise, so the schema stays stable and
@@ -147,8 +155,8 @@ OUT_SCHEMA = pa.schema(
     ]
 )
 
-# flattened candidate rows (built by the split task, routed by ref to the
-# seen shards; ``shard`` pre-computed so each actor self-filters its rows)
+# flattened candidate rows (built by the fetch task, sorted by seen shard
+# and routed by ref to the shards)
 CAND_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -159,7 +167,6 @@ CAND_SCHEMA = pa.schema(
         ("order_host", pa.string()),
         ("order_slot", pa.int32()),
         ("order_rank", pa.int32()),
-        ("shard", pa.int32()),
     ]
 )
 
@@ -358,8 +365,8 @@ class PolicyState:
     knob is off (robots.json stores ``null``; see :meth:`configured`).
 
     Each wave the driver ``ray.put``s ONE :meth:`drain_view`, every
-    drain asks it for :meth:`budgets`, every split task reports its
-    block's :meth:`observe` in the split meta, the driver applies
+    drain asks it for :meth:`budgets`, every fetch task reports its
+    block's :meth:`observe` in its meta, the driver applies
     :meth:`fold` to the wave's observations, and the checkpoint stores
     :meth:`to_checkpoint` as ``robots.json``. A new policy touches four
     places here — a field, ``observe``, ``fold`` and ``budgets`` (plus
@@ -426,7 +433,7 @@ class PolicyState:
     @staticmethod
     def observe(fetched: pa.Table) -> dict:
         """One fetch block's policy observations, carried back in its
-        split meta. Tiny: bounded by the block's hosts and 5xx rows."""
+        fetch meta. Tiny: bounded by the block's hosts and 5xx rows."""
         import pyarrow.compute as pc
 
         hits = fetched.filter(
@@ -604,8 +611,6 @@ def _canon_chunk(pairs: list) -> tuple[list, list, list, list, list]:
     dropped (regex-heavy: runs as a remote task per chunk so a wide seed
     list doesn't serialize on the driver; robots URLs are constructed
     canonical and skip this)."""
-    from ..state.seen import _SHARD_SEED
-
     urls, keys, hosts, pris, hashes = [], [], [], [], []
     for url, pri in pairs:
         u = canonicalise_url(url)
@@ -625,8 +630,6 @@ def _robots_chunk(hosts: list) -> tuple[list, list, list, list]:
     """(robots URL, SURT key, host, shard hash64) per host chunk — the
     sha1 shard hashing rides in the chunked remote tasks so the driver's
     only per-host work is a vectorized modulo."""
-    from ..state.seen import _SHARD_SEED
-
     urls = [robots_url_for_host(h) for h in hosts]
     keys = [surt_key(u) for u in urls]
     return urls, keys, list(hosts), [stable_hash64(k, _SHARD_SEED) for k in keys]
@@ -678,9 +681,11 @@ def _seed_frontier(seeds, pool: SeenShardPool) -> tuple[pa.Table, int]:
 # per-wave closures would re-pickle and re-export them every wave) --------
 import ray as _ray
 
+# the fetched rows' columns that the fetch-log build and the WARC writer
+# read (the WARC carriers are constant when no warc_dir is set)
 _PULL_COLS = [
-    "url", "surt", "host", "priority", "hop", "seq", "part", "slot",
-    "fetch_host", "fetch_status", "is_robots", "robots_rules",
+    "url", "surt", "part", "slot", "fetch_host", "fetch_status",
+    "w_ts14", "w_mime", "w_loc", "w_payload",
 ]
 
 
@@ -778,7 +783,7 @@ def _pick_boundaries(samples: list[str], n_ranges: int) -> list[str]:
 _DRAIN_COLS = ["url", "surt", "host", "priority", "seq"]
 
 
-@_ray.remote(num_returns=4)
+@_ray.remote(num_returns=5)
 def _drain_fetch(
     policy_boxed,
     scfg: SyntheticConfig,
@@ -788,14 +793,22 @@ def _drain_fetch(
     docs_dir: str | None,
     *pieces: pa.Table,
 ):
-    """Assembly + politeness drain + fetch/extract for ONE frontier block
-    (the block holds complete host groups, so the drain's per-host
-    queues are whole); ``pieces`` are :func:`_assemble`'s. The drained
-    block splits in Arrow: its selected rows (with their ``slot``) go to
-    the fetch stage, the rest are the block's carry, in drain order.
-    Returns ``(block, gate, carry, carry_rows)``: ``gate`` is the
-    block's duplicate-content gate table under ``ccfg.dedup_content``,
-    else None; ``carry`` has exactly PART_SCHEMA."""
+    """Assembly + politeness drain + fetch/extract + routing for ONE
+    frontier block (the block holds complete host groups, so the drain's
+    per-host queues are whole); ``pieces`` are :func:`_assemble`'s. The
+    drained block splits in Arrow: its selected rows (with their
+    ``slot``) go to the fetch stage, the rest are the block's carry, in
+    drain order.
+
+    Returns ``(meta, fetched, cand, gate, carry)``: ``fetched`` is the
+    fetched rows' ``_PULL_COLS``; ``cand`` the block's candidate rows and
+    ``gate`` (``ccfg.dedup_content``, else None) its duplicate-content
+    gate rows, each sorted by seen shard with the slice offsets in the
+    meta (``shard_bounds``, ``gate_bounds``); ``carry`` has exactly
+    PART_SCHEMA. The small ``meta`` also carries ``fetched_rows``,
+    ``cand_rows``, ``carry_rows`` and the block's
+    :meth:`PolicyState.observe` (None for an empty block)."""
+    n_shards = ccfg.seen_shards
     tbl = _assemble(*pieces)
     df, sel, ranks = _drain_order(
         tbl.select(_DRAIN_COLS).to_pandas(), ccfg, _policy_of(policy_boxed)
@@ -806,42 +819,81 @@ def _drain_fetch(
         "slot", pa.array(ranks[sel], pa.int32())
     )
     block = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)(fetch)
-    gate = _gate_rows(ccfg.seen_shards, block) if ccfg.dedup_content else None
-    return block, gate, carry, carry.num_rows
+    cand, shard_bounds = _candidates(block, n_shards)
+    gate, gate_bounds = (
+        _gate_rows(block, n_shards) if ccfg.dedup_content else (None, None)
+    )
+    meta = {
+        "fetched_rows": block.num_rows,
+        "cand_rows": cand.num_rows,
+        "shard_bounds": shard_bounds,
+        "gate_bounds": gate_bounds,
+        "carry_rows": carry.num_rows,
+        # the driver folds these for the NEXT wave's drain
+        "policy": PolicyState.observe(block) if block.num_rows else None,
+    }
+    return meta, block.select(_PULL_COLS), cand, gate, carry
 
 
-def _gate_rows(n_shards: int, tbl: pa.Table) -> pa.Table:
-    """Per-block duplicate-content gate rows: (key, host, slot, shard)
-    of every status-200 fetch — ``shard = shard_of(hash)`` so
-    each shard self-filters its rows from the shared block (the
-    cand-routing delivery shape)."""
+def _routed(tbl: pa.Table, keys: str, n_shards: int) -> tuple[pa.Table, list[int]]:
+    """``tbl`` stably sorted by the seen shard of its ``keys`` column
+    (:func:`shard_of`), and the ``n_shards + 1`` offsets of each shard's
+    slice: shard ``s`` takes rows ``bounds[s]:bounds[s + 1]`` of the
+    shared block, a zero-copy slice, so routing is one partition done by
+    the producer, not a scan of every block by every shard."""
+    h = np.fromiter(
+        (stable_hash64(k, _SHARD_SEED) for k in tbl[keys].to_pylist()),
+        dtype=np.uint64, count=tbl.num_rows,
+    )
+    shards = (h % np.uint64(n_shards)).astype(np.int64)
+    order = np.argsort(shards, kind="stable")
+    bounds = np.searchsorted(shards[order], np.arange(n_shards + 1)).tolist()
+    return tbl.take(pa.array(order, pa.int64())), bounds
+
+
+def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
+    """The block's candidate rows, one per (fetched row, outlink),
+    flattened from the fetch stage's list columns and routed by SURT.
+    Each inherits its parent's ``(fetch_host, slot)`` as its
+    ``(order_host, order_slot)``; ``order_rank`` is the link's index in
+    the parent's sorted candidate list."""
     import pyarrow.compute as pc
 
-    empty = pa.table(
+    cand_col = block["cand_urls"].combine_chunks()
+    lengths = pc.list_value_length(cand_col).to_numpy().astype(np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return CAND_SCHEMA.empty_table(), [0] * (n_shards + 1)
+    parents = pc.list_parent_indices(cand_col)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    cand = pa.table(
         {
-            "key": pa.array([], pa.string()),
-            "host": pa.array([], pa.string()),
-            "slot": pa.array([], pa.int32()),
-            "shard": pa.array([], pa.int32()),
+            "url": pc.list_flatten(cand_col),
+            "surt": pc.list_flatten(block["cand_surts"].combine_chunks()),
+            "host": pc.list_flatten(block["cand_hosts"].combine_chunks()),
+            # per-row enqueue priority from the fetch stage: -1 for
+            # <sitemapindex> children (recurse as sitemaps), else
+            # max(parent priority, 0) (pinned rule, mirrored in the oracle)
+            "priority": pc.take(block["cand_pri"], parents),
+            "hop": pc.take(block["hop"], parents),
+            "order_host": pc.take(block["fetch_host"], parents),
+            "order_slot": pc.take(block["slot"], parents),
+            "order_rank": pa.array((np.arange(total) - starts).astype(np.int32)),
         }
+    ).cast(CAND_SCHEMA)
+    return _routed(cand, "surt", n_shards)
+
+
+def _gate_rows(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
+    """The block's duplicate-content gate rows: (key, host, slot) of every
+    status-200 fetch, ``key`` its content hash, routed by that key."""
+    import pyarrow.compute as pc
+
+    f = block.filter(pc.equal(block["fetch_status"], 200))
+    gate = pa.table(
+        {"key": f["content_hash"], "host": f["fetch_host"], "slot": f["slot"]}
     )
-    if tbl.num_rows == 0:
-        return empty
-    f = tbl.filter(pc.equal(tbl["fetch_status"], 200))
-    if f.num_rows == 0:
-        return empty
-    keys = f["content_hash"].to_pylist()
-    shards_arr = np.fromiter(
-        (shard_of(k, n_shards) for k in keys), dtype=np.int32, count=len(keys)
-    )
-    return pa.table(
-        {
-            "key": pa.array(keys, pa.string()),
-            "host": f["fetch_host"],
-            "slot": f["slot"],
-            "shard": pa.array(shards_arr),
-        }
-    )
+    return _routed(gate, "key", n_shards)
 
 
 @_ray.remote
@@ -899,118 +951,20 @@ def _write_warc_block(
     return len(members)
 
 
-@_ray.remote(num_returns=3)
-def _split_block(n_shards: int, fetched: pa.Table, *loser_tbls: pa.Table):
-    """(meta, fetched_table, candidate_table) of one fetch block.
-
-    The meta carries the block's row counts (``fetched_rows``,
-    ``cand_rows``) and policy observations; candidates stay remote,
-    flattened from the fetch stage's list columns (vectorized) and
-    shard-keyed so each seen shard can self-filter its rows from the
-    shared block.
-    ``loser_tbls`` (dedup_content crawls only) are the content gate's
-    per-shard (host, slot) verdicts: those rows' candidate lists are
-    suppressed before flattening — the fetched/log/doc surface is
-    untouched, duplicates just discover nothing."""
-    import pyarrow.compute as pc
-
-    if fetched.num_rows == 0:
-        return (
-            {"cand_rows": 0, "fetched_rows": 0, "policy": None},
-            OUT_SCHEMA.empty_table().select(_PULL_COLS),
-            CAND_SCHEMA.empty_table(),
-        )
-    # the block's policy observations ride back in the tiny meta: the
-    # driver folds them for the NEXT wave's drain without joining on the
-    # fetch-log finalize chain
-    meta = {
-        "cand_rows": 0,
-        "fetched_rows": fetched.num_rows,
-        "policy": PolicyState.observe(fetched),
-    }
-    # duplicate-content suppression: candidates flatten from cand_src,
-    # which drops the gate's loser rows (fetched itself is unchanged)
-    cand_src = fetched
-    lk = {
-        hs for lt in loser_tbls
-        for hs in zip(lt["host"].to_pylist(), lt["slot"].to_pylist())
-    }
-    if lk:
-        keep = np.fromiter(
-            (
-                (h, sl) not in lk
-                for h, sl in zip(
-                    fetched["fetch_host"].to_pylist(),
-                    fetched["slot"].to_pylist(),
-                )
-            ),
-            dtype=bool,
-            count=fetched.num_rows,
-        )
-        if not keep.all():
-            cand_src = fetched.filter(pa.array(keep))
-    cand_col = cand_src["cand_urls"].combine_chunks()
-    lengths = pc.list_value_length(cand_col).to_numpy().astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return meta, fetched.select(_PULL_COLS), CAND_SCHEMA.empty_table()
-    parents = pc.list_parent_indices(cand_col)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    surts = pc.list_flatten(cand_src["cand_surts"].combine_chunks())
-    shards_arr = np.fromiter(
-        (shard_of(k, n_shards) for k in surts.to_pylist()),
-        dtype=np.int32,
-        count=total,
-    )
-    cand = pa.table(
-        {
-            "url": pc.list_flatten(cand_col),
-            "surt": surts,
-            "host": pc.list_flatten(cand_src["cand_hosts"].combine_chunks()),
-            # per-row enqueue priority from the fetch stage: -1 for
-            # <sitemapindex> children (recurse as sitemaps), else
-            # max(parent priority, 0) (pinned rule, mirrored in the oracle)
-            "priority": pc.take(cand_src["cand_pri"], parents),
-            "hop": pc.take(cand_src["hop"], parents),
-            "order_host": pc.take(cand_src["fetch_host"], parents),
-            "order_slot": pc.take(cand_src["slot"], parents),
-            "order_rank": pa.array(
-                (np.arange(total) - starts).astype(np.int32)
-            ),
-            "shard": pa.array(shards_arr),
-        }
-    ).cast(CAND_SCHEMA)
-    # sort by shard ONCE here and publish per-shard slice bounds: each
-    # shard then takes a ZERO-COPY slice of the shared block instead of
-    # filtering every row of every block (that scan cost n_shards x
-    # total-candidates per wave and grew with the shard count)
-    order = np.argsort(shards_arr, kind="stable")
-    cand = cand.take(pa.array(order))
-    sorted_shards = shards_arr[order]
-    meta.update(
-        cand_rows=total,
-        shard_bounds=np.searchsorted(sorted_shards, np.arange(n_shards + 1)).tolist(),
-    )
-    return meta, fetched.select(_PULL_COLS), cand
-
-
 @_ray.remote(num_returns=2)
 def _finalize_fetch(wave: int, order_base: int, log_path: str | None, *parts):
     """Remote end-of-wave fetch finalization: concat the per-part fetched
     tables, apply the pinned rule-4 order (host, slot), build the wave's
     fetch-log table, optionally stream it to parquet (atomic publish).
     Returns ``(wave_log, n_rows)``. OFF the wave critical path: the
-    driver gets the wave's count and policy observations from the split
+    driver gets the wave's count and policy observations from the fetch
     metas and pulls the table only under collect_log / checkpointing;
     the crawl-end durability barrier joins the tiny ``n_rows`` sentinel
     (a failed writer raises there, and no table travels)."""
     import pyarrow.compute as pc
 
-    tbl = (
-        pa.concat_tables(parts).combine_chunks()
-        if parts
-        else OUT_SCHEMA.empty_table().select(_PULL_COLS)
-    )
+    cols = ["fetch_host", "slot", "url", "surt", "fetch_status"]
+    tbl = pa.concat_tables([t.select(cols) for t in parts]).combine_chunks()
     tbl = tbl.take(
         pc.sort_indices(
             tbl, sort_keys=[("fetch_host", "ascending"), ("slot", "ascending")]
@@ -1065,14 +1019,18 @@ def run_crawl(
 
     ``fetch_concurrency`` (≥ 1, else ``ValueError``) is the number of fetch
     slots a wave is sized for: each wave splits its frontier into exactly
-    ``4 * fetch_concurrency`` host blocks, and each block costs one fetch,
-    one split and (with ``warc_dir``) one WARC-writer task. Four blocks
+    ``4 * fetch_concurrency`` host blocks, and each block costs one fetch
+    task (which also routes the block's candidates and gate rows to the
+    seen shards) and, with ``warc_dir``, one WARC-writer task. Four blocks
     per slot keep a skewed host from holding back a whole wave. The fetch
     tasks are a plain task pool, not an actor pool, and they use every
-    free CPU (tasks never call actors; candidate routing is submitted by
-    reference from the driver). The fetch log, the seen set and the WARC
-    records do not depend on the block count; the grouping of WARC and
-    docs fragment files and the per-partition lineage in ``stats`` do.
+    free CPU (tasks never call actors; the driver hands their outputs to
+    the shards by reference). Per wave, each seen shard gets one
+    discovery call (``SeenSet.finalize_wave_split``) and, under
+    ``dedup_content``, one content-gate call before it. The fetch log,
+    the seen set and the WARC records do not depend on the block count;
+    the grouping of WARC and docs fragment files and the per-partition
+    lineage in ``stats`` do.
 
     Every block takes the same path whatever its size: one drain, then
     the rows it fetches go through the fetch loop and the rest of the
@@ -1134,9 +1092,9 @@ def _crawl_waves(
     import time
 
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray
 
-    n_shards = ccfg.seen_shards
     res = CrawlResult(docs_dir=docs_dir)
     pending_content_delta: list[str] = []
     # Sitemap URLs advertised by rules not yet offered to the seen set.
@@ -1165,9 +1123,9 @@ def _crawl_waves(
         policy = PolicyState.from_checkpoint(ck["policy"])
         if ccfg.follow_sitemaps:
             sitemap_pending = _sitemaps_of(policy.rules)
-        order_base = ck["fetch_log"].num_rows
-        if collect_log and order_base:
-            log_tables.append(ck["fetch_log"])
+        order_base = ck["fetch_log_rows"]
+        if collect_log:
+            log_tables += [pq.read_table(p) for p in ck["fetch_log_paths"]]
         seq = ck["seq"]
         start_wave = last + 1
         robots_check_hosts = set(pc.unique(extras["host"]).to_pylist())
@@ -1190,6 +1148,11 @@ def _crawl_waves(
     winners_part_refs: dict[int, list] = {}
     pending_winner_rows = 0
     for wave in range(start_wave, ccfg.max_waves):
+        # the crawl ends at the first wave whose frontier (carry, winners
+        # and 5xx retries) is empty, before any robots or sitemap
+        # injection: pending Sitemap URLs alone start no wave (rule 7)
+        if pending_winner_rows + len(policy.retry_pending) + sum(carry_counts) == 0:
+            break
         marks = [time.monotonic()]  # phase boundaries -> stats phase_*_s
         # --- robots injection (new hosts only: a host already in the
         # frontier was scheduled at its first appearance), then sitemap
@@ -1217,8 +1180,6 @@ def _crawl_waves(
             robots_tbl = pa.concat_tables([robots_tbl, rt]) if robots_tbl.num_rows else rt
             policy.retry_pending = []
         frontier_rows = pending_winner_rows + robots_tbl.num_rows + sum(carry_counts)
-        if frontier_rows == 0:
-            break
         marks.append(time.monotonic())
         # --- assemble wave input blocks (object-store resident): each
         # block's pieces go straight to its fetch task ------------------
@@ -1243,14 +1204,14 @@ def _crawl_waves(
                 import shutil
 
                 shutil.rmtree(wwdir)
-        # --- ONE execution per wave: fused drain -> fetch/extract -------
-        # ONE plain Ray task per block: assembly, the politeness drain,
-        # the fetch/extract chain and the gate rows run fused in the same
-        # task (whole block = complete host groups), and the split task
-        # chains directly on the block's ObjectRef — split of early blocks
-        # overlaps with later blocks still fetching, there is no per-wave
-        # streaming-executor startup, and task outputs are stable (no
-        # eager block GC, so no lineage reconstruction can re-run a fetch).
+        # --- ONE task per block: fused drain -> fetch/extract -> routing.
+        # Assembly, the politeness drain, the fetch/extract chain and the
+        # shard routing of the block's candidate and gate rows run in the
+        # same plain Ray task (whole block = complete host groups): no
+        # per-wave streaming-executor startup, and task outputs are
+        # stable (no eager block GC, so no lineage reconstruction can
+        # re-run a fetch). Tasks never call actors: a task-side RPC would
+        # couple every fetch slot to actor-channel health.
         fetches = [
             _drain_fetch.remote(
                 policy_boxed, scfg, icfg, wave, ccfg, docs_dir,
@@ -1258,41 +1219,33 @@ def _crawl_waves(
             )
             for p in range(n_parts)
         ]
-        block_refs = [f[0] for f in fetches]
         marks.append(time.monotonic())
-        # --- duplicate-content gate (wave barrier, dedup_content only):
-        # the fetch tasks' per-block (hash, host, slot) rows route BY
-        # REFERENCE to the shards (hash-sharded); each shard resolves
-        # first-wins in the pinned (host, slot) order against its
-        # persistent content key space and returns its loser table — the
-        # split tasks consume those refs and suppress the losers'
-        # candidate lists. Gate data is fetched-bounded (politeness
-        # budget x hosts), far below the candidate volume the shards
-        # already route.
+        metas = ray.get([f[0] for f in fetches])
+        fetched_refs = [f[1] for f in fetches]
+        carry_refs = [f[4] for f in fetches]
+        carry_counts = [m["carry_rows"] for m in metas]
+        # --- duplicate-content gate (dedup_content only): the blocks'
+        # (hash, host, slot) rows go BY REFERENCE to the shards, one call
+        # per shard; each resolves first-wins in the pinned (host, slot)
+        # order against its content key space and returns its loser
+        # table. The discovery call below drops the losers' candidates
+        # and the WARC writers turn the losers into revisit records.
         loser_refs: list = []
         gate_small_refs: list = []
         if ccfg.dedup_content:
-            gate_refs = [f[1] for f in fetches]
-            gate_outs = [
-                pool.shards[s]
-                .gate_first_seen.options(num_returns=2)
-                .remote(gate_refs, s, track_delta)
-                for s in range(n_shards)
-            ]
-            loser_refs = [o[0] for o in gate_outs]
-            gate_small_refs = [o[1] for o in gate_outs]
-        splits = [
-            _split_block.remote(n_shards, ref, *loser_refs) for ref in block_refs
-        ]
-        # WARC sink: one writer task per block, fed the SAME block +
-        # loser refs the split consumes (losers -> revisit members);
-        # off the critical path, joined at the checkpoint barrier below
-        # (so a checkpointed wave's fragments exist before the wave is
-        # marked complete) or at the crawl-end durability barrier
+            loser_refs, gate_small_refs = pool.gate_first_seen(
+                [f[3] for f in fetches], [m["gate_bounds"] for m in metas],
+                track_delta,
+            )
+        # WARC sink: one writer task per block, fed the fetched rows and
+        # the loser refs; off the critical path, joined at the checkpoint
+        # barrier below (so a checkpointed wave's fragments exist before
+        # the wave is marked complete) or at the crawl-end durability
+        # barrier
         if ccfg.warc_dir is not None:
             warc_flush_refs.extend(
                 _write_warc_block.remote(ccfg.warc_dir, wave, ref, *loser_refs)
-                for ref in block_refs
+                for ref in fetched_refs
             )
         # fetch-log finalization runs REMOTE (concat + rule-4 sort + log
         # build of ~budget×hosts rows); the log table itself is pulled
@@ -1309,48 +1262,29 @@ def _crawl_waves(
         wave_log_ref = None
         if log_path is not None or collect_log or checkpoint_dir is not None:
             wave_log_ref, log_done = _finalize_fetch.remote(
-                wave, order_base, log_path, *[f for _, f, _ in splits]
+                wave, order_base, log_path, *fetched_refs
             )
             if log_path is not None:
                 log_flush_refs.append(log_done)
-        # one get for the split metas and the carries' row counts
-        got = ray.get([m for m, _, _ in splits] + [f[3] for f in fetches])
-        metas, carry_counts = got[:n_parts], got[n_parts:]
-        carry_refs = [f[2] for f in fetches]
-        cand_refs = []
-        cand_bounds = []  # per block: n_shards+1 slice offsets
-        for meta, (_, _, cand_ref) in zip(metas, splits):
-            if meta["cand_rows"]:
-                cand_refs.append(cand_ref)
-                cand_bounds.append(meta["shard_bounds"])
-        if cand_refs:
-            # candidate routing BY REFERENCE from the driver, BATCHED: one
-            # accept call per shard per WAVE (not per block × shard). The
-            # split task sorted each block by shard and published slice
-            # bounds, so each shard takes a ZERO-COPY slice of the shared
-            # block — total routing work is O(candidates), not
-            # O(n_shards × candidates); no fetch task ever blocks on an
-            # actor call, and the per-wave actor-RPC count is O(n_shards)
-            ray.get(
-                [
-                    pool.shards[s].accept_routed_many.remote(
-                        wave, cand_refs, [(b[s], b[s + 1]) for b in cand_bounds]
-                    )
-                    for s in range(n_shards)
-                ]
-            )  # delivery barrier before finalize
-        del fetches, block_refs, splits  # wave's intermediates can be GC'd
+        # --- discovery (two-phase parallel winners merge): ONE call per
+        # shard takes the shard's slice of every candidate block BY
+        # REFERENCE (zero-copy: each block is sorted by shard), drops the
+        # gate losers' candidates and keeps the first unseen SURTs in the
+        # pinned order. The driver blocks ONLY on the shards' small dicts
+        # (counts, hosts, boundary samples, optional SURT delta) and on
+        # the tiny per-range counts — the heavy merge/sort/seq/partition
+        # work fans out over order_host ranges as parallel tasks whose
+        # outputs the next wave's assembly consumes BY REFERENCE (the
+        # classic two-phase distributed sort: exact global seq from
+        # per-range offsets)
+        routed = [i for i, m in enumerate(metas) if m["cand_rows"]]
+        winner_refs, small_refs = pool.finalize_wave_split(
+            wave, [fetches[i][2] for i in routed],
+            [metas[i]["shard_bounds"] for i in routed], loser_refs, track_delta,
+        )
+        del fetches, fetched_refs  # wave's intermediates can be GC'd
         marks.append(time.monotonic())
-        # --- discovery barrier (two-phase parallel winners merge): the
-        # shards finalize concurrently; the driver blocks ONLY on their
-        # small dicts (counts, hosts, boundary samples, optional SURT
-        # delta) and on the tiny per-range counts — the heavy
-        # merge/sort/seq/partition work fans out over order_host ranges
-        # as parallel tasks whose outputs the next wave's assembly
-        # consumes BY REFERENCE (the classic two-phase distributed sort:
-        # exact global seq from per-range offsets)
-        winner_refs, small_refs = pool.finalize_wave_split(wave, track_delta)
-        # wave count + policy observations come straight from the split
+        # wave count + policy observations come straight from the fetch
         # metas — the fetch-log build/sort/write chain runs fully off the
         # wave critical path (joined only under collect_log /
         # checkpointing, plus one durability barrier at crawl end)
@@ -1373,7 +1307,7 @@ def _crawl_waves(
         winners_part_refs = {}
         if n_new:
             # few ranges for small waves (task overhead), more for wide
-            n_ranges = 1 if n_new < 50_000 else min(8, n_shards)
+            n_ranges = 1 if n_new < 50_000 else min(8, ccfg.seen_shards)
             boundaries = _pick_boundaries(
                 [x for s in smalls for x in s["samples"]], n_ranges
             )

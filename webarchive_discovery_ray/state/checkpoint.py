@@ -168,34 +168,30 @@ def load_wave_checkpoint(base: str, wave: int) -> dict:
     with open(os.path.join(d, "robots.json")) as f:
         policy = json.load(f)
     frontier = pq.read_table(os.path.join(d, "frontier_next.parquet"))
-    # the seen set is NOT materialized here (VERDICT r3 #3): the driver
-    # hands the per-wave delta paths to the shard actors, each of which
-    # reads and absorbs only its own slice — resume cost on the driver is
-    # O(#waves) paths, independent of crawl history size
-    seen_delta_paths: list[str] = []
-    content_delta_paths: list[str] = []
-    log_parts = []
+    # neither the seen set nor the fetch history is materialized here:
+    # the driver hands the per-wave delta paths to the shard actors, each
+    # of which reads and absorbs only its own slice, and reads the
+    # fetch-log files only when asked to collect the log — resume cost
+    # on the driver is O(#waves) paths, independent of crawl history size
+    paths: dict[str, list[str]] = {
+        "fetchlog": [], "seen_delta": [], "content_delta": []
+    }
     for w in range(wave + 1):
-        wd = _wave_dir(base, w)
-        p = os.path.join(wd, "fetchlog.parquet")
-        if os.path.exists(p):
-            log_parts.append(pq.read_table(p))
-        sd = os.path.join(wd, "seen_delta.parquet")
-        if os.path.exists(sd):
-            seen_delta_paths.append(sd)
-        cd = os.path.join(wd, "content_delta.parquet")
-        if os.path.exists(cd):
-            content_delta_paths.append(cd)
-    fetch_log = (
-        pa.concat_tables(log_parts) if log_parts else FETCHLOG_SCHEMA.empty_table()
-    )
+        for name, found in paths.items():
+            p = os.path.join(_wave_dir(base, w), f"{name}.parquet")
+            if os.path.exists(p):
+                found.append(p)
     return {
         "manifest": manifest,
         "frontier": frontier,
-        "seen_delta_paths": seen_delta_paths,  # per-wave delta files
-        "content_delta_paths": content_delta_paths,  # dedup_content crawls
+        "seen_delta_paths": paths["seen_delta"],  # per-wave delta files
+        "content_delta_paths": paths["content_delta"],  # dedup_content crawls
         "policy": policy,
-        "fetch_log": fetch_log,
+        "fetch_log_paths": paths["fetchlog"],  # per-wave fetch logs
+        # from the parquet footers: no log row is read
+        "fetch_log_rows": sum(
+            pq.read_metadata(p).num_rows for p in paths["fetchlog"]
+        ),
         "seq": manifest["seq"],
     }
 

@@ -356,9 +356,12 @@ class SpilledRuns:
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized membership over all runs: per run, only the keys its
         filter admits go on; each is routed to its row group via the fence
-        index, only the row groups that received keys are read, and a
-        binary search inside decides. Returns a bool mask aligned with
+        index, only the row groups that received keys are read, and an
+        Arrow ``is_in`` against the row group's column decides (its keys
+        never become Python strings). Returns a bool mask aligned with
         ``keys``."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
         found = np.zeros(len(keys), dtype=bool)
@@ -378,12 +381,10 @@ class SpilledRuns:
             pf = pq.ParquetFile(run["path"])
             for g in groups:
                 sel = gated[rg == g]
-                block = np.asarray(
-                    pf.read_row_group(int(g), columns=["surt"])["surt"].to_pylist(),
-                    dtype=object,
-                )
-                pos = np.minimum(np.searchsorted(block, keys[sel]), len(block) - 1)
-                found[sel] = block[pos] == keys[sel]
+                block = pf.read_row_group(int(g), columns=["surt"])["surt"]
+                found[sel] = pc.is_in(
+                    pa.array(keys[sel], pa.string()), value_set=block.combine_chunks()
+                ).to_numpy(zero_copy_only=False)
         return found
 
     def all_keys(self) -> list[str]:
@@ -526,10 +527,23 @@ class KeySpace:
         return n
 
 
+def _slices(refs: list, bounds: list) -> list:
+    """One shard's rows of blocks that their producer sorted by shard:
+    rows ``start:stop`` (this shard's ``bounds`` entry) of each table
+    behind ``refs``, as zero-copy slices; empty slices are skipped. A
+    list argument is not auto-dereferenced by Ray, so the plasma reads
+    happen here."""
+    import ray
+
+    return [
+        t.slice(a, b - a) for t, (a, b) in zip(ray.get(list(refs)), bounds) if b > a
+    ]
+
+
 class SeenSet:
     """One shard's seen state for both key spaces of a crawl, so one
     actor per shard serves both: the URL space (SURT keys — ``add_if_new``,
-    ``contains`` and the wave candidates' ``finalize_wave``) and the
+    ``contains`` and the wave candidates' ``finalize_wave_split``) and the
     content space (payload hashes — the duplicate-content
     ``gate_first_seen``). Each space is its own :class:`KeySpace` (exact
     set, plus a spill tier under its own directory when a threshold is
@@ -538,15 +552,17 @@ class SeenSet:
     key, so a crawl without the content gate leaves no content spill
     directory.
 
-    Besides point membership, a shard resolves WAVE CANDIDATES: the
-    driver routes candidate blocks to it by reference
-    (``accept_routed_many``; keys pre-routed by ``shard_of``), and at the
-    wave barrier ``finalize_wave`` sorts the shard's candidates by the
-    pinned global order key (parent host, parent slot, link rank), takes
-    the first occurrence of each unseen SURT, and returns the winner
-    rows. The driver then only merges per-shard winner order keys to
-    assign global ``seq`` numbers — candidate URL strings never cross
-    the driver except as winners."""
+    Besides point membership, a shard resolves WAVE CANDIDATES in one
+    call per wave, ``finalize_wave_split``: the driver hands it every
+    candidate block of the wave by reference (each block sorted by
+    ``shard_of`` in its fetch task, so the shard takes a zero-copy
+    slice), plus the content gate's loser tables; the shard drops the
+    losers' candidates, sorts the rest by the pinned global order key
+    (parent host, parent slot, link rank), takes the first occurrence of
+    each unseen SURT, and returns the winner rows. A content-gated wave
+    makes one ``gate_first_seen`` call per shard before it. Range tasks
+    then merge per-shard winners to assign global ``seq`` numbers —
+    candidate URL strings never cross the driver except as winners."""
 
     def __init__(
         self,
@@ -584,69 +600,67 @@ class SeenSet:
     def contains(self, keys: list[str]) -> list[bool]:
         return self._url.contains(keys)
 
-    def accept(self, wave: int, tbl) -> int:
-        """Buffer a candidate table chunk for ``wave``. Columns: url,
-        surt, host, priority, hop, order_host, order_slot, order_rank."""
-        self._pending.setdefault(wave, []).append(tbl)
-        return tbl.num_rows
-
     def accept_routed_many(self, wave: int, refs: list, bounds: list) -> int:
-        """Batched delivery: ONE actor call per shard per wave. ``refs``
-        is the wave's full list of shared candidate-block ObjectRefs (a
-        list argument is not auto-dereferenced by Ray, so the plasma reads
-        happen here — still zero-copy). ``bounds`` carries this shard's
-        (start, stop) slice per block (the split task sorts each block by
-        shard), so taking our rows is a zero-copy SLICE."""
+        """Buffer this shard's candidates of ``wave``: its slice of each
+        shared candidate block in ``refs`` (:func:`_slices`). Columns:
+        url, surt, host, priority, hop, order_host, order_slot,
+        order_rank. Returns the number of rows taken."""
+        mine = _slices(refs, bounds)
+        self._pending.setdefault(wave, []).extend(mine)
+        return sum(t.num_rows for t in mine)
+
+    def finalize_wave_split(
+        self, wave: int, refs: list, bounds: list, loser_refs: list,
+        want_surts: bool, n_samples: int,
+    ):
+        """The wave's one discovery call on this shard: take this shard's
+        candidates (:meth:`accept_routed_many` of ``refs``/``bounds``),
+        drop those whose parent fetch ``(order_host, order_slot)`` is a
+        duplicate-content loser in any of ``loser_refs`` (every shard's
+        :meth:`gate_first_seen` losers: a duplicate page discovers
+        nothing), sort by the pinned global order key (parent host,
+        parent slot, link rank), and keep the first occurrence of each
+        unseen SURT, adding it to the URL space.
+
+        Returns ``(winners, small)``: the winner table (order columns
+        kept, so range tasks can merge shards for seq assignment; None
+        when empty) and the small dict the DRIVER blocks on (count
+        ``n``, unique ``hosts``, the SURT delta when ``want_surts``, and
+        evenly spaced ``order_host`` ``samples`` for range-boundary
+        selection)."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
         import ray
 
-        total = 0
-        for tbl, (start, stop) in zip(ray.get(list(refs)), bounds):
-            if stop > start:
-                self.accept(wave, tbl.slice(start, stop - start))
-                total += stop - start
-        return total
-
-    def finalize_wave(self, wave: int):
-        """Wave barrier: sort this shard's candidates by the global order
-        key, keep the first occurrence of each unseen SURT (adding it to
-        the seen set), and return the winner table (order columns kept so
-        the driver can merge shards for seq assignment)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
+        self.accept_routed_many(wave, refs, bounds)
         chunks = self._pending.pop(wave, [])
-        if not chunks:
-            return None
-        t = pa.concat_tables(chunks)
-        t = t.take(
-            pc.sort_indices(
-                t,
-                sort_keys=[
-                    ("order_host", "ascending"),
-                    ("order_slot", "ascending"),
-                    ("order_rank", "ascending"),
-                ],
+        losers = [t for t in ray.get(list(loser_refs)) if t.num_rows]
+        w = None
+        if chunks:
+            t = pa.concat_tables(chunks)
+            if losers:
+                parents = pa.concat_tables(losers).rename_columns(
+                    ["order_host", "order_slot"]
+                )
+                t = t.join(
+                    parents, keys=["order_host", "order_slot"], join_type="left anti"
+                )
+            t = t.take(
+                pc.sort_indices(
+                    t,
+                    sort_keys=[
+                        ("order_host", "ascending"),
+                        ("order_slot", "ascending"),
+                        ("order_rank", "ascending"),
+                    ],
+                )
             )
-        )
-        # the table is sorted by the pinned order key, so a SURT's first
-        # occurrence is the correct one
-        mask = self._url.first_new(t["surt"].to_pylist())
-        w = t.filter(pa.array(mask, pa.bool_()))
-        return w if w.num_rows else None
-
-    def finalize_wave_split(self, wave: int, want_surts: bool, n_samples: int):
-        """Two-object finalize for the parallel winners merge: (winners
-        table, small dict). The small dict carries everything the DRIVER
-        needs (count, unique hosts, optional SURT delta, and evenly-spaced
-        ``order_host`` samples for range-boundary selection) so the heavy
-        merge/sort/partition can run in range-parallel tasks off the
-        driver's critical path."""
-        w = self.finalize_wave(wave)
-        if w is None:
+            # the table is sorted by the pinned order key (unique per
+            # candidate), so a SURT's first occurrence is the correct one
+            mask = self._url.first_new(t["surt"].to_pylist())
+            w = t.filter(pa.array(mask, pa.bool_()))
+        if w is None or w.num_rows == 0:
             return None, {"n": 0, "hosts": [], "surts": [], "samples": []}
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         oh = w["order_host"]
         idx = np.linspace(0, w.num_rows - 1, num=min(n_samples, w.num_rows))
         samples = oh.take(pa.array(idx.astype(np.int64))).to_pylist()
@@ -657,17 +671,15 @@ class SeenSet:
             "samples": samples,
         }
 
-    def gate_first_seen(
-        self, refs: list, shard_id: int, want_keys: bool = False
-    ):
+    def gate_first_seen(self, refs: list, bounds: list, want_keys: bool = False):
         """Content-seen gate (wave barrier of the duplicate-content
         rule): ``refs`` are the wave's per-block gate tables — columns
-        ``key`` (content hash), ``host``, ``slot``, ``shard`` — shared
-        by reference with every shard (same delivery shape as
-        ``accept_routed_many``). This shard takes its ``shard`` rows,
-        sorts them by the pinned global fetch order (host, slot), keeps
-        the FIRST occurrence of each key not already in the content
-        space (adding it — hot set, spill as configured), and
+        ``key`` (content hash), ``host``, ``slot`` — each sorted by shard
+        and shared by reference with every shard; ``bounds`` are this
+        shard's slices (:func:`_slices`, the candidates' delivery shape).
+        The shard sorts its rows by the pinned global fetch order (host,
+        slot), keeps the FIRST occurrence of each key not already in the
+        content space (adding it — hot set, spill as configured), and
         returns ``(losers, small)``: ``losers`` is the (host, slot) table
         of suppressed rows (duplicate content ⇒ the row contributes no
         candidates), ``small`` carries the newly seen keys when
@@ -676,14 +688,8 @@ class SeenSet:
         shard, and first-wins is per-key."""
         import pyarrow as pa
         import pyarrow.compute as pc
-        import ray
 
-        mine = []
-        for tbl in ray.get(list(refs)):
-            if tbl.num_rows:
-                part = tbl.filter(pc.equal(tbl["shard"], shard_id))
-                if part.num_rows:
-                    mine.append(part)
+        mine = _slices(refs, bounds)
         if not mine:
             empty = pa.table(
                 {"host": pa.array([], pa.string()), "slot": pa.array([], pa.int32())}
@@ -696,7 +702,7 @@ class SeenSet:
             )
         )
         keys = t["key"].to_pylist()
-        first_new = self._space("content").first_new(keys)
+        first_new = self._content.first_new(keys)
         new = [k for k, m in zip(keys, first_new) if m]
         # a row loses when its key was seen before it in the pinned
         # order: everything except the first-new rows of unseen keys
@@ -810,17 +816,37 @@ class SeenShardPool:
         gate blocks to them by reference."""
         return self._shards
 
-    def finalize_wave_split(
-        self, wave: int, want_surts: bool, n_samples: int = 33
+    def gate_first_seen(
+        self, refs: list, bounds: list, want_keys: bool
     ) -> tuple[list, list]:
-        """(winner_table_refs, small_dict_refs) per shard: the tables stay
-        remote for the range-parallel merge; the smalls are what the
-        driver blocks on (counts, hosts, samples, optional SURT delta)."""
+        """(loser_table_refs, small_dict_refs): one ``gate_first_seen``
+        call per shard over the wave's gate blocks ``refs``, whose
+        per-block ``bounds`` (``n_shards + 1`` offsets each) give every
+        shard its slice."""
+        pairs = [
+            s.gate_first_seen.options(num_returns=2).remote(
+                refs, [(b[i], b[i + 1]) for b in bounds], want_keys
+            )
+            for i, s in enumerate(self._shards)
+        ]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    def finalize_wave_split(
+        self, wave: int, refs: list, bounds: list, loser_refs: list,
+        want_surts: bool, n_samples: int = 33,
+    ) -> tuple[list, list]:
+        """(winner_table_refs, small_dict_refs): one ``finalize_wave_split``
+        call per shard over the wave's candidate blocks ``refs`` (sliced
+        by their per-block ``bounds``, as in :meth:`gate_first_seen`) and
+        the gate's ``loser_refs``. The tables stay remote for the
+        range-parallel merge; the smalls are what the driver blocks on
+        (counts, hosts, samples, optional SURT delta)."""
         pairs = [
             s.finalize_wave_split.options(num_returns=2).remote(
-                wave, want_surts, n_samples
+                wave, refs, [(b[i], b[i + 1]) for b in bounds], loser_refs,
+                want_surts, n_samples,
             )
-            for s in self._shards
+            for i, s in enumerate(self._shards)
         ]
         return [p[0] for p in pairs], [p[1] for p in pairs]
 
