@@ -430,8 +430,10 @@ def test_keyed_fold_matches_pandas_groupby(ray_session):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
+    from webarchive_discovery_ray.functions import bucketing
     from webarchive_discovery_ray.functions.bucketing import keyed_fold, sum_in_bucket
 
     rng = np.random.default_rng(7)
@@ -460,6 +462,23 @@ def test_keyed_fold_matches_pandas_groupby(ray_session):
         ds, sum_in_bucket("s", "v"), "s", rows=arrow_partial, batch_format="pyarrow"
     ).to_pandas()
     pd.testing.assert_frame_equal(norm(got_s, ["s"]), norm(want_s, ["s"]))
+
+    # a materialized input is partialled and tagged inside the fold task,
+    # which counts the same bytes as the map_batches it replaces
+    m = ds.materialize()
+    got_m = keyed_fold(
+        m, sum_in_bucket("s", "v"), "s", rows=arrow_partial, batch_format="pyarrow"
+    ).to_pandas()
+    pd.testing.assert_frame_equal(norm(got_m, ["s"]), norm(want_s, ["s"]))
+    n_b = bucketing.default_buckets()
+    tag = (arrow_partial, "s", n_b, "pyarrow")
+    want_bytes = bucketing._bucketed(
+        m, "s", n_b, rows=arrow_partial, batch_format="pyarrow"
+    ).materialize().size_bytes()
+    gen = bucketing._fold_task.remote(
+        sum_in_bucket("s", "v"), want_bytes + 1, [(bucketing._block_refs(m), tag)]
+    )
+    assert ray.get(next(gen)) == ("one_task", want_bytes)
 
     # keyed join: each k's label meets all of its rows in one fold call
     labels = pd.DataFrame({"k": np.arange(300), "label": np.arange(300) % 7})
@@ -491,10 +510,23 @@ def test_keyed_fold_empty_upstream_returns_declared_schema(ray_session):
         expr="k > 10"
     )
     schema = {"k": "int64", "v": "int64"}
-    out = keyed_fold(empty, sum_in_bucket("k", "v"), "k", empty=schema).to_pandas()
-    assert len(out) == 0
-    if len(out.columns):  # a fully-empty result may surface with no blocks
-        assert {c: str(t) for c, t in out.dtypes.items()} == schema
+
+    def partial(frame: pd.DataFrame) -> pd.DataFrame:
+        return frame[["k", "v"]]  # KeyError on a zero-column block
+
+    # lazy, materialized (tagged in the fold task) and a zero-row source
+    for ds in (empty, empty.materialize(), rd.from_pandas(pd.DataFrame())):
+        out = keyed_fold(ds, sum_in_bucket("k", "v"), "k", rows=partial, empty=schema)
+        out = out.to_pandas()
+        assert len(out) == 0
+        if len(out.columns):  # a fully-empty result may surface with no blocks
+            assert {c: str(t) for c, t in out.dtypes.items()} == schema
+    # empty blocks among full ones: the partial never sees them
+    mixed = rd.from_pandas(
+        [pd.DataFrame(), pd.DataFrame({"k": [1, 1, 2], "v": [3, 4, 5]}), pd.DataFrame()]
+    )
+    out = keyed_fold(mixed, sum_in_bucket("k", "v"), "k", rows=partial, empty=schema)
+    assert sorted(zip(*out.to_pandas()[["k", "v"]].to_numpy().T)) == [(1, 7), (2, 5)]
 
 # --- anchor-text assembly (functions/htmlscan.anchor_texts) -------------------
 
@@ -690,22 +722,35 @@ def test_keyed_fold_small_input_runs_in_one_worker_task(ray_session):
 
 
 def test_keyed_fold_at_the_size_constant_takes_the_exchange(ray_session, monkeypatch):
-    """An input at or above TARGET_BLOCK_BYTES runs the groupby/map_groups
+    """Tagged rows at or above TARGET_BLOCK_BYTES run the groupby/map_groups
     exchange (a lazy Dataset), and a small-state loop is left to its
-    distributed rounds."""
+    distributed rounds. The rule reads the TAGGED rows: a materialized
+    input below the constant whose partial grows past it (tagged in the
+    fold task) takes the exchange too, with the one-task path's rows."""
     import pandas as pd
     import ray.data as rd
 
     from webarchive_discovery_ray.functions import bucketing
 
     ds = rd.from_pandas(pd.DataFrame({"k": range(200), "v": 1}))
-    size = bucketing.bucketed(ds, "k").materialize().size_bytes()
+    n_b = bucketing.default_buckets()
     fold = bucketing.sum_in_bucket("k", "v")
-    monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size)
-    out = bucketing.keyed_fold(ds, fold, "k")
-    assert not isinstance(out, rd.dataset.MaterializedDataset)
-    assert sorted(out.to_pandas()["k"]) == list(range(200))
-    assert bucketing.in_one_task(len, bucketing.bucketed(ds, "k")) is None
-    monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size + 1)
-    out = bucketing.keyed_fold(ds, fold, "k")
-    assert isinstance(out, rd.dataset.MaterializedDataset) and out.num_blocks() == 1
+
+    def doubled(frame: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([frame, frame], ignore_index=True)
+
+    for rows, want in ((None, [1] * 200), (doubled, [2] * 200)):
+        for source in (ds, ds.repartition(3)):  # tagged in the task / by map_batches
+            size = bucketing._bucketed(source, "k", n_b, rows=rows).materialize().size_bytes()
+            assert ds.size_bytes() < size
+            monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size)
+            out = bucketing.keyed_fold(source, fold, "k", rows=rows)
+            assert not isinstance(out, rd.dataset.MaterializedDataset)
+            got = out.to_pandas().sort_values("k")
+            assert got["k"].tolist() == list(range(200)) and got["v"].tolist() == want
+            tagged = bucketing._bucketed(source, "k", n_b, rows=rows)
+            assert bucketing.in_one_task(len, tagged) is None
+            monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size + 1)
+            out = bucketing.keyed_fold(source, fold, "k", rows=rows)
+            assert isinstance(out, rd.dataset.MaterializedDataset) and out.num_blocks() == 1
+            assert out.to_pandas().sort_values("k")["v"].tolist() == want

@@ -1170,6 +1170,36 @@ def test_exact_substring_spans_lemma(ray_session, tmp_path):
     assert (3, 7, 52) in d3 and (3, 61, 106) in d3
 
 
+def test_curate_passes_run_two_executions_each(ray_session, tmp_path, monkeypatch):
+    """Below the size rule a corpus pass is its read, its fold tasks and
+    its write: minhash, paragraph dedup, exact substring and BPE each
+    start exactly two Ray Data executions, write_parquet included."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from webarchive_discovery_ray.pipelines.dedup import (
+        exact_substring_spans,
+        minhash_lsh_pairs,
+        paragraph_dedup,
+    )
+    from webarchive_discovery_ray.pipelines.textops import bpe_train
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    sf_dir = "/root/testdata/sf0.001"
+    got = {}
+    for fn in (minhash_lsh_pairs, paragraph_dedup, exact_substring_spans, bpe_train):
+        calls.clear()
+        fn(sf_dir).write_parquet(str(tmp_path / fn.__name__))
+        got[fn.__name__] = len(calls)
+    assert got == dict.fromkeys(got, 2)
+
+
 def test_interleaved_pack_token_budget(ray_session):
     """Packing over interleaved text+media spans: text spans count their
     whitespace tokens, each media span charges the fixed vision-token

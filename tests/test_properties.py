@@ -1445,13 +1445,16 @@ def test_unigram_train_learns_frequent_words(ray_session, tmp_path):
     one_key=st.booleans(),
     top1=st.booleans(),
     n_blocks=st.integers(1, 4),
+    materialized=st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
-def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks):
+def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks, materialized):
     """The one-task fold and the groupby/map_groups exchange yield the
     same rows (as a sorted multiset) on random keys, on a single bucket
     (every row one key), on empty input, and for a per-bucket top-1
-    fold, whose result depends on the bucket boundaries."""
+    fold, whose result depends on the bucket boundaries; on a lazy input
+    (tagged by map_batches) and a materialized one (tagged in the fold
+    task)."""
     import ray.data as rd
 
     from webarchive_discovery_ray.functions import bucketing
@@ -1464,6 +1467,8 @@ def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks):
     ds = rd.from_pandas(df)
     if len(df):
         ds = ds.repartition(n_blocks)
+    if materialized:
+        ds = ds.materialize()
 
     def top1_fold(frame: pd.DataFrame) -> pd.DataFrame:
         g = frame.groupby("k", sort=False)["v"].sum().reset_index()

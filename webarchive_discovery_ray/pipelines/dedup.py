@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.bucketing import bucketed, coalesce_blocks, keyed_fold, typed_empty
+from ..functions.bucketing import coalesce_blocks, keyed_fold, typed_empty
 from ..sources.io import read_table
 
 __all__ = [
@@ -218,7 +218,7 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
         indicator) + ordered join rebuilds the text.
 
     Columns: doc_id, n_paras, n_kept, text."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
 
     def para_rows(df: pd.DataFrame) -> list[np.ndarray | list]:
         """Shared explode: per-doc non-overlapping windows → flat
@@ -529,8 +529,11 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.3):
        side referencing a co-located doc (the corpus streams through this
        ONE shuffle; unreferenced texts drop there);
     2. pass B keys both halves by bucket(pair) and computes the exact
-       3-gram Jaccard — candidate-bounded data only."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+       3-gram Jaccard — candidate-bounded data only.
+
+    The corpus is read once and materialized: both the candidate stage
+    and pass A take it."""
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     distinct_pairs = _lsh_candidate_pairs(ds)
     return _attach_verify_jaccard(ds, distinct_pairs, threshold)
 
@@ -605,8 +608,7 @@ def _lsh_candidate_pairs(ds, cross_parity: bool = False):
             {"doc_a": m["doc_id_x"].to_numpy(), "doc_b": m["doc_id_y"].to_numpy()}
         )
 
-    bands = ds.map_batches(to_bands, batch_format="pyarrow")
-    raw_pairs = keyed_fold(bands, pairs_in_bucket, "band")
+    raw_pairs = keyed_fold(ds, pairs_in_bucket, "band", rows=to_bands, batch_format="pyarrow")
 
     # No standalone distinct pass: a pair rediscovered in k band buckets
     # emits k copies, but every copy of (pair, side) lands in the SAME
@@ -640,7 +642,7 @@ def cross_minhash_dedup(sf_dir: str, threshold: float = 0.3):
     snapshot near-dups), best_match (min matching snapshot doc_id).
     SQL-oracle-checked (the full splitmix64/UHUGEINT minhash mirror
     with the parity join filter)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = _lsh_candidate_pairs(ds, cross_parity=True)
     verified = _attach_verify_jaccard(ds, pairs, threshold)
 
@@ -699,8 +701,8 @@ def _attach_pair_texts(ds, distinct_pairs):
     shuffle discipline: pass A keys corpus texts by bucket(doc_id) and
     each pair SIDE by bucket(its doc) -- the in-bucket merge attaches
     the text to every side referencing a co-located doc (texts of
-    unreferenced docs drop there, the semi-join's effect); the returned
-    dataset is tagged by bucket(pair) so one more ``keyed_fold(..., None)``
+    unreferenced docs drop there, the semi-join's effect); the verify
+    fold that follows keys the result by :func:`_pair_key`, which
     co-locates a pair's two sides (side==1 carries doc_a's text, side==2
     doc_b's). The corpus text streams through pass A once; the output
     ships only candidate-bounded data. Exact (pair, side) dedup happens
@@ -743,12 +745,10 @@ def _attach_pair_texts(ds, distinct_pairs):
         m = sides.merge(texts, on="key", how="inner")
         return m[["doc_a", "doc_b", "side", "text"]].copy()
 
-    tagged = (
-        bucketed(ds, "key", rows=tag_texts)
-        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_a", 1)))
-        .union(bucketed(distinct_pairs, "key", rows=tag_side("doc_b", 2)))
+    return keyed_fold(
+        (ds, distinct_pairs, distinct_pairs), attach_in_bucket, "key",
+        rows=(tag_texts, tag_side("doc_a", 1), tag_side("doc_b", 2)),
     )
-    return bucketed(keyed_fold(tagged, attach_in_bucket, None), _pair_key)
 
 
 def _attach_verify_jaccard(ds, distinct_pairs, threshold: float):
@@ -775,7 +775,7 @@ def _attach_verify_jaccard(ds, distinct_pairs, threshold: float):
                 out.append({"doc_a": int(da), "doc_b": int(db), "jaccard": round(j, 6)})
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "jaccard"])
 
-    return keyed_fold(_attach_pair_texts(ds, distinct_pairs), verify_in_bucket, None)
+    return keyed_fold(_attach_pair_texts(ds, distinct_pairs), verify_in_bucket, _pair_key)
 
 
 def edit_distance_pairs(sf_dir: str):
@@ -806,7 +806,7 @@ def edit_distance_pairs(sf_dir: str):
     full candidate chain and verifies with its native ``levenshtein``."""
     from ..functions.fuzzy import levenshtein_bytes
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = _lsh_candidate_pairs(ds)
 
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -838,7 +838,7 @@ def edit_distance_pairs(sf_dir: str):
             {"doc_a": "int64", "doc_b": "int64", "dist": "int64", "sim_ppm": "int64"}
         )
 
-    return keyed_fold(_attach_pair_texts(ds, pairs), verify_in_bucket, None)
+    return keyed_fold(_attach_pair_texts(ds, pairs), verify_in_bucket, _pair_key)
 
 
 def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
@@ -1419,10 +1419,10 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
             {"key": src.to_numpy(), "dst": dst.to_numpy(), "label": np.int64(-1)}
         )
 
-    # edge rows: (key=src, dst, label=-1, bucket(src)); label rows ride
-    # along with dst = -1 (doc ids are non-negative, so the markers need
-    # no nulls and everything stays int64)
-    edges = bucketed(pairs_ds, "key", rows=both_dirs, batch_format="pyarrow").materialize()
+    # edge rows: (key=src, dst, label=-1), bucketed by src in each round;
+    # label rows ride along with dst = -1 (doc ids are non-negative, so
+    # the markers need no nulls and everything stays int64)
+    edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
     # row-aware block pinning: upstream bucketed passes leave the (tiny,
     # candidate-bounded) pair table scattered over dozens of near-empty
     # blocks, and every per-iteration sort would schedule over all of
@@ -1532,9 +1532,11 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
             )
         # label columns: edges carry no label — pandas aligns on concat in
         # the grouped pass, so tag label rows with the full column set
-        routed = edges.union(bucketed(doubled, "key", rows=tag_labels))
+        routed = keyed_fold(
+            (edges, doubled), propagate_in_bucket, "key", rows=(None, tag_labels)
+        )
         agg = (
-            keyed_fold(keyed_fold(routed, propagate_in_bucket, None), minmax_in_bucket, "doc_id")
+            keyed_fold(routed, minmax_in_bucket, "doc_id")
             .repartition(n_label_blocks)
             .materialize()
         )
@@ -1743,7 +1745,7 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
             }
         )
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     positions = keyed_fold(ds, dup_positions, "h", rows=windows, batch_format="pyarrow")
     return keyed_fold(positions, merge_islands, "doc_id")
 

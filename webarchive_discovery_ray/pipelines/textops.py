@@ -1177,7 +1177,7 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
     the oracle is a sequential recompute rendered as VALUES."""
     import ray.data as rd
 
-    ds = read_table(sf_dir, "documents", columns=["text"])
+    ds = read_table(sf_dir, "documents", columns=["text"]).materialize()
 
     def word_fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("word", sort=False)["n"].sum().reset_index()

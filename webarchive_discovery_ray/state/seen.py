@@ -251,17 +251,21 @@ def _cuckoo_buckets(n_keys: int) -> int:
 
 
 class _RunFilter:
-    """The probe gate of one spill run, built once from the run's keys: a
-    cuckoo filter sized to them, plus a Bloom filter sized from the same
-    count for the keys the cuckoo could not place (None when it placed
-    them all)."""
+    """The probe gate of one spill run of ``n_keys`` keys, filled once
+    with them (in slices, in key order): a cuckoo filter sized to them,
+    plus a Bloom filter sized from the same count for the keys the cuckoo
+    could not place (None while it placed them all)."""
 
-    def __init__(self, keys):
-        self.cuckoo = CuckooFilter(n_buckets=_cuckoo_buckets(len(keys)))
-        overflow = [k for k, ok in zip(keys, self.cuckoo.add_many(keys)) if not ok]
+    def __init__(self, n_keys: int):
+        self.cuckoo = CuckooFilter(n_buckets=_cuckoo_buckets(n_keys))
         self.bloom = None
+        self._bloom_bits = 16 * n_keys
+
+    def add_many(self, keys: list[str]) -> None:
+        overflow = [k for k, ok in zip(keys, self.cuckoo.add_many(keys)) if not ok]
         if overflow:
-            self.bloom = BloomFilter(n_bits=16 * len(keys))
+            if self.bloom is None:
+                self.bloom = BloomFilter(n_bits=self._bloom_bits)
             self.bloom.add_many(overflow)
 
     def might_contain_many(self, keys, fp: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -272,6 +276,16 @@ class _RunFilter:
                 (self.bloom.might_contain(k) for k in keys), dtype=bool, count=len(keys)
             )
         return hit
+
+
+def _sorted(parts: list):
+    """The Arrow string arrays ``parts`` as one sorted array: byte order
+    of UTF-8, which is the code-point order of Python's ``str`` sort."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    keys = pa.concat_arrays(parts)
+    return keys.take(pc.sort_indices(keys))
 
 
 class SpilledRuns:
@@ -289,9 +303,11 @@ class SpilledRuns:
     IO is one row group per hit range.
 
     Tiered compaction: when the run count exceeds ``max_runs``, all runs
-    merge into one (numpy sorted merge of disjoint sorted arrays =
-    concatenate + sort) — classic LSM amortisation, O(n log n) total
-    write volume over a shard's lifetime."""
+    merge into one (Arrow concatenate + ``sort_indices`` of disjoint
+    sorted runs) — classic LSM amortisation, O(n log n) total write
+    volume over a shard's lifetime. Runs are read, merged and sorted as
+    Arrow string arrays and written one row group at a time, so at most
+    one row group of a run's keys is ever a list of Python strings."""
 
     def __init__(self, spill_dir: str, fence_every: int = 4096, max_runs: int = 8):
         self.spill_dir = spill_dir
@@ -309,22 +325,30 @@ class SpilledRuns:
     def n_runs(self) -> int:
         return len(self._runs)
 
-    def _write_run(self, sorted_keys: np.ndarray) -> dict:
+    def _write_run(self, keys) -> dict:
+        """A new run of the Arrow string array ``keys``, sorted: one row
+        group of ``fence_every`` keys at a time, each row group's first
+        key its fence and its keys added to the run's filter."""
         import pyarrow as pa
         import pyarrow.parquet as pq
 
         path = os.path.join(self.spill_dir, f"run_{self._next_id:06d}.parquet")
         self._next_id += 1
-        pq.write_table(
-            pa.table({"surt": pa.array(sorted_keys, type=pa.string())}),
-            path,
-            row_group_size=self.fence_every,
-        )
+        table = pa.table({"surt": keys})
+        run_filter = _RunFilter(len(keys))
+        fences = []
+        with pq.ParquetWriter(path, table.schema) as writer:
+            for lo in range(0, len(keys), self.fence_every):
+                group = table.slice(lo, self.fence_every)
+                writer.write_table(group, row_group_size=self.fence_every)
+                group_keys = group["surt"].to_pylist()
+                fences.append(group_keys[0])
+                run_filter.add_many(group_keys)
         return {
             "path": path,
-            "fences": sorted_keys[:: self.fence_every].copy(),
-            "filter": _RunFilter(sorted_keys),
-            "n": len(sorted_keys),
+            "fences": np.asarray(fences, dtype=object),
+            "filter": run_filter,
+            "n": len(keys),
         }
 
     def spill(self, keys: set[str]) -> None:
@@ -332,26 +356,22 @@ class SpilledRuns:
         caller's invariant) as a new run; compact when over ``max_runs``
         (the merged run gets a fresh filter; the old ones go with their
         files)."""
+        import pyarrow as pa
+
         if not keys:
             return
-        arr = np.sort(np.asarray(list(keys), dtype=object))
+        parts = [pa.array(list(keys), pa.string())]
         if len(self._runs) + 1 > self.max_runs:
-            merged = np.sort(
-                np.concatenate([self._read_run(r) for r in self._runs] + [arr])
-            )
+            parts = [self._read_run(r) for r in self._runs] + parts
             for r in self._runs:
                 os.unlink(r["path"])
-            self._runs = [self._write_run(merged)]
-        else:
-            self._runs.append(self._write_run(arr))
+            self._runs = []
+        self._runs.append(self._write_run(_sorted(parts)))
 
-    def _read_run(self, run: dict) -> np.ndarray:
+    def _read_run(self, run: dict):
         import pyarrow.parquet as pq
 
-        return np.asarray(
-            pq.read_table(run["path"], columns=["surt"])["surt"].to_pylist(),
-            dtype=object,
-        )
+        return pq.read_table(run["path"], columns=["surt"])["surt"].combine_chunks()
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized membership over all runs: per run, only the keys its
@@ -392,9 +412,7 @@ class SpilledRuns:
         byte-parity read-back path."""
         if not self._runs:
             return []
-        return np.sort(
-            np.concatenate([self._read_run(r) for r in self._runs])
-        ).tolist()
+        return _sorted([self._read_run(r) for r in self._runs]).to_pylist()
 
     def clear(self) -> None:
         for r in self._runs:
