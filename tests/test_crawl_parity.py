@@ -408,19 +408,6 @@ def test_add_if_new_hashed_matches_plain_routing(ray_session):
     assert not any(b.add_if_new_hashed(keys, hashes))
 
 
-def test_bloom_add_many_equals_scalar_adds():
-    from webarchive_discovery_ray.state.seen import BloomFilter
-
-    keys = [f"key-{i}" for i in range(2000)]
-    a = BloomFilter(1 << 16)
-    b = BloomFilter(1 << 16)
-    for k in keys:
-        a.add(k)
-    b.add_many(keys)
-    assert (a.bits == b.bits).all()
-    assert all(b.might_contain(k) for k in keys)
-
-
 # --- closed crawl loop: round-2 signals drive the follow-up crawl -----------
 
 def _loop_captures_and_ranks():
@@ -570,6 +557,21 @@ def test_seen_spill_compaction_folds_runs(tmp_path):
     assert ss.contains(["com,h99)/nope"]) == [False]
 
 
+def test_seen_snapshot_merges_spilled_and_hot_keys(tmp_path):
+    """With keys both spilled and hot, the snapshot is the one sorted
+    list of both (code-point order, non-ASCII keys included), each key
+    once, also after re-adding spilled and hot keys."""
+    from webarchive_discovery_ray.state.seen import KeySpace
+
+    ks = KeySpace(spill_dir=str(tmp_path / "spill"), spill_threshold=50)
+    keys = [f"com,h{i % 13})/p{i}" + ("\u00e9" if i % 7 == 0 else "") for i in range(237)]
+    ks.first_new(keys[::-1])
+    ks.first_new(keys[:40] + ["org,late)/"])
+    st = ks.spill_stats()
+    assert st["spilled"] and st["hot"], st
+    assert ks.snapshot() == sorted(set(keys) | {"org,late)/"})
+
+
 def test_seen_spill_filter_negatives_read_no_row_group(tmp_path, monkeypatch):
     """Each spill run's filter gates its parquet IO: probing keys that no
     run's filter admits reads no row group, through ``contains`` and
@@ -589,7 +591,7 @@ def test_seen_spill_filter_negatives_read_no_row_group(tmp_path, monkeypatch):
     fp, h = _key_hashes(probe)
     admitted = np.zeros(len(probe), dtype=bool)
     for run in runs:
-        admitted |= run["filter"].might_contain_many(probe, fp, h)
+        admitted |= run["filter"].might_contain_many(fp, h)
     negatives = probe[~admitted].tolist()
     assert len(negatives) >= 390  # 16-bit fingerprints: ~0.06% per key here
 

@@ -2,11 +2,14 @@
 path. At their fixture sizes every ``keyed_fold`` and the BPE merge
 rounds run in one task; the ``exchange_path`` fixture forces them
 through ``groupby/map_groups`` and the per-round distributed loop
-instead, so both paths stay oracled."""
+instead, so both paths stay oracled. The SQL-oracled co-group queries
+rerun there too: their inputs have disjoint schemas, which travel the
+exchange packed and reach the fold one frame per input."""
 
 import pytest
 
-from tests import test_operators, test_properties, test_warc_reader
+from tests import test_driver_contract, test_operators, test_properties, test_warc_reader
+from tests.test_driver_contract import con  # noqa: F401 (fixture)
 
 RERUNS = {
     "bpe_train": test_properties.test_bpe_train_matches_sequential_and_tiebreak,
@@ -29,3 +32,21 @@ def test_oracle_on_exchange_path(exchange_path, ray_session, tmp_path, name):
     with pytest.MonkeyPatch.context() as mp:
         given = {"ray_session": ray_session, "tmp_path": tmp_path, "monkeypatch": mp}
         test(**{p: given[p] for p in inspect.signature(test).parameters})
+
+
+# co-grouped keyed folds (two or three inputs of different schemas)
+COGROUPS = [
+    "bloom_semi_join",
+    "host_hits",
+    "incremental_dedup",
+    "min_cost_supplier",
+    "outer_join_customer_orders",
+    "parts_supplier_census",
+]
+
+
+@pytest.mark.parametrize("name", COGROUPS)
+def test_cogroup_query_on_exchange_path(exchange_path, ray_session, con, name):  # noqa: F811
+    dc = test_driver_contract
+    got = dc._to_pandas(dc.QUERIES[name](dc.SF_DIR))
+    dc._compare(got, con.sql(dc.ORACLE_SQL[name]).df(), name)

@@ -470,31 +470,56 @@ def test_keyed_fold_matches_pandas_groupby(ray_session):
         m, sum_in_bucket("s", "v"), "s", rows=arrow_partial, batch_format="pyarrow"
     ).to_pandas()
     pd.testing.assert_frame_equal(norm(got_m, ["s"]), norm(want_s, ["s"]))
-    n_b = bucketing.default_buckets()
-    tag = (arrow_partial, "s", n_b, "pyarrow")
-    want_bytes = bucketing._bucketed(
-        m, "s", n_b, rows=arrow_partial, batch_format="pyarrow"
-    ).materialize().size_bytes()
+    tag = (arrow_partial, "s", bucketing.default_buckets(), "pyarrow")
+    want_bytes = bucketing._bucketed(m, tag).materialize().size_bytes()
     gen = bucketing._fold_task.remote(
-        sum_in_bucket("s", "v"), want_bytes + 1, [(bucketing._block_refs(m), tag)]
+        sum_in_bucket("s", "v"), want_bytes + 1, [(bucketing._block_refs(m), tag, None)]
     )
     assert ray.get(next(gen)) == ("one_task", want_bytes)
 
-    # keyed join: each k's label meets all of its rows in one fold call
+    # keyed join: each k's label meets all of its rows in one fold call,
+    # one frame per input with that input's own columns
     labels = pd.DataFrame({"k": np.arange(300), "label": np.arange(300) % 7})
 
-    def join(frame: pd.DataFrame) -> pd.DataFrame:
-        lab = frame[frame["label"] >= 0][["k", "label"]]
-        rows = frame[frame["label"] < 0][["k", "v"]]
-        return rows.merge(lab, on="k").groupby("label")["v"].sum().reset_index()
+    def join(rows: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        assert "label" not in rows and "v" not in lab
+        rows = rows[["k", "v"]]
+        return rows.merge(lab[["k", "label"]], on="k").groupby("label")["v"].sum().reset_index()
 
     joined = keyed_fold(
-        (ds, rd.from_pandas(labels)), join, "k",
-        rows=(lambda f: f[["k", "v"]].assign(label=-1), None),
+        (ds, rd.from_pandas(labels)), join, "k", rows=(lambda f: f[["k", "v"]], None),
     ).to_pandas()
     got_j = joined.groupby("label")["v"].sum().sort_index()
     want_j = df.merge(labels, on="k").groupby("label")["v"].sum().sort_index()
     assert got_j.tolist() == want_j.tolist()
+
+
+def test_keyed_fold_size_rule_repeats(ray_session):
+    """The size rule measures the same tagged rows to the same byte every
+    time, in the fold task and through map_batches: tagged rows are
+    Arrow tables, whose bytes are exact. (A pandas block with a text
+    column sizes itself from a random sample of 200 rows, so the same
+    rows measured differently from run to run.)"""
+    import numpy as np
+    import pandas as pd
+    import ray
+    import ray.data as rd
+
+    from webarchive_discovery_ray.functions import bucketing
+
+    rng = np.random.default_rng(11)
+    texts = ["x" * int(n) for n in rng.integers(1, 2000, 1500)]
+    m = rd.from_pandas(pd.DataFrame({"k": np.arange(1500), "t": texts})).materialize()
+    spec = (lambda f: f.copy(), "k", bucketing.default_buckets(), "pandas")
+
+    def in_task() -> int:
+        gen = bucketing._fold_task.remote(len, 1 << 40, [(bucketing._block_refs(m), spec, None)])
+        return ray.get(next(gen))[1]
+
+    lazy = [bucketing._bucketed(m, spec).materialize().size_bytes() for _ in range(3)]
+    task = [in_task() for _ in range(3)]
+    assert len(set(lazy)) == 1 and len(set(task)) == 1, (lazy, task)
+    assert sum(map(len, texts)) < task[0] < sum(map(len, texts)) + 1500 * 24
 
 
 def test_keyed_fold_empty_upstream_returns_declared_schema(ray_session):
@@ -741,14 +766,14 @@ def test_keyed_fold_at_the_size_constant_takes_the_exchange(ray_session, monkeyp
 
     for rows, want in ((None, [1] * 200), (doubled, [2] * 200)):
         for source in (ds, ds.repartition(3)):  # tagged in the task / by map_batches
-            size = bucketing._bucketed(source, "k", n_b, rows=rows).materialize().size_bytes()
+            size = bucketing._bucketed(source, (rows, "k", n_b, "pandas")).materialize().size_bytes()
             assert ds.size_bytes() < size
             monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size)
             out = bucketing.keyed_fold(source, fold, "k", rows=rows)
             assert not isinstance(out, rd.dataset.MaterializedDataset)
             got = out.to_pandas().sort_values("k")
             assert got["k"].tolist() == list(range(200)) and got["v"].tolist() == want
-            tagged = bucketing._bucketed(source, "k", n_b, rows=rows)
+            tagged = bucketing._bucketed(source, (rows, "k", n_b, "pandas"))
             assert bucketing.in_one_task(len, tagged) is None
             monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", size + 1)
             out = bucketing.keyed_fold(source, fold, "k", rows=rows)

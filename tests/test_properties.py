@@ -1446,15 +1446,22 @@ def test_unigram_train_learns_frequent_words(ray_session, tmp_path):
     top1=st.booleans(),
     n_blocks=st.integers(1, 4),
     materialized=st.booleans(),
+    other=st.sampled_from([None, "rows", "empty"]),
+    other_keys=st.lists(st.integers(0, 60), min_size=1, max_size=40),
 )
-@settings(max_examples=12, deadline=None)
-def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks, materialized):
+@settings(max_examples=16, deadline=None)
+def test_keyed_fold_paths_agree(
+    ray_session, keys, one_key, top1, n_blocks, materialized, other, other_keys
+):
     """The one-task fold and the groupby/map_groups exchange yield the
     same rows (as a sorted multiset) on random keys, on a single bucket
     (every row one key), on empty input, and for a per-bucket top-1
     fold, whose result depends on the bucket boundaries; on a lazy input
     (tagged by map_batches) and a materialized one (tagged in the fold
-    task)."""
+    task). With ``other``, a second input of another schema (a string
+    column, no ``v``) is co-grouped, with rows or with none at all: the
+    fold gets one frame per input, each with its own columns and int
+    dtypes, on both paths."""
     import ray.data as rd
 
     from webarchive_discovery_ray.functions import bucketing
@@ -1469,16 +1476,37 @@ def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks, mate
         ds = ds.repartition(n_blocks)
     if materialized:
         ds = ds.materialize()
+    side = pd.DataFrame(
+        {"k": np.array(other_keys, dtype="int64"), "w": [f"w{x}" for x in other_keys]}
+    )
+    if other == "empty":
+        side = side.iloc[:0]
 
     def top1_fold(frame: pd.DataFrame) -> pd.DataFrame:
         g = frame.groupby("k", sort=False)["v"].sum().reset_index()
         return g.sort_values(["v", "k"], ascending=[False, True], kind="mergesort").head(1)
 
-    fold = top1_fold if top1 else bucketing.sum_in_bucket("k", "v")
+    def cogroup_fold(frame: pd.DataFrame, words: pd.DataFrame) -> pd.DataFrame:
+        assert "w" not in frame and "v" not in words
+        assert frame["k"].dtype == "int64" and frame["v"].dtype == "int64"
+        if len(words):
+            assert words["k"].dtype == "int64" and words["w"].dtype == object
+        n = words.get("k", pd.Series([], dtype="int64")).value_counts()
+        g = frame.groupby("k", sort=False)["v"].sum()
+        ks = sorted(set(g.index) | set(n.index))
+        return pd.DataFrame(
+            {"k": ks, "v": [int(g.get(k, 0)) * 100 + int(n.get(k, 0)) for k in ks]},
+            dtype="int64",
+        )
+
+    if other:
+        fold, inputs = cogroup_fold, (ds, rd.from_pandas(side))
+    else:
+        fold, inputs = (top1_fold if top1 else bucketing.sum_in_bucket("k", "v")), ds
     empty = dict(k="int64", v="int64")
 
     def rows():
-        out = bucketing.keyed_fold(ds, fold, "k", empty=empty).to_pandas()
+        out = bucketing.keyed_fold(inputs, fold, "k", empty=empty).to_pandas()
         return sorted(zip(out["k"], out["v"])) if len(out) else []
 
     one_task = rows()
@@ -1489,6 +1517,9 @@ def test_keyed_fold_paths_agree(ray_session, keys, one_key, top1, n_blocks, mate
     finally:
         bucketing.TARGET_BLOCK_BYTES = saved
     assert one_task == exchange
-    if not top1:
+    if other:
+        want = df.groupby("k")["v"].sum().mul(100).add(side["k"].value_counts(), fill_value=0)
+        assert one_task == sorted((int(k), int(v)) for k, v in want.items())
+    elif not top1:
         want = df.groupby("k")["v"].sum()
         assert one_task == sorted(want.items())

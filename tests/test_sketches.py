@@ -15,11 +15,8 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_bloom_never_false_negative():
-    from webarchive_discovery_ray.pipelines.sketches import (
-        _BLOOM_BITS,
-        bloom_add,
-        bloom_contains,
-    )
+    from webarchive_discovery_ray.functions.hashing import bloom_add, bloom_contains
+    from webarchive_discovery_ray.pipelines.sketches import _BLOOM_BITS
 
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 2**62, size=5000)

@@ -745,8 +745,8 @@ def custdist(sf_dir: str):
     frequency counting family (A1, ``FrequencyCountingReducer.java``)
     lacks only because its inputs are single-table.
 
-    Shape: per-batch partial order counts by custkey + tagged customer
-    keys → ONE bucketed co-group on bucket(custkey) resolves exact
+    Shape: per-batch partial order counts by custkey + customer keys →
+    ONE bucketed co-group on bucket(custkey) resolves exact
     per-customer counts (zeros from the customer side) AND collapses to
     per-bucket (n_orders → n_customers) spectrum partials in the same
     group fn (the token_spectrum discipline — the exchange after the
@@ -765,28 +765,20 @@ def custdist(sf_dir: str):
             .rename(columns={"o_custkey": "key"})
         )
         g["n"] = g["n"].astype("int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g[["key", "n", "side"]]
+        return g[["key", "n"]]
 
-    def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "n": np.zeros(len(df), dtype="int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
+    def customer_keys(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"key": df["c_custkey"].astype("int64")})
 
-    def spectrum_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        cust_keys = df.loc[df["side"] == 1, "key"]
-        agg = df[df["side"] == 0].groupby("key", sort=False)["n"].sum()
-        per_cust = cust_keys.map(agg).fillna(0).astype("int64")
+    def spectrum_in_bucket(parts: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby("key", sort=False)["n"].sum()
+        per_cust = cust["key"].map(agg).fillna(0).astype("int64")
         spec = per_cust.value_counts().reset_index()
         spec.columns = ["n_orders", "n_customers"]
         return spec.astype({"n_orders": "int64", "n_customers": "int64"})
 
     parts = keyed_fold(
-        (orders, cust), spectrum_in_bucket, "key", rows=(order_partials, tag_customers),
+        (orders, cust), spectrum_in_bucket, "key", rows=(order_partials, customer_keys),
         empty=dict(n_orders="int64", n_customers="int64"),
     ).to_pandas()
     if not len(parts):
@@ -886,25 +878,15 @@ def promo_revenue(sf_dir: str):
             .sum()
             .reset_index()
         )
-        g["side"] = np.zeros(len(g), dtype="int64")
-        g["promo"] = np.zeros(len(g), dtype=bool)
         return g.astype({"key": "int64", "month": "int64", "c": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "key": df["p_partkey"].astype("int64"),
-                "month": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "side": np.ones(len(df), dtype="int64"),
-                "promo": (df["p_type"] == "PROMO").to_numpy(),
-            }
+            {"key": df["p_partkey"].astype("int64"), "promo": (df["p_type"] == "PROMO").to_numpy()}
         )
 
-    def attach_fold(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1][["key", "promo"]]
-        li_rows = df[df["side"] == 0][["key", "month", "c"]]
-        m = li_rows.merge(tags, on="key", how="inner")
+    def attach_fold(li_rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        m = li_rows[["key", "month", "c"]].merge(tags[["key", "promo"]], on="key", how="inner")
         if not len(m):
             return typed_empty(month="int64", promo_c="int64", total_c="int64")
         m["promo_c"] = np.where(m["promo"].to_numpy(), m["c"].to_numpy(), 0)
@@ -1035,11 +1017,9 @@ def order_priority_census(
             .max()
             .reset_index()
         )
-        g["pri"] = np.full(len(g), "", dtype=object)
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "d": "int64"})
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def window_orders(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[(df["o_orderdate"] >= lo_ts) & (df["o_orderdate"] < hi_ts)]
         key = keep["o_orderkey"].astype("int64")
         return pd.DataFrame(
@@ -1047,13 +1027,11 @@ def order_priority_census(
                 "key": key.to_numpy(),
                 "d": day_i64(keep["o_orderdate"].to_numpy()),
                 "pri": keep["o_orderpriority"].to_numpy(dtype=object),
-                "side": np.ones(len(keep), dtype="int64"),
             }
         )
 
-    def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        mx = df[df["side"] == 0].groupby("key", sort=False)["d"].max()
-        o = df[df["side"] == 1]
+    def census_in_bucket(parts: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        mx = parts.groupby("key", sort=False)["d"].max()
         late = o["key"].map(mx).to_numpy() > o["d"].to_numpy() + late_days
         o = o[np.nan_to_num(late, nan=False).astype(bool)]
         if not len(o):
@@ -1067,7 +1045,7 @@ def order_priority_census(
         return g.astype({"n_orders": "int64"})
 
     folded = keyed_fold(
-        (li, orders), census_in_bucket, "key", rows=(li_partials, tag_orders),
+        (li, orders), census_in_bucket, "key", rows=(li_partials, window_orders),
         empty=dict(o_orderpriority=str, n_orders="int64"),
     ).to_pandas()  # bounded: <= buckets x priorities tiny rows
     if not len(folded):
@@ -1119,22 +1097,18 @@ def open_orders_by_month(
             .max()
             .reset_index()
         )
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "d": "int64"})
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["o_orderkey"].astype("int64")
+    def order_days(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "key": key.to_numpy(),
+                "key": df["o_orderkey"].astype("int64").to_numpy(),
                 "d": day_i64(df["o_orderdate"].to_numpy()),
-                "side": np.ones(len(df), dtype="int64"),
             }
         )
 
-    def diff_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ms = df[df["side"] == 0].groupby("key", sort=False)["d"].max()
-        o = df[df["side"] == 1]
+    def diff_in_bucket(parts: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        ms = parts.groupby("key", sort=False)["d"].max()
         end = o["key"].map(ms)
         o = o.assign(end=end).dropna(subset=["end"])
         if not len(o):
@@ -1158,7 +1132,7 @@ def open_orders_by_month(
         )
 
     parts = keyed_fold(
-        (li, orders), diff_in_bucket, "key", rows=(li_partials, tag_orders),
+        (li, orders), diff_in_bucket, "key", rows=(li_partials, order_days),
         empty=dict(idx="int64", delta="int64"),
     ).to_pandas()  # bounded: <= buckets x months tiny rows
     total = np.zeros(len(grid_days), dtype="int64")

@@ -924,50 +924,17 @@ def recrawl_seed_list(captures, ranks):
 
     # schedule ⋈ latest-url by surt (same bucket hash), then host-keyed
     # co-group with the rank table — two exchanges, both candidate-sized
-    def tag_sched(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "surt_key": df["surt_key"],
-                "url": pd.Series([""] * len(df), dtype=object, index=df.index),
-                "next_fetch_s": df["next_fetch_s"].astype("int64"),
-            }
-        )
-
-    def tag_latest(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "surt_key": df["surt_key"],
-                "url": df["url"],
-                "next_fetch_s": np.full(len(df), -1, dtype="int64"),
-            }
-        )
-
-    def join_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["next_fetch_s"] >= 0][["surt_key", "next_fetch_s"]]
-        u = df[df["next_fetch_s"] < 0][["surt_key", "url"]]
-        m = s.merge(u, on="surt_key", how="inner")
+    def join_in_bucket(s: pd.DataFrame, u: pd.DataFrame) -> pd.DataFrame:
+        s = s[["surt_key", "next_fetch_s"]].astype({"next_fetch_s": "int64"})
+        m = s.merge(u[["surt_key", "url"]], on="surt_key", how="inner")
         m["host"] = _surt_to_host(m["surt_key"])
         return m
 
-    seeds = keyed_fold(
-        (sched, latest), join_in_bucket, "surt_key", rows=(tag_sched, tag_latest)
-    )
+    seeds = keyed_fold((sched, latest), join_in_bucket, "surt_key")
 
-    def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "surt_key": pd.Series([""] * len(df), dtype=object, index=df.index),
-                "next_fetch_s": np.full(len(df), -1, dtype="int64"),
-                "url": pd.Series([""] * len(df), dtype=object, index=df.index),
-                "host": df["host"],
-                "rank_r": df["rank_r"].astype("float64"),
-            }
-        )
-
-    def rank_join_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        r = df[df["surt_key"] == ""][["host", "rank_r"]]
-        s = df[df["surt_key"] != ""][["surt_key", "url", "host", "next_fetch_s"]]
-        m = s.merge(r, on="host", how="left")
+    def rank_join_in_bucket(s: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        r = r[["host", "rank_r"]].astype({"rank_r": "float64"})
+        m = s[["surt_key", "url", "host", "next_fetch_s"]].merge(r, on="host", how="left")
         rank = m["rank_r"].fillna(0.0).to_numpy()
         return pd.DataFrame(
             {
@@ -980,9 +947,7 @@ def recrawl_seed_list(captures, ranks):
             }
         )
 
-    joined = coalesce_blocks(keyed_fold(
-        (seeds, ranks), rank_join_in_bucket, "host", rows=(None, tag_rank)
-    ))
+    joined = coalesce_blocks(keyed_fold((seeds, ranks), rank_join_in_bucket, "host"))
 
     # global seed order: a range sort over candidate-bounded rows (the
     # seed list is one row per distinct SURT), then exact 1-based ranks
@@ -1252,10 +1217,11 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
         out = df.loc[~first, ["file", "offset"]]
         return out.astype({"offset": "int64"}).reset_index(drop=True)
 
-    def offsets_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # offset -1 is the every-file row; the rest are that file's losers
+    def offsets_in_bucket(losers: pd.DataFrame, files: pd.DataFrame) -> pd.DataFrame:
+        offs = {base: o.to_numpy() for base, o in losers.groupby("file")["offset"]}
+        none = np.empty(0, dtype="int64")
         return pd.DataFrame(
-            [(base, offs[offs >= 0].to_numpy()) for base, offs in df.groupby("file")["offset"]],
+            [(base, offs.get(base, none)) for base in sorted(set(files["file"]))],
             columns=["file", "offsets"],
         )
 
@@ -1271,7 +1237,7 @@ def warc_deduplicate(paths: list[str], out_dir: str) -> list[str]:
         batch_format="pyarrow", empty=dict(file=str, offset="int64"),
     )
     every_file = _ray.data.from_items(
-        [{"file": base, "offset": -1} for base in sorted(base_of)]
+        [{"file": base} for base in sorted(base_of)]
     )
     per_file = keyed_fold((losers, every_file), offsets_in_bucket, "file")
     # one block, hence one rewrite task, per file: the per-file table is

@@ -1437,47 +1437,16 @@ def curation_pipeline(sf_dir: str):
     pairs = minhash_lsh_pairs(sf_dir)
     flags = decontaminate(sf_dir)
 
-    def tag_keep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "distinct_ratio": df["distinct_ratio"].astype("float64"),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
+    def dup_drops(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"doc_id": pd.Series(df["doc_b"].unique(), dtype="int64")})
 
-    def tag_dup_drop(df: pd.DataFrame) -> pd.DataFrame:
-        did = pd.Series(df["doc_b"].unique(), dtype="int64")
-        return pd.DataFrame(
-            {
-                "doc_id": did,
-                "distinct_ratio": np.zeros(len(did), dtype="float64"),
-                "side": np.ones(len(did), dtype="int64"),
-            }
-        )
-
-    def tag_contaminated(df: pd.DataFrame) -> pd.DataFrame:
-        did = df.loc[df["contaminated"], "doc_id"].astype("int64")
-        return pd.DataFrame(
-            {
-                "doc_id": did.to_numpy(),
-                "distinct_ratio": np.zeros(len(did), dtype="float64"),
-                "side": np.ones(len(did), dtype="int64"),
-            }
-        )
-
-    def anti_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        drops = set(df.loc[df["side"] == 1, "doc_id"])
-        out = df[
-            (df["side"] == 0)
-            & (df["doc_id"] >= 10)
-            & ~df["doc_id"].isin(drops)
-        ]
+    def anti_in_bucket(kept, dups, flags: pd.DataFrame) -> pd.DataFrame:
+        drops = set(dups["doc_id"]) | set(flags.loc[flags["contaminated"], "doc_id"])
+        out = kept[(kept["doc_id"] >= 10) & ~kept["doc_id"].isin(drops)]
         return out[["doc_id", "distinct_ratio"]]
 
     return keyed_fold(
-        (kept, pairs, flags), anti_in_bucket, "doc_id",
-        rows=(tag_keep, tag_dup_drop, tag_contaminated),
+        (kept, pairs, flags), anti_in_bucket, "doc_id", rows=(None, dup_drops, None)
     )
 
 

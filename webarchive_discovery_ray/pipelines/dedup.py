@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.bucketing import coalesce_blocks, keyed_fold, typed_empty
+from ..functions.hashing import splitmix64
 from ..sources.io import read_table
 
 __all__ = [
@@ -125,8 +126,8 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
     by ``bucket(sh)`` — one vectorized pass per bucket finds the window
     hashes occurring ≥2 times (all occurrences of a hash co-locate) and
     emits only their (doc_id, pos) rows;
-    (2) those rows union the per-doc token counts (pos = -1 marker) and a
-    second pass keyed by ``bucket(doc_id)`` computes each doc's interval
+    (2) those rows are co-grouped with the per-doc token counts by
+    ``bucket(doc_id)``, and each bucket computes its docs' interval
     union with a vectorized grouped diff/clip — every document appears
     (zero coverage included). Columns: doc_id, n_tokens, n_dup_tokens,
     dup_fraction (one double division of two exact ints — bit-identical
@@ -136,14 +137,7 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
     def dup_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         vc = df["sh"].value_counts()
         dup = set(vc.index[vc.to_numpy() >= 2])
-        sub = df[df["sh"].isin(dup)]
-        return pd.DataFrame(
-            {
-                "doc_id": sub["doc_id"].to_numpy(),
-                "pos": sub["pos"].to_numpy(),
-                "n_tok": np.zeros(len(sub), dtype="int64"),
-            }
-        )
+        return df.loc[df["sh"].isin(dup), ["doc_id", "pos"]]
 
     dup_pos = keyed_fold(ds, dup_in_bucket, "sh", rows=lambda df: _window_hashes(df, w))
 
@@ -151,7 +145,6 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].astype("int64"),
-                "pos": np.full(len(df), -1, dtype="int64"),
                 "n_tok": df["text"].str.split().str.len().astype("int64"),
             }
         )
@@ -160,11 +153,9 @@ def dup_span_fraction(sf_dir: str, w: int = _SPAN_W):
         count_tokens, batch_format="pandas"
     )
 
-    def coverage_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[df["pos"] < 0]  # one marker row per doc carries n_tok
+    def coverage_bucket(d: pd.DataFrame, t: pd.DataFrame) -> pd.DataFrame:
         d = (
-            df[df["pos"] >= 0]
-            .drop_duplicates(["doc_id", "pos"])
+            d.drop_duplicates(["doc_id", "pos"])
             .sort_values(["doc_id", "pos"], kind="mergesort")
         )
         if len(d):
@@ -213,9 +204,9 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
         occurrences only (duplicated hashes minus their argmin), so the
         reassembly side-table is proportional to duplication, not corpus
         size;
-    (2) reassembly pass keyed by ``bucket(doc_id)``: documents union the
-        loser markers; one vectorized in-bucket anti-join (merge
-        indicator) + ordered join rebuilds the text.
+    (2) reassembly pass keyed by ``bucket(doc_id)``: documents
+        co-grouped with the loser markers; one vectorized in-bucket
+        anti-join (merge indicator) + ordered join rebuilds the text.
 
     Columns: doc_id, n_paras, n_kept, text."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
@@ -255,28 +246,18 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
 
     def losers_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["h", "doc_id", "para_idx"], kind="mergesort")
-        lose = d.loc[d["h"].duplicated(), ["doc_id", "para_idx"]]
-        return lose.assign(text="")[["doc_id", "para_idx", "text"]]
+        return d.loc[d["h"].duplicated(), ["doc_id", "para_idx"]]
 
     losers = keyed_fold(
         ds, losers_in_bucket, "h", rows=para_hashes,
-        empty=dict(doc_id="int64", para_idx="int64", text=str),
+        empty=dict(doc_id="int64", para_idx="int64"),
     )
-
-    def doc_markers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "para_idx": np.full(len(df), -1, dtype="int64"),
-                "text": df["text"],
-            }
-        )
 
     result = dict(doc_id="int64", n_paras="int64", n_kept="int64", text=str)
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        lost = df.loc[df["para_idx"] >= 0, ["doc_id", "para_idx"]]
-        texts, ids, idxs = para_rows(df[df["para_idx"] < 0])
+    def reassemble(docs: pd.DataFrame, lost: pd.DataFrame) -> pd.DataFrame:
+        lost = lost[["doc_id", "para_idx"]]
+        texts, ids, idxs = para_rows(docs)
         paras = pd.DataFrame(
             {"doc_id": ids, "para_idx": idxs, "ptext": pd.Series(texts, dtype=str)}
         )
@@ -300,9 +281,7 @@ def paragraph_dedup(sf_dir: str, w: int = _PARA_W):
             }
         )
 
-    return keyed_fold(
-        (ds, losers), reassemble, "doc_id", rows=(doc_markers, None), empty=result
-    )
+    return keyed_fold((ds, losers), reassemble, "doc_id", empty=result)
 
 
 def incremental_dedup(sf_dir: str, bloom_bits: int | None = None):
@@ -330,7 +309,8 @@ def incremental_dedup(sf_dir: str, bloom_bits: int | None = None):
     import ray
 
     from ..functions.broadcast import get_broadcast
-    from .sketches import _BLOOM_BITS, bloom_add, bloom_contains
+    from ..functions.hashing import bloom_add, bloom_contains
+    from .sketches import _BLOOM_BITS
 
     # bloom_bits is a TEST KNOB: a tiny filter forces heavy false
     # positives, pinning that FPs only ship extra snapshot hashes and can
@@ -373,23 +353,17 @@ def incremental_dedup(sf_dir: str, bloom_bits: int | None = None):
         bits |= np.frombuffer(p["bits"], dtype=np.uint8)
     bloom_ref = ray.put(bits)
 
-    def base_markers(df: pd.DataFrame) -> pd.DataFrame:
+    def base_hits(df: pd.DataFrame) -> pd.DataFrame:
         b = _hash_side(df, 0)
-        if len(b):
-            b = b[bloom_contains(get_broadcast(bloom_ref), _key64(b["h"]))]
-        return pd.DataFrame(
-            {"h": b["h"].to_numpy(), "doc_id": np.full(len(b), -1, dtype=np.int64)}
-        )
+        return b[bloom_contains(get_broadcast(bloom_ref), _key64(b["h"]))] if len(b) else b
 
-    def keep_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        in_base = set(df.loc[df["doc_id"].to_numpy() < 0, "h"])
-        d = df[df["doc_id"].to_numpy() >= 0]
-        d = d[~d["h"].isin(in_base)]
+    def keep_in_bucket(base: pd.DataFrame, delta: pd.DataFrame) -> pd.DataFrame:
+        d = delta[~delta["h"].isin(set(base["h"]))]
         g = d.groupby("h", sort=False)["doc_id"].min().reset_index()
         return g[["doc_id", "h"]]
 
     return keyed_fold(
-        (ds, ds), keep_in_bucket, "h", rows=(base_markers, lambda df: _hash_side(df, 1)),
+        (ds, ds), keep_in_bucket, "h", rows=(base_hits, lambda df: _hash_side(df, 1)),
         empty=dict(doc_id="int64", h=str),
     )
 
@@ -482,19 +456,11 @@ def _shingles(text: str, k: int = 3) -> set[int]:
     }
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    # finalizer of the splitmix64 generator; uint64 wraparound intended
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def _minhash_signature(shingle_hashes: Iterable[int], seeds: np.ndarray) -> np.ndarray:
     """min over shingles of splitmix64(x ^ seed_i), vectorised uint64 —
     one independent uniform hash per permutation, no modular bigints."""
     h = np.fromiter(shingle_hashes, dtype=np.uint64)
-    return _splitmix64(h[None, :] ^ seeds[:, None]).min(axis=1)
+    return splitmix64(h[None, :] ^ seeds[:, None]).min(axis=1)
 
 
 def _band_key(chunk: np.ndarray) -> str:
@@ -576,7 +542,7 @@ def _lsh_candidate_pairs(ds, cross_parity: bool = False):
             count=len(uniq),
         )
         h = uniq_h[inv]  # doc-segment-ordered gram hashes
-        v = _splitmix64(h[None, :] ^ seeds[:, None])  # (32, total_grams)
+        v = splitmix64(h[None, :] ^ seeds[:, None])  # (32, total_grams)
         sig = np.minimum.reduceat(v, starts, axis=1)  # (32, n_docs)
         doc_ids = np.repeat(ids, _BANDS)
         bands = [
@@ -616,7 +582,7 @@ def _lsh_candidate_pairs(ds, cross_parity: bool = False):
     # the side's doc), so an in-bucket drop_duplicates there is exact —
     # one fewer all-to-all, and the duplicate factor is bounded by the
     # band count (8). Materialized (size-pinned) because both
-    # side-taggers consume it.
+    # pair inputs of the attach pass read it.
     return coalesce_blocks(raw_pairs)
 
 
@@ -691,6 +657,43 @@ def _pair_key(df: pd.DataFrame) -> pd.Series:
     return df["doc_a"] * 1_000_003 + df["doc_b"]
 
 
+def _pair_by(col: str):
+    """Partial keying a candidate pair by one of its docs: (key, doc_a,
+    doc_b) with ``key`` = ``col``."""
+
+    def pair_by_doc(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df[["doc_a", "doc_b"]].astype("int64")
+        return ids.assign(key=ids[col])[["key", "doc_a", "doc_b"]]
+
+    return pair_by_doc
+
+
+def _attach_sides(col: str):
+    """Attach fold of (values, pairs by doc_a, pairs by doc_b): each
+    distinct (pair, side) row gets the ``col`` value of its doc, with
+    side 1 for doc_a's and side 2 for doc_b's."""
+
+    def attach_in_bucket(values, by_a, by_b: pd.DataFrame) -> pd.DataFrame:
+        # exact pair dedup lives here: all copies of a (pair, side) row
+        # share this bucket (a function of the side's doc)
+        sides = pd.concat([by_a.assign(side=1), by_b.assign(side=2)], ignore_index=True)
+        sides = sides[["key", "doc_a", "doc_b", "side"]].drop_duplicates()
+        m = sides.merge(values[["key", col]], on="key", how="inner")
+        return m[["doc_a", "doc_b", "side", col]].copy()
+
+    return attach_in_bucket
+
+
+def _both_sides(df: pd.DataFrame, col: str) -> pd.DataFrame:
+    """Each pair of an attach fold's output (:func:`_attach_sides`) once,
+    with both docs' ``col`` values: ``col``_a (side 1), ``col``_b (side 2)."""
+    a, b = (
+        df[df["side"] == side][["doc_a", "doc_b", col]].rename(columns={col: f"{col}_{end}"})
+        for side, end in ((1, "a"), (2, "b"))
+    )
+    return a.merge(b, on=["doc_a", "doc_b"])
+
+
 def _attach_pair_texts(ds, distinct_pairs):
     """Shared tag-join text-attach stage (no driver/corpus
     materialization) — the first half of every candidate-pair verify
@@ -710,44 +713,12 @@ def _attach_pair_texts(ds, distinct_pairs):
     there, so ``distinct_pairs`` may carry duplicates.
     """
 
-    def tag_texts(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_id"].astype("int64"),
-                "doc_a": np.full(len(df), -1, dtype="int64"),
-                "doc_b": np.full(len(df), -1, dtype="int64"),
-                "side": np.zeros(len(df), dtype="int64"),
-                "text": df["text"],
-            }
-        )
-
-    def tag_side(col: str, side: int):
-        def tag(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df[col].astype("int64"),
-                    "doc_a": df["doc_a"].astype("int64"),
-                    "doc_b": df["doc_b"].astype("int64"),
-                    "side": np.full(len(df), side, dtype="int64"),
-                    "text": pd.Series([""] * len(df), dtype=object, index=df.index),
-                }
-            )
-
-        return tag
-
-    def attach_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        texts = df[df["side"] == 0][["key", "text"]]
-        # exact pair dedup lives here (see distinct_pairs note): all
-        # copies of a (pair, side) row share this bucket
-        sides = df[df["side"] > 0][
-            ["key", "doc_a", "doc_b", "side"]
-        ].drop_duplicates()
-        m = sides.merge(texts, on="key", how="inner")
-        return m[["doc_a", "doc_b", "side", "text"]].copy()
+    def texts_by_doc(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"key": df["doc_id"].astype("int64"), "text": df["text"]})
 
     return keyed_fold(
-        (ds, distinct_pairs, distinct_pairs), attach_in_bucket, "key",
-        rows=(tag_texts, tag_side("doc_a", 1), tag_side("doc_b", 2)),
+        (ds, distinct_pairs, distinct_pairs), _attach_sides("text"), "key",
+        rows=(texts_by_doc, _pair_by("doc_a"), _pair_by("doc_b")),
     )
 
 
@@ -759,13 +730,7 @@ def _attach_verify_jaccard(ds, distinct_pairs, threshold: float):
     re-shingling the hot loop)."""
 
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_a"}
-        )
-        b = df[df["side"] == 2][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_b"}
-        )
-        m = a.merge(b, on=["doc_a", "doc_b"])
+        m = _both_sides(df, "text")
         out = []
         for da, db, ta, tb in zip(m["doc_a"], m["doc_b"], m["text_a"], m["text_b"]):
             sa = _shingles(ta)
@@ -810,13 +775,7 @@ def edit_distance_pairs(sf_dir: str):
     pairs = _lsh_candidate_pairs(ds)
 
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 1][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_a"}
-        )
-        b = df[df["side"] == 2][["doc_a", "doc_b", "text"]].rename(
-            columns={"text": "text_b"}
-        )
-        m = a.merge(b, on=["doc_a", "doc_b"])
+        m = _both_sides(df, "text")
         out = []
         for da, db, ta, tb in zip(m["doc_a"], m["doc_b"], m["text_a"], m["text_b"]):
             ba, bb = ta.encode("utf-8"), tb.encode("utf-8")
@@ -993,50 +952,12 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
             np.unique(h[s:e2]).tobytes()
             for s, e2 in zip(bounds[:-1], bounds[1:])
         ]
-        return pd.DataFrame(
-            {
-                "key": out_ids,
-                "doc_a": np.full(len(out_ids), -1, dtype="int64"),
-                "doc_b": np.full(len(out_ids), -1, dtype="int64"),
-                "side": np.zeros(len(out_ids), dtype="int64"),
-                "sig": pd.Series(sigs, dtype=object),
-            }
-        )
+        return pd.DataFrame({"key": out_ids, "sig": pd.Series(sigs, dtype=object)})
 
     sig_rows = keyed_fold(grams, sigs_in_bucket, "doc_id")
 
-    def tag_side(col: str, side: int):
-        def tag(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df[col].astype("int64"),
-                    "doc_a": df["doc_a"].astype("int64"),
-                    "doc_b": df["doc_b"].astype("int64"),
-                    "side": np.full(len(df), side, dtype="int64"),
-                    "sig": pd.Series([b""] * len(df), dtype=object, index=df.index),
-                }
-            )
-
-        return tag
-
-    def attach_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        sigs_ = df[df["side"] == 0][["key", "sig"]]
-        # exact cross-bucket pair dedup lives here: every copy of a
-        # (pair, side) row shares this bucket (function of the side doc)
-        sides = df[df["side"] > 0][
-            ["key", "doc_a", "doc_b", "side"]
-        ].drop_duplicates()
-        m = sides.merge(sigs_, on="key", how="inner")
-        return m[["doc_a", "doc_b", "side", "sig"]].copy()
-
     def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 1][["doc_a", "doc_b", "sig"]].rename(
-            columns={"sig": "sig_a"}
-        )
-        b = df[df["side"] == 2][["doc_a", "doc_b", "sig"]].rename(
-            columns={"sig": "sig_b"}
-        )
-        m = a.merge(b, on=["doc_a", "doc_b"])
+        m = _both_sides(df, "sig")
         out = []
         for da, db, sa, sb in zip(m["doc_a"], m["doc_b"], m["sig_a"], m["sig_b"]):
             xa = np.frombuffer(sa, dtype=np.uint64)
@@ -1049,8 +970,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3):
         return pd.DataFrame(out, columns=["doc_a", "doc_b", "jaccard"])
 
     attached = keyed_fold(
-        (sig_rows, distinct_pairs, distinct_pairs), attach_in_bucket, "key",
-        rows=(None, tag_side("doc_a", 1), tag_side("doc_b", 2)),
+        (sig_rows, distinct_pairs, distinct_pairs), _attach_sides("sig"), "key",
+        rows=(None, _pair_by("doc_a"), _pair_by("doc_b")),
     )
     return keyed_fold(attached, verify_in_bucket, _pair_key)
 
@@ -1168,29 +1089,9 @@ def cluster_representatives(clusters_ds, quality_ds):
     where cluster_id co-locates; no broadcast (the cluster set is
     corpus-sized). Columns: doc_id, cluster_id, distinct_ratio, is_rep."""
 
-    def tag_clusters(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "cluster_id": df["cluster_id"].astype("int64"),
-                "distinct_ratio": np.zeros(len(df), dtype="float64"),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def tag_quality(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "cluster_id": np.full(len(df), -1, dtype="int64"),
-                "distinct_ratio": df["distinct_ratio"].astype("float64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[df["side"] == 0][["doc_id", "cluster_id"]]
-        q = df[df["side"] == 1][["doc_id", "distinct_ratio"]]
+    def attach(c: pd.DataFrame, q: pd.DataFrame) -> pd.DataFrame:
+        c = c[["doc_id", "cluster_id"]].astype("int64")
+        q = q[["doc_id", "distinct_ratio"]].astype({"doc_id": "int64", "distinct_ratio": "float64"})
         return c.merge(q, on="doc_id", how="inner")
 
     def argmax_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -1209,9 +1110,7 @@ def cluster_representatives(clusters_ds, quality_ds):
             }
         )
 
-    joined = keyed_fold(
-        (clusters_ds, quality_ds), attach, "doc_id", rows=(tag_clusters, tag_quality)
-    )
+    joined = keyed_fold((clusters_ds, quality_ds), attach, "doc_id")
     return keyed_fold(joined, argmax_in_bucket, "cluster_id")
 
 
@@ -1245,44 +1144,34 @@ def neardup_dedup_apply(clusters_ds, docs_ds):
 
     def fold_sizes(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("cluster_id", sort=False)["n"].sum()
-        did = g.index.to_numpy().astype("int64")
         return pd.DataFrame(
             {
-                "doc_id": did,
+                "doc_id": g.index.to_numpy().astype("int64"),
                 "n_merged": g.to_numpy().astype("int64"),
-                "side": np.zeros(len(g), dtype="int64"),
-                "text_md5": np.full(len(g), "", dtype=object),
             }
         )
 
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
+    def docs_md5(df: pd.DataFrame) -> pd.DataFrame:
         md5s = [
             hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"].tolist()
         ]
         return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64").to_numpy(),
-                "n_merged": np.full(len(df), -1, dtype="int64"),
-                "side": np.ones(len(df), dtype="int64"),
-                "text_md5": md5s,
-            }
+            {"doc_id": df["doc_id"].astype("int64").to_numpy(), "text_md5": md5s}
         )
 
-    def join_kept(df: pd.DataFrame) -> pd.DataFrame:
-        kept = df[df["side"] == 0][["doc_id", "n_merged"]]
-        docs = df[df["side"] == 1][["doc_id", "text_md5"]]
-        return kept.merge(docs, on="doc_id", how="inner")
+    def join_kept(kept: pd.DataFrame, docs: pd.DataFrame) -> pd.DataFrame:
+        return kept[["doc_id", "n_merged"]].merge(docs[["doc_id", "text_md5"]], on="doc_id")
 
     # fold buckets by cluster_id; its output re-buckets by the kept doc_id
     # (== cluster_id, same hash — the exchange key is reused)
     folded = keyed_fold(
         clusters_ds, fold_sizes, "cluster_id", rows=size_partials,
-        empty=dict(doc_id="int64", n_merged="int64", side="int64", text_md5=str),
+        empty=dict(doc_id="int64", n_merged="int64"),
     )
     return keyed_fold(
-        (folded, docs_ds), join_kept, "doc_id", rows=(None, tag_docs),
+        (folded, docs_ds), join_kept, "doc_id", rows=(None, docs_md5),
         empty=dict(doc_id="int64", n_merged="int64", text_md5=str),
-    ).select_columns(["doc_id", "n_merged", "text_md5"])
+    )
 
 
 def semdedup_keep(sf_dir: str, threshold: float = 0.35):
@@ -1415,13 +1304,9 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
         b = batch["doc_b"].cast(pa.int64())
         src = pa.concat_arrays([a.combine_chunks(), b.combine_chunks()])
         dst = pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])
-        return pd.DataFrame(
-            {"key": src.to_numpy(), "dst": dst.to_numpy(), "label": np.int64(-1)}
-        )
+        return pd.DataFrame({"key": src.to_numpy(), "dst": dst.to_numpy()})
 
-    # edge rows: (key=src, dst, label=-1), bucketed by src in each round;
-    # label rows ride along with dst = -1 (doc ids are non-negative, so
-    # the markers need no nulls and everything stays int64)
+    # edge rows: (key=src, dst), bucketed by src in each round
     edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
     # row-aware block pinning: upstream bucketed passes leave the (tiny,
     # candidate-bounded) pair table scattered over dozens of near-empty
@@ -1446,19 +1331,12 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # block count after every round
     n_label_blocks = max(1, labels.num_blocks())
 
-    def tag_labels(df: pd.DataFrame) -> pd.DataFrame:
-        # column order must match the edge rows exactly (union aligns schemas)
+    def label_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "key": df["doc_id"].astype("int64"),
-                "dst": np.full(len(df), -1, dtype="int64"),
-                "label": df["label"].astype("int64"),
-            }
+            {"key": df["doc_id"].astype("int64"), "label": df["label"].astype("int64")}
         )
 
-    def propagate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["dst"] < 0]
-        edg = df[df["dst"] >= 0]
+    def propagate_in_bucket(edg: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
         msgs = edg[["key", "dst"]].merge(lab[["key", "label"]], on="key", how="inner")
         selfs = pd.DataFrame(
             {"doc_id": lab["key"].to_numpy(), "label": lab["label"].astype("int64").to_numpy(),
@@ -1489,28 +1367,14 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # double hop; label values are always component-member doc_ids, so
     # every request finds its row.
 
-    def tag_requests(df: pd.DataFrame) -> pd.DataFrame:
+    def requests(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "key": df["label"].astype("int64"),
-                "u": df["doc_id"].astype("int64"),
-                "lab": np.full(len(df), -1, dtype="int64"),
-            }
+            {"key": df["label"].astype("int64"), "u": df["doc_id"].astype("int64")}
         )
 
-    def tag_label_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_id"].astype("int64"),
-                "u": np.full(len(df), -1, dtype="int64"),
-                "lab": df["label"].astype("int64"),
-            }
-        )
-
-    def shortcut_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        req = df[df["u"] >= 0]
-        lab = df[df["lab"] >= 0]
-        m = req[["key", "u"]].merge(lab[["key", "lab"]], on="key", how="left")
+    def shortcut_in_bucket(req: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        lab = lab[["key", "label"]].rename(columns={"label": "lab"})
+        m = req[["key", "u"]].merge(lab, on="key", how="left")
         return pd.DataFrame(
             {
                 "doc_id": m["u"].to_numpy(),
@@ -1527,13 +1391,10 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
             doubled = labels  # labels are identity — the shortcut is a no-op
         else:
             doubled = keyed_fold(
-                (labels, labels), shortcut_in_bucket, "key",
-                rows=(tag_requests, tag_label_rows),
+                (labels, labels), shortcut_in_bucket, "key", rows=(requests, label_rows)
             )
-        # label columns: edges carry no label — pandas aligns on concat in
-        # the grouped pass, so tag label rows with the full column set
         routed = keyed_fold(
-            (edges, doubled), propagate_in_bucket, "key", rows=(None, tag_labels)
+            (edges, doubled), propagate_in_bucket, "key", rows=(None, label_rows),
         )
         agg = (
             keyed_fold(routed, minmax_in_bucket, "doc_id")
@@ -1550,25 +1411,13 @@ def neardup_clusters(pairs_ds, nodes_ds, *, max_iters: int = 64, stats: dict | N
     # singleton attach: ONE bucketed anti-join of the corpus node list
     # against the (candidate-bounded) edge-endpoint set — unpaired nodes
     # become their own cluster without ever having entered the loop
-    def tag_paired(paired: int):
-        def tag(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "doc_id": df["doc_id"].astype("int64"),
-                    "paired": np.full(len(df), paired, dtype="int64"),
-                }
-            )
-
-        return tag
-
-    def singles_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("doc_id", sort=False)["paired"].max()
-        ids = g[g == 0].index.to_numpy().astype("int64")
+    def singles_in_bucket(nodes: pd.DataFrame, paired: pd.DataFrame) -> pd.DataFrame:
+        ids = nodes["doc_id"].astype("int64")
+        # an empty label table may have lost its columns upstream
+        ids = ids[~ids.isin(paired.get("doc_id", []))].drop_duplicates().to_numpy()
         return pd.DataFrame({"doc_id": ids, "cluster_id": ids})
 
-    singles = keyed_fold(
-        (nodes_ds, labels), singles_in_bucket, "doc_id", rows=(tag_paired(0), tag_paired(1))
-    )
+    singles = keyed_fold((nodes_ds, labels), singles_in_bucket, "doc_id")
     clusters = labels.map_batches(
         lambda b: pa.table(
             {
@@ -1756,9 +1605,9 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
     cleaned result — the step the ACL'22 recipe actually trains on
     (the spans job is the analysis half).
 
-    Shape: ONE tagged-union bucketed co-group by doc_id (document text
-    side 0, span rows side 1 — the spans stream is duplication-
-    proportional, so the exchange is small on real corpora); inside a
+    Shape: ONE bucketed co-group of document texts with span rows by
+    doc_id (the spans stream is duplication-proportional, so the
+    exchange is small on real corpora); inside a
     bucket the cuts are per-doc string surgery over the sorted disjoint
     spans (inherently per-row, bounded by the bucket). Columns: doc_id,
     n_removed, removed_chars, cleaned_len, cleaned_md5 (md5 of the
@@ -1770,33 +1619,8 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
     spans = exact_substring_spans(sf_dir, min_len)
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def tag_doc(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "text": df["text"],
-                "span_start": np.full(len(df), -1, dtype="int64"),
-                "span_end": np.full(len(df), -1, dtype="int64"),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def tag_span(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "text": pd.Series([""] * len(df), dtype=str, index=df.index),
-                "span_start": df["span_start"].astype("int64"),
-                "span_end": df["span_end"].astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def apply_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["side"] == 0]
-        s = df[df["side"] == 1].sort_values(
-            ["doc_id", "span_start"], kind="mergesort"
-        )
+    def apply_in_bucket(d: pd.DataFrame, s: pd.DataFrame) -> pd.DataFrame:
+        s = s.sort_values(["doc_id", "span_start"], kind="mergesort")
         cuts = {k: list(zip(g["span_start"], g["span_end"]))
                 for k, g in s.groupby("doc_id", sort=False)}
         out = {"doc_id": [], "n_removed": [], "removed_chars": [],
@@ -1824,7 +1648,7 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
         return r
 
     return keyed_fold(
-        (docs, spans), apply_in_bucket, "doc_id", rows=(tag_doc, tag_span),
+        (docs, spans), apply_in_bucket, "doc_id",
         empty=dict(doc_id="int64", n_removed="int64", removed_chars="int64",
                    cleaned_len="int64", cleaned_md5=str),
     )

@@ -55,6 +55,20 @@ __all__ = [
 ]
 
 
+def _keyed(key_col: str, **cols: str):
+    """Partial keying a table by ``key_col`` for a co-group: an int64
+    ``key`` column plus ``cols`` (new name = source column), all rows."""
+
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        out = pd.DataFrame({"key": df[key_col].to_numpy().astype("int64")})
+        for new, col in cols.items():
+            out[new] = df[col].to_numpy()
+        return out
+
+    keyed.__name__ = f"key_by_{key_col}"
+    return keyed
+
+
 def sliding_window_events(sf_dir: str, window_s: int = 3600, slide_s: int = 900):
     """Sliding-window aggregate: per (event_type, window) sum+count where
     windows are ``window_s`` long and slide by ``slide_s`` (each event
@@ -299,7 +313,7 @@ def outer_join_customer_orders(sf_dir: str):
     every customer appears, zero-order customers included.
 
     Shape: per-batch partial (custkey, n, cents) combiners on the orders
-    side, customer keys tagged, ONE bucketed co-grouped pass on
+    side, customer keys, ONE bucketed co-grouped pass on
     bucket(custkey) — the outer side never ships order rows, only
     pre-aggregated partials. Money in exact integer cents
     (``aggregates.cents``) so the double division at the end is
@@ -318,26 +332,11 @@ def outer_join_customer_orders(sf_dir: str):
             .reset_index()
             .rename(columns={"o_custkey": "key"})
         )
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g[["key", "n", "c", "side"]]
+        return g[["key", "n", "c"]]
 
-    def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64"),
-                "n": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def join_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        cust_keys = df.loc[df["side"] == 1, "key"]
-        agg = (
-            df[df["side"] == 0]
-            .groupby("key", sort=False)[["n", "c"]]
-            .sum()
-        )
+    def join_in_bucket(parts: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        cust_keys = cust["key"]
+        agg = parts.groupby("key", sort=False)[["n", "c"]].sum()
         n = cust_keys.map(agg["n"]).fillna(0).astype("int64")
         c = cust_keys.map(agg["c"]).fillna(0).astype("int64")
         return pd.DataFrame(
@@ -349,7 +348,7 @@ def outer_join_customer_orders(sf_dir: str):
         )
 
     return keyed_fold(
-        (orders, cust), join_in_bucket, "key", rows=(order_partials, tag_customers)
+        (orders, cust), join_in_bucket, "key", rows=(order_partials, _keyed("c_custkey"))
     )
 
 
@@ -362,7 +361,7 @@ def min_cost_supplier(sf_dir: str):
     Shape: per-batch partial argmin per partkey (lexicographic
     (price_cents, suppkey) — a sort + drop_duplicates, no Python loop)
     → bucketed fold on bucket(partkey) resolves the exact global winner
-    per part; a SECOND tagged co-group on bucket(suppkey) attaches the
+    per part; a SECOND co-group on bucket(suppkey) attaches the
     supplier name without broadcasting the supplier table (supplier
     count scales with the corpus, so a ray.put lookup would not hold at
     10^10-URL scale — the winners ship their suppkey instead). Columns:
@@ -400,35 +399,8 @@ def min_cost_supplier(sf_dir: str):
         empty=dict(l_partkey="int64", c="int64", sk="int64"),
     )
 
-    def tag_winners(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["sk"].astype("int64"),
-                "l_partkey": df["l_partkey"].astype("int64"),
-                "c": df["c"].astype("int64"),
-                "s_name": np.full(len(df), "", dtype=object),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def tag_suppliers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["s_suppkey"].astype("int64"),
-                "l_partkey": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "s_name": df["s_name"].astype(object),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def attach_name(df: pd.DataFrame) -> pd.DataFrame:
-        names = (
-            df[df["side"] == 1]
-            .drop_duplicates("key")
-            .set_index("key")["s_name"]
-        )
-        w = df[df["side"] == 0]
+    def attach_name(w: pd.DataFrame, sup: pd.DataFrame) -> pd.DataFrame:
+        names = sup.drop_duplicates("key").set_index("key")["s_name"]
         nm = w["key"].map(names)
         ok = nm.notna()
         return pd.DataFrame(
@@ -441,7 +413,8 @@ def min_cost_supplier(sf_dir: str):
         )
 
     return keyed_fold(
-        (winners, sup), attach_name, "key", rows=(tag_winners, tag_suppliers),
+        (winners, sup), attach_name, "key",
+        rows=(_keyed("sk", l_partkey="l_partkey", c="c"), _keyed("s_suppkey", s_name="s_name")),
         empty=dict(p_partkey="int64", s_suppkey="int64", s_name=str, min_price="float64"),
     )
 
@@ -487,38 +460,25 @@ def shipping_priority(
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def tag_seg_customers(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df[df["c_mktsegment"] == segment]
-        return pd.DataFrame(
-            {
-                "key": keep["c_custkey"].astype("int64").to_numpy(),
-                "okey": np.zeros(len(keep), dtype="int64"),
-                "o_date": np.zeros(len(keep), dtype="int64"),
-                "side": np.ones(len(keep), dtype="int64"),
-            }
-        )
+    def seg_customers(df: pd.DataFrame) -> pd.DataFrame:
+        return _keyed("c_custkey")(df[df["c_mktsegment"] == segment])
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def early_orders(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df["o_orderdate"] < cut_ts]
         return pd.DataFrame(
             {
                 "key": keep["o_custkey"].astype("int64").to_numpy(),
                 "okey": keep["o_orderkey"].to_numpy().astype("int64"),
                 "o_date": _date_i64(keep["o_orderdate"]),
-                "side": np.zeros(len(keep), dtype="int64"),
             }
         )
 
-    def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        seg = set(df.loc[df["side"] == 1, "key"].to_numpy())
-        o = df[df["side"] == 0]
-        o = o[o["key"].isin(seg)]
+    def gate_in_bucket(o: pd.DataFrame, seg: pd.DataFrame) -> pd.DataFrame:
+        o = o[o["key"].isin(set(seg["key"].to_numpy()))]
         return pd.DataFrame(
             {
                 "key": o["okey"].astype("int64").to_numpy(),
                 "o_date": o["o_date"].to_numpy().astype("int64"),
-                "c": np.zeros(len(o), dtype="int64"),
-                "side": np.ones(len(o), dtype="int64"),
             }
         )
 
@@ -531,17 +491,13 @@ def shipping_priority(
             .sum()
             .reset_index()
         )
-        g["o_date"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "o_date", "c", "side"]
-        ]
+        return g.astype({"key": "int64", "c": "int64"})
 
     result = dict(o_orderkey="int64", revenue_cents="int64", o_date="int64")
 
-    def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 1][["key", "o_date"]]
-        rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
+    def topk_in_bucket(parts: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        o = o[["key", "o_date"]]
+        rev = parts.groupby("key", sort=False)["c"].sum()
         m = o.assign(revenue_cents=o["key"].map(rev))
         m = m.dropna(subset=["revenue_cents"])
         m = m.sort_values(
@@ -556,8 +512,8 @@ def shipping_priority(
         )
 
     gated = keyed_fold(
-        (orders, cust), gate_in_bucket, "key", rows=(tag_orders, tag_seg_customers),
-        empty=dict(key="int64", o_date="int64", c="int64", side="int64"),
+        (orders, cust), gate_in_bucket, "key", rows=(early_orders, seg_customers),
+        empty=dict(key="int64", o_date="int64"),
     )
     folded = keyed_fold(
         (li, gated), topk_in_bucket, "key", rows=(li_partials, None), empty=result
@@ -616,52 +572,27 @@ def returned_items(
             .sum()
             .reset_index()
         )
-        g["cust"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "c", "cust", "side"]
-        ]
+        return g.astype({"key": "int64", "c": "int64"})
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def window_orders(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[(df["o_orderdate"] >= lo_ts) & (df["o_orderdate"] < hi_ts)]
-        return pd.DataFrame(
-            {
-                "key": keep["o_orderkey"].astype("int64").to_numpy(),
-                "c": np.zeros(len(keep), dtype="int64"),
-                "cust": keep["o_custkey"].to_numpy().astype("int64"),
-                "side": np.ones(len(keep), dtype="int64"),
-            }
-        )
+        return _keyed("o_orderkey", cust="o_custkey")(keep)
 
-    def cust_partials_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[df["side"] == 1][["key", "cust"]]
-        rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
+    def cust_partials_in_bucket(parts: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        o = o[["key", "cust"]]
+        rev = parts.groupby("key", sort=False)["c"].sum()
         m = o.assign(c=o["key"].map(rev)).dropna(subset=["c"])
         g = m.groupby("cust", sort=False)["c"].sum().reset_index()
         return pd.DataFrame(
             {
                 "key": g["cust"].astype("int64").to_numpy(),
                 "c": g["c"].to_numpy().astype("int64"),
-                "name": np.full(len(g), "", dtype=object),
-                "nat": np.zeros(len(g), dtype="int64"),
-                "side": np.zeros(len(g), dtype="int64"),
             }
         )
 
-    def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64").to_numpy(),
-                "c": np.zeros(len(df), dtype="int64"),
-                "name": df["c_name"].to_numpy(dtype=object),
-                "nat": df["c_nationkey"].to_numpy().astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        names = df[df["side"] == 1].set_index("key")[["name", "nat"]]
-        rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum().reset_index()
+    def topk_in_bucket(parts: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        names = cust.set_index("key")[["name", "nat"]]
+        rev = parts.groupby("key", sort=False)["c"].sum().reset_index()
         if not len(rev):
             return typed_empty(c_custkey="int64", name=str, nat="int64",
                                revenue_cents="int64")
@@ -676,11 +607,12 @@ def returned_items(
         )
 
     per_cust = keyed_fold(
-        (li, orders), cust_partials_in_bucket, "key", rows=(li_partials, tag_orders),
-        empty=dict(key="int64", c="int64", name=str, nat="int64", side="int64"),
+        (li, orders), cust_partials_in_bucket, "key", rows=(li_partials, window_orders),
+        empty=dict(key="int64", c="int64"),
     )
     folded = keyed_fold(
-        (per_cust, cust), topk_in_bucket, "key", rows=(None, tag_customers),
+        (per_cust, cust), topk_in_bucket, "key",
+        rows=(None, _keyed("c_custkey", name="c_name", nat="c_nationkey")),
         empty=dict(c_custkey="int64", name=str, nat="int64", revenue_cents="int64"),
     ).to_pandas()  # bounded: <= buckets x k rows
     nat = pq.read_table(
@@ -733,25 +665,11 @@ def top_supplier(sf_dir: str, lo: str = "1997-01-01", hi: str = "1997-04-01"):
             .sum()
             .reset_index()
         )
-        g["name"] = np.full(len(g), "", dtype=object)
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g.astype({"key": "int64", "c": "int64"})[
-            ["key", "c", "name", "side"]
-        ]
+        return g.astype({"key": "int64", "c": "int64"})
 
-    def tag_suppliers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["s_suppkey"].astype("int64").to_numpy(),
-                "c": np.zeros(len(df), dtype="int64"),
-                "name": df["s_name"].to_numpy(dtype=object),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def bucket_winners(df: pd.DataFrame) -> pd.DataFrame:
-        names = df[df["side"] == 1].set_index("key")["name"]
-        rev = df[df["side"] == 0].groupby("key", sort=False)["c"].sum()
+    def bucket_winners(parts: pd.DataFrame, sup: pd.DataFrame) -> pd.DataFrame:
+        names = sup.set_index("key")["name"]
+        rev = parts.groupby("key", sort=False)["c"].sum()
         if not len(rev):
             return typed_empty(s_suppkey="int64", s_name=str,
                                total_revenue_cents="int64")
@@ -766,7 +684,8 @@ def top_supplier(sf_dir: str, lo: str = "1997-01-01", hi: str = "1997-04-01"):
         )
 
     folded = keyed_fold(
-        (li, sup), bucket_winners, "key", rows=(li_partials, tag_suppliers),
+        (li, sup), bucket_winners, "key",
+        rows=(li_partials, _keyed("s_suppkey", name="s_name")),
         empty=dict(s_suppkey="int64", s_name=str, total_revenue_cents="int64"),
     ).to_pandas()  # bounded: <= ties-at-max per bucket
     if not len(folded):
@@ -810,28 +729,21 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
             .sum()
             .reset_index()
         )
-        g["cust"] = np.zeros(len(g), dtype="int64")
-        g["pc"] = np.zeros(len(g), dtype="int64")
-        g["o_date"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "q": "int64"})
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def order_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "key": df["o_orderkey"].astype("int64").to_numpy(),
-                "q": np.zeros(len(df), dtype="int64"),
                 "cust": df["o_custkey"].to_numpy().astype("int64"),
                 "pc": cents(df["o_totalprice"].to_numpy()),
                 "o_date": _date_i64(df["o_orderdate"]),
-                "side": np.ones(len(df), dtype="int64"),
             }
         )
 
-    def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        qty = df[df["side"] == 0].groupby("key", sort=False)["q"].sum()
+    def gate_in_bucket(parts: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        qty = parts.groupby("key", sort=False)["q"].sum()
         qty = qty[qty > qty_threshold]
-        o = df[df["side"] == 1]
         o = o[o["key"].isin(qty.index)]
         return pd.DataFrame(
             {
@@ -840,27 +752,11 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
                 "pc": o["pc"].to_numpy().astype("int64"),
                 "o_date": o["o_date"].to_numpy().astype("int64"),
                 "q": o["key"].map(qty).to_numpy().astype("int64"),
-                "name": np.full(len(o), "", dtype=object),
-                "side": np.zeros(len(o), dtype="int64"),
             }
         )
 
-    def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["c_custkey"].astype("int64").to_numpy(),
-                "okey": np.zeros(len(df), dtype="int64"),
-                "pc": np.zeros(len(df), dtype="int64"),
-                "o_date": np.zeros(len(df), dtype="int64"),
-                "q": np.zeros(len(df), dtype="int64"),
-                "name": df["c_name"].to_numpy(dtype=object),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def topk_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        names = df[df["side"] == 1].set_index("key")["name"]
-        o = df[df["side"] == 0]
+    def topk_in_bucket(o: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        names = cust.set_index("key")["name"]
         if not len(o):
             return typed_empty(c_name=str, c_custkey="int64",
                                o_orderkey="int64", o_date="int64",
@@ -880,11 +776,11 @@ def large_orders(sf_dir: str, qty_threshold: int = 300, k: int = 100):
         )
 
     gated = keyed_fold(
-        (li, orders), gate_in_bucket, "key", rows=(qty_partials, tag_orders),
-        empty=dict(key="int64", okey="int64", pc="int64", o_date="int64", q="int64", name=str, side="int64"),
+        (li, orders), gate_in_bucket, "key", rows=(qty_partials, order_rows),
+        empty=dict(key="int64", okey="int64", pc="int64", o_date="int64", q="int64"),
     )
     folded = keyed_fold(
-        (gated, cust), topk_in_bucket, "key", rows=(None, tag_customers),
+        (gated, cust), topk_in_bucket, "key", rows=(None, _keyed("c_custkey", name="c_name")),
         empty=dict(c_name=str, c_custkey="int64", o_orderkey="int64", o_date="int64", total_price_cents="int64", sum_qty="int64"),
     ).to_pandas()  # bounded: <= buckets x k rows
     if not len(folded):
@@ -936,7 +832,7 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
     n_pos = int(parts["n"].sum())
     tot_pos = int(parts["tot"].sum())
 
-    def tag_customers(df: pd.DataFrame) -> pd.DataFrame:
+    def rich_customers(df: pd.DataFrame) -> pd.DataFrame:
         bal = cents(df["c_acctbal"].to_numpy())
         keep = (bal > 0) & (bal * n_pos > tot_pos)
         sub = df[keep]
@@ -945,26 +841,15 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
                 "key": sub["c_custkey"].astype("int64").to_numpy(),
                 "nat": sub["c_nationkey"].to_numpy().astype("int64"),
                 "bal": bal[keep],
-                "side": np.ones(len(sub), dtype="int64"),
             }
         )
 
-    def order_keys(df: pd.DataFrame) -> pd.DataFrame:
+    def active_keys(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df["o_orderdate"] >= cut_ts]
-        key = pd.Series(keep["o_custkey"].unique()).astype("int64")
-        return pd.DataFrame(
-            {
-                "key": key.to_numpy(),
-                "nat": np.zeros(len(key), dtype="int64"),
-                "bal": np.zeros(len(key), dtype="int64"),
-                "side": np.zeros(len(key), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"key": pd.Series(keep["o_custkey"].unique()).astype("int64")})
 
-    def anti_fold(df: pd.DataFrame) -> pd.DataFrame:
-        active = set(df.loc[df["side"] == 0, "key"].to_numpy())
-        c = df[df["side"] == 1]
-        c = c[~c["key"].isin(active)]
+    def anti_fold(c: pd.DataFrame, active: pd.DataFrame) -> pd.DataFrame:
+        c = c[~c["key"].isin(set(active["key"].to_numpy()))]
         if not len(c):
             return typed_empty(cntrycode="int64", n_cust="int64",
                                total_bal_cents="int64")
@@ -978,7 +863,7 @@ def global_balance_filter(sf_dir: str, cut: str = "2000-01-01"):
                          "total_bal_cents": "int64"})
 
     folded = keyed_fold(
-        (cust, orders), anti_fold, "key", rows=(tag_customers, order_keys),
+        (cust, orders), anti_fold, "key", rows=(rich_customers, active_keys),
         empty=dict(cntrycode="int64", n_cust="int64", total_bal_cents="int64"),
     ).to_pandas()  # bounded: <= buckets x nations tiny rows
     if not len(folded):
@@ -1041,29 +926,12 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
             .sum()
             .reset_index()
         )
-        g["nat"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "okey": "int64", "yr": "int64", "c": "int64"})
 
-    def tag(key_col: str, nat_col: str):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df[key_col].astype("int64").to_numpy(),
-                    "okey": np.zeros(len(df), dtype="int64"),
-                    "yr": np.zeros(len(df), dtype="int64"),
-                    "c": np.zeros(len(df), dtype="int64"),
-                    "nat": df[nat_col].to_numpy().astype("int64"),
-                    "side": np.ones(len(df), dtype="int64"),
-                }
-            )
-        return fn
-
-    def attach_supp_nation(df: pd.DataFrame) -> pd.DataFrame:
+    def attach_supp_nation(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
         # exchange 1 in-bucket: attach s_nationkey, re-key by orderkey,
         # collapse per (orderkey, year, s_nat) before the next exchange
-        tags = df[df["side"] == 1].set_index("key")["nat"]
-        rows = df[df["side"] == 0]
+        tags = tags.set_index("key")["nat"]
         nat = rows["key"].map(tags)
         rows = rows.assign(nat=nat).dropna(subset=["nat"])
         out = (
@@ -1072,17 +940,12 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
             .reset_index()
             .rename(columns={"okey": "key"})
         )
-        out["okey"] = np.zeros(len(out), dtype="int64")
-        out["side"] = np.zeros(len(out), dtype="int64")
-        return out.astype({"key": "int64", "okey": "int64", "yr": "int64",
-                           "c": "int64", "nat": "int64"})
+        return out.astype({"key": "int64", "yr": "int64", "c": "int64", "nat": "int64"})
 
-    def swap_order_to_cust(df: pd.DataFrame) -> pd.DataFrame:
+    def swap_order_to_cust(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
         # exchange 2 in-bucket: rows keyed by orderkey (carrying s_nat in
-        # "nat"), order tags map orderkey -> custkey; re-key by custkey,
-        # keeping s_nat in "nat2"... implemented directly for clarity
-        tags = df[df["side"] == 1].set_index("key")["nat"]  # orderkey -> custkey
-        rows = df[df["side"] == 0]
+        # "nat"), order tags map orderkey -> custkey; re-key by custkey
+        tags = tags.set_index("key")["nat"]  # orderkey -> custkey
         ck = rows["key"].map(tags)
         rows = rows.assign(ck=ck).dropna(subset=["ck"])
         out = (
@@ -1091,14 +954,10 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
             .reset_index()
             .rename(columns={"ck": "key"})
         )
-        out["okey"] = np.zeros(len(out), dtype="int64")
-        out["side"] = np.zeros(len(out), dtype="int64")
-        return out.astype({"key": "int64", "okey": "int64", "yr": "int64",
-                           "c": "int64", "nat": "int64"})
+        return out.astype({"key": "int64", "yr": "int64", "c": "int64", "nat": "int64"})
 
-    def final_fold(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1].set_index("key")["nat"]  # custkey -> c_nat
-        rows = df[df["side"] == 0]
+    def final_fold(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        tags = tags.set_index("key")["nat"]  # custkey -> c_nat
         cn = rows["key"].map(tags)
         rows = rows.assign(c_nat=cn).dropna(subset=["c_nat"])
         g = (
@@ -1111,15 +970,15 @@ def nation_trade_volume(sf_dir: str, lo: str = "1997-01-01", hi: str = "1999-01-
                          "c": "int64"})
 
     step1 = keyed_fold(
-        (li, sup), attach_supp_nation, "key", rows=(li_partials, tag("s_suppkey", "s_nationkey")),
-        empty=dict(key="int64", okey="int64", yr="int64", c="int64", nat="int64", side="int64"),
+        (li, sup), attach_supp_nation, "key", rows=(li_partials, _keyed("s_suppkey", nat="s_nationkey")),
+        empty=dict(key="int64", yr="int64", nat="int64", c="int64"),
     )
     step2 = keyed_fold(
-        (step1, orders), swap_order_to_cust, "key", rows=(None, tag("o_orderkey", "o_custkey")),
-        empty=dict(key="int64", okey="int64", yr="int64", c="int64", nat="int64", side="int64"),
+        (step1, orders), swap_order_to_cust, "key", rows=(None, _keyed("o_orderkey", nat="o_custkey")),
+        empty=dict(key="int64", yr="int64", nat="int64", c="int64"),
     )
     folded = keyed_fold(
-        (step2, cust), final_fold, "key", rows=(None, tag("c_custkey", "c_nationkey")),
+        (step2, cust), final_fold, "key", rows=(None, _keyed("c_custkey", nat="c_nationkey")),
         empty=dict(s_nat="int64", c_nat="int64", yr="int64", c="int64"),
     ).to_pandas()  # bounded: <= nations^2 x years tiny rows
     nat = pq.read_table(
@@ -1164,32 +1023,13 @@ def parts_supplier_census(sf_dir: str):
 
     def li_pairs(df: pd.DataFrame) -> pd.DataFrame:
         g = df.drop_duplicates(["l_partkey", "l_suppkey"])
-        return pd.DataFrame(
-            {
-                "key": g["l_partkey"].astype("int64").to_numpy(),
-                "supp": g["l_suppkey"].to_numpy().astype("int64"),
-                "brand": np.full(len(g), "", dtype=object),
-                "ptype": np.full(len(g), "", dtype=object),
-                "psize": np.zeros(len(g), dtype="int64"),
-                "side": np.zeros(len(g), dtype="int64"),
-            }
-        )
+        return _keyed("l_partkey", supp="l_suppkey")(g)
 
-    def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["p_partkey"].astype("int64").to_numpy(),
-                "supp": np.zeros(len(df), dtype="int64"),
-                "brand": df["p_brand"].to_numpy(dtype=object),
-                "ptype": df["p_type"].to_numpy(dtype=object),
-                "psize": df["p_size"].to_numpy().astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
+    part_tags = _keyed("p_partkey", brand="p_brand", ptype="p_type", psize="p_size")
 
-    def carriers_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1].set_index("key")[["brand", "ptype", "psize"]]
-        rows = df[df["side"] == 0][["key", "supp"]].drop_duplicates()
+    def carriers_in_bucket(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        tags = tags.set_index("key")[["brand", "ptype", "psize"]]
+        rows = rows[["key", "supp"]].drop_duplicates()
         m = rows.merge(tags, left_on="key", right_index=True, how="inner")
         out = m[["brand", "ptype", "psize", "supp"]].drop_duplicates()
         return pd.DataFrame(
@@ -1323,53 +1163,28 @@ def small_quantity_revenue(sf_dir: str):
             .reset_index()
             .rename(columns={"sum": "sq", "size": "cnt"})
         )
-        g["brand"] = np.full(len(g), "", dtype=object)
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "sq": "int64", "cnt": "int64"})
 
-    def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["p_partkey"].astype("int64").to_numpy(),
-                "sq": np.zeros(len(df), dtype="int64"),
-                "cnt": np.zeros(len(df), dtype="int64"),
-                "brand": df["p_brand"].to_numpy(dtype=object),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def stats_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1].set_index("key")["brand"]
-        st = (
-            df[df["side"] == 0]
-            .groupby("key", sort=False)[["sq", "cnt"]]
-            .sum()
-            .reset_index()
-        )
+    def stats_in_bucket(parts: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        tags = tags.set_index("key")["brand"]
+        st = parts.groupby("key", sort=False)[["sq", "cnt"]].sum().reset_index()
         st["brand"] = st["key"].map(tags).fillna("").astype(object)
-        st["side"] = np.ones(len(st), dtype="int64")
-        return st.astype({"key": "int64", "sq": "int64", "cnt": "int64"})[
-            ["key", "sq", "cnt", "brand", "side"]
-        ]
+        return st.astype({"key": "int64", "sq": "int64", "cnt": "int64"})
 
     def line_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "key": df["l_partkey"].astype("int64").to_numpy(),
-                "sq": np.floor(df["l_quantity"].to_numpy() + 0.5).astype("int64"),
-                "cnt": cents(df["l_extendedprice"].to_numpy()),
-                "brand": np.full(len(df), "", dtype=object),
-                "side": np.zeros(len(df), dtype="int64"),
+                "q": np.floor(df["l_quantity"].to_numpy() + 0.5).astype("int64"),
+                "pc": cents(df["l_extendedprice"].to_numpy()),
             }
         )
 
     result = dict(p_brand=str, n_lines="int64", revenue_cents="int64")
 
-    def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # side 1 = per-part stats (sq=sum_qty, cnt=count, brand); side 0
-        # = raw lines (sq=qty, cnt=price_cents)
-        st = df[df["side"] == 1].set_index("key")[["sq", "cnt", "brand"]]
-        lines = df[df["side"] == 0]
+    def gate_in_bucket(lines: pd.DataFrame, st: pd.DataFrame) -> pd.DataFrame:
+        # per-part stats: sq = sum_qty, cnt = count
+        st = st.set_index("key")[["sq", "cnt", "brand"]]
         if not len(lines) or not len(st):
             return typed_empty(**result)
         sq = lines["key"].map(st["sq"])
@@ -1377,7 +1192,7 @@ def small_quantity_revenue(sf_dir: str):
         brand = lines["key"].map(st["brand"])
         ok = (
             sq.notna().to_numpy()
-            & (5 * lines["sq"].to_numpy() * cnt.fillna(0).to_numpy()
+            & (5 * lines["q"].to_numpy() * cnt.fillna(0).to_numpy()
                < sq.fillna(0).to_numpy())
         )
         kept = lines[ok].assign(brand=brand[ok])
@@ -1385,7 +1200,7 @@ def small_quantity_revenue(sf_dir: str):
             return typed_empty(**result)
         g = (
             kept.groupby("brand", sort=False)
-            .agg(n_lines=("cnt", "size"), revenue_cents=("cnt", "sum"))
+            .agg(n_lines=("pc", "size"), revenue_cents=("pc", "sum"))
             .reset_index()
             .rename(columns={"brand": "p_brand"})
         )
@@ -1393,8 +1208,9 @@ def small_quantity_revenue(sf_dir: str):
 
     li1 = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
     stats = keyed_fold(
-        (li1, part), stats_in_bucket, "key", rows=(qty_partials, part_tags),
-        empty=dict(key="int64", sq="int64", cnt="int64", brand=str, side="int64"),
+        (li1, part), stats_in_bucket, "key",
+        rows=(qty_partials, _keyed("p_partkey", brand="p_brand")),
+        empty=dict(key="int64", sq="int64", cnt="int64", brand=str),
     )
     li2 = read_table(sf_dir, "lineitem", columns=li_cols)
     folded = keyed_fold(
@@ -1512,25 +1328,10 @@ def shipmode_priority_census(
             .size()
             .reset_index(name="n")
         )
-        g["pri"] = np.full(len(g), "", dtype=object)
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "n": "int64"})
 
-    def order_tags(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["o_orderkey"].astype("int64").to_numpy(),
-                "mode": np.full(len(df), "", dtype=object),
-                "n": np.zeros(len(df), dtype="int64"),
-                "pri": df["o_orderpriority"].to_numpy(dtype=object),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1].set_index("key")["pri"]
-        rows = df[df["side"] == 0]
-        pri = rows["key"].map(tags)
+    def census_in_bucket(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        pri = rows["key"].map(tags.set_index("key")["pri"])
         rows = rows.assign(pri=pri).dropna(subset=["pri"])
         hi_mask = rows["pri"].isin(("1-URGENT", "2-HIGH")).to_numpy()
         n = rows["n"].to_numpy()
@@ -1549,7 +1350,8 @@ def shipmode_priority_census(
         return g.astype({"high": "int64", "low": "int64"})
 
     folded = keyed_fold(
-        (li, orders), census_in_bucket, "key", rows=(li_partials, order_tags),
+        (li, orders), census_in_bucket, "key",
+        rows=(li_partials, _keyed("o_orderkey", pri="o_orderpriority")),
         empty=dict(mode=str, high="int64", low="int64"),
     ).to_pandas()  # bounded: <= 2 rows per bucket
 
@@ -1612,32 +1414,16 @@ def bracketed_revenue(sf_dir: str):
         rev = cents(
             sub["l_extendedprice"].to_numpy() * (1.0 - sub["l_discount"].to_numpy())
         )
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "key": sub["l_partkey"].to_numpy().astype("int64"),
                 "qty": qty,
                 "c": rev,
             }
         )
-        g["size"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
-        return g
 
-    def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["p_partkey"].astype("int64").to_numpy(),
-                "qty": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "size": df["p_size"].to_numpy().astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def brackets_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        tags = df[df["side"] == 1].set_index("key")["size"]
-        rows = df[df["side"] == 0]
-        size = rows["key"].map(tags)
+    def brackets_in_bucket(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
+        size = rows["key"].map(tags.set_index("key")["size"])
         rows = rows.assign(psize=size).dropna(subset=["psize"])
         if not len(rows):
             return typed_empty(bracket="int64", n_lines="int64", c="int64")
@@ -1663,7 +1449,8 @@ def bracketed_revenue(sf_dir: str):
         )
 
     folded = keyed_fold(
-        (li, part), brackets_in_bucket, "key", rows=(li_partials, part_tags),
+        (li, part), brackets_in_bucket, "key",
+        rows=(li_partials, _keyed("p_partkey", size="p_size")),
         empty=dict(bracket="int64", n_lines="int64", c="int64"),
     ).to_pandas()  # bounded: <= 3 rows per bucket
 
@@ -1731,107 +1518,61 @@ def product_type_profit(sf_dir: str, name_token: str = "widget"):
             .sum()
             .reset_index()
         )
-        g["tag"] = np.zeros(len(g), dtype="int64")
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "okey": "int64", "sk": "int64", "c": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        sub = df[df["p_name"].str.contains(name_token, regex=False)]
-        return pd.DataFrame(
-            {
-                "key": sub["p_partkey"].astype("int64").to_numpy(),
-                "okey": np.zeros(len(sub), dtype="int64"),
-                "sk": np.zeros(len(sub), dtype="int64"),
-                "c": np.zeros(len(sub), dtype="int64"),
-                "tag": np.ones(len(sub), dtype="int64"),
-                "side": np.ones(len(sub), dtype="int64"),
-            }
-        )
+        return _keyed("p_partkey")(df[df["p_name"].str.contains(name_token, regex=False)])
 
-    def gate_parts(df: pd.DataFrame) -> pd.DataFrame:
+    def gate_parts(rows: pd.DataFrame, parts: pd.DataFrame) -> pd.DataFrame:
         # exchange 1: keep only token-named parts, re-key by orderkey,
         # collapse per (orderkey, suppkey)
-        keep_keys = set(df.loc[df["side"] == 1, "key"].tolist())
-        rows = df[(df["side"] == 0) & df["key"].isin(keep_keys)]
+        rows = rows[rows["key"].isin(set(parts["key"].tolist()))]
         out = (
             rows.groupby(["okey", "sk"], sort=False)["c"]
             .sum()
             .reset_index()
             .rename(columns={"okey": "key"})
         )
-        out["okey"] = np.zeros(len(out), dtype="int64")
-        out["tag"] = np.zeros(len(out), dtype="int64")
-        out["side"] = np.zeros(len(out), dtype="int64")
-        return out.astype({"key": "int64", "okey": "int64", "sk": "int64",
-                           "c": "int64"})
+        return out.astype({"key": "int64", "sk": "int64", "c": "int64"})
 
-    def order_tags(df: pd.DataFrame) -> pd.DataFrame:
+    def order_years(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "key": df["o_orderkey"].astype("int64").to_numpy(),
-                "okey": np.zeros(len(df), dtype="int64"),
-                "sk": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "tag": df["o_orderdate"].dt.year.to_numpy().astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
+                "yr": df["o_orderdate"].dt.year.to_numpy().astype("int64"),
             }
         )
 
-    def attach_year(df: pd.DataFrame) -> pd.DataFrame:
+    def attach_year(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
         # exchange 2: orderkey -> order year; re-key by suppkey,
         # collapse per (suppkey, year)
-        tags = df[df["side"] == 1].set_index("key")["tag"]
-        rows = df[df["side"] == 0]
-        yr = rows["key"].map(tags)
+        yr = rows["key"].map(tags.set_index("key")["yr"])
         rows = rows.assign(yr=yr).dropna(subset=["yr"])
         out = (
             rows.groupby(["sk", "yr"], sort=False)["c"]
             .sum()
             .reset_index()
-            .rename(columns={"sk": "key", "yr": "tag"})
+            .rename(columns={"sk": "key"})
         )
-        out["okey"] = np.zeros(len(out), dtype="int64")
-        out["sk"] = np.zeros(len(out), dtype="int64")
-        out["side"] = np.zeros(len(out), dtype="int64")
-        return out.astype({"key": "int64", "okey": "int64", "sk": "int64",
-                           "c": "int64", "tag": "int64"})
+        return out.astype({"key": "int64", "c": "int64", "yr": "int64"})
 
-    def supp_tags(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["s_suppkey"].astype("int64").to_numpy(),
-                "okey": np.zeros(len(df), dtype="int64"),
-                "sk": np.zeros(len(df), dtype="int64"),
-                "c": np.zeros(len(df), dtype="int64"),
-                "tag": df["s_nationkey"].to_numpy().astype("int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def final_fold(df: pd.DataFrame) -> pd.DataFrame:
+    def final_fold(rows: pd.DataFrame, tags: pd.DataFrame) -> pd.DataFrame:
         # exchange 3: suppkey -> nation; collapse to (nation, year)
-        tags = df[df["side"] == 1].set_index("key")["tag"]
-        rows = df[df["side"] == 0]
-        nat = rows["key"].map(tags)
+        nat = rows["key"].map(tags.set_index("key")["nat"])
         rows = rows.assign(nat=nat).dropna(subset=["nat"])
-        g = (
-            rows.groupby(["nat", "tag"], sort=False)["c"]
-            .sum()
-            .reset_index()
-            .rename(columns={"tag": "yr"})
-        )
+        g = rows.groupby(["nat", "yr"], sort=False)["c"].sum().reset_index()
         return g.astype({"nat": "int64", "yr": "int64", "c": "int64"})
 
     step1 = keyed_fold(
         (li, part), gate_parts, "key", rows=(li_partials, part_tags),
-        empty=dict(key="int64", okey="int64", sk="int64", c="int64", tag="int64", side="int64"),
+        empty=dict(key="int64", sk="int64", c="int64"),
     )
     step2 = keyed_fold(
-        (step1, orders), attach_year, "key", rows=(None, order_tags),
-        empty=dict(key="int64", okey="int64", sk="int64", c="int64", tag="int64", side="int64"),
+        (step1, orders), attach_year, "key", rows=(None, order_years),
+        empty=dict(key="int64", yr="int64", c="int64"),
     )
     folded = keyed_fold(
-        (step2, sup), final_fold, "key", rows=(None, supp_tags),
+        (step2, sup), final_fold, "key", rows=(None, _keyed("s_suppkey", nat="s_nationkey")),
         empty=dict(nat="int64", yr="int64", c="int64"),
     ).to_pandas()  # bounded: <= nations x years rows
 
@@ -1898,23 +1639,13 @@ def promo_part_suppliers(
             .sum()
             .reset_index()
         )
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "sk": "int64", "q": "int64"})
 
     def part_tags(df: pd.DataFrame) -> pd.DataFrame:
-        sub = df[df["p_name"].str.startswith(name_prefix)]
-        return pd.DataFrame(
-            {
-                "key": sub["p_partkey"].astype("int64").to_numpy(),
-                "sk": np.zeros(len(sub), dtype="int64"),
-                "q": np.zeros(len(sub), dtype="int64"),
-                "side": np.ones(len(sub), dtype="int64"),
-            }
-        )
+        return _keyed("p_partkey")(df[df["p_name"].str.startswith(name_prefix)])
 
-    def gate_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        keep_keys = set(df.loc[df["side"] == 1, "key"].tolist())
-        rows = df[(df["side"] == 0) & df["key"].isin(keep_keys)]
+    def gate_in_bucket(rows: pd.DataFrame, parts: pd.DataFrame) -> pd.DataFrame:
+        rows = rows[rows["key"].isin(set(parts["key"].tolist()))]
         if not len(rows):
             return typed_empty(sk="int64")
         # per-batch partials for the same pair re-fold before the gate
@@ -1991,23 +1722,13 @@ def waiting_supplier_census(sf_dir: str):
             .max()
             .reset_index()
         )
-        g["side"] = np.zeros(len(g), dtype="int64")
         return g.astype({"key": "int64", "sk": "int64", "late": "int64"})
 
     def order_tags(df: pd.DataFrame) -> pd.DataFrame:
-        sub = df[df["o_orderstatus"] == "F"]
-        return pd.DataFrame(
-            {
-                "key": sub["o_orderkey"].astype("int64").to_numpy(),
-                "sk": np.zeros(len(sub), dtype="int64"),
-                "late": np.zeros(len(sub), dtype="int64"),
-                "side": np.ones(len(sub), dtype="int64"),
-            }
-        )
+        return _keyed("o_orderkey")(df[df["o_orderstatus"] == "F"])
 
-    def census_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        f_orders = set(df.loc[df["side"] == 1, "key"].tolist())
-        rows = df[(df["side"] == 0) & df["key"].isin(f_orders)]
+    def census_in_bucket(rows: pd.DataFrame, f_orders: pd.DataFrame) -> pd.DataFrame:
+        rows = rows[rows["key"].isin(set(f_orders["key"].tolist()))]
         if not len(rows):
             return typed_empty(sk="int64", n="int64")
         # per-(order, supplier) rows were max-folded per batch but may

@@ -1144,38 +1144,20 @@ def label_propagation(edges_ds, labels_ds):
     (vectors with no labeled neighbour emit nothing).
     SQL-oracle-checked over the materialized edge set."""
 
-    def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-        src = df["src_vec_id"].to_numpy(dtype="int64")
-        keep = (src % 2) == 1  # unlabeled side only
-        d = df[keep]
+    def edges_by_dst(df: pd.DataFrame) -> pd.DataFrame:
+        d = df[df["src_vec_id"].to_numpy(dtype="int64") % 2 == 1]  # unlabeled side only
         return pd.DataFrame(
-            {
-                "key": d["dst_vec_id"].astype("int64"),
-                "src": d["src_vec_id"].astype("int64"),
-                "label": np.full(keep.sum(), -1, dtype="int64"),
-                "side": np.zeros(keep.sum(), dtype="int64"),
-            }
+            {"key": d["dst_vec_id"].astype("int64"), "src": d["src_vec_id"].astype("int64")}
         )
 
-    def tag_labels(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["vec_id"].to_numpy(dtype="int64")
-        keep = (ids % 2) == 0  # trusted/labeled side only
-        d = df[keep]
-        return pd.DataFrame(
-            {
-                "key": d["vec_id"].astype("int64"),
-                "src": np.full(keep.sum(), -1, dtype="int64"),
-                "label": d["label"].astype("int64"),
-                "side": np.ones(keep.sum(), dtype="int64"),
-            }
-        )
+    def labels_by_id(df: pd.DataFrame) -> pd.DataFrame:
+        d = df[df["vec_id"].to_numpy(dtype="int64") % 2 == 0]  # trusted/labeled side only
+        return pd.DataFrame({"key": d["vec_id"].astype("int64"), "label": d["label"].astype("int64")})
 
     votes_rows = dict(src="int64", label="int64", n="int64")
 
-    def attach_votes(df: pd.DataFrame) -> pd.DataFrame:
-        e = df[df["side"] == 0][["key", "src"]]
-        l = df[df["side"] == 1][["key", "label"]]
-        m = e.merge(l, on="key", how="inner")
+    def attach_votes(e: pd.DataFrame, l: pd.DataFrame) -> pd.DataFrame:
+        m = e[["key", "src"]].merge(l[["key", "label"]], on="key", how="inner")
         if not len(m):
             return typed_empty(**votes_rows)
         g = (
@@ -1201,7 +1183,7 @@ def label_propagation(edges_ds, labels_ds):
         )
 
     votes = keyed_fold(
-        (edges_ds, labels_ds), attach_votes, "key", rows=(tag_edges, tag_labels),
+        (edges_ds, labels_ds), attach_votes, "key", rows=(edges_by_dst, labels_by_id),
         empty=votes_rows,
     )
     return keyed_fold(

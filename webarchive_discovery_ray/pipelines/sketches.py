@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.bucketing import keyed_fold, sum_in_bucket, typed_empty
+from ..functions.hashing import bloom_add, bloom_contains
 from ..sources.io import read_table
 
 __all__ = ["bloom_semi_join", "heavy_hitters", "hll_distinct_tokens",
@@ -33,41 +34,7 @@ __all__ = ["bloom_semi_join", "heavy_hitters", "hll_distinct_tokens",
            "countmin_event_counts", "kmv_source_similarity"]
 
 
-# ---------------------------------------------------------------------------
-# Bloom filter primitives: m-bit array, k=4 splitmix64-derived hashes.
-# Plain numpy uint8 bit arrays so per-batch partials OR together.
-
 _BLOOM_BITS = 1 << 17  # 16 KiB — fixed size regardless of corpus scale
-_BLOOM_K = 4
-_BLOOM_SEEDS = np.array(
-    [
-        int.from_bytes(hashlib.sha1(f"bloom-{j}".encode()).digest()[:8], "big")
-        for j in range(_BLOOM_K)
-    ],
-    dtype=np.uint64,
-)
-
-
-def _bloom_positions(keys: np.ndarray, nbits: int = _BLOOM_BITS) -> np.ndarray:
-    """(len(keys), k) bit positions via splitmix64(key ^ seed_j)."""
-    from .dedup import _splitmix64
-
-    h = _splitmix64(keys.astype(np.uint64)[:, None] ^ _BLOOM_SEEDS[None, :])
-    return (h % np.uint64(nbits)).astype(np.int64)
-
-
-def bloom_add(bits: np.ndarray, keys: np.ndarray) -> None:
-    pos = _bloom_positions(keys, len(bits) << 3)
-    byte, bit = pos >> 3, pos & 7
-    np.bitwise_or.at(bits, byte.ravel(), (1 << bit.ravel()).astype(np.uint8))
-
-
-def bloom_contains(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Vectorized membership: True iff ALL k bits are set (may false-
-    positive, never false-negative)."""
-    pos = _bloom_positions(keys, len(bits) << 3)
-    byte, bit = pos >> 3, pos & 7
-    return ((bits[byte] >> bit) & 1).all(axis=1)
 
 
 BLOOM_PRICE_THR = 400000.0
@@ -87,7 +54,7 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
     2. prune: lineitem batches test l_orderkey against the broadcast
        Bloom and pre-aggregate survivors to (key, n_items, sum_qty)
        partials — combiner before the shuffle;
-    3. verify: partials union the true key set (tagged), ONE bucketed
+    3. verify: partials co-grouped with the true key set, ONE bucketed
        grouped pass on bucket(key) keeps keys present on the orders side
        and folds the partials — false positives die here, exactly.
 
@@ -119,23 +86,13 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
         g = sub.groupby("l_orderkey", sort=False).agg(
             n_items=("l_orderkey", "size"), sum_qty=("l_quantity", "sum")
         )
-        out = g.reset_index().rename(columns={"l_orderkey": "key"})
-        out["side"] = np.zeros(len(out), dtype="int64")
-        return out[["key", "n_items", "sum_qty", "side"]]
+        return g.reset_index().rename(columns={"l_orderkey": "key"})
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["o_orderkey"].astype("int64"),
-                "n_items": np.zeros(len(df), dtype="int64"),
-                "sum_qty": np.zeros(len(df), dtype="float64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
+    def order_keys(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"key": df["o_orderkey"].astype("int64")})
 
-    def verify_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        present = set(df.loc[df["side"] == 1, "key"])
-        sub = df[(df["side"] == 0) & df["key"].isin(present)]
+    def verify_in_bucket(parts: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        sub = parts[parts["key"].isin(set(orders["key"]))]
         g = (
             sub.groupby("key", sort=False)
             .agg(n_items=("n_items", "sum"), sum_qty=("sum_qty", "sum"))
@@ -146,7 +103,7 @@ def bloom_semi_join(sf_dir: str, price_thr: float = BLOOM_PRICE_THR):
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
     return keyed_fold(
-        (line, hot), verify_in_bucket, "key", rows=(prune_and_combine, tag_orders)
+        (line, hot), verify_in_bucket, "key", rows=(prune_and_combine, order_keys)
     )
 
 

@@ -476,19 +476,19 @@ def host_pagerank(
         deg = df.groupby("src_host", sort=False)["n_links"].transform("sum")
         return pd.DataFrame(
             {
-                "src": df["src_host"],
+                "host": df["src_host"],
                 "dst": df["dst_host"],
                 "frac": df["n_links"].astype("float64") / deg.astype("float64"),
             }
         )
 
-    # size-pinned: the host-level edge list is ~corpus-independent narrow
+    # edges keyed by source host; size-pinned: the host-level edge list is ~corpus-independent narrow
     # data scattered over the upstream pass's block count — every
     # per-iteration sort would pay scheduling per near-empty block
     edges = coalesce_blocks(keyed_fold(edges_raw, frac_in_bucket, "src_host"))
 
     def to_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
+        h = pd.unique(pd.concat([df["host"], df["dst"]], ignore_index=True))
         return pd.DataFrame({"host": pd.Series(h, dtype=str)})
 
     def dedup_nodes(df: pd.DataFrame) -> pd.DataFrame:
@@ -509,54 +509,28 @@ def host_pagerank(
     ranks = nodes.map_batches(init_ranks, batch_format="pandas").materialize()
     n_rank_blocks = max(1, ranks.num_blocks())
 
-    def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["host"],
-                "dst": pd.Series([""] * len(df), dtype=str, index=df.index),
-                "val": df["rank"].astype("float64"),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["src"],
-                "dst": df["dst"],
-                "val": df["frac"].astype("float64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def contrib_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        r = df[df["side"] == 0][["key", "val"]].rename(columns={"val": "rank"})
-        e = df[df["side"] == 1][["key", "dst", "val"]]
-        m = e.merge(r, on="key", how="inner")
+    def contrib_in_bucket(r: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        m = e[["host", "dst", "frac"]].merge(r[["host", "rank"]], on="host", how="inner")
         return pd.DataFrame(
             {
                 "host": m["dst"],
-                "c": _PR_D * m["rank"].to_numpy() * m["val"].to_numpy(),
+                "c": _PR_D * m["rank"].to_numpy() * m["frac"].to_numpy(),
             }
         )
 
-    def zero_contrib(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"host": df["host"], "c": np.zeros(len(df), dtype="float64")}
-        )
-
-    def fold_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def fold_in_bucket(contrib: pd.DataFrame, nodes: pd.DataFrame) -> pd.DataFrame:
+        # every node gets a rank: nodes add a zero contribution each
+        zeros = nodes[["host"]].assign(c=0.0)
+        df = pd.concat([contrib[["host", "c"]], zeros], ignore_index=True)
         g = df.groupby("host", sort=False)["c"].sum().reset_index()
         return pd.DataFrame(
             {"host": g["host"], "rank": base_rank + g["c"].to_numpy()}
         )
 
     for _ in range(n_iters):
-        contrib = keyed_fold(
-            (ranks, edges), contrib_in_bucket, "key", rows=(tag_rank, tag_edge)
-        )
+        contrib = keyed_fold((ranks, edges), contrib_in_bucket, "host")
         ranks = (
-            keyed_fold((contrib, nodes), fold_in_bucket, "host", rows=(None, zero_contrib))
+            keyed_fold((contrib, nodes), fold_in_bucket, "host")
             # re-pin the rank table's block count every round: the
             # bucketed pass would otherwise multiply blocks per iteration
             # (quadratic sort scheduling by round 4-5)
@@ -1361,35 +1335,12 @@ def host_components(docs):
     )
 
     # label -> host-name attach: co-group on bucket(id)
-    def tag_cluster(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_id"].astype("int64"),
-                "host": pd.Series([""] * len(df), dtype=object, index=df.index),
-                "component_id": df["cluster_id"].astype("int64"),
-                "side": np.zeros(len(df), dtype="int64"),
-            }
-        )
+    def attach(c: pd.DataFrame, h: pd.DataFrame) -> pd.DataFrame:
+        c = c[["doc_id", "cluster_id"]].astype("int64")
+        m = h[["doc_id", "host"]].astype({"doc_id": "int64"}).merge(c, on="doc_id", how="inner")
+        return pd.DataFrame({"host": m["host"], "component_id": m["cluster_id"]})
 
-    def tag_host(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_id"].astype("int64"),
-                "host": df["host"],
-                "component_id": np.full(len(df), -1, dtype="int64"),
-                "side": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[df["side"] == 0][["key", "component_id"]]
-        h = df[df["side"] == 1][["key", "host"]]
-        m = h.merge(c, on="key", how="inner")
-        return m[["host", "component_id"]]
-
-    return keyed_fold(
-        (clusters, mapping), attach, "key", rows=(tag_cluster, tag_host)
-    )
+    return keyed_fold((clusters, mapping), attach, "doc_id")
 
 
 def span_coalesce(docs):
@@ -1587,7 +1538,7 @@ def host_hits(
     hazard a normalised HITS would carry is designed out).
 
     Scale shape: like host_pagerank — vectors and edges both stay
-    distributed; each half-step is a tagged-union bucketed co-group
+    distributed; each half-step is a bucketed co-group
     (vector ⋈ edges on the join side, grouped sum on the output side)
     plus a materialize; the driver holds only the iteration counter.
     Columns: host, hub3, auth3 (both int64, 0 for un-linked sides).
@@ -1623,38 +1574,17 @@ def host_hits(
 
     def halfstep(vec, join_col: str, out_col: str):
         """out(out_col) = SUM over edges of w * vec(join_col) — one
-        tagged-union bucketed co-group + one bucketed grouped sum."""
+        bucketed co-group + one bucketed grouped sum."""
 
-        def tag_vec(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["host"],
-                    "out": pd.Series([""] * len(df), dtype=str, index=df.index),
-                    "val": df["v"].astype("int64"),
-                    "side": np.zeros(len(df), dtype="int64"),
-                }
-            )
+        def edges_by_host(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"host": df[join_col], "out": df[out_col], "w": df["w"]})
 
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df[join_col],
-                    "out": df[out_col],
-                    "val": df["w"].astype("int64"),
-                    "side": np.ones(len(df), dtype="int64"),
-                }
-            )
-
-        def contrib(df: pd.DataFrame) -> pd.DataFrame:
-            r = df[df["side"] == 0][["key", "val"]].rename(columns={"val": "hv"})
-            e = df[df["side"] == 1][["key", "out", "val"]]
-            m = e.merge(r, on="key", how="inner")
+        def contrib(r: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+            m = e[["host", "out", "w"]].merge(r[["host", "v"]], on="host", how="inner")
             return pd.DataFrame(
                 {
                     "host": m["out"],
-                    "c": (m["val"].to_numpy() * m["hv"].to_numpy()).astype(
-                        "int64"
-                    ),
+                    "c": (m["w"].to_numpy() * m["v"].to_numpy()).astype("int64"),
                 }
             )
 
@@ -1664,7 +1594,7 @@ def host_hits(
                 {"host": g["host"], "v": g["c"].astype("int64")}
             )
 
-        joined = keyed_fold((vec, edges), contrib, "key", rows=(tag_vec, tag_edge))
+        joined = keyed_fold((vec, edges), contrib, "host", rows=(None, edges_by_host))
         return coalesce_blocks(keyed_fold(joined, fold, "host"))
 
     h = nodes.map_batches(init_vec, batch_format="pandas").materialize()
@@ -1674,26 +1604,9 @@ def host_hits(
         h = halfstep(a, "dst", "src")   # hubs from authorities
 
     # final projection: every node, 0 where a side never received mass
-    def tag_final(name: str, side: int):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "host": df["host"],
-                    "v": df["v"].astype("int64")
-                    if side
-                    else np.zeros(len(df), dtype="int64"),
-                    "side": np.full(len(df), side, dtype="int64"),
-                    "which": pd.Series([name] * len(df), dtype=str,
-                                       index=df.index),
-                }
-            )
-
-        return f
-
-    def project(df: pd.DataFrame) -> pd.DataFrame:
-        hosts = df[df["side"] == 0][["host"]].drop_duplicates()
-        hv = df[(df["side"] == 1) & (df["which"] == "h")][["host", "v"]]
-        av = df[(df["side"] == 1) & (df["which"] == "a")][["host", "v"]]
+    def project(nodes, hv, av: pd.DataFrame) -> pd.DataFrame:
+        hosts = nodes[["host"]].drop_duplicates()
+        hv, av = hv[["host", "v"]], av[["host", "v"]]
         out = hosts.merge(
             hv.rename(columns={"v": "hub3"}), on="host", how="left"
         ).merge(av.rename(columns={"v": "auth3"}), on="host", how="left")
@@ -1703,7 +1616,6 @@ def host_hits(
 
     return keyed_fold(
         (nodes, h, a), project, "host",
-        rows=(tag_final("n", 0), tag_final("h", 1), tag_final("a", 1)),
         empty=dict(host=str, hub3="int64", auth3="int64"),
     )
 
@@ -1779,21 +1691,22 @@ def host_distances(
 
     Scale shape: distances and edges both stay distributed; each of the
     ``max_d`` rounds expands ONLY the last frontier through one
-    tagged-union bucketed co-group (frontier ⋈ edges by src) and merges
+    bucketed co-group (frontier ⋈ edges by src) and merges
     into the known set with a grouped min — the driver holds the round
     counter. Columns: host, dist (0..max_d; unreached hosts omitted).
     SQL-oracle-checked (recursive CTE with a path-length bound)."""
     edges_raw = host_link_graph(n_pages, scfg, docs=docs)
 
     def edge_cast(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"src": df["src_host"], "dst": df["dst_host"]})
+        # keyed by source host
+        return pd.DataFrame({"host": df["src_host"], "dst": df["dst_host"]})
 
     edges = coalesce_blocks(edges_raw.map_batches(edge_cast, batch_format="pandas"))
 
     # seed selection: global min-k by host string — per-block partial
     # top-k, driver folds #blocks × k rows
     def partial_min(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.unique(pd.concat([df["src"], df["dst"]], ignore_index=True))
+        h = pd.unique(pd.concat([df["host"], df["dst"]], ignore_index=True))
         s = pd.Series(h, dtype=str).sort_values(kind="mergesort").head(_BFS_SEEDS)
         return pd.DataFrame({"host": s})
 
@@ -1808,43 +1721,19 @@ def host_distances(
     frontier = dist
 
     for level in range(1, max_d + 1):
-        def tag_front(df: pd.DataFrame) -> pd.DataFrame:
+        def expand(f: pd.DataFrame, e: pd.DataFrame, _lv=level) -> pd.DataFrame:
+            m = e[["host", "dst"]].merge(f[["host"]], on="host", how="inner")
+            out = m["dst"].drop_duplicates()
             return pd.DataFrame(
-                {
-                    "key": df["host"],
-                    "out": pd.Series([""] * len(df), dtype=str, index=df.index),
-                    "side": np.zeros(len(df), dtype="int64"),
-                }
+                {"host": out.to_numpy(), "dist": np.full(len(out), _lv, dtype="int64")}
             )
 
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["src"],
-                    "out": df["dst"],
-                    "side": np.ones(len(df), dtype="int64"),
-                }
-            )
-
-        def expand(df: pd.DataFrame, _lv=level) -> pd.DataFrame:
-            f = df[df["side"] == 0][["key"]]
-            e = df[df["side"] == 1][["key", "out"]]
-            m = e.merge(f, on="key", how="inner")
-            out = m[["out"]].drop_duplicates().rename(columns={"out": "host"})
-            return pd.DataFrame(
-                {
-                    "host": out["host"],
-                    "dist": np.full(len(out), _lv, dtype="int64"),
-                }
-            )
-
-        cands = keyed_fold(
-            (frontier, edges), expand, "key", rows=(tag_front, tag_edge)
-        )
+        cands = keyed_fold((frontier, edges), expand, "host")
 
         # merge: known dist ∪ candidates, grouped min by host; the NEW
         # frontier = hosts whose min dist equals this level
-        def merge_min(df: pd.DataFrame) -> pd.DataFrame:
+        def merge_min(known: pd.DataFrame, new: pd.DataFrame) -> pd.DataFrame:
+            df = pd.concat([known[["host", "dist"]], new[["host", "dist"]]], ignore_index=True)
             g = df.groupby("host", sort=False)["dist"].min().reset_index()
             g["dist"] = g["dist"].astype("int64")
             return g
@@ -1984,41 +1873,27 @@ def host_triangles(
 
     def half_rows(df: pd.DataFrame) -> pd.DataFrame:
         pair = df["a"] + sep + df["b"]
+        # one row per end of the edge: end 0 is a, end 1 is b
         return pd.DataFrame(
             {
-                "key": pd.concat([df["a"], df["b"]], ignore_index=True),
+                "node": pd.concat([df["a"], df["b"]], ignore_index=True),
                 "pair": pd.concat([pair, pair], ignore_index=True),
-                "side": np.repeat(
-                    np.array([0, 1], dtype="int64"), len(df)
-                ),
-                "d": np.full(2 * len(df), -1, dtype="int64"),
+                "end": np.repeat(np.array([0, 1], dtype="int64"), len(df)),
             }
         )
 
-    def deg_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"],
-                "pair": np.full(len(df), "", dtype=object),
-                "side": np.full(len(df), 2, dtype="int64"),
-                "d": df["d"].astype("int64"),
-            }
-        )
-
-    def attach_deg(df: pd.DataFrame) -> pd.DataFrame:
-        halves = df[df["side"] < 2][["key", "pair", "side"]]
-        dd = df[df["side"] == 2][["key", "d"]]
-        m = halves.merge(dd, on="key", how="inner")
-        return m[["pair", "side", "d"]].reset_index(drop=True)
+    def attach_deg(halves: pd.DataFrame, dd: pd.DataFrame) -> pd.DataFrame:
+        m = halves[["node", "pair", "end"]].merge(dd[["node", "d"]], on="node", how="inner")
+        return m[["pair", "end", "d"]].astype({"d": "int64"}).reset_index(drop=True)
 
     attached = keyed_fold(
-        (und, degs), attach_deg, "key", rows=(half_rows, deg_rows),
-        empty=dict(pair=str, side="int64", d="int64"),
+        (und, degs), attach_deg, "node", rows=(half_rows, None),
+        empty=dict(pair=str, end="int64", d="int64"),
     )
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
-        da = df[df["side"] == 0][["pair", "d"]].rename(columns={"d": "da"})
-        db = df[df["side"] == 1][["pair", "d"]].rename(columns={"d": "db"})
+        da = df[df["end"] == 0][["pair", "d"]].rename(columns={"d": "da"})
+        db = df[df["end"] == 1][["pair", "d"]].rename(columns={"d": "db"})
         m = da.merge(db, on="pair")
         if not len(m):
             return typed_empty(src=str, dst=str)
@@ -2039,24 +1914,19 @@ def host_triangles(
         g = df[["src", "dst"]]
         m = g.merge(g, on="src")
         m = m[m["dst_x"] < m["dst_y"]]
-        out = pd.DataFrame({"key": m["dst_x"] + sep + m["dst_y"]})
-        out["is_edge"] = np.zeros(len(out), dtype="int64")
-        return out
+        return pd.DataFrame({"key": m["dst_x"] + sep + m["dst_y"]})
 
-    def edge_marks(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"key": df["a"] + sep + df["b"]})
-        out["is_edge"] = np.ones(len(out), dtype="int64")
-        return out
+    def edge_keys(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"key": df["a"] + sep + df["b"]})
 
-    def count_tri(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("key", sort=False)["is_edge"].agg(["sum", "count"])
-        closed = g[g["sum"] > 0]
-        n = int((closed["count"] - closed["sum"]).sum())
+    def count_tri(wedges: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
+        # a wedge whose open end is an edge closes a triangle
+        n = int(wedges["key"].isin(set(edges["key"])).sum())
         return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
-    wedges = keyed_fold(oriented, wedge_gen, "src", empty=dict(key=str, is_edge="int64"))
+    wedges = keyed_fold(oriented, wedge_gen, "src", empty=dict(key=str))
     tri_parts = keyed_fold(
-        (wedges, und), count_tri, "key", rows=(None, edge_marks),
+        (wedges, und), count_tri, "key", rows=(None, edge_keys),
         empty=dict(n_triangles="int64"),
     ).to_pandas()
     n_triangles = int(tri_parts["n_triangles"].sum()) if len(tri_parts) else 0
@@ -2299,7 +2169,8 @@ def kcore_hosts(
         empty=dict(side="int64", node=str, nbr=str, est="int64"),
     ))
     def adj_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["side"] == 0][["node", "nbr"]]
+        # keyed by neighbour: its estimate attaches there
+        return df[df["side"] == 0][["node", "nbr"]].rename(columns={"nbr": "key"})
 
     def est_rows(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["side"] == 1][["node", "est"]]
@@ -2308,30 +2179,11 @@ def kcore_hosts(
     est = base.map_batches(est_rows, batch_format="pandas").materialize()
 
     for _ in range(max_rounds):
-        def tag_adj(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["nbr"],
-                    "node": df["node"],
-                    "est": np.zeros(len(df), dtype="int64"),
-                    "side": np.zeros(len(df), dtype="int64"),
-                }
-            )
+        def est_by_node(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"key": df["node"], "est": df["est"].astype("int64")})
 
-        def tag_est(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df["node"],
-                    "node": df["node"],
-                    "est": df["est"].astype("int64"),
-                    "side": np.ones(len(df), dtype="int64"),
-                }
-            )
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            a = df[df["side"] == 0][["key", "node"]]
-            e = df[df["side"] == 1][["key", "est"]]
-            m = a.merge(e, on="key", how="inner")
+        def attach(a: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+            m = a[["key", "node"]].merge(e[["key", "est"]], on="key", how="inner")
             nbr_rows = pd.DataFrame(
                 {
                     "node": m["node"],
@@ -2380,7 +2232,7 @@ def kcore_hosts(
             )
 
         attached = keyed_fold(
-            (adj, est), attach, "key", rows=(tag_adj, tag_est),
+            (adj, est), attach, "key", rows=(None, est_by_node),
             empty=dict(node=str, v="int64", own="int64"),
         )
         nxt = coalesce_blocks(keyed_fold(

@@ -1813,33 +1813,14 @@ def rank_blend(sf_dir: str):
         f, ["flesch_r", "doc_id"], [True, False], "r_read", ["doc_id"]
     )
 
-    def tag1(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "r_quality": df["r_quality"].astype("int64"),
-                "r_read": np.full(len(df), -1, dtype="int64"),
-            }
-        )
-
-    def tag2(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "r_quality": np.full(len(df), -1, dtype="int64"),
-                "r_read": df["r_read"].astype("int64"),
-            }
-        )
-
-    def join_ranks(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["r_read"] == -1][["doc_id", "r_quality"]]
-        b = df[df["r_quality"] == -1][["doc_id", "r_read"]]
-        m = a.merge(b, on="doc_id", how="inner")
+    def join_ranks(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+        a = a[["doc_id", "r_quality"]].astype("int64")
+        m = a.merge(b[["doc_id", "r_read"]].astype("int64"), on="doc_id", how="inner")
         m["blend"] = (m["r_quality"] + m["r_read"]).astype("int64")
         return m
 
     joined = coalesce_blocks(keyed_fold(
-        (r1, r2), join_ranks, "doc_id", rows=(tag1, tag2),
+        (r1, r2), join_ranks, "doc_id",
         empty=dict(doc_id="int64", r_quality="int64", r_read="int64", blend="int64"),
     ))
     return global_row_number(
@@ -2018,7 +1999,7 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
     Shape: unigram exchange → materialized per-token table U (N = one
     Sum over U, never a second text scan); bigram exchange → per-bigram
     table (B = one Sum, THEN the ``c12 ≥ min_count`` support filter —
-    B counts all bigrams); c1/c2 attach via TWO tagged bucketed
+    B counts all bigrams); c1/c2 attach via TWO bucketed
     co-groups against U (the label_propagation attach — U is
     vocabulary-sized, so no broadcast); final per-batch top-k partials →
     bounded global sort+limit (the ngram_topk tail, ties → gram asc).
@@ -2068,46 +2049,19 @@ def pmi_collocations(sf_dir: str, min_count: int = 5, k: int = 50):
     survivors = big.filter(expr=f"c12 >= {int(min_count)}")
 
     def _attach(pairs_ds, key_col: str, out_col: str):
-        def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return typed_empty(
-                    key=str, w1=str, w2=str, c12="int64",
-                    c1="int64", c2="int64", c="int64", side="int64",
-                )
-            out = df.copy()
-            for col in ("c1", "c2"):
-                if col not in out.columns:
-                    out[col] = np.zeros(len(out), dtype="int64")
-            out["key"] = out[key_col].astype(object)
-            out["c"] = np.zeros(len(out), dtype="int64")
-            out["side"] = np.zeros(len(out), dtype="int64")
-            return out[["key", "w1", "w2", "c12", "c1", "c2", "c", "side"]]
+        def pairs_by_word(df: pd.DataFrame) -> pd.DataFrame:
+            return df.assign(key=df[key_col].astype(object))
 
-        def tag_uni(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df)
-            return pd.DataFrame(
-                {
-                    "key": df["tok"].astype(object),
-                    "w1": np.full(n, "", dtype=object),
-                    "w2": np.full(n, "", dtype=object),
-                    "c12": np.zeros(n, dtype="int64"),
-                    "c1": np.zeros(n, dtype="int64"),
-                    "c2": np.zeros(n, dtype="int64"),
-                    "c": df["c"].astype("int64"),
-                    "side": np.ones(n, dtype="int64"),
-                }
-            )
+        def uni_by_word(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"key": df["tok"].astype(object), "c": df["c"].astype("int64")})
 
-        def join_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            counts = (
-                df[df["side"] == 1].drop_duplicates("key").set_index("key")["c"]
-            )
-            w = df[df["side"] == 0].copy()
-            w[out_col] = w["key"].map(counts).fillna(0).astype("int64")
-            return w[["w1", "w2", "c12", "c1", "c2"]].reset_index(drop=True)
+        def join_in_bucket(w: pd.DataFrame, u: pd.DataFrame) -> pd.DataFrame:
+            counts = u.drop_duplicates("key").set_index("key")["c"]
+            w = w.assign(**{out_col: w["key"].map(counts).fillna(0).astype("int64")})
+            return w.reindex(columns=["w1", "w2", "c12", "c1", "c2"], fill_value=0)
 
         return keyed_fold(
-            (pairs_ds, uni), join_in_bucket, "key", rows=(tag_pairs, tag_uni),
+            (pairs_ds, uni), join_in_bucket, "key", rows=(pairs_by_word, uni_by_word),
             empty=dict(w1=str, w2=str, c12="int64", c1="int64", c2="int64"),
         )
 

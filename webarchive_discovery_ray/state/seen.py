@@ -49,10 +49,9 @@ from array import array
 
 import numpy as np
 
-from ..functions.hashing import stable_hash64
+from ..functions.hashing import bloom_add, bloom_contains, stable_hash64
 
 __all__ = [
-    "BloomFilter",
     "CuckooFilter",
     "KeySpace",
     "SeenSet",
@@ -66,36 +65,6 @@ _SHARD_SEED = 7
 
 def shard_of(key: str, n_shards: int) -> int:
     return stable_hash64(key, _SHARD_SEED) % n_shards
-
-
-class BloomFilter:
-    """Minimal deterministic Bloom filter over strings."""
-
-    def __init__(self, n_bits: int = 1 << 20, k: int = 4):
-        self.n_bits = n_bits
-        self.k = k
-        self.bits = np.zeros(n_bits // 8 + 1, dtype=np.uint8)
-
-    def _positions(self, key: str) -> list[int]:
-        d = hashlib.sha1(key.encode("utf-8")).digest()
-        h1 = int.from_bytes(d[:8], "big")
-        h2 = int.from_bytes(d[8:16], "big") | 1
-        return [((h1 + i * h2) % self.n_bits) for i in range(self.k)]
-
-    def add(self, key: str) -> None:
-        for p in self._positions(key):
-            self.bits[p >> 3] |= 1 << (p & 7)
-
-    def add_many(self, keys: list[str]) -> None:
-        """Batched add: one vectorized scatter instead of per-key numpy
-        ops."""
-        pos = np.asarray([p for key in keys for p in self._positions(key)], dtype=np.int64)
-        np.bitwise_or.at(
-            self.bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8)
-        )
-
-    def might_contain(self, key: str) -> bool:
-        return all(self.bits[p >> 3] & (1 << (p & 7)) for p in self._positions(key))
 
 
 def _key_hashes(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -253,28 +222,27 @@ def _cuckoo_buckets(n_keys: int) -> int:
 class _RunFilter:
     """The probe gate of one spill run of ``n_keys`` keys, filled once
     with them (in slices, in key order): a cuckoo filter sized to them,
-    plus a Bloom filter sized from the same count for the keys the cuckoo
-    could not place (None while it placed them all)."""
+    plus a Bloom bit array of 16 bits per run key over the 64-bit
+    :func:`_key_hashes` of the keys the cuckoo could not place (None
+    while it placed them all)."""
 
     def __init__(self, n_keys: int):
         self.cuckoo = CuckooFilter(n_buckets=_cuckoo_buckets(n_keys))
         self.bloom = None
-        self._bloom_bits = 16 * n_keys
+        self._bloom_bytes = 2 * max(1, n_keys)
 
     def add_many(self, keys: list[str]) -> None:
         overflow = [k for k, ok in zip(keys, self.cuckoo.add_many(keys)) if not ok]
         if overflow:
             if self.bloom is None:
-                self.bloom = BloomFilter(n_bits=self._bloom_bits)
-            self.bloom.add_many(overflow)
+                self.bloom = np.zeros(self._bloom_bytes, dtype=np.uint8)
+            bloom_add(self.bloom, _key_hashes(overflow)[1])
 
-    def might_contain_many(self, keys, fp: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Bool mask over ``keys``, given their :func:`_key_hashes`."""
+    def might_contain_many(self, fp: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Bool mask over keys, given their :func:`_key_hashes`."""
         hit = self.cuckoo.might_contain_many(fp, h)
         if self.bloom is not None:
-            hit |= np.fromiter(
-                (self.bloom.might_contain(k) for k in keys), dtype=bool, count=len(keys)
-            )
+            hit |= bloom_contains(self.bloom, h)
         return hit
 
 
@@ -391,7 +359,7 @@ class SpilledRuns:
             if not len(todo):
                 break
             gated = todo[
-                run["filter"].might_contain_many(keys[todo], fp[todo], h[todo])
+                run["filter"].might_contain_many(fp[todo], h[todo])
             ]
             # row group of each gated key: rightmost fence <= key
             rg = np.searchsorted(run["fences"], keys[gated], side="right") - 1
@@ -407,12 +375,14 @@ class SpilledRuns:
                 ).to_numpy(zero_copy_only=False)
         return found
 
-    def all_keys(self) -> list[str]:
-        """Every spilled key (sorted merge across runs) — the snapshot /
+    def all_keys(self, hot=()) -> list[str]:
+        """Every spilled key and the keys ``hot``, which holds none of
+        them, as one sorted list merged in Arrow — the snapshot /
         byte-parity read-back path."""
-        if not self._runs:
-            return []
-        return _sorted([self._read_run(r) for r in self._runs]).to_pylist()
+        import pyarrow as pa
+
+        runs = [self._read_run(r) for r in self._runs]
+        return _sorted(runs + [pa.array(list(hot), pa.string())]).to_pylist()
 
     def clear(self) -> None:
         for r in self._runs:
@@ -503,7 +473,8 @@ class KeySpace:
         byte-comparable representation; streams spilled runs back."""
         if not self._spilling():
             return sorted(self._exact)
-        return sorted(set(self._runs.all_keys()) | self._exact)
+        # a key is hot or spilled, never both: no set of every key
+        return self._runs.all_keys(self._exact)
 
     def restore_from_parquet(
         self, paths: list[str], shard_id: int, n_shards: int
