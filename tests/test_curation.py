@@ -1074,6 +1074,60 @@ def test_small_state_loops_on_degenerate_input(ray_session, tmp_path, monkeypatc
     assert sorted(zip(got["doc_id"], got["cluster_id"])) == [(0, 0), (1, 1), (2, 2)]
 
 
+@pytest.mark.parametrize("one_task", [True, False], ids=["one_task", "exchange"])
+def test_empty_results_are_typed_arrow_blocks(ray_session, tmp_path, monkeypatch, one_task):
+    """A keyed fold with no row and a BPE run that trains no merge return
+    Arrow blocks of the declared types. Ray sizes them without logging
+    the "Error calculating size for column" warning that its pandas
+    estimate logs for zero-row object columns."""
+    import logging
+
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
+    from webarchive_discovery_ray.functions import bucketing
+    from webarchive_discovery_ray.pipelines.textops import bpe_train
+
+    if not one_task:
+        monkeypatch.setattr(bucketing, "TARGET_BLOCK_BYTES", 0)
+    no_rows = rd.from_pandas(pd.DataFrame({"k": ["a"], "v": [1]})).filter(expr="v > 1")
+    results = [
+        (
+            bucketing.keyed_fold(
+                no_rows, bucketing.sum_in_bucket("k", "v"), "k", empty={"k": str, "v": "int64"}
+            ),
+            pa.schema([("k", pa.string()), ("v", pa.int64())]),
+        ),
+        (
+            bpe_train(_empty_sf(tmp_path)),
+            pa.schema(
+                [("step", pa.int64()), ("left", pa.string()), ("right", pa.string()), ("n", pa.int64())]
+            ),
+        ),
+    ]
+    logged: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            logged.append(record.getMessage())
+
+    handler = Collect(logging.WARNING)
+    log = logging.getLogger("ray.data._internal.pandas_block")
+    log.addHandler(handler)
+    try:
+        for ds, schema in results:
+            ds = ds.materialize()
+            assert ds.count() == 0
+            assert ds.schema().base_schema.remove_metadata() == schema
+            for block in ray.get(bucketing._block_refs(ds)):
+                BlockAccessor.for_block(block).size_bytes()
+    finally:
+        log.removeHandler(handler)
+    assert not logged, logged
+
+
 def test_url_quality_filter_params_after_first_question_mark(ray_session, tmp_path):
     """The query is everything after the FIRST '?': a second '?' is a
     query character, so ``?a=1?b=2&c=3`` carries two params. Pipeline

@@ -164,6 +164,66 @@ def test_revisit_path_applies_field_policy(pages_rows):
         assert got == exp, f"revisit parity broke for {mut.keys()}"
 
 
+def _memo_page(i, url, payload=b"", **kw):
+    row = {
+        "url": url, "timestamp14": "20200101000000", "record_type": "response",
+        "status": 200, "mime_served": "text/html", "location": "",
+        "content_encoding": "", "transfer_encoding": "", "payload": payload,
+        "payload_sha1": "", "source_file": "memo.warc.gz", "source_offset": i,
+    }
+    row.update(kw)
+    return row
+
+
+def test_batch_memo_matches_oracle_on_shared_values():
+    """One batch whose records share hosts, links and served types: the
+    stage's per-batch memo must give the oracle's row for every record,
+    including a malformed record host (still SURTed), a malformed link
+    host (skipped), an empty payload beside a non-empty one of the same
+    served type, a revisit, and both ``normalise_links`` settings, run
+    back to back."""
+    from webarchive_discovery_ray.functions.mime import reconcile_content_type
+    from webarchive_discovery_ray.functions.suffix import MALFORMED_HOST
+    from webarchive_discovery_ray.oracle.extract_oracle import oracle_extract_record
+    from webarchive_discovery_ray.stages.extract import BatchMemo
+
+    page = (
+        b'<title>t</title><p>x</p><a href="/b">b</a><a href="http://WWW.example.com/b/">b</a>'
+        b'<a href="http://bad_host/x">bad</a><a href="https://news.other.co.uk/p?q=1">o</a>'
+        b'<img src="/i.png"><img srcset="/i.png 1x, http://www.example.com/j.png 2x">'
+    )
+    rows = [
+        _memo_page(0, "http://www.example.com/a", page),
+        _memo_page(1, "http://example.com/b", page + b'<a href="../a">a</a>', location="../c"),
+        _memo_page(2, "http://bad_host/page", b'<a href="/x">x</a><a href="http://example.com/b">b</a>'),
+        _memo_page(3, "http://example.com/empty"),
+        _memo_page(4, "http://example.com/c", b"<p>c</p>"),
+        _memo_page(5, "http://www.example.com/a", record_type="revisit", payload_sha1="sha1:ABC"),
+        _memo_page(6, "https://news.other.co.uk/p?q=1", b"plain", mime_served="text/plain"),
+        _memo_page(7, "http://example.com/d", b"", mime_served="text/plain"),
+    ]
+    table = pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
+    for cfg in (IndexConfig(normalise_links=False), IndexConfig()):
+        got = extract_batch(table, cfg).to_pylist()
+        exp = [d for d in (oracle_extract_record(r, cfg) for r in rows) if d is not None]
+        assert got == pa.Table.from_pylist(exp, schema=DOCUMENTS_SCHEMA).to_pylist()
+        by_offset = {d["source_offset"]: d for d in got}
+        assert by_offset[2]["host"] == MALFORMED_HOST and by_offset[2]["host_surt"]
+        assert "http://bad_host/x" in by_offset[0]["links"]
+        assert MALFORMED_HOST not in by_offset[0]["links_hosts"]
+        assert by_offset[3]["content_type"] == "application/x-empty"
+        assert by_offset[4]["content_type"] == "text/html"
+        assert by_offset[5]["record_type"] == "revisit"
+        assert ("http://www.example.com/b" in by_offset[0]["links"]) != cfg.normalise_links
+    # the sniffer already names every empty payload application/x-empty,
+    # so only a direct call reaches the memo with one type for both
+    memo = BatchMemo()
+    for length in (5, 0, 7):
+        assert memo.content_type("text/html", "text/html", length) == reconcile_content_type(
+            "text/html", served="text/html", warc_mimetype="text/html", content_length=length
+        )
+
+
 # --- HTMLAnalyserTest.java link-extraction pins (real reference fixtures) ----
 
 def _extract_fixture_html(name: str, cfg=None, url="http://example.org/"):

@@ -553,6 +553,96 @@ def test_keyed_fold_empty_upstream_returns_declared_schema(ray_session):
     out = keyed_fold(mixed, sum_in_bucket("k", "v"), "k", rows=partial, empty=schema)
     assert sorted(zip(*out.to_pandas()[["k", "v"]].to_numpy().T)) == [(1, 7), (2, 5)]
 
+# --- HTML tokenizer (functions/htmlscan.tokenize_html) ------------------------
+
+
+@pytest.mark.parametrize(
+    "html, tokens",
+    [
+        ("", []),
+        ("text only", [("text", "", {}, "text only", 0)]),
+        # '<' not followed by a letter or '/'+letter is text, merged with
+        # the text around it
+        ("I <3 you", [("text", "", {}, "I <3 you", 0)]),
+        ("a < b and x<y", [("text", "", {}, "a < b and x<y", 0)]),
+        ("end <", [("text", "", {}, "end <", 0)]),
+        ("</ div>", [("text", "", {}, "</ div>", 0)]),
+        (
+            "a < b<p>c",
+            [("text", "", {}, "a < b", 0), ("start", "p", {}, "", 5), ("text", "", {}, "c", 8)],
+        ),
+        (
+            "<p>x</p>",
+            [("start", "p", {}, "", 0), ("text", "", {}, "x", 3), ("end", "p", {}, "", 4)],
+        ),
+        # comments and doctypes are skipped; an unterminated comment skips
+        # only its '<!--', an unterminated '<!' only its two characters
+        ("a<!-- c -->b", [("text", "", {}, "a", 0), ("text", "", {}, "b", 11)]),
+        ("a<!-- <p> -->", [("text", "", {}, "a", 0)]),
+        ("a<!-- open", [("text", "", {}, "a", 0), ("text", "", {}, " open", 5)]),
+        ("<!DOCTYPE html><html>", [("start", "html", {}, "", 15)]),
+        ("a<!x>b", [("text", "", {}, "a", 0), ("text", "", {}, "b", 5)]),
+        ("a<!x", [("text", "", {}, "a", 0), ("text", "", {}, "x", 3)]),
+        # script/style content is raw text up to the close tag (any case,
+        # whitespace before '>'), and never becomes tokens
+        (
+            "<script>if (a<b) x='</p>';</script>t",
+            [("start", "script", {}, "", 0), ("end", "script", {}, "", 26), ("text", "", {}, "t", 35)],
+        ),
+        (
+            "<SCRIPT type=x>a</Script >b",
+            [
+                ("start", "script", {"type": "x"}, "", 0),
+                ("end", "script", {}, "", 16),
+                ("text", "", {}, "b", 26),
+            ],
+        ),
+        (
+            "<style>p{}</style>z",
+            [("start", "style", {}, "", 0), ("end", "style", {}, "", 10), ("text", "", {}, "z", 18)],
+        ),
+        # a self-closing script has no raw text; an unterminated one
+        # swallows the rest of the document
+        (
+            '<script src="x.js"/>after',
+            [("start", "script", {"src": "x.js"}, "", 0), ("text", "", {}, "after", 20)],
+        ),
+        ("t<script>never closed <p>", [("text", "", {}, "t", 0), ("start", "script", {}, "", 1)]),
+        # attribute names lowercase, first occurrence wins; values double-
+        # or single-quoted or bare; a name without a value maps to ''
+        (
+            "<a href=\"one\" HREF=two rel='lic' bare>x</a>",
+            [
+                ("start", "a", {"href": "one", "rel": "lic", "bare": ""}, "", 0),
+                ("text", "", {}, "x", 38),
+                ("end", "a", {}, "", 39),
+            ],
+        ),
+        (
+            '<IMG Src=a.png alt = "q > r" data-x>',
+            [("start", "img", {"src": "a.png", "alt": "q > r", "data-x": ""}, "", 0)],
+        ),
+        ("<p class=>", [("start", "p", {"class": ""}, "", 0)]),
+        ("<br/>", [("start", "br", {}, "", 0)]),
+        (
+            "<b>1</B>\n<i>2",
+            [
+                ("start", "b", {}, "", 0),
+                ("text", "", {}, "1", 3),
+                ("end", "b", {}, "", 4),
+                ("text", "", {}, "\n", 8),
+                ("start", "i", {}, "", 9),
+                ("text", "", {}, "2", 12),
+            ],
+        ),
+    ],
+)
+def test_tokenize_html_pinned_rules(html, tokens):
+    from webarchive_discovery_ray.functions.htmlscan import tokenize_html
+
+    assert [tuple(t) for t in tokenize_html(html)] == tokens
+
+
 # --- anchor-text assembly (functions/htmlscan.anchor_texts) -------------------
 
 

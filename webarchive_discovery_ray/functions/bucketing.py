@@ -143,6 +143,25 @@ def typed_empty(**cols: str) -> pd.DataFrame:
     return pd.DataFrame({k: pd.Series([], dtype=v) for k, v in cols.items()})
 
 
+def _empty_result(**cols: str):
+    """A fold's zero-row result of ``typed_empty``'s schema, as one Arrow
+    block whose columns convert back to ``typed_empty``'s dtypes (an
+    ``object`` column is Arrow ``string``). Ray sizes a pandas block's
+    object columns from a sample of their rows, which fails on zero
+    rows."""
+    import ray.data as rd
+
+    frame = typed_empty(**cols)
+    return rd.from_arrow(
+        pa.table(
+            {
+                k: pa.array([], pa.string() if col.dtype == object else pa.from_numpy_dtype(col.dtype))
+                for k, col in frame.items()
+            }
+        )
+    )
+
+
 def default_buckets(min_b: int = 16, per_cpu: int = 2, cap: int = 128) -> int:
     """Bucket count sized to the cluster: enough groups to spread over
     every CPU (×``per_cpu`` for stragglers), capped so tiny clusters do
@@ -379,8 +398,6 @@ def _exchange(tagged, schemas, fold, empty):
     union with no row when ``empty`` is given. Co-grouped inputs travel
     packed and reach ``fold`` one frame per input of its ``schemas``
     entry; a single input's tagged rows travel as they are."""
-    import ray.data as rd  # lazily, as in the pipelines: workers import this module
-
     if len(tagged) > 1:
         tagged = [
             t.map_batches(_packed(i), batch_format="pyarrow", batch_size=None)
@@ -391,13 +408,13 @@ def _exchange(tagged, schemas, fold, empty):
     else:
         fn, batch_format = fold, "pandas"
     if not tagged:
-        return rd.from_pandas(typed_empty(**(empty or {})))
+        return _empty_result(**(empty or {}))
     union = tagged[0]
     for more in tagged[1:]:
         union = union.union(more)
     union = union.materialize()
     if not union.count() and empty is not None:
-        return rd.from_pandas(typed_empty(**empty))
+        return _empty_result(**empty)
     return coalesce_blocks(union).groupby("bucket").map_groups(fn, batch_format=batch_format)
 
 
@@ -487,7 +504,7 @@ def keyed_fold(ds, fold, key, *, rows=None, batch_format="pandas", empty=None):
             [t if t is not None else rd.from_arrow_refs(f) if f else None for t, f in zip(pre, fresh)]
         )
     if empty is not None:
-        return rd.from_pandas(typed_empty(**empty))
+        return _empty_result(**empty)
     return exchange(all_tagged())
 
 

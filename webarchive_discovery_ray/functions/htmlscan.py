@@ -1,18 +1,19 @@
-"""Minimal deterministic HTML tokenizer shared by the extraction stage and
-the sequential oracle.
+"""Minimal deterministic HTML tokenizer of the extraction stage.
 
 This replaces the reference's JSoup parse (``HtmlFeatureParser.java:154-250``)
-with a pinned, dependency-free scan. The *tokenizer* is shared (and golden-
-tested here); the span/link **assembly** logic is implemented independently
-in ``stages/extract.py`` and ``oracle/extract_oracle.py`` so parity tests
-exercise real duplicated logic (SURVEY.md §5 test plan).
+with a pinned, dependency-free scan, golden-tested in
+``tests/test_kernels.py``. The sequential oracle (``oracle/extract_oracle.py``)
+tokenizes with its own generator under the same rules, and implements the
+span/link **assembly** logic independently, so parity tests exercise real
+duplicated logic (SURVEY.md §5 test plan).
 
 Pinned tokenization rules:
 * a tag starts at ``<`` immediately followed by a letter or ``/`` + letter,
   and ends at the next ``>``; anything else (``<3``, ``< a``) is text —
   matching the reference's ELEMENT_NAME false-positive rule
   (``HtmlFeatureParser.java:215-222``);
-* ``<script>``/``<style>`` content is skipped up to the matching close tag;
+* ``<script>``/``<style>`` content is skipped up to the matching close tag
+  (all of the rest when there is none; a self-closing tag has none);
 * comments and doctypes are skipped;
 * attribute values may be double-quoted, single-quoted or bare.
 """
@@ -20,7 +21,7 @@ Pinned tokenization rules:
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["Token", "tokenize_html", "parse_srcset", "anchor_texts"]
 
@@ -55,63 +56,54 @@ def _parse_attrs(raw: str) -> dict[str, str]:
     return attrs
 
 
-def tokenize_html(html: str) -> Iterator[Token]:
-    """Yield tokens in document order with character offsets."""
+def tokenize_html(html: str) -> list[Token]:
+    """Tokens in document order with character offsets."""
+    out: list[Token] = []
+    append = out.append
     i, n = 0, len(html)
-    text_start = -1
-
-    def flush_text(end: int) -> Iterator[Token]:
-        nonlocal text_start
-        if text_start >= 0 and end > text_start:
-            chunk = html[text_start:end]
-            if chunk:
-                yield Token("text", "", {}, chunk, text_start)
-        text_start = -1
-
+    text_start = -1  # start of the pending text run; -1 when none
     while i < n:
         lt = html.find("<", i)
         if lt < 0:
-            if text_start < 0:
-                text_start = i
-            yield from flush_text(n)
-            return
-        if text_start < 0 and lt > i:
+            break
+        if text_start < 0:
             text_start = i
-        elif text_start < 0:
-            text_start = i
-        # comment / doctype?
-        if html.startswith("<!--", lt):
-            m = _COMMENT.match(html, lt)
-            yield from flush_text(lt)
-            i = m.end() if m else lt + 4
-            continue
-        if html.startswith("<!", lt):
-            m = _DOCTYPE.match(html, lt)
-            yield from flush_text(lt)
-            i = m.end() if m else lt + 2
+        if html.startswith("<!", lt):  # comment or doctype: skipped
+            if lt > text_start:
+                append(Token("text", "", {}, html[text_start:lt], text_start))
+            text_start = -1
+            if html.startswith("<!--", lt):
+                m = _COMMENT.match(html, lt)
+                i = m.end() if m else lt + 4
+            else:
+                m = _DOCTYPE.match(html, lt)
+                i = m.end() if m else lt + 2
             continue
         m = _TAG.match(html, lt)
-        if not m:
-            # not a real tag ("<3", "< a", stray '<'): treat as text
+        if m is None:  # not a real tag ("<3", "< a", stray '<'): text
             i = lt + 1
             continue
-        yield from flush_text(lt)
-        closing, name, rawattrs = m.group(1), m.group(2).lower(), m.group(3)
-        if closing:
-            yield Token("end", name, {}, "", lt)
-        else:
-            attrs = _parse_attrs(rawattrs) if rawattrs.strip(" /") else {}
-            yield Token("start", name, attrs, "", lt)
-            if name in _RAWTEXT_CLOSE and not rawattrs.rstrip().endswith("/"):
-                close = _RAWTEXT_CLOSE[name].search(html, m.end())
-                if close:
-                    yield Token("end", name, {}, "", close.start())
-                    i = close.end()
-                    continue
-                i = n
-                continue
+        if lt > text_start:
+            append(Token("text", "", {}, html[text_start:lt], text_start))
+        text_start = -1
         i = m.end()
-    yield from flush_text(n)
+        closing, name, rawattrs = m.groups()
+        name = name.lower()
+        if closing:
+            append(Token("end", name, {}, "", lt))
+            continue
+        append(Token("start", name, _parse_attrs(rawattrs) if rawattrs.strip(" /") else {}, "", lt))
+        if name in _RAWTEXT_CLOSE and not rawattrs.rstrip().endswith("/"):
+            close = _RAWTEXT_CLOSE[name].search(html, i)
+            if close is None:  # unterminated: the rest is raw text
+                return out
+            append(Token("end", name, {}, "", close.start()))
+            i = close.end()
+    if text_start < 0:
+        text_start = i
+    if n > text_start:
+        append(Token("text", "", {}, html[text_start:], text_start))
+    return out
 
 
 def parse_srcset(srcset: str) -> list[str]:

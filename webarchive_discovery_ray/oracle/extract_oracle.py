@@ -6,7 +6,10 @@ multi-pass over a materialised token list instead of the stage's single-pass
 state machine — so the parity tests (span-sequence equality per row,
 BASELINE.json input_hint invariant) exercise genuinely duplicated logic
 rather than one shared function. Shares only the golden-tested scalar
-kernels and the HTML tokenizer.
+kernels and the ``Token`` type: its HTML tokenizer is a generator of its
+own under the rules pinned in ``functions/htmlscan.py``, written apart
+from the stage's one-loop ``tokenize_html`` so the parity suites test
+that tokenizer against an independent one.
 
 Models the reference's single-threaded ``WARCIndexerCommand`` loop
 (``warc-indexer/src/main/java/uk/bl/wa/indexer/WARCIndexerCommand.java:194-255``).
@@ -15,10 +18,11 @@ Models the reference's single-threaded ``WARCIndexerCommand`` loop
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from ..config import IndexConfig
 from ..functions.hashing import md5_b64, sha1_b32
-from ..functions.htmlscan import Token, parse_srcset, tokenize_html
+from ..functions.htmlscan import Token, parse_srcset
 from ..functions.mime import detect_mime, reconcile_content_type
 from ..functions.normalisation import (
     canonicalise_host,
@@ -47,6 +51,88 @@ from ..functions.timestamps import (
 from ..functions.urls import parse_extension, parse_resource_name, url_path, url_type
 
 __all__ = ["oracle_extract_record", "oracle_extract_all"]
+
+
+_TAG = re.compile(r"<(/?)([a-zA-Z][a-zA-Z0-9]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*)>")
+_ATTR = re.compile(r"([a-zA-Z_][\w:-]*)\s*(?:=\s*(\"[^\"]*\"|'[^']*'|[^\s\"'>]+))?")
+_COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
+_DOCTYPE = re.compile(r"<![^>]*>")
+_RAWTEXT_CLOSE = {"script": re.compile(r"</script\s*>", re.IGNORECASE),
+                  "style": re.compile(r"</style\s*>", re.IGNORECASE)}
+
+
+def _parse_attrs(raw: str) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    for m in _ATTR.finditer(raw):
+        name = m.group(1).lower()
+        value = m.group(2)
+        if value is None:
+            value = ""
+        elif value[:1] in ("'", '"'):
+            value = value[1:-1]
+        if name not in attrs:  # first occurrence wins
+            attrs[name] = value
+    return attrs
+
+
+def _tokenize_html(html: str) -> Iterator[Token]:
+    """Yield tokens in document order with character offsets, under the
+    tokenization rules pinned in ``functions/htmlscan.py``."""
+    i, n = 0, len(html)
+    text_start = -1
+
+    def flush_text(end: int) -> Iterator[Token]:
+        nonlocal text_start
+        if text_start >= 0 and end > text_start:
+            chunk = html[text_start:end]
+            if chunk:
+                yield Token("text", "", {}, chunk, text_start)
+        text_start = -1
+
+    while i < n:
+        lt = html.find("<", i)
+        if lt < 0:
+            if text_start < 0:
+                text_start = i
+            yield from flush_text(n)
+            return
+        if text_start < 0 and lt > i:
+            text_start = i
+        elif text_start < 0:
+            text_start = i
+        # comment / doctype?
+        if html.startswith("<!--", lt):
+            m = _COMMENT.match(html, lt)
+            yield from flush_text(lt)
+            i = m.end() if m else lt + 4
+            continue
+        if html.startswith("<!", lt):
+            m = _DOCTYPE.match(html, lt)
+            yield from flush_text(lt)
+            i = m.end() if m else lt + 2
+            continue
+        m = _TAG.match(html, lt)
+        if not m:
+            # not a real tag ("<3", "< a", stray '<'): treat as text
+            i = lt + 1
+            continue
+        yield from flush_text(lt)
+        closing, name, rawattrs = m.group(1), m.group(2).lower(), m.group(3)
+        if closing:
+            yield Token("end", name, {}, "", lt)
+        else:
+            attrs = _parse_attrs(rawattrs) if rawattrs.strip(" /") else {}
+            yield Token("start", name, attrs, "", lt)
+            if name in _RAWTEXT_CLOSE and not rawattrs.rstrip().endswith("/"):
+                close = _RAWTEXT_CLOSE[name].search(html, m.end())
+                if close:
+                    yield Token("end", name, {}, "", close.start())
+                    i = close.end()
+                    continue
+                i = n
+                continue
+        i = m.end()
+    yield from flush_text(n)
 
 
 def _try_resolve(base: str, ref: str, normalise: bool) -> str | None:
@@ -327,7 +413,7 @@ def oracle_extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
 
     spans: list[dict] = []
     if ct.content_type_norm == "html" and payload:
-        tokens = list(tokenize_html(payload.decode("utf-8", errors="replace")))
+        tokens = list(_tokenize_html(payload.decode("utf-8", errors="replace")))
         title = _title(tokens)
         paras = _paragraphs(tokens)
         links = _links(tokens, url, cfg.normalise_links)

@@ -110,7 +110,7 @@ from ..state.robots import (
     sitemap_urls_of,
 )
 from ..state.seen import _SHARD_SEED, SeenShardPool
-from ..stages.extract import extract_record
+from ..stages.extract import BatchMemo, extract_record
 
 __all__ = ["FetchExtractStage", "run_crawl", "CrawlResult", "DOCS_OUT_SCHEMA"]
 
@@ -219,9 +219,12 @@ class FetchExtractStage:
         out: list[dict] = []
         docs: list[dict] | None = [] if self.docs_dir is not None else None
         part = int(batch["part"][0].as_py()) if batch.num_rows else -1
+        # one memo per call: the page's link hosts are already in it
+        # when its candidates are keyed below
+        memo = BatchMemo()
         for r in batch.to_pylist():
             rec = page_for_url_cached(r["url"], self.scfg)
-            doc = extract_record(rec, self.icfg)
+            doc = extract_record(rec, self.icfg, memo)
             assert doc is not None, f"crawl extraction must not filter {r['url']}"
             is_robots = r["url"].endswith("/robots.txt")
             cset = set(doc["links"])
@@ -278,7 +281,7 @@ class FetchExtractStage:
                 ),
                 "cand_urls": cand_urls,
                 "cand_surts": [surt_key(u) for u in cand_urls],
-                "cand_hosts": [extract_host(u) for u in cand_urls],
+                "cand_hosts": [memo.host_of(u) for u in cand_urls],
                 "cand_pri": cand_pri,
                 "content_hash": doc["hash"] if rec["status"] == 200 else "",
                 "fetch_ms": fetch_duration_ms(

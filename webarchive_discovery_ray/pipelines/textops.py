@@ -1070,6 +1070,9 @@ def doc_length_histogram(sf_dir: str, edges: tuple = HIST_BIN_EDGES):
 
 BPE_N_MERGES = 8
 _BPE_PAIRS = dict(left=str, right=str, n="int64")
+_BPE_MERGES = pa.schema(
+    [("step", pa.int64()), ("left", pa.string()), ("right", pa.string()), ("n", pa.int64())]
+)
 
 
 def word_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -1203,10 +1206,10 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_N_MERGES):
             )),
         )
 
-    out = pd.DataFrame(
-        merges, columns=["step", "left", "right", "n"]
-    ).astype({"step": "int64", "n": "int64"})
-    return rd.from_pandas(out)
+    # an Arrow block: Ray cannot size a pandas block's zero-row object
+    # columns (no merge trained)
+    out = pd.DataFrame(merges, columns=["step", "left", "right", "n"])
+    return rd.from_arrow(pa.Table.from_pandas(out, schema=_BPE_MERGES, preserve_index=False))
 
 
 def _bpe_encode_word(word: str, merges: list[tuple[str, str]]) -> list[str]:

@@ -10,8 +10,17 @@ Ray-Data-native decomposition of the reference's per-record map
   M16-M28, HTML features M21-M22, content-type reconciliation M20, revisit
   short-circuit M13) runs as a Python loop over the surviving rows — this is
   the hot actor-pool stage, equivalent to the reference's per-record Tika
-  chain, with all state (config, compiled regexes) built once in
-  ``__init__``.
+  chain. ``ExtractStage.__init__`` only stores the config; the module's
+  regexes are compiled at import;
+* derivations whose inputs repeat across a batch's records are computed
+  once per distinct input per batch, in one :class:`BatchMemo` that
+  ``extract_batch`` makes and drops with the batch: host -> canonical host,
+  host SURTs, domain and public suffix (the record host and every link
+  host); URL -> host; resolved link -> canonical link; and (sniffed type,
+  served type, empty payload) -> reconciled content type. Everything read
+  from one record's own bytes — URL projections, timestamps, hashes, MIME
+  sniffing, HTML tokenizing and features, and the field policy — stays
+  per record.
 
 Usage::
 
@@ -33,7 +42,7 @@ from ..config import IndexConfig
 from ..functions.fieldpolicy import DEFAULT_POLICY, DERIVED_IDENTITY_FIELDS
 from ..functions.hashing import md5_b64, sha1_b32
 from ..functions.htmlscan import parse_srcset, tokenize_html
-from ..functions.mime import detect_mime, reconcile_content_type
+from ..functions.mime import ContentTypeResult, detect_mime, reconcile_content_type
 from ..functions.payload import maybe_dechunk, maybe_decompress
 from ..functions.normalisation import (
     canonicalise_host,
@@ -66,7 +75,7 @@ from ..functions.urls import (
 from ..functions.xmlns import is_xml_type as _is_xml_type, xml_root_namespace
 from ..schema import DOCUMENTS_SCHEMA
 
-__all__ = ["ExtractStage", "extract_batch"]
+__all__ = ["BatchMemo", "ExtractStage", "extract_batch"]
 
 SPAN_SPEC = """Pinned span-assembly spec (shared with the oracle):
 kind=title : first <title> with non-empty trimmed text; offset = tag offset.
@@ -102,18 +111,80 @@ class _HtmlFeatures:
         self.text: str = ""
 
 
-def _resolve(base: str, href: str, normalise: bool) -> str | None:
+class BatchMemo:
+    """The derivations that repeat across the records of one batch, each
+    computed once per distinct input and kept until the batch is done.
+
+    One memo serves one batch (``extract_batch``) or one fetch call (the
+    crawl's ``FetchExtractStage``) and is dropped with it: workers outlive
+    jobs, so a process-wide cache would serve a job from the one before."""
+
+    __slots__ = ("_hosts", "_url_hosts", "_canonical", "_content_types")
+
+    def __init__(self) -> None:
+        self._hosts: dict[str, tuple[str, tuple[str, ...], str | None, str | None]] = {}
+        self._url_hosts: dict[str, str] = {}
+        self._canonical: dict[str, str] = {}
+        self._content_types: dict[tuple, ContentTypeResult] = {}
+
+    def host_fields(self, host: str) -> tuple[str, tuple[str, ...], str | None, str | None]:
+        """Raw host -> (canonical host, host SURTs root-first, domain,
+        public suffix); ``MALFORMED_HOST`` is kept as it is."""
+        got = self._hosts.get(host)
+        if got is None:
+            canon = host if host == MALFORMED_HOST else canonicalise_host(host)
+            got = self._hosts[host] = (
+                canon,
+                tuple(host_to_surt(level) for level in all_levels(canon)),
+                extract_private_suffix_from_host(canon),
+                extract_public_suffix_from_host(canon),
+            )
+        return got
+
+    def host_of(self, url: str) -> str:
+        """``extract_host(url)``."""
+        got = self._url_hosts.get(url)
+        if got is None:
+            got = self._url_hosts[url] = extract_host(url)
+        return got
+
+    def canonical(self, url: str) -> str:
+        """``canonicalise_url(url)``; raises as it does."""
+        got = self._canonical.get(url)
+        if got is None:
+            got = self._canonical[url] = canonicalise_url(url)
+        return got
+
+    def content_type(self, tika: str | None, served: str | None, length: int) -> ContentTypeResult:
+        """The non-revisit ``reconcile_content_type`` of a payload of
+        ``length`` bytes, which it reads only as ``length == 0`` (the
+        frozen result is shared)."""
+        key = (tika, served, length == 0)
+        got = self._content_types.get(key)
+        if got is None:
+            got = self._content_types[key] = reconcile_content_type(
+                tika, served=served, warc_mimetype=served, content_length=length, revisit=False
+            )
+        return got
+
+
+def _resolve(base: str, href: str, normalise: bool, memo: BatchMemo) -> str | None:
     try:
-        resolved = resolve_relative(base, href, normalise)
+        resolved = resolve_relative(base, href, False)
+        return memo.canonical(resolved) if normalise else resolved
     except Exception:
         return None
-    return resolved
 
 
-def parse_html_features(html: str, base_url: str, cfg: IndexConfig) -> _HtmlFeatures:
-    """Single-pass feature extraction over the token stream (M21-M22)."""
+def parse_html_features(
+    html: str, base_url: str, cfg: IndexConfig, memo: BatchMemo | None = None
+) -> _HtmlFeatures:
+    """Single-pass feature extraction over the token stream (M21-M22);
+    ``memo`` as in :func:`extract_record`."""
+    if memo is None:
+        memo = BatchMemo()
     f = _HtmlFeatures()
-    tokens = list(tokenize_html(html))
+    tokens = tokenize_html(html)
     in_title_at = -1
     title_buf: list[str] = []
     in_p_at = -1
@@ -161,7 +232,7 @@ def parse_html_features(html: str, base_url: str, cfg: IndexConfig) -> _HtmlFeat
             elif name == "a":
                 href = tok.attrs.get("href")
                 if href is not None:
-                    resolved = _resolve(base_url, href, cfg.normalise_links)
+                    resolved = _resolve(base_url, href, cfg.normalise_links, memo)
                     if resolved is not None:
                         f.links.append((tok.offset, resolved))
                         if tok.attrs.get("rel", "").lower() == "license":
@@ -169,24 +240,24 @@ def parse_html_features(html: str, base_url: str, cfg: IndexConfig) -> _HtmlFeat
             elif name == "img":
                 src = tok.attrs.get("src")
                 if src is not None:
-                    resolved = _resolve(base_url, src, cfg.normalise_links)
+                    resolved = _resolve(base_url, src, cfg.normalise_links, memo)
                     if resolved is not None:
                         f.images.append((tok.offset, resolved))
                 srcset = tok.attrs.get("srcset")
                 if srcset:
                     for cand in parse_srcset(srcset):
-                        resolved = _resolve(base_url, cand, cfg.normalise_links)
+                        resolved = _resolve(base_url, cand, cfg.normalise_links, memo)
                         if resolved is not None:
                             f.images.append((tok.offset, resolved))
             elif name == "source" and picture_depth > 0:
                 srcset = tok.attrs.get("srcset")
                 if srcset:
                     for cand in parse_srcset(srcset):
-                        resolved = _resolve(base_url, cand, cfg.normalise_links)
+                        resolved = _resolve(base_url, cand, cfg.normalise_links, memo)
                         if resolved is not None:
                             f.images.append((tok.offset, resolved))
             if name in ("body", "table", "td") and tok.attrs.get("background"):
-                resolved = _resolve(base_url, tok.attrs["background"], cfg.normalise_links)
+                resolved = _resolve(base_url, tok.attrs["background"], cfg.normalise_links, memo)
                 if resolved is not None:
                     f.images.append((tok.offset, resolved))
             if name == "link":
@@ -240,36 +311,38 @@ def _first_dedupe(values: list[str]) -> list[str]:
     return out
 
 
-def _link_host_fields(urls: list[str]) -> tuple[list[str], list[str], list[str], list[str]]:
+def _link_host_fields(
+    urls: list[str], memo: BatchMemo
+) -> tuple[list[str], list[str], list[str], list[str]]:
     hosts: set[str] = set()
     domains: set[str] = set()
     suffixes: set[str] = set()
     surts: set[str] = set()
     for u in urls:
-        host = extract_host(u)
-        if host == MALFORMED_HOST:
+        raw = memo.host_of(u)
+        if raw == MALFORMED_HOST:
             # HTMLAnalyser.java:147-149: malformed hosts are skipped
             # entirely — no host, domain, suffix or SURT entry
             continue
-        host = canonicalise_host(host)
+        host, host_surts, d, s = memo.host_fields(raw)
         hosts.add(host)
-        d = extract_private_suffix_from_host(host)
         if d:
             domains.add(d)
-        s = extract_public_suffix_from_host(host)
         if s:
             suffixes.add(s)
-        for level in all_levels(host):
-            surts.add(host_to_surt(level))
+        surts.update(host_surts)
     return sorted(hosts), sorted(domains), sorted(suffixes), sorted(surts)
 
 
-def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
+def extract_record(rec: dict, cfg: IndexConfig, memo: BatchMemo | None = None) -> dict | None:
     """Per-record extraction; None when a filter rejects the record.
 
     Mirrors ``WARCIndexer.extract()``'s chain order: record-type filter,
     URL sanitise + truncate, protocol filter, url_exclude, response filter,
-    SURT exclusion, then projections + payload analysis."""
+    SURT exclusion, then projections + payload analysis. ``memo`` is the
+    batch's :class:`BatchMemo` (a fresh one when None)."""
+    if memo is None:
+        memo = BatchMemo()
     if rec["record_type"] not in cfg.record_type_include:
         return None
     url = sanitise_warc_header_value(rec["url"]) or ""
@@ -301,18 +374,13 @@ def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
     utype = url_type(path)
     resource_name = parse_resource_name(url)
     ext = parse_extension(resource_name)
-    host = extract_host(url)
-    if host != MALFORMED_HOST:
-        host = canonicalise_host(host)
-    host_surts = [host_to_surt(level) for level in all_levels(host)]
-    domain = extract_private_suffix_from_host(host)
-    public_suffix = extract_public_suffix_from_host(host)
+    host, host_surts, domain, public_suffix = memo.host_fields(memo.host_of(url))
     crawl_date = format_iso(dt) if dt else None
     crawl_year = extract_year(rec["timestamp14"])
     wayback_date = to_wayback14(dt) if dt else None
     redirect_to_norm = None
     if rec.get("location"):
-        redirect_to_norm = _resolve(url, rec["location"], True)
+        redirect_to_norm = _resolve(url, rec["location"], True, memo)
 
     out = {
         "doc_id": doc_id,
@@ -325,7 +393,7 @@ def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
         "resource_name": resource_name,
         "content_type_ext": ext,
         "host": host,
-        "host_surt": host_surts,
+        "host_surt": list(host_surts),
         "domain": domain,
         "public_suffix": public_suffix,
         "crawl_date": crawl_date,
@@ -402,13 +470,7 @@ def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
             )
     tika = detect_mime(payload[:512], name_hint=resource_name)
     out["content_type_tika"] = tika
-    ct = reconcile_content_type(
-        tika,
-        served=rec["mime_served"] or None,
-        warc_mimetype=rec["mime_served"] or None,
-        content_length=len(payload),
-        revisit=False,
-    )
+    ct = memo.content_type(tika, rec["mime_served"] or None, len(payload))
     out["content_type"] = ct.content_type
     out["content_type_full"] = ct.content_type_full
     out["content_type_norm"] = ct.content_type_norm
@@ -419,7 +481,7 @@ def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
     norm = ct.content_type_norm
     if norm == "html" and payload:
         html = payload.decode("utf-8", errors="replace")
-        f = parse_html_features(html, url, cfg)
+        f = parse_html_features(html, url, cfg, memo)
         if f.title:
             out["title"] = f.title[1]
             spans.append({"kind": "title", "text": f.title[1], "media_ref": "", "offset": f.title[0]})
@@ -434,7 +496,7 @@ def extract_record(rec: dict, cfg: IndexConfig) -> dict | None:
         out["elements_used"] = sorted(f.elements)
         out["links"] = _first_dedupe([u for _, u in f.links])
         out["links_images"] = _first_dedupe([u for _, u in f.images])
-        hosts_, domains_, suffixes_, surts_ = _link_host_fields(out["links"])
+        hosts_, domains_, suffixes_, surts_ = _link_host_fields(out["links"], memo)
         out["links_hosts"] = hosts_
         out["links_domains"] = domains_
         out["links_public_suffixes"] = suffixes_
@@ -536,16 +598,18 @@ def extract_batch(batch: pa.Table, cfg: IndexConfig) -> pa.Table:
     """pages batch -> documents batch (Arrow in / Arrow out)."""
     batch = _vector_prefilter(batch, cfg)
     rows = batch.to_pylist()
-    out_rows = [r for r in (extract_record(rec, cfg) for rec in rows) if r is not None]
+    memo = BatchMemo()
+    out_rows = [r for r in (extract_record(rec, cfg, memo) for rec in rows) if r is not None]
     if not out_rows:
         return DOCUMENTS_SCHEMA.empty_table()
     return pa.Table.from_pylist(out_rows, schema=DOCUMENTS_SCHEMA)
 
 
 class ExtractStage:
-    """Callable class for ``map_batches`` actor pools: config parsed and
-    regexes compiled once per actor (reference analogue: the per-JVM
-    ``WARCIndexer`` instance, ``WARCIndexerMapper.java:137-146``)."""
+    """Callable class for ``map_batches`` actor pools: the config is held
+    once per actor, and each call extracts one batch with its own
+    :class:`BatchMemo` (reference analogue: the per-JVM ``WARCIndexer``
+    instance, ``WARCIndexerMapper.java:137-146``)."""
 
     def __init__(self, cfg: IndexConfig | None = None):
         self.cfg = cfg or IndexConfig()
