@@ -183,10 +183,11 @@ def test_hot_host_carry_parity_and_resume(ray_session, tmp_path_factory):
 
 
 def test_drain_fetch_returns_arrow_carry(ray_session):
-    """One block of one host: the fetch task fetches the host's
-    top-``budget`` rows by (priority, seq, surt) and returns every other
-    row as the carry — PART_SCHEMA exactly, no pandas metadata, in drain
-    order — with its row count in the same task's meta."""
+    """One block of one host: the fetch task numbers its span of the
+    winner table from ``seq_base`` in the pinned order, fetches the
+    host's top-``budget`` rows by (priority, seq, surt) and returns every
+    other row as the carry — PART_SCHEMA exactly, no pandas metadata, in
+    drain order — with its row count in the same task's meta."""
     import pyarrow as pa
     import ray
 
@@ -206,10 +207,25 @@ def test_drain_fetch_returns_arrow_carry(ray_session):
         },
         schema=PART_SCHEMA,
     )
+    # a shard's winner table: its first row belongs to another block, the
+    # span's two rows come in reverse pinned order (link rank 1, then 0)
+    winners = pa.table(
+        {
+            "url": [f"http://hot.example.com/w{i}" for i in range(3)],
+            "surt": [f"com,example,hot)/w{i}" for i in range(3)],
+            "host": ["hot.example.com"] * 3,
+            "priority": pa.array([0] * 3, pa.int32()),
+            "hop": pa.array([2] * 3, pa.int32()),
+            "order_host": ["a.example.com"] * 3,
+            "order_slot": pa.array([0] * 3, pa.int32()),
+            "order_rank": pa.array([9, 1, 0], pa.int32()),
+            "part": pa.array([2, 3, 3], pa.int32()),
+        }
+    )
     meta, fetched, _, gate, carry = ray.get(
         _drain_fetch.remote(
             None, syn, None, 0, CrawlConfig(politeness_budget=3), None,
-            block.slice(0, 5), block.slice(5),
+            n + 1, [(1, 3)], block.slice(0, 5), block.slice(5), winners,
         )
     )
     assert gate is None
@@ -220,9 +236,12 @@ def test_drain_fetch_returns_arrow_carry(ray_session):
     assert fetched["slot"].to_pylist() == [0, 1, 2]
     assert carry.schema.equals(PART_SCHEMA, check_metadata=True)
     assert carry.schema.metadata is None
-    assert meta["carry_rows"] == carry.num_rows == n - 3
-    assert carry["seq"].to_pylist() == list(range(4, n + 1))
-    assert carry["part"].to_pylist() == [3] * (n - 3)
+    assert meta["carry_rows"] == carry.num_rows == n - 1
+    assert carry["seq"].to_pylist() == list(range(4, n + 3))
+    assert carry["url"].to_pylist()[-2:] == [
+        "http://hot.example.com/w2", "http://hot.example.com/w1"
+    ]
+    assert carry["part"].to_pylist() == [3] * (n - 1)
 
 
 def test_resume_with_different_n_parts_leaves_no_stale_fragments(
@@ -269,11 +288,13 @@ def test_max_urls_stop_condition(ray_session, seeds):
 
 def test_finalize_wave_split_matches_single_finalize(ray_session):
     """The (winners, small) split finalize must agree with the plain
-    finalize on counts/hosts/samples, including the empty-shard case."""
+    finalize on counts/hosts, and its block ``bounds`` must slice the
+    winners by the frontier block of their host, including the
+    empty-shard case."""
     import pyarrow as pa
     import ray
 
-    from webarchive_discovery_ray.state.seen import SeenSet
+    from webarchive_discovery_ray.state.seen import SeenSet, block_of_hosts
 
     ss = SeenSet()
     t = pa.table(
@@ -282,113 +303,89 @@ def test_finalize_wave_split_matches_single_finalize(ray_session):
             "surt": [f"com,h{i % 3})/p{i}" for i in range(30)],
             "host": [f"h{i % 3}.com" for i in range(30)],
             "priority": pa.array([0] * 30, pa.int32()),
-            "hop": pa.array([0] * 30, pa.int32()),
+            "hop": pa.array([1] * 30, pa.int32()),
             "order_host": [f"h{i % 3}.com" for i in range(30)],
             "order_slot": pa.array([i // 3 for i in range(30)], pa.int32()),
             "order_rank": pa.array([i % 3 for i in range(30)], pa.int32()),
         }
     )
     ref = ray.put(t)
-    w, small = ss.finalize_wave_split(7, [ref], [(0, 30)], [], True, n_samples=5)
+    w, small = ss.finalize_wave_split(7, [ref], [(0, 30)], [], True, 5)
     assert small["n"] == w.num_rows == 30
     assert set(small["hosts"]) == {"h0.com", "h1.com", "h2.com"}
     assert set(small["surts"]) == set(t["surt"].to_pylist())
-    assert len(small["samples"]) == 5
-    # samples are drawn from the SORTED order_host column
-    assert small["samples"] == sorted(small["samples"])
+    bounds = small["bounds"]
+    assert len(bounds) == 6 and bounds[0] == 0 and bounds[-1] == 30
+    blocks = block_of_hosts(w["host"], 5).tolist()
+    assert w["part"].to_pylist() == blocks == sorted(blocks)
+    for p in range(5):
+        assert set(blocks[bounds[p]:bounds[p + 1]]) <= {p}
     # empty shard: no candidate rows for this shard in this wave
-    w2, small2 = ss.finalize_wave_split(8, [ref], [(0, 0)], [], True, n_samples=5)
-    assert w2 is None and small2["n"] == 0 and small2["samples"] == []
+    w2, small2 = ss.finalize_wave_split(8, [ref], [(0, 0)], [], True, 5)
+    assert w2 is None and small2["n"] == 0 and small2["bounds"] == [0] * 6
     # re-finalizing wave 7 returns nothing new (all SURTs now seen)
-    w3, small3 = ss.finalize_wave_split(9, [ref], [(0, 30)], [], False, n_samples=5)
+    w3, small3 = ss.finalize_wave_split(9, [ref], [(0, 30)], [], False, 5)
     assert w3 is None and small3["n"] == 0
 
 
-def test_range_finalize_reproduces_global_sort(ray_session):
-    """Range-parallel winners merge == the single global sort: exact seq
-    from per-range offsets, every row in exactly one range."""
+def test_block_numbering_matches_global_sort(ray_session):
+    """Each block numbers its own discovery winners: merged across the
+    shards' winner tables, every host's rows come out in the order of one
+    global sort by (parent host, parent slot, link rank), and a block's
+    numbers are unique and lie in ``[seq_base, seq_base + n)``."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
 
-    from webarchive_discovery_ray.pipelines.crawl import (
-        _pick_boundaries,
-        _range_counts,
-        _range_finalize,
-    )
+    from webarchive_discovery_ray.pipelines.crawl import _numbered
+    from webarchive_discovery_ray.state.seen import PINNED_ORDER, SeenSet
 
     rng = np.random.default_rng(11)
-    shards = []
-    all_rows = []
-    for s in range(4):
-        n = 200
-        hosts = [f"host{rng.integers(0, 40):03d}.com" for _ in range(n)]
-        t = pa.table(
-            {
-                "url": [f"http://{h}/{i}" for i, h in enumerate(hosts)],
-                "surt": [f"{h})/{s}-{i}" for i, h in enumerate(hosts)],
-                "host": hosts,
-                "priority": pa.array([0] * n, pa.int32()),
-                "hop": pa.array([0] * n, pa.int32()),
-                "order_host": hosts,
-                "order_slot": pa.array(
-                    rng.integers(0, 1000, n).astype("int32")
-                ),
-                "order_rank": pa.array(np.arange(n, dtype="int32")),
-            }
-        )
-        t = t.take(
-            pc.sort_indices(
-                t,
-                sort_keys=[
-                    ("order_host", "ascending"),
-                    ("order_slot", "ascending"),
-                    ("order_rank", "ascending"),
-                ],
-            )
-        )
-        shards.append(t)
-        all_rows.append(t)
-    # sequential reference: global sort + seq
-    glob = pa.concat_tables(all_rows)
-    glob = glob.take(
-        pc.sort_indices(
-            glob,
-            sort_keys=[
-                ("order_host", "ascending"),
-                ("order_slot", "ascending"),
-                ("order_rank", "ascending"),
-            ],
-        )
+    n, seq_base = 600, 1000
+    hosts = [f"host{h:03d}.com" for h in rng.integers(0, 40, n)]
+    parents = [f"p{h:02d}.com" for h in rng.integers(0, 12, n)]
+    cands = pa.table(
+        {
+            "url": [f"http://{h}/{i}" for i, h in enumerate(hosts)],
+            "surt": [f"{h})/{i}" for i, h in enumerate(hosts)],
+            "host": hosts,
+            "priority": pa.array([0] * n, pa.int32()),
+            "hop": pa.array([1] * n, pa.int32()),
+            "order_host": parents,
+            "order_slot": pa.array(rng.integers(0, 50, n).astype("int32")),
+            "order_rank": pa.array(np.arange(n, dtype="int32")),
+        }
     )
-    want = {s: i + 1000 for i, s in enumerate(glob["surt"].to_pylist())}
-
-    samples = [h for t in shards for h in t["order_host"].to_pylist()[::37]]
-    boundaries = _pick_boundaries(samples, 4)
-    assert boundaries, "fixture must produce split points"
-    refs = [ray.put(t) for t in shards]
-    counts = ray.get([_range_counts.remote(boundaries, r) for r in refs])
-    per_range = np.sum(counts, axis=0)
-    assert per_range.sum() == 800
-    offs = 1000 + np.concatenate([[0], np.cumsum(per_range)[:-1]])
-    n_parts = 8
-    got = {}
-    for r in range(len(boundaries) + 1):
-        outs = ray.get(
-            list(
-                _range_finalize.options(num_returns=n_parts).remote(
-                    boundaries, r, int(offs[r]), n_parts, *refs
-                )
-            )
-        )
-        assert sum(t.num_rows for t in outs) == per_range[r]
+    glob = cands.take(pc.sort_indices(cands, sort_keys=PINNED_ORDER))
+    want: dict[str, list[str]] = {}
+    for h, surt in zip(glob["host"].to_pylist(), glob["surt"].to_pylist()):
+        want.setdefault(h, []).append(surt)
+    # S shards, each holding a random share of the candidates
+    n_shards = 4
+    shard = rng.integers(0, n_shards, n)
+    refs = [ray.put(cands.filter(pa.array(shard == s))) for s in range(n_shards)]
+    for wave, n_parts in enumerate((1, 2, 5, 8)):
+        outs = [
+            SeenSet().finalize_wave_split(wave, [r], [(0, ray.get(r).num_rows)],
+                                          [], False, n_parts)
+            for r in refs
+        ]
+        tables = [w for w, _ in outs]
+        got: dict[str, list[tuple[int, str]]] = {}
+        block_of: dict[str, int] = {}
         for p in range(n_parts):
-            for surt, seq in zip(
-                outs[p]["surt"].to_pylist(), outs[p]["seq"].to_pylist()
-            ):
-                got[surt] = seq
-    assert got == want
+            spans = [(s["bounds"][p], s["bounds"][p + 1]) for _, s in outs]
+            block = _numbered(tables, spans, seq_base)
+            seqs = block["seq"].to_pylist()
+            assert sorted(seqs) == list(range(seq_base, seq_base + len(seqs)))
+            assert all(seq_base <= q < seq_base + n for q in seqs)
+            assert set(block["part"].to_pylist()) <= {p}
+            for h, surt, q in zip(block["host"].to_pylist(),
+                                  block["surt"].to_pylist(), seqs):
+                assert block_of.setdefault(h, p) == p  # a host in one block
+                got.setdefault(h, []).append((q, surt))
+        assert {h: [s for _, s in sorted(v)] for h, v in got.items()} == want
 
 
 def test_add_if_new_hashed_matches_plain_routing(ray_session):

@@ -1245,19 +1245,23 @@ def _gate_table(rows):
         max_size=5,
     ),
     st.one_of(st.none(), st.integers(min_value=2, max_value=12)),
+    st.integers(min_value=1, max_value=5),
 )
-def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
+def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold, n_parts):
     """Property: ``finalize_wave_split`` winners and ``gate_first_seen``
     losers equal a plain-Python model over arbitrary waves, with and
     without spilling. Each wave's discovery call also gets loser
     (host, slot) pairs, whose candidates the model drops, and takes only
-    its slice of each candidate block. Both barriers draw keys from the
-    SAME strings, so the model also pins that the URL and content key
-    spaces stay separate."""
+    its slice of each candidate block; its winners come grouped by the
+    frontier block of their host (``n_parts`` blocks), in the pinned
+    order within each block. Both barriers draw keys from the SAME
+    strings, so the model also pins that the URL and content key spaces
+    stay separate."""
     import tempfile
 
     import ray
 
+    from webarchive_discovery_ray.functions.hashing import stable_hash64
     from webarchive_discovery_ray.state.seen import SeenSet
 
     ss = SeenSet(
@@ -1281,15 +1285,17 @@ def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
                 [sl for _, sl in part], pa.int32())})
             for part in (lost[::2], lost[1::2])
         ]
-        want = []
+        won = []
         for h, sl, r, key in sorted(rows):
             if (h, sl) not in lost and key not in url_model:
                 url_model.add(key)
-                want.append((h, sl, r, key))
+                won.append((h, sl, r, key))
+        # the candidate's host is its parent's here: block of order_host
+        want = sorted(won, key=lambda row: stable_hash64(row[0], 11) % n_parts)
         w, small = ss.finalize_wave_split(
             wave, [ray.put(b) for b in blocks],
             [(1, b.num_rows) for b in blocks],
-            [ray.put(t) for t in loser_tbls], True, 5,
+            [ray.put(t) for t in loser_tbls], True, n_parts,
         )
         got = [] if w is None else list(zip(
             w["order_host"].to_pylist(), w["order_slot"].to_pylist(),
@@ -1297,6 +1303,12 @@ def test_seen_wave_barriers_match_model_sets(ray_session, waves, threshold):
         ))
         assert got == want
         assert small["n"] == len(want) and small["surts"] == [k for *_, k in want]
+        blocks_want = [stable_hash64(h, 11) % n_parts for h, *_ in want]
+        assert small["bounds"] == [
+            sum(b < p for b in blocks_want) for p in range(n_parts + 1)
+        ]
+        if w is not None:
+            assert w["part"].to_pylist() == blocks_want
         gates = list({(f"h{h}", sl): (sh, k) for h, sl, sh, k in gates}.items())
         grows = sorted(
             ((h, sl, sh, f"k{k}") for (h, sl), (sh, k) in gates),

@@ -82,7 +82,11 @@ class CrawlConfig:
       discovered by ANY fetch enqueue at ``max(parent priority, 0)`` so
       injected (-1) fetches discover at the default priority; within a
       host queue the drain order is (priority, seq, surt) — the surt
-      tie-break only ever distinguishes same-wave injected rows;
+      tie-break only ever distinguishes same-wave injected rows. ``seq``
+      is the enqueue order WITHIN a host: the oracle counts over the
+      whole crawl, the Ray frontier per host block from the same running
+      count (state/checkpoint.FRONTIER_SCHEMA), which orders each host's
+      rows identically;
     * rel=nofollow / meta-robots-nofollow (respect_nofollow): anchors
       with a ``rel`` nofollow token don't enqueue their target; a page
       with a meta robots nofollow contributes no extraction links

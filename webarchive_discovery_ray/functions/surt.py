@@ -18,7 +18,7 @@ import re
 
 from .normalisation import canonicalise_url
 
-__all__ = ["host_to_surt", "surt_key"]
+__all__ = ["host_to_surt", "surt_key", "surt_of_canonical"]
 
 _IPV4 = re.compile(r"(?:\d{1,3}\.){3}\d{1,3}$")
 _SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://")
@@ -41,7 +41,12 @@ def surt_key(url: str) -> str:
     ``https://www.BBC.co.uk/News/`` -> ``uk,co,bbc)/news``.
     Non-URL inputs (no scheme) are keyed as-is after canonicalisation.
     """
-    canonical = canonicalise_url(url)
+    return surt_of_canonical(canonicalise_url(url))
+
+
+def surt_of_canonical(canonical: str) -> str:
+    """:func:`surt_key` of a URL that ``canonicalise_url`` already
+    returned (a caller that keeps the canonical URL canonicalises once)."""
     without_scheme = _SCHEME.sub("", canonical)
     if "/" in without_scheme:
         host, _, rest = without_scheme.partition("/")

@@ -2,16 +2,17 @@
 
 Iterative wave loop (SURVEY.md §7.0 crawl plane). The frontier lives in
 the OBJECT STORE between waves as host-hash-partitioned Arrow blocks; the
-driver handles only refs, counts, winner merging and robots bookkeeping —
-no candidate URL ever crosses the driver unless it wins discovery.
+driver handles only refs, counts and robots bookkeeping — no candidate
+URL ever crosses the driver unless it wins discovery.
 
 Per wave:
 
 1. **assemble** — per partition, the block's fetch task concatenates
    its pieces itself: the previous wave's carry (still in the object
-   store; the seed or resume frontier is wave 0's carry) and the new
-   rows (previous winners + freshly injected robots fetches,
-   host-hash-routed);
+   store; the seed or resume frontier is wave 0's carry), the freshly
+   injected robots, sitemap and retry rows (host-hash-routed by the
+   driver) and the previous wave's discovery winners of the block's
+   hosts, which the task numbers itself (step 5);
 2. **politeness drain** — vectorized per-block drain (blocks are complete
    host groups by construction): order (host, priority, seq, surt),
    robots-Disallow drop, cumcount slot assignment under the per-host
@@ -38,20 +39,21 @@ Per wave:
 5. **discovery barrier** — ONE call per seen shard with every block's
    candidate table by reference and the gate's loser tables: the shard
    takes its slice, drops the candidates of loser parents, sorts the rest
-   by the pinned global order key (parent host, parent slot, link rank)
-   and keeps first-unseen SURTs (one batch of set probes and adds; past
-   the spill threshold, filter-gated probes of the shard's parquet runs);
-   the winner merge is a TWO-PHASE PARALLEL
-   SORT: the driver blocks only on per-shard smalls (counts, hosts,
-   order_host boundary samples) and tiny per-range counts, then
-   range-parallel tasks each merge one order_host range (binary-search
-   slices of the pre-sorted shard tables), assign exact global ``seq``
-   from per-range offsets, and hash-partition their slice — the next
-   wave's assembly consumes the per-(range, part) outputs by reference.
-   The per-wave fetch-log concat/sort/build and the WARC writers run
-   fully OFF the critical path (wave counts and policy observations come
-   from the fetch metas; one durability barrier at crawl end joins the
-   streamed log writes).
+   by the pinned order key (parent host, parent slot, link rank) and
+   keeps first-unseen SURTs (one batch of set probes and adds; past the
+   spill threshold, filter-gated probes of the shard's parquet runs),
+   then stably groups its winners by the frontier block of their host.
+   The driver blocks only on per-shard smalls (counts, hosts, block
+   offsets). The winner tables stay in the object store: the next
+   wave's fetch task for block ``p`` takes block ``p``'s slice of each
+   shard's table, merges them in the pinned order and numbers them from
+   the crawl's running count (``seq``). ``seq`` only orders rows of one
+   host (the drain sorts by host first), and a host's rows all sit in
+   one block, so this block-local count orders every host's queue as a
+   count over the whole wave would. The per-wave fetch-log
+   concat/sort/build and the WARC writers run fully OFF the critical
+   path (wave counts and policy observations come from the fetch metas;
+   one durability barrier at crawl end joins the streamed log writes).
 
 So a content-gated wave makes two actor calls per shard, and a wave
 without the gate one.
@@ -76,6 +78,7 @@ fetched), independent of frontier size.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,7 +112,13 @@ from ..state.robots import (
     robots_url_for_host,
     sitemap_urls_of,
 )
-from ..state.seen import _SHARD_SEED, SeenShardPool
+from ..state.seen import (
+    _SHARD_SEED,
+    PINNED_ORDER,
+    SeenShardPool,
+    block_of_hosts,
+    routed,
+)
 from ..stages.extract import BatchMemo, extract_record
 
 __all__ = ["FetchExtractStage", "run_crawl", "CrawlResult", "DOCS_OUT_SCHEMA"]
@@ -179,6 +188,8 @@ DOCS_OUT_SCHEMA = pa.schema(
         pa.field("slot", pa.int32()),
         pa.field("hop", pa.int32()),
         pa.field("priority", pa.int32()),
+        # the fetched row's frontier seq: orders rows of one host only
+        # (state/checkpoint.FRONTIER_SCHEMA)
         pa.field("seq", pa.int64()),
         pa.field("fetch_status", pa.int32()),
         pa.field("is_robots", pa.bool_()),
@@ -554,30 +565,17 @@ def _drain_order(df: pd.DataFrame, ccfg: CrawlConfig, policy: PolicyState):
 
 def _partition_by_host(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
     """Hash-partition rows by host into EXACTLY ``n_parts`` tables (all
-    rows of a host land in one part — the politeness co-location
-    invariant). Hashing touches only the UNIQUE hosts via dictionary
-    encoding. The ``part`` column is (re)attached."""
-    import pyarrow.compute as pc
-
+    rows of a host land in one part, :func:`block_of_hosts` — the block
+    the seen shards group a wave's winners by). The ``part`` column is
+    (re)attached."""
     base = tbl.drop_columns(["part"]) if "part" in tbl.column_names else tbl
-    if tbl.num_rows == 0:
-        empty = base.append_column("part", pa.array([], pa.int32()))
-        return [empty] * n_parts
-    dict_arr = pc.dictionary_encode(base["host"].combine_chunks())
-    uniq = dict_arr.dictionary.to_pylist()
-    part_of_uniq = np.fromiter(
-        (stable_hash64(h, 11) % n_parts for h in uniq), dtype=np.int64, count=len(uniq)
-    )
-    parts = part_of_uniq[dict_arr.indices.to_numpy()]
-    out = []
-    for p in range(n_parts):
-        sub = base.filter(pa.array(parts == p))
-        out.append(
-            sub.append_column(
-                "part", pa.array(np.full(sub.num_rows, p, dtype=np.int32))
-            )
+    base, bounds = routed(base, block_of_hosts(base["host"], n_parts), n_parts)
+    return [
+        base.slice(a, b - a).append_column(
+            "part", pa.array(np.full(b - a, p, dtype=np.int32))
         )
-    return out
+        for p, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 @dataclass
@@ -587,7 +585,6 @@ class CrawlResult:
     wave_stats: list[dict] = field(default_factory=list)
     docs_dir: str | None = None
     total_fetched: int = 0
-    total_docs: int = 0
     compaction: dict | None = None  # crawl-end fragment-compaction report
 
 
@@ -695,91 +692,31 @@ _PULL_COLS = [
 def _assemble(*pieces: pa.Table) -> pa.Table:
     """One partition's wave-input block, built inside the task that
     consumes it: the concatenation of its pieces (the driver's small
-    injection rows for this part, the previous wave's winner blocks and
-    its carry)."""
+    injection rows for this part, the previous wave's numbered winners
+    and its carry)."""
     tbls = [t for t in pieces if t.num_rows]
     if not tbls:
         return PART_SCHEMA.empty_table()
     return tbls[0] if len(tbls) == 1 else pa.concat_tables(tbls)
 
 
-@_ray.remote
-def _range_counts(boundaries: list, tbl) -> np.ndarray:
-    """Per-order_host-range winner counts for ONE shard's (order-key-
-    sorted) winner table — tiny task, the driver folds these into the
-    per-range seq offsets (phase 1 of the two-phase distributed sort)."""
-    n_ranges = len(boundaries) + 1
-    if tbl is None or tbl.num_rows == 0:
-        return np.zeros(n_ranges, dtype=np.int64)
-    oh = np.asarray(tbl["order_host"].to_pylist(), dtype=object)
-    cuts = np.searchsorted(oh, np.asarray(boundaries, dtype=object), side="left")
-    edges = np.concatenate([[0], cuts, [len(oh)]])
-    return np.diff(edges).astype(np.int64)
-
-
-@_ray.remote
-def _range_finalize(
-    boundaries: list, r: int, seq_start: int, n_parts: int, *winner_parts
-):
-    """Phase 2 of the parallel winners merge: ONE order_host range across
-    all shards — slice each sorted shard table to the range (binary
-    search), concat + sort by the pinned global order (parent host,
-    parent slot, link rank — unique per candidate, so the range-local
-    sort reproduces the global order exactly), assign ``seq`` from this
-    range's global offset, and hash-partition by host. Invoked with
-    ``num_returns=n_parts``: the per-part frontier tables stay remote."""
+def _numbered(tables: list, spans: list, seq_base: int) -> pa.Table:
+    """One frontier block's discovery winners as frontier rows: rows
+    ``start:stop`` of each shard's winner table (``spans``, one per
+    table), merged in the pinned order (parent host, parent slot, link
+    rank — unique per candidate) and numbered ``seq_base, seq_base + 1,
+    ...``. A host's rows all sit in one block, so within a host this is
+    the order a count over the whole wave would give, and ``seq_base``
+    (the crawl's running count) puts them after every earlier row."""
     import pyarrow.compute as pc
 
-    lo = boundaries[r - 1] if r > 0 else None
-    hi = boundaries[r] if r < len(boundaries) else None
-    slices = []
-    for t in winner_parts:
-        if t is None or t.num_rows == 0:
-            continue
-        oh = np.asarray(t["order_host"].to_pylist(), dtype=object)
-        a = 0 if lo is None else int(np.searchsorted(oh, lo, side="left"))
-        b = len(oh) if hi is None else int(np.searchsorted(oh, hi, side="left"))
-        if b > a:
-            slices.append(t.slice(a, b - a))
+    slices = [t.slice(a, b - a) for t, (a, b) in zip(tables, spans) if b > a]
     if not slices:
-        return _partition_by_host(FRONTIER_SCHEMA.empty_table(), n_parts)
-    winners = pa.concat_tables(slices).combine_chunks()
-    winners = winners.take(
-        pc.sort_indices(
-            winners,
-            sort_keys=[
-                ("order_host", "ascending"),
-                ("order_slot", "ascending"),
-                ("order_rank", "ascending"),
-            ],
-        )
-    )
-    n = winners.num_rows
-    extras = pa.table(
-        {
-            "url": winners["url"],
-            "surt": winners["surt"],
-            "host": winners["host"],
-            "priority": winners["priority"],
-            "hop": pc.add(winners["hop"], 1),
-            "seq": pa.array(np.arange(seq_start, seq_start + n), pa.int64()),
-        }
-    ).cast(FRONTIER_SCHEMA)
-    return _partition_by_host(extras, n_parts)
-
-
-def _pick_boundaries(samples: list[str], n_ranges: int) -> list[str]:
-    """Range split points from the shards' order_host samples: distinct
-    quantile picks (ranges are [prev, b) — a host never straddles)."""
-    if n_ranges <= 1 or not samples:
-        return []
-    pool_sorted = sorted(samples)
-    picks = []
-    for i in range(1, n_ranges):
-        v = pool_sorted[min(len(pool_sorted) - 1, i * len(pool_sorted) // n_ranges)]
-        if not picks or v > picks[-1]:
-            picks.append(v)
-    return picks
+        return PART_SCHEMA.empty_table()
+    won = pa.concat_tables(slices)
+    won = won.take(pc.sort_indices(won, sort_keys=PINNED_ORDER))
+    seq = pa.array(np.arange(seq_base, seq_base + won.num_rows), pa.int64())
+    return won.append_column("seq", seq).select(PART_SCHEMA.names).cast(PART_SCHEMA)
 
 
 # the drain's sort and robots keys: the only columns it converts to pandas
@@ -794,14 +731,21 @@ def _drain_fetch(
     wave: int,
     ccfg: CrawlConfig,
     docs_dir: str | None,
-    *pieces: pa.Table,
+    seq_base: int,
+    spans: list,
+    injected: pa.Table,
+    carry: pa.Table,
+    *winners: pa.Table,
 ):
     """Assembly + politeness drain + fetch/extract + routing for ONE
     frontier block (the block holds complete host groups, so the drain's
-    per-host queues are whole); ``pieces`` are :func:`_assemble`'s. The
-    drained block splits in Arrow: its selected rows (with their
-    ``slot``) go to the fetch stage, the rest are the block's carry, in
-    drain order.
+    per-host queues are whole). The block is the driver's ``injected``
+    rows (robots, sitemap and retry fetches), the previous wave's
+    discovery winners — this block's ``spans`` of the shards' ``winners``
+    tables, numbered from ``seq_base`` (:func:`_numbered`) — and the
+    block's ``carry``. The drained block splits in Arrow: its selected
+    rows (with their ``slot``) go to the fetch stage, the rest are the
+    block's carry, in drain order.
 
     Returns ``(meta, fetched, cand, gate, carry)``: ``fetched`` is the
     fetched rows' ``_PULL_COLS``; ``cand`` the block's candidate rows and
@@ -812,7 +756,7 @@ def _drain_fetch(
     ``cand_rows``, ``carry_rows`` and the block's
     :meth:`PolicyState.observe` (None for an empty block)."""
     n_shards = ccfg.seen_shards
-    tbl = _assemble(*pieces)
+    tbl = _assemble(injected, _numbered(winners, spans, seq_base), carry)
     df, sel, ranks = _drain_order(
         tbl.select(_DRAIN_COLS).to_pandas(), ccfg, _policy_of(policy_boxed)
     )
@@ -839,19 +783,16 @@ def _drain_fetch(
 
 
 def _routed(tbl: pa.Table, keys: str, n_shards: int) -> tuple[pa.Table, list[int]]:
-    """``tbl`` stably sorted by the seen shard of its ``keys`` column
-    (:func:`shard_of`), and the ``n_shards + 1`` offsets of each shard's
-    slice: shard ``s`` takes rows ``bounds[s]:bounds[s + 1]`` of the
-    shared block, a zero-copy slice, so routing is one partition done by
-    the producer, not a scan of every block by every shard."""
+    """``tbl`` routed (:func:`routed`) by the seen shard of its ``keys``
+    column (:func:`shard_of`): shard ``s`` takes rows
+    ``bounds[s]:bounds[s + 1]`` of the shared block, so routing is one
+    partition done by the producer, not a scan of every block by every
+    shard."""
     h = np.fromiter(
         (stable_hash64(k, _SHARD_SEED) for k in tbl[keys].to_pylist()),
         dtype=np.uint64, count=tbl.num_rows,
     )
-    shards = (h % np.uint64(n_shards)).astype(np.int64)
-    order = np.argsort(shards, kind="stable")
-    bounds = np.searchsorted(shards[order], np.arange(n_shards + 1)).tolist()
-    return tbl.take(pa.array(order, pa.int64())), bounds
+    return routed(tbl, (h % np.uint64(n_shards)).astype(np.int64), n_shards)
 
 
 def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
@@ -859,7 +800,7 @@ def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
     flattened from the fetch stage's list columns and routed by SURT.
     Each inherits its parent's ``(fetch_host, slot)`` as its
     ``(order_host, order_slot)``; ``order_rank`` is the link's index in
-    the parent's sorted candidate list."""
+    the parent's sorted candidate list; ``hop`` is the parent's plus one."""
     import pyarrow.compute as pc
 
     cand_col = block["cand_urls"].combine_chunks()
@@ -878,7 +819,7 @@ def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
             # <sitemapindex> children (recurse as sitemaps), else
             # max(parent priority, 0) (pinned rule, mirrored in the oracle)
             "priority": pc.take(block["cand_pri"], parents),
-            "hop": pc.take(block["hop"], parents),
+            "hop": pc.add(pc.take(block["hop"], parents), 1),
             "order_host": pc.take(block["fetch_host"], parents),
             "order_slot": pc.take(block["slot"], parents),
             "order_rank": pa.array((np.arange(total) - starts).astype(np.int32)),
@@ -1146,9 +1087,11 @@ def _crawl_waves(
     carry_refs = [ray.put(t) for t in seed_parts]
     carry_counts = [t.num_rows for t in seed_parts]
     del extras, seed_parts
-    # winners of the previous wave arrive as per-(range, part) refs from
-    # the parallel merge; empty before wave 0
-    winners_part_refs: dict[int, list] = {}
+    # the previous wave's discovery winners: (winner table ref, block
+    # bounds) per shard with winners, numbered from seq_base by the
+    # fetch task of each block; empty before the first wave
+    winners: list[tuple] = []
+    seq_base = seq
     pending_winner_rows = 0
     for wave in range(start_wave, ccfg.max_waves):
         # the crawl ends at the first wave whose frontier (carry, winners
@@ -1192,21 +1135,14 @@ def _crawl_waves(
         # through the per-worker broadcast cache
         policy_boxed = [ray.put(policy.drain_view())]
         marks.append(time.monotonic())
-        # resumable docs layout: clear this wave's fragment dir first so a
-        # crashed prior attempt (possibly with a different n_parts) can't
-        # leave stale part_*.parquet fragments beside the new ones
-        if docs_dir is not None:
-            wdir = os.path.join(docs_dir, f"wave_{wave:04d}")
-            if os.path.isdir(wdir):
-                import shutil
-
-                shutil.rmtree(wdir)
-        if ccfg.warc_dir is not None:
-            wwdir = os.path.join(ccfg.warc_dir, f"wave_{wave:04d}")
-            if os.path.isdir(wwdir):
-                import shutil
-
-                shutil.rmtree(wwdir)
+        # resumable docs and WARC layouts: clear this wave's fragment dirs
+        # first so a crashed prior attempt (possibly with a different
+        # n_parts) can't leave stale part_* fragments beside the new ones
+        for out_dir in (docs_dir, ccfg.warc_dir):
+            if out_dir is not None:
+                wdir = os.path.join(out_dir, f"wave_{wave:04d}")
+                if os.path.isdir(wdir):
+                    shutil.rmtree(wdir)
         # --- ONE task per block: fused drain -> fetch/extract -> routing.
         # Assembly, the politeness drain, the fetch/extract chain and the
         # shard routing of the block's candidate and gate rows run in the
@@ -1215,13 +1151,15 @@ def _crawl_waves(
         # stable (no eager block GC, so no lineage reconstruction can
         # re-run a fetch). Tasks never call actors: a task-side RPC would
         # couple every fetch slot to actor-channel health.
-        fetches = [
-            _drain_fetch.remote(
-                policy_boxed, scfg, icfg, wave, ccfg, docs_dir,
-                robots_parts[p], *winners_part_refs.get(p, []), carry_refs[p],
-            )
-            for p in range(n_parts)
-        ]
+        fetches = []
+        for p in range(n_parts):
+            # only the shards with winners in this block
+            mine = [(ref, (b[p], b[p + 1])) for ref, b in winners if b[p + 1] > b[p]]
+            fetches.append(_drain_fetch.remote(
+                policy_boxed, scfg, icfg, wave, ccfg, docs_dir, seq_base,
+                [span for _, span in mine], robots_parts[p], carry_refs[p],
+                *[ref for ref, _ in mine],
+            ))
         marks.append(time.monotonic())
         metas = ray.get([f[0] for f in fetches])
         fetched_refs = [f[1] for f in fetches]
@@ -1269,21 +1207,19 @@ def _crawl_waves(
             )
             if log_path is not None:
                 log_flush_refs.append(log_done)
-        # --- discovery (two-phase parallel winners merge): ONE call per
-        # shard takes the shard's slice of every candidate block BY
-        # REFERENCE (zero-copy: each block is sorted by shard), drops the
-        # gate losers' candidates and keeps the first unseen SURTs in the
-        # pinned order. The driver blocks ONLY on the shards' small dicts
-        # (counts, hosts, boundary samples, optional SURT delta) and on
-        # the tiny per-range counts — the heavy merge/sort/seq/partition
-        # work fans out over order_host ranges as parallel tasks whose
-        # outputs the next wave's assembly consumes BY REFERENCE (the
-        # classic two-phase distributed sort: exact global seq from
-        # per-range offsets)
-        routed = [i for i, m in enumerate(metas) if m["cand_rows"]]
+        # --- discovery: ONE call per shard takes the shard's slice of
+        # every candidate block BY REFERENCE (zero-copy: each block is
+        # sorted by shard), drops the gate losers' candidates, keeps the
+        # first unseen SURTs in the pinned order and groups them by the
+        # frontier block of their host. The driver blocks ONLY on the
+        # shards' small dicts (counts, hosts, block bounds, optional SURT
+        # delta); the winner tables stay in the object store until the
+        # next wave's fetch tasks number their block's rows
+        with_cands = [i for i, m in enumerate(metas) if m["cand_rows"]]
         winner_refs, small_refs = pool.finalize_wave_split(
-            wave, [fetches[i][2] for i in routed],
-            [metas[i]["shard_bounds"] for i in routed], loser_refs, track_delta,
+            wave, [fetches[i][2] for i in with_cands],
+            [metas[i]["shard_bounds"] for i in with_cands], loser_refs,
+            track_delta, n_parts,
         )
         del fetches, fetched_refs  # wave's intermediates can be GC'd
         marks.append(time.monotonic())
@@ -1293,7 +1229,6 @@ def _crawl_waves(
         # checkpointing, plus one durability barrier at crawl end)
         fetched_per_part = [m["fetched_rows"] for m in metas]
         n_fetched = sum(fetched_per_part)
-        res.total_docs += n_fetched
         wave_log = None  # pulled lazily (collect_log / checkpoint only)
         if collect_log:
             wave_log = ray.get(wave_log_ref)
@@ -1307,30 +1242,10 @@ def _crawl_waves(
             robots_check_hosts.update(s["hosts"])
             if track_delta:
                 pending_delta.extend(s["surts"])
-        winners_part_refs = {}
-        if n_new:
-            # few ranges for small waves (task overhead), more for wide
-            n_ranges = 1 if n_new < 50_000 else min(8, ccfg.seen_shards)
-            boundaries = _pick_boundaries(
-                [x for s in smalls for x in s["samples"]], n_ranges
-            )
-            per_range = (
-                np.sum(ray.get(
-                    [_range_counts.remote(boundaries, w) for w in winner_refs]
-                ), axis=0)
-                if boundaries else [n_new]
-            )
-            offs = seq + np.concatenate([[0], np.cumsum(per_range)[:-1]])
-            outs = [
-                _range_finalize.options(num_returns=n_parts).remote(
-                    boundaries, r, int(offs[r]), n_parts, *winner_refs
-                )
-                for r in range(len(boundaries) + 1)
-            ]
-            winners_part_refs = {
-                p: [o[p] for o in outs] for p in range(n_parts)
-            }
-        seq += n_new
+        winners = [
+            (ref, s["bounds"]) for ref, s in zip(winner_refs, smalls) if s["n"]
+        ]
+        seq_base, seq = seq, seq + n_new
         pending_winner_rows = n_new
         new_rules = policy.fold([m["policy"] for m in metas], ccfg)
         if ccfg.follow_sitemaps and new_rules:
@@ -1375,13 +1290,15 @@ def _crawl_waves(
                 warc_flush_refs = []
             if wave_log is None:
                 wave_log = ray.get(wave_log_ref)
-            # carries in part order, then winners in (part, range) order
+            # carries in part order, then winners in part order, numbered
+            # as the next wave's fetch tasks will number them
+            won = ray.get([ref for ref, _ in winners])
             frontier_tbls = [
                 t.select(FRONTIER_SCHEMA.names)
-                for t in ray.get(
-                    carry_refs
-                    + [r for refs in winners_part_refs.values() for r in refs]
-                )
+                for t in ray.get(carry_refs) + [
+                    _numbered(won, [(b[p], b[p + 1]) for _, b in winners], seq_base)
+                    for p in range(n_parts)
+                ]
                 if t.num_rows
             ]
             next_frontier = (

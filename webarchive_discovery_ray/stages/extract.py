@@ -57,7 +57,7 @@ from ..functions.suffix import (
     extract_private_suffix_from_host,
     extract_public_suffix_from_host,
 )
-from ..functions.surt import host_to_surt, surt_key
+from ..functions.surt import host_to_surt, surt_of_canonical
 from ..functions.text import space_trim, truncate_text
 from ..functions.timestamps import (
     extract_year,
@@ -358,7 +358,8 @@ def extract_record(rec: dict, cfg: IndexConfig, memo: BatchMemo | None = None) -
         str(status).startswith(p) for p in cfg.response_include
     ):
         return None
-    surt = surt_key(url)
+    canonical = canonicalise_url(url)
+    surt = surt_of_canonical(canonical)
     for prefix in cfg.surt_exclusions:
         if surt.startswith(prefix):
             return None
@@ -369,7 +370,7 @@ def extract_record(rec: dict, cfg: IndexConfig, memo: BatchMemo | None = None) -
     if dt is None:
         parse_errors.append("when parsing timestamp")
     doc_id = wayback_digits + "/" + md5_b64(url)
-    url_norm = canonicalise_url(url) if cfg.add_normalised_url else None
+    url_norm = canonical if cfg.add_normalised_url else None
     path = url_path(url)
     utype = url_type(path)
     resource_name = parse_resource_name(url)
@@ -465,9 +466,7 @@ def extract_record(rec: dict, cfg: IndexConfig, memo: BatchMemo | None = None) -
         hexbytes = payload[: cfg.first_bytes_length].hex()
         out["content_ffb"] = hexbytes[:8]
         if cfg.extract_content_first_bytes:
-            out["content_first_bytes"] = " ".join(
-                hexbytes[i : i + 2] for i in range(0, len(hexbytes), 2)
-            )
+            out["content_first_bytes"] = payload[: cfg.first_bytes_length].hex(" ")
     tika = detect_mime(payload[:512], name_hint=resource_name)
     out["content_type_tika"] = tika
     ct = memo.content_type(tika, rec["mime_served"] or None, len(payload))

@@ -17,7 +17,7 @@ union of deltas for waves 0..last.
 Layout (one directory per wave)::
 
     {dir}/wave_0003/
-        manifest.json          # wave, seq counter, row counts, lineage
+        manifest.json          # wave, running seq count, row counts, lineage
         frontier_next.parquet  # frontier entering wave 4
         fetchlog.parquet       # fetches performed in wave 3
         seen_delta.parquet     # SURT keys first seen during wave 3
@@ -38,6 +38,13 @@ import pyarrow.parquet as pq
 
 __all__ = ["write_wave_checkpoint", "latest_complete_wave", "load_wave_checkpoint"]
 
+# ``seq`` is a row's enqueue order within its host: seeds take 0, 1, ...
+# in list order; injected robots and sitemap rows take -1; each wave's
+# discovery winners are numbered from the crawl's running count (the
+# manifest's ``seq``) by the fetch task of their host's block, in the
+# pinned discovery order; 5xx retries keep their seq. It is unique and
+# increasing within a host, not across hosts (two blocks number from
+# the same base), and only the drain's per-host order reads it.
 FRONTIER_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -200,7 +207,8 @@ def crawl_lineage(base: str):
     """Per-wave lineage + metrics table from a checkpointed crawl run —
     the north rule's "per-partition lineage + metrics" surfaced as a
     queryable table: one row per COMPLETE wave (manifest present), with
-    the manifest's row counts, the global seq watermark, and the wave's
+    the manifest's row counts, the running seq count (seeds plus every
+    wave's discovery winners so far), and the wave's
     recorded stats. Driver-side file scan of #waves manifests (bounded:
     one small JSON per wave). Columns: wave, seq, n_fetched,
     n_frontier_next, n_seen_delta, plus flattened integer stats."""

@@ -56,15 +56,55 @@ __all__ = [
     "KeySpace",
     "SeenSet",
     "SpilledRuns",
+    "block_of_hosts",
+    "routed",
     "shard_of",
     "SeenShardPool",
 ]
 
 _SHARD_SEED = 7
+_BLOCK_SEED = 11
+
+# the pinned discovery order of a wave's candidates: parent host, parent
+# fetch slot, link rank in the parent's sorted candidate list (unique per
+# candidate)
+PINNED_ORDER = [
+    ("order_host", "ascending"),
+    ("order_slot", "ascending"),
+    ("order_rank", "ascending"),
+]
 
 
 def shard_of(key: str, n_shards: int) -> int:
     return stable_hash64(key, _SHARD_SEED) % n_shards
+
+
+def block_of_hosts(hosts, n_parts: int) -> np.ndarray:
+    """The frontier block of each row of the Arrow string column
+    ``hosts``: ``stable_hash64(host, 11) % n_parts``, hashed once per
+    distinct host. All rows of a host share a block (the politeness
+    co-location invariant)."""
+    import pyarrow.compute as pc
+
+    codes = pc.dictionary_encode(hosts.combine_chunks())
+    uniq = codes.dictionary.to_pylist()
+    block_of_uniq = np.fromiter(
+        (stable_hash64(h, _BLOCK_SEED) % n_parts for h in uniq),
+        dtype=np.int64, count=len(uniq),
+    )
+    return block_of_uniq[codes.indices.to_numpy()]
+
+
+def routed(tbl, dest: np.ndarray, n: int):
+    """``tbl`` stably sorted by ``dest`` (one destination in ``[0, n)``
+    per row), and the ``n + 1`` offsets of each destination's slice: the
+    producer partitions its rows once, and each consumer takes rows
+    ``bounds[d]:bounds[d + 1]``, a zero-copy slice."""
+    import pyarrow as pa
+
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(dest[order], np.arange(n + 1)).tolist()
+    return tbl.take(pa.array(order, pa.int64())), bounds
 
 
 def _key_hashes(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -546,12 +586,15 @@ class SeenSet:
     candidate block of the wave by reference (each block sorted by
     ``shard_of`` in its fetch task, so the shard takes a zero-copy
     slice), plus the content gate's loser tables; the shard drops the
-    losers' candidates, sorts the rest by the pinned global order key
-    (parent host, parent slot, link rank), takes the first occurrence of
-    each unseen SURT, and returns the winner rows. A content-gated wave
-    makes one ``gate_first_seen`` call per shard before it. Range tasks
-    then merge per-shard winners to assign global ``seq`` numbers —
-    candidate URL strings never cross the driver except as winners."""
+    losers' candidates, sorts the rest by the pinned order key (parent
+    host, parent slot, link rank), takes the first occurrence of each
+    unseen SURT, and returns the winner rows grouped by the frontier
+    block of their host. A content-gated wave makes one
+    ``gate_first_seen`` call per shard before it. The winner table stays
+    in the object store: each of the next wave's fetch tasks takes its
+    block's slice of every shard's table and numbers the rows itself —
+    candidate URL strings reach the driver only as winners, and only
+    when a checkpoint is written."""
 
     def __init__(
         self,
@@ -600,23 +643,25 @@ class SeenSet:
 
     def finalize_wave_split(
         self, wave: int, refs: list, bounds: list, loser_refs: list,
-        want_surts: bool, n_samples: int,
+        want_surts: bool, n_parts: int,
     ):
         """The wave's one discovery call on this shard: take this shard's
         candidates (:meth:`accept_routed_many` of ``refs``/``bounds``),
         drop those whose parent fetch ``(order_host, order_slot)`` is a
         duplicate-content loser in any of ``loser_refs`` (every shard's
         :meth:`gate_first_seen` losers: a duplicate page discovers
-        nothing), sort by the pinned global order key (parent host,
-        parent slot, link rank), and keep the first occurrence of each
-        unseen SURT, adding it to the URL space.
+        nothing), sort by the pinned order key (parent host, parent
+        slot, link rank), and keep the first occurrence of each unseen
+        SURT, adding it to the URL space.
 
-        Returns ``(winners, small)``: the winner table (order columns
-        kept, so range tasks can merge shards for seq assignment; None
-        when empty) and the small dict the DRIVER blocks on (count
-        ``n``, unique ``hosts``, the SURT delta when ``want_surts``, and
-        evenly spaced ``order_host`` ``samples`` for range-boundary
-        selection)."""
+        Returns ``(winners, small)``. ``winners`` (None when empty) is
+        the winner table, stably sorted by the frontier block of its
+        host (:func:`block_of_hosts` over ``n_parts`` blocks, written to
+        a ``part`` column), so each block's rows stay in the pinned order
+        and keep their order columns for the block's merge across
+        shards. ``small`` is what the driver blocks on: the count ``n``,
+        the unique ``hosts``, the SURT delta when ``want_surts``, and the
+        ``n_parts + 1`` ``bounds`` of each block's slice."""
         import pyarrow as pa
         import pyarrow.compute as pc
         import ray
@@ -634,30 +679,24 @@ class SeenSet:
                 t = t.join(
                     parents, keys=["order_host", "order_slot"], join_type="left anti"
                 )
-            t = t.take(
-                pc.sort_indices(
-                    t,
-                    sort_keys=[
-                        ("order_host", "ascending"),
-                        ("order_slot", "ascending"),
-                        ("order_rank", "ascending"),
-                    ],
-                )
-            )
+            t = t.take(pc.sort_indices(t, sort_keys=PINNED_ORDER))
             # the table is sorted by the pinned order key (unique per
             # candidate), so a SURT's first occurrence is the correct one
             mask = self._url.first_new(t["surt"].to_pylist())
             w = t.filter(pa.array(mask, pa.bool_()))
         if w is None or w.num_rows == 0:
-            return None, {"n": 0, "hosts": [], "surts": [], "samples": []}
-        oh = w["order_host"]
-        idx = np.linspace(0, w.num_rows - 1, num=min(n_samples, w.num_rows))
-        samples = oh.take(pa.array(idx.astype(np.int64))).to_pylist()
+            return None, {
+                "n": 0, "hosts": [], "surts": [], "bounds": [0] * (n_parts + 1)
+            }
+        blocks = block_of_hosts(w["host"], n_parts)
+        w, block_bounds = routed(
+            w.append_column("part", pa.array(blocks, pa.int32())), blocks, n_parts
+        )
         return w, {
             "n": w.num_rows,
             "hosts": pc.unique(w["host"]).to_pylist(),
             "surts": w["surt"].to_pylist() if want_surts else [],
-            "samples": samples,
+            "bounds": block_bounds,
         }
 
     def gate_first_seen(self, refs: list, bounds: list, want_keys: bool = False):
@@ -822,18 +861,19 @@ class SeenShardPool:
 
     def finalize_wave_split(
         self, wave: int, refs: list, bounds: list, loser_refs: list,
-        want_surts: bool, n_samples: int = 33,
+        want_surts: bool, n_parts: int,
     ) -> tuple[list, list]:
         """(winner_table_refs, small_dict_refs): one ``finalize_wave_split``
         call per shard over the wave's candidate blocks ``refs`` (sliced
         by their per-block ``bounds``, as in :meth:`gate_first_seen`) and
-        the gate's ``loser_refs``. The tables stay remote for the
-        range-parallel merge; the smalls are what the driver blocks on
-        (counts, hosts, samples, optional SURT delta)."""
+        the gate's ``loser_refs``, the winners grouped into ``n_parts``
+        frontier blocks. The tables stay remote for the next wave's fetch
+        tasks; the smalls are what the driver blocks on (counts, hosts,
+        block bounds, optional SURT delta)."""
         pairs = [
             s.finalize_wave_split.options(num_returns=2).remote(
                 wave, refs, [(b[i], b[i + 1]) for b in bounds], loser_refs,
-                want_surts, n_samples,
+                want_surts, n_parts,
             )
             for i, s in enumerate(self._shards)
         ]
