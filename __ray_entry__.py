@@ -851,9 +851,9 @@ def _unigram_encode_oracle_values_sql() -> str:
 
 def _esd_apply_oracle_values_sql() -> str:
     """INDEPENDENT sequential recompute of the exact-substring dedup
-    APPLY: full windows -> duplicated digests -> islands (break when
-    pos gap > L, span = [min, max+L)) -> per-doc surgery, in plain
-    Python dicts."""
+    APPLY: full code-point windows -> duplicated digests -> islands
+    (break when pos gap > L, span = [min, max+L)) -> per-doc surgery, in
+    plain Python dicts."""
     import hashlib
     from collections import Counter
 
@@ -869,9 +869,8 @@ def _esd_apply_oracle_values_sql() -> str:
     cnt: Counter = Counter()
     keys: dict = {}
     for did, t in docs:
-        enc = t.encode("utf-8")
         ks = [
-            hashlib.md5(enc[i : i + L]).hexdigest()
+            hashlib.md5(t[i : i + L].encode("utf-8")).hexdigest()
             for i in range(max(0, len(t) - L + 1))
         ]
         keys[did] = ks

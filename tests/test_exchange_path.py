@@ -16,6 +16,9 @@ RERUNS = {
     "paragraph_dedup": test_operators.test_paragraph_dedup_matches_sequential_reference,
     "minhash": test_operators.test_minhash_lsh_pairs_matches_sequential_reference,
     "exact_substring": test_operators.test_exact_substring_spans_lemma,
+    "exact_substring_code_points": test_operators.test_exact_substring_spans_count_code_points,
+    "exact_substring_counter": test_operators.test_exact_substring_spans_matches_counter_reference,
+    "exact_substring_apply_no_dups": test_operators.test_exact_substring_dedup_apply_without_duplicates,
     "neardup_clusters": test_operators.test_neardup_clusters_label_propagation,
     "warc_deduplicate": test_warc_reader.test_warc_deduplicate_roundtrip,
     "warc_deduplicate_per_file": test_warc_reader.test_warc_deduplicate_driver_holds_only_per_file_counts,

@@ -1131,32 +1131,45 @@ def test_year_host_outlinks_filters_and_counts(ray_session):
     }
 
 
+def _write_documents(path, docs, parts=1):
+    """``docs`` (doc_id, text) as ``documents.parquet``: one file, or a
+    directory of ``parts`` files (one input block each)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    table = pa.table(
+        {
+            "doc_id": pa.array([d for d, _ in docs], pa.int64()),
+            "text": pa.array([t for _, t in docs], pa.string()),
+        }
+    )
+    if parts == 1:
+        pq.write_table(table, str(path / "documents.parquet"))
+        return
+    (path / "documents.parquet").mkdir()
+    step = -(-len(docs) // parts)
+    for i in range(parts):
+        pq.write_table(table.slice(i * step, step), str(path / "documents.parquet" / f"part-{i}.parquet"))
+
+
 def test_exact_substring_spans_lemma(ray_session, tmp_path):
     """Character-level exact-dup spans: a shared 60-char substring between
     two docs yields exactly the maximal covering span in both (the
     duplicated-L-window union == duplicated-substring union lemma), and a
     WITHIN-doc repeat also counts."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     from webarchive_discovery_ray.pipelines.dedup import exact_substring_spans
 
     shared = "S" * 25 + "0123456789" * 2 + "E" * 15  # 60 chars
     assert len(shared) == 60
     rep = "R" * 45  # within-doc duplicate, 45 chars
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array(
-                [
-                    "a" * 10 + shared + "b" * 10,       # span [10, 70)
-                    "c" * 5 + shared + "d" * 20,        # span [5, 65)
-                    "x" * 7 + rep + "y" * 9 + rep,      # two spans
-                ]
-            ),
-        }
+    _write_documents(
+        tmp_path,
+        [
+            (1, "a" * 10 + shared + "b" * 10),  # span [10, 70)
+            (2, "c" * 5 + shared + "d" * 20),  # span [5, 65)
+            (3, "x" * 7 + rep + "y" * 9 + rep),  # two spans
+        ],
     )
-    pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = sorted(
         (r["doc_id"], r["span_start"], r["span_end"])
         for r in exact_substring_spans(str(tmp_path)).take_all()
@@ -1168,6 +1181,77 @@ def test_exact_substring_spans_lemma(ray_session, tmp_path):
     assert (1, 10, 70) in got and (2, 5, 65) in got
     d3 = [g for g in got if g[0] == 3]
     assert (3, 7, 52) in d3 and (3, 61, 106) in d3
+
+
+def test_exact_substring_spans_count_code_points(ray_session, tmp_path):
+    """Span positions are code-point offsets, as DuckDB's ``substr``
+    counts them in the oracle SQL: after five ASCII and ten 2-byte
+    characters the shared 60-char string spans [15, 75), not [25, 75)
+    as UTF-8 byte offsets would put it."""
+    from webarchive_discovery_ray.pipelines.dedup import exact_substring_spans
+
+    shared = "S" * 25 + "0123456789" * 2 + "E" * 15
+    _write_documents(tmp_path, [(1, "x" * 5 + "é" * 10 + shared), (2, "c" * 5 + shared)])
+    got = sorted(
+        (r["doc_id"], r["span_start"], r["span_end"])
+        for r in exact_substring_spans(str(tmp_path)).take_all()
+    )
+    assert got == [(1, 15, 75), (2, 5, 65)]
+
+
+def test_exact_substring_spans_matches_counter_reference(ray_session, tmp_path):
+    """A random corpus over non-ASCII, astral and combining code points,
+    with planted shared and repeated slices, read as two blocks: the
+    spans equal the benchmark's pure-Python ``Counter`` reference."""
+    import random
+
+    from perfbench import reference
+    from webarchive_discovery_ray.pipelines.dedup import exact_substring_spans
+
+    rng = random.Random(17)
+    alphabet = ["a", "b", " ", "é", "ß", "\u0301", "\u4e2d", "\U0001F600", "\U00010348"]
+    texts: list[str] = []
+    for _ in range(16):
+        parts = []
+        while sum(map(len, parts)) < rng.randint(20, 160):
+            pool = texts + parts
+            if pool and rng.random() < 0.4:
+                src = rng.choice(pool)
+                a = rng.randrange(len(src))
+                parts.append(src[a : a + rng.randint(30, 70)])
+            else:
+                parts.append("".join(rng.choices(alphabet, k=rng.randint(1, 30))))
+        texts.append("".join(parts))
+    docs = list(enumerate(texts))
+    _write_documents(tmp_path, docs, parts=2)
+    got = {
+        (r["doc_id"], r["span_start"], r["span_end"])
+        for r in exact_substring_spans(str(tmp_path)).take_all()
+    }
+    want = reference.exact_substring_spans(docs)
+    assert len(want) >= 5
+    assert got == want
+
+
+def test_exact_substring_dedup_apply_without_duplicates(ray_session, tmp_path):
+    """A corpus with no repeated 40-char window (two distinct 46-char
+    docs and a short one) has no spans: every doc comes back whole."""
+    import hashlib
+
+    from webarchive_discovery_ray.pipelines.dedup import exact_substring_dedup_apply
+
+    docs = [(1, "abcdefghij" * 4 + "klmnop"), (2, "0123456789" * 4 + "qrstuv"), (3, "short")]
+    for name, corpus in (("distinct", docs), ("short", docs[2:])):
+        (tmp_path / name).mkdir()
+        _write_documents(tmp_path / name, corpus)
+        got = {
+            r["doc_id"]: r for r in exact_substring_dedup_apply(str(tmp_path / name)).take_all()
+        }
+        assert sorted(got) == [d for d, _ in corpus]
+        for d, text in corpus:
+            assert got[d]["n_removed"] == 0 and got[d]["removed_chars"] == 0
+            assert got[d]["cleaned_len"] == len(text)
+            assert got[d]["cleaned_md5"] == hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
 def test_curate_passes_run_two_executions_each(ray_session, tmp_path, monkeypatch):

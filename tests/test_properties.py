@@ -1449,6 +1449,35 @@ def test_unigram_train_learns_frequent_words(ray_session, tmp_path):
     assert (out["n"] >= 0).all() and out["n"].dtype == "int64"
 
 
+# --- exact_substring window fingerprints -------------------------------------
+
+_fp_texts = st.lists(
+    st.text(alphabet="ab\u00e9\u0301\U0001F600", max_size=60), min_size=1, max_size=8
+)
+
+
+@given(texts=_fp_texts, L=st.sampled_from([1, 3, 40]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_fingerprints_equal_iff_windows_equal(texts, L, data):
+    """Two L-code-point windows get the same (h, h1) exactly when their
+    strings are equal, and each window gets the same fingerprint however
+    the texts are split into batches."""
+    from webarchive_discovery_ray.pipelines.dedup import _window_fingerprints
+
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(texts)), max_size=3)))
+    bounds = [0, *cuts, len(texts)]
+    fp: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in zip(bounds, bounds[1:]):
+        h, h1, row, pos = _window_fingerprints(texts[a:b], L)
+        fp.update(((a + int(r), int(p)), (int(x), int(y))) for x, y, r, p in zip(h, h1, row, pos))
+    assert sorted(fp) == [(r, p) for r, t in enumerate(texts) for p in range(len(t) - L + 1)]
+    h, h1, row, pos = _window_fingerprints(texts, L)
+    assert fp == {(int(r), int(p)): (int(x), int(y)) for x, y, r, p in zip(h, h1, row, pos)}
+    windows = {texts[r][p : p + L] for r, p in fp}
+    assert len(set(fp.values())) == len(windows)
+    assert len({(texts[r][p : p + L], v) for (r, p), v in fp.items()}) == len(windows)
+
+
 # --- keyed_fold: one-task path == exchange path --------------------------------
 
 

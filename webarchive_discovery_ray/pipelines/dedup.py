@@ -1523,6 +1523,37 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3):
 _ESD_L = 40  # minimum duplicated substring length, in characters
 
 
+def _window_fingerprints(texts: list[str], L: int):
+    """Every ``L``-code-point window of ``texts`` that lies inside one
+    text, fingerprinted in bulk: ``(h, h1, row, pos)`` with ``row`` the
+    text's index in ``texts`` and ``pos`` the window's code-point offset
+    in it.
+
+    The texts are concatenated as UTF-32 code points ``c``; each of the
+    four lanes is the multilinear hash ``(k0 + sum k_i * c_i) mod 2**64
+    >> 32`` of Lemire & Kaser ("Strongly universal string hashing is
+    fast", 2014), strongly universal over equal-length strings, taken
+    for every offset of the concatenation at once by ``np.correlate``
+    in wrapping ``uint64``. ``h`` packs lanes 0-1, ``h1`` lanes 2-3. The
+    windows that span two texts are indexed out."""
+    lens = np.fromiter(map(len, texts), np.int64, len(texts))
+    n = np.maximum(lens - L + 1, 0)
+    row = np.repeat(np.arange(len(texts), dtype=np.int64), n)
+    pos = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+    if not len(pos):
+        return np.empty(0, np.uint64), np.empty(0, np.uint64), row, pos
+    # one key row [k0, k1 .. kL] per lane, sha-derived like _perm_seeds
+    keys = np.array(
+        [int.from_bytes(hashlib.sha1(f"esd-window-{j}".encode()).digest()[:8], "big") for j in range(4 * (L + 1))],
+        dtype=np.uint64,
+    ).reshape(4, L + 1)
+    cps = np.frombuffer("".join(texts).encode("utf-32-le"), "<u4").astype(np.uint64)
+    at = (np.cumsum(lens) - lens)[row] + pos
+    shift = np.uint64(32)
+    lanes = [(np.correlate(cps, k[1:], "valid")[at] + k[0]) >> shift for k in keys]
+    return (lanes[0] << shift) | lanes[1], (lanes[2] << shift) | lanes[3], row, pos
+
+
 def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
     """Character-level EXACT duplicate-substring spans — the suffix-array
     variant of Lee et al., "Deduplicating Training Data Makes Language
@@ -1539,64 +1570,52 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
 
     and the windows are a plain bucketed exchange — no global index:
 
-    1. map: per doc emit (md5(window), doc_id, pos) for every L-char
-       window (md5 pinned by the DuckDB oracle; the exchange ships 16-byte
-       digests, never the L-char text);
-    2. bucketed group by digest: windows whose digest occurs ≥ 2 times
+    1. map: per batch emit (h, h1, doc_id, pos) for every L-code-point
+       window (:func:`_window_fingerprints`: four 32-bit multilinear
+       lanes over the batch's code points, computed in numpy for all
+       windows at once). Two distinct windows collide with probability
+       2^-128 (per pair, for text chosen independently of the fixed
+       keys), so equal fingerprints stand for equal windows; the
+       exchange ships 16-byte digests, never the L-char text;
+    2. bucketed group by ``h``: windows whose (h, h1) occurs ≥ 2 times
        anywhere are duplicated (positions re-keyed by bucket(doc_id));
     3. bucketed per-doc island merge: overlapping/adjacent windows
-       (gap ≤ L) fold into maximal spans — vectorized gaps-and-islands.
+       (gap ≤ L) fold into maximal spans — numpy gaps-and-islands.
 
+    Positions count code points, as DuckDB's ``substr`` does; the DuckDB
+    oracle keeps md5 of each window's text as its key.
     ``dup_span_fraction`` is the token-window approximation of this op;
     this one is exact at character granularity. Columns: doc_id,
     span_start (0-based inclusive), span_end (exclusive)."""
     L = min_len
 
     def windows(batch: pa.Table) -> pa.Table:
-        md5 = hashlib.md5
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        texts = batch["text"].to_pylist()
-        out_doc: list[np.ndarray] = []
-        out_pos: list[np.ndarray] = []
-        hashes: list[str] = []
-        for d, text in zip(doc_ids, texts):
-            n = len(text) - L + 1
-            if n <= 0:
-                continue
-            enc = text.encode("utf-8")  # synthetic corpus is 1 byte/char
-            hashes.extend(md5(enc[i : i + L]).hexdigest() for i in range(n))
-            out_doc.append(np.full(n, d, dtype=np.int64))
-            out_pos.append(np.arange(n, dtype=np.int64))
-        h = pd.Series(hashes, dtype=object)
-        t = pd.DataFrame(
-            {
-                "h": h,
-                "doc_id": np.concatenate(out_doc) if out_doc else np.array([], np.int64),
-                "pos": np.concatenate(out_pos) if out_pos else np.array([], np.int64),
-            }
-        )
-        return pa.Table.from_pandas(t, preserve_index=False)
+        h, h1, row, pos = _window_fingerprints(batch["text"].to_pylist(), L)
+        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"h": h, "h1": h1, "doc_id": doc_ids[row], "pos": pos})
 
     def dup_positions(df: pd.DataFrame) -> pd.DataFrame:
-        return df.loc[df.duplicated("h", keep=False), ["doc_id", "pos"]].copy()
+        return df.loc[df.duplicated(["h", "h1"], keep=False), ["doc_id", "pos"]].copy()
 
     def merge_islands(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["doc_id", "pos"], kind="mergesort")
-        prev = df.groupby("doc_id", sort=False)["pos"].shift()
-        brk = prev.isna() | (df["pos"] - prev > L)
-        island = brk.cumsum()
-        g = df.groupby([df["doc_id"], island], sort=False)["pos"].agg(["min", "max"])
-        return pd.DataFrame(
-            {
-                "doc_id": g.index.get_level_values(0).to_numpy(),
-                "span_start": g["min"].to_numpy().astype("int64"),
-                "span_end": (g["max"] + L).to_numpy().astype("int64"),
-            }
-        )
+        doc, pos = df["doc_id"].to_numpy(np.int64), df["pos"].to_numpy(np.int64)
+        order = np.lexsort((pos, doc))
+        doc, pos = doc[order], pos[order]
+        brk = np.ones(len(pos), bool)
+        brk[1:] = (doc[1:] != doc[:-1]) | (pos[1:] - pos[:-1] > L)
+        first = np.flatnonzero(brk)
+        last = np.r_[first[1:], len(pos)] - 1
+        return pd.DataFrame({"doc_id": doc[first], "span_start": pos[first], "span_end": pos[last] + L})
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
-    positions = keyed_fold(ds, dup_positions, "h", rows=windows, batch_format="pyarrow")
-    return keyed_fold(positions, merge_islands, "doc_id")
+    positions = keyed_fold(
+        ds, dup_positions, "h", rows=windows, batch_format="pyarrow",
+        empty=dict(doc_id="int64", pos="int64"),
+    )
+    return keyed_fold(
+        positions, merge_islands, "doc_id",
+        empty=dict(doc_id="int64", span_start="int64", span_end="int64"),
+    )
 
 
 def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
