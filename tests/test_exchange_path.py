@@ -19,6 +19,11 @@ RERUNS = {
     "exact_substring_code_points": test_operators.test_exact_substring_spans_count_code_points,
     "exact_substring_counter": test_operators.test_exact_substring_spans_matches_counter_reference,
     "exact_substring_apply_no_dups": test_operators.test_exact_substring_dedup_apply_without_duplicates,
+    "host_triangles_crafted": test_operators.test_host_triangles_crafted_graph,
+    "kcore_crafted": test_operators.test_kcore_crafted_graph,
+    "kcore_edgeless": test_operators.test_kcore_edgeless_graph_keeps_its_columns,
+    "host_assortativity_star": test_operators.test_host_assortativity_star_is_minus_one,
+    "cocitation_crafted": test_operators.test_cocitation_crafted_cap_and_support,
     "neardup_clusters": test_operators.test_neardup_clusters_label_propagation,
     "warc_deduplicate": test_warc_reader.test_warc_deduplicate_roundtrip,
     "warc_deduplicate_per_file": test_warc_reader.test_warc_deduplicate_driver_holds_only_per_file_counts,
@@ -37,11 +42,16 @@ def test_oracle_on_exchange_path(exchange_path, ray_session, tmp_path, name):
         test(**{p: given[p] for p in inspect.signature(test).parameters})
 
 
-# co-grouped keyed folds (two or three inputs of different schemas)
+# co-grouped keyed folds (two or three inputs of different schemas),
+# and the host-graph queries built on one adjacency pass
 COGROUPS = [
     "bloom_semi_join",
+    "cocitation_hosts",
+    "host_assortativity",
     "host_hits",
+    "host_triangles",
     "incremental_dedup",
+    "kcore_hosts",
     "min_cost_supplier",
     "outer_join_customer_orders",
     "parts_supplier_census",

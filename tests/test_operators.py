@@ -1256,11 +1256,13 @@ def test_exact_substring_dedup_apply_without_duplicates(ray_session, tmp_path):
 
 def test_curate_passes_run_two_executions_each(ray_session, tmp_path, monkeypatch):
     """Below the size rule a corpus pass is its read, its fold tasks and
-    its write: minhash, paragraph dedup, exact substring and BPE each
-    start exactly two Ray Data executions, write_parquet included."""
+    its write: minhash, paragraph dedup, exact substring (spans and
+    apply) and BPE each start exactly two Ray Data executions,
+    write_parquet included."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from webarchive_discovery_ray.pipelines.dedup import (
+        exact_substring_dedup_apply,
         exact_substring_spans,
         minhash_lsh_pairs,
         paragraph_dedup,
@@ -1277,7 +1279,13 @@ def test_curate_passes_run_two_executions_each(ray_session, tmp_path, monkeypatc
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     sf_dir = "/root/testdata/sf0.001"
     got = {}
-    for fn in (minhash_lsh_pairs, paragraph_dedup, exact_substring_spans, bpe_train):
+    for fn in (
+        minhash_lsh_pairs,
+        paragraph_dedup,
+        exact_substring_spans,
+        exact_substring_dedup_apply,
+        bpe_train,
+    ):
         calls.clear()
         fn(sf_dir).write_parquet(str(tmp_path / fn.__name__))
         got[fn.__name__] = len(calls)
@@ -2044,6 +2052,25 @@ def test_kcore_crafted_graph(ray_session):
     got = kcore_hosts(docs=rd.from_items(rows)).to_pandas()
     want = {"a.ex": 3, "b.ex": 3, "c.ex": 3, "d.ex": 3, "e.ex": 1, "f.ex": 1}
     assert dict(zip(got["host"], got["core"])) == want
+
+
+def test_kcore_edgeless_graph_keeps_its_columns(ray_session):
+    """A graph with only a self-loop and a host without links has no
+    edge: kcore_hosts returns no row, with its documented columns, as
+    cocitation_hosts does on the same input."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from webarchive_discovery_ray.pipelines.stats import cocitation_hosts, kcore_hosts
+
+    rows = [{"host": "a.ex", "links_hosts": ["a.ex"]}, {"host": "b.ex", "links_hosts": []}]
+    got = kcore_hosts(docs=rd.from_items(rows))
+    assert got.count() == 0
+    schema = got.schema()
+    assert schema is not None
+    assert list(schema.names) == ["host", "core"]
+    assert list(schema.types) == [pa.string(), pa.int64()]
+    assert cocitation_hosts(docs=rd.from_items(rows)).schema() is not None
 
 
 def test_host_assortativity_star_is_minus_one(ray_session):

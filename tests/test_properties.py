@@ -8,7 +8,7 @@ import string
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 # --- URL canonicalisation ----------------------------------------------------
@@ -1564,3 +1564,81 @@ def test_keyed_fold_paths_agree(
     elif not top1:
         want = df.groupby("k")["v"].sum()
         assert one_task == sorted(want.items())
+
+
+# --- host-graph queries vs networkx and a dict reference ----------------------
+
+_GRAPH_HOSTS = [f"h{i}.ex" for i in range(6)]
+
+
+@given(
+    docs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),  # src host
+            st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    cap=st.integers(min_value=1, max_value=6),
+    min_co=st.integers(min_value=1, max_value=3),
+)
+@example(docs=[(0, [2, 3, 0]), (1, [2, 3, 3]), (4, [2, 3, 1]), (2, [3]), (3, [2])], cap=3, min_co=2)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+def test_host_graph_queries_match_references(ray_session, docs, cap, min_co):
+    """Directed link sets with self-loops, reciprocal and repeated links
+    (a src may appear in several docs): triangles, k-core and the
+    assortativity moments of the undirected simple graph against
+    networkx, co-citation pairs against a dict reference."""
+    from collections import Counter, defaultdict
+    from itertools import combinations
+
+    import networkx as nx
+    import ray.data as rd
+
+    from webarchive_discovery_ray.pipelines.stats import (
+        cocitation_hosts,
+        host_assortativity,
+        host_triangles,
+        kcore_hosts,
+    )
+
+    h = _GRAPH_HOSTS
+    rows = [{"host": h[s], "links_hosts": [h[d] for d in ds]} for s, ds in docs]
+    edges = {(h[s], h[d]) for s, ds in docs for d in ds if s != d}
+    g = nx.Graph(edges)
+
+    tri = host_triangles(docs=rd.from_items(rows)).to_dict("records")[0]
+    deg = dict(g.degree)
+    assert (tri["n_edges"], tri["n_wedges"], tri["n_triangles"]) == (
+        g.number_of_edges(),
+        sum(d * (d - 1) // 2 for d in deg.values()),
+        sum(nx.triangles(g).values()) // 3,
+    )
+
+    core = kcore_hosts(docs=rd.from_items(rows)).take_all()
+    assert {r["host"]: r["core"] for r in core} == nx.core_number(g)
+
+    ends = [(deg[u], deg[v]) for u, v in g.edges] + [(deg[v], deg[u]) for u, v in g.edges]
+    rec = host_assortativity(docs=rd.from_items(rows)).to_dict("records")[0]
+    assert (rec["m_samples"], rec["sum_x"], rec["sum_xy"], rec["sum_x2"]) == (
+        len(ends),
+        sum(x for x, _ in ends),
+        sum(x * y for x, y in ends),
+        sum(x * x for x, _ in ends),
+    )
+
+    out = Counter(s for s, _ in edges)
+    cited = defaultdict(list)
+    for s, d in edges:
+        if out[s] <= cap:
+            cited[s].append(d)
+    ind = Counter(d for ds in cited.values() for d in ds)
+    co = Counter(p for ds in cited.values() for p in combinations(sorted(ds), 2))
+    want = {
+        (a, b): (n, 1_000_000 * n // (ind[a] + ind[b] - n))
+        for (a, b), n in co.items()
+        if n >= min_co
+    }
+    got = cocitation_hosts(docs=rd.from_items(rows), cap=cap, min_co=min_co).take_all()
+    assert {(r["dst_a"], r["dst_b"]): (r["n_co"], r["jaccard_ppm"]) for r in got} == want

@@ -1587,7 +1587,12 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
     ``dup_span_fraction`` is the token-window approximation of this op;
     this one is exact at character granularity. Columns: doc_id,
     span_start (0-based inclusive), span_end (exclusive)."""
-    L = min_len
+    return _substring_spans(read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize(), min_len)
+
+
+def _substring_spans(ds, L: int):
+    """:func:`exact_substring_spans` over the materialized corpus ``ds``
+    (doc_id, text), which the caller may fold again."""
 
     def windows(batch: pa.Table) -> pa.Table:
         h, h1, row, pos = _window_fingerprints(batch["text"].to_pylist(), L)
@@ -1607,7 +1612,6 @@ def exact_substring_spans(sf_dir: str, min_len: int = _ESD_L):
         last = np.r_[first[1:], len(pos)] - 1
         return pd.DataFrame({"doc_id": doc[first], "span_start": pos[first], "span_end": pos[last] + L})
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     positions = keyed_fold(
         ds, dup_positions, "h", rows=windows, batch_format="pyarrow",
         empty=dict(doc_id="int64", pos="int64"),
@@ -1635,8 +1639,8 @@ def exact_substring_dedup_apply(sf_dir: str, min_len: int = _ESD_L):
     recompute of the whole lemma + surgery."""
     import hashlib as _hl
 
-    spans = exact_substring_spans(sf_dir, min_len)
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
+    spans = _substring_spans(docs, min_len)
 
     def apply_in_bucket(d: pd.DataFrame, s: pd.DataFrame) -> pd.DataFrame:
         s = s.sort_values(["doc_id", "span_start"], kind="mergesort")

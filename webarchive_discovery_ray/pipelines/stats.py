@@ -1752,6 +1752,53 @@ def host_distances(
     return dist
 
 
+# the unordered-pair joiner: \x1f, NOT \x00 — pandas Series `+` goes
+# through numpy fixed-width unicode, which STRIPS embedded NULs, so a
+# NUL-joined key degrades to plain concatenation and distinct pairs like
+# (ab,c)/(a,bc) collide; a pair key is both grouped on and split back
+_PAIR_SEP = "\x1f"
+
+
+def _adjacency(edges):
+    """The undirected simple graph of a host link graph: one ``(node,
+    nbr, deg)`` row per direction of every distinct non-self-loop host
+    pair, ``deg`` being the node's distinct-neighbour degree. ONE
+    node-keyed fold: a node's whole neighbourhood co-locates, so
+    reciprocal and repeated links dedup there and the group size IS the
+    degree. Lazy on the exchange path, so a caller that reads it more
+    than once coalesces it."""
+
+    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
+        d = df[df["src_host"] != df["dst_host"]]
+        return pd.DataFrame(
+            {
+                "node": pd.concat([d["src_host"], d["dst_host"]], ignore_index=True),
+                "nbr": pd.concat([d["dst_host"], d["src_host"]], ignore_index=True),
+            }
+        )
+
+    def dedup_degree(df: pd.DataFrame) -> pd.DataFrame:
+        d = df.drop_duplicates(["node", "nbr"])[["node", "nbr"]]
+        return d.assign(deg=d.groupby("node", sort=False)["nbr"].transform("size").astype("int64"))
+
+    return keyed_fold(
+        edges, dedup_degree, "node", rows=both_dirs, empty=dict(node=str, nbr=str, deg="int64")
+    )
+
+
+def _halves(df: pd.DataFrame) -> pd.DataFrame:
+    """Adjacency rows as edge halves: ``pair`` is the unordered pair key
+    ``min + _PAIR_SEP + max``, ``end`` 0 for the row of the lower node,
+    ``d`` that node's degree. Keyed by ``pair``, an edge's two rows meet
+    and carry both end degrees."""
+    lo = df["node"] < df["nbr"]
+    a = df["node"].where(lo, df["nbr"])
+    b = df["nbr"].where(lo, df["node"])
+    return pd.DataFrame(
+        {"pair": a + _PAIR_SEP + b, "end": (~lo).astype("int64"), "d": df["deg"].astype("int64")}
+    )
+
+
 def host_reciprocity(
     n_pages: int = 600, scfg: SyntheticConfig | None = None, docs=None
 ):
@@ -1761,14 +1808,10 @@ def host_reciprocity(
     ratio. Self-loops are excluded from both counts (pinned rule).
 
     ONE bucketed co-group: every edge keys by its UNORDERED pair
-    ``min + chr(31) + max``, so both directions co-locate and
+    ``min + _PAIR_SEP + max``, so both directions co-locate and
     reciprocity is a per-group size test; the driver folds per-bucket
-    integer partials. (The joiner is \\x1f, not \\x00: pandas Series
-    ``+`` routes through numpy fixed-width unicode, which silently
-    STRIPS embedded NULs — a NUL-joined key degrades to plain
-    concatenation and distinct pairs like (ab,c)/(a,bc) would collide.)
-    Columns: n_edges, n_reciprocal, reciprocity_ppm (all exact
-    integers). SQL-oracle-checked."""
+    integer partials. Columns: n_edges, n_reciprocal, reciprocity_ppm
+    (all exact integers). SQL-oracle-checked."""
     edges = host_link_graph(n_pages, scfg, docs=docs)
 
     def key_pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -1778,7 +1821,7 @@ def host_reciprocity(
         fwd = (d["src_host"] == lo).astype("int64")
         out = pd.DataFrame(
             {
-                "pair": lo + "\x1f" + hi,
+                "pair": lo + _PAIR_SEP + hi,
                 "n_fwd": fwd,
                 "n_rev": 1 - fwd,
             }
@@ -1829,67 +1872,21 @@ def host_triangles(
     MapReduce scheme — orient every edge from its lower (degree, name)
     endpoint to the higher, so each node's OUT-neighbourhood is
     O(sqrt(m))-bounded and every triangle is generated exactly once, by
-    its minimum node). Five bucketed exchanges, each edge/wedge-bounded:
-    distinct-und, degree fold, degree attach (node-keyed co-group),
-    orient + wedge generation (src-keyed self-merge), wedge∩edge closure
-    test (pair-keyed co-group). No all-pairs step anywhere; the wedge
-    stream — the only superlinear term — is exactly the oriented
-    wedge set, the algorithm's proven-minimal exchange.
+    its minimum node). Four bucketed exchanges, each edge/wedge-bounded:
+    the adjacency (node-keyed dedup + degree, :func:`_adjacency`),
+    orient (pair-keyed: an edge's two halves carry both end degrees),
+    wedge generation (src-keyed self-merge), wedge∩edge closure test
+    (key-keyed co-group of wedges with the adjacency rows ``node <
+    nbr``). No all-pairs step anywhere; the wedge stream — the only
+    superlinear term — is exactly the oriented wedge set, the
+    algorithm's proven-minimal exchange.
 
     Columns (single row, all exact integers): n_edges, n_wedges
     (sum over nodes of C(deg,2)), n_triangles, clustering_ppm
     (1e6 * 3*triangles // wedges). SQL-oracle-checked (3-way self-join
     over the same materialized link base)."""
-    # \x1f, NOT \x00: pandas Series `+` strips embedded NULs (numpy
-    # fixed-width unicode), and this key is both grouped on and split back
-    sep = "\x1f"
-    edges = host_link_graph(n_pages, scfg, docs=docs)
-
-    def und_local(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["src_host"] != df["dst_host"]]
-        lo = d[["src_host", "dst_host"]].min(axis=1)
-        hi = d[["src_host", "dst_host"]].max(axis=1)
-        return pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
-
-    def und_distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    und = coalesce_blocks(
-        keyed_fold(edges, und_distinct, ("a", "b"), rows=und_local,
-                   empty=dict(a=str, b=str))
-    )  # consumed 3x: degrees, halves, edge markers
-
-    def deg_partials(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.concat([df["a"], df["b"]], ignore_index=True)
-        g = nodes.value_counts()
-        return pd.DataFrame(
-            {"node": g.index, "d": g.to_numpy().astype("int64")}
-        )
-
-    degs = coalesce_blocks(
-        keyed_fold(und, sum_in_bucket("node", "d"), "node", rows=deg_partials,
-                   empty=dict(node=str, d="int64"))
-    )
-
-    def half_rows(df: pd.DataFrame) -> pd.DataFrame:
-        pair = df["a"] + sep + df["b"]
-        # one row per end of the edge: end 0 is a, end 1 is b
-        return pd.DataFrame(
-            {
-                "node": pd.concat([df["a"], df["b"]], ignore_index=True),
-                "pair": pd.concat([pair, pair], ignore_index=True),
-                "end": np.repeat(np.array([0, 1], dtype="int64"), len(df)),
-            }
-        )
-
-    def attach_deg(halves: pd.DataFrame, dd: pd.DataFrame) -> pd.DataFrame:
-        m = halves[["node", "pair", "end"]].merge(dd[["node", "d"]], on="node", how="inner")
-        return m[["pair", "end", "d"]].astype({"d": "int64"}).reset_index(drop=True)
-
-    attached = keyed_fold(
-        (und, degs), attach_deg, "node", rows=(half_rows, None),
-        empty=dict(pair=str, end="int64", d="int64"),
-    )
+    # read 3x: orient, edge keys, edge and wedge counts
+    adj = coalesce_blocks(_adjacency(host_link_graph(n_pages, scfg, docs=docs)))
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         da = df[df["end"] == 0][["pair", "d"]].rename(columns={"d": "da"})
@@ -1897,54 +1894,45 @@ def host_triangles(
         m = da.merge(db, on="pair")
         if not len(m):
             return typed_empty(src=str, dst=str)
-        ab = m["pair"].str.split(sep, n=1, expand=True)
+        ab = m["pair"].str.split(_PAIR_SEP, n=1, expand=True)
         a = ab[0].to_numpy(dtype=object)
         b = ab[1].to_numpy(dtype=object)
         # (degree, name) total order; a < b always, so ties keep a first
-        a_first = (m["da"] < m["db"]).to_numpy() | (
-            m["da"] == m["db"]
-        ).to_numpy()
+        a_first = (m["da"] <= m["db"]).to_numpy()
         return pd.DataFrame(
             {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
         )
-
-    oriented = keyed_fold(attached, orient, "pair", empty=dict(src=str, dst=str))
 
     def wedge_gen(df: pd.DataFrame) -> pd.DataFrame:
         g = df[["src", "dst"]]
         m = g.merge(g, on="src")
         m = m[m["dst_x"] < m["dst_y"]]
-        return pd.DataFrame({"key": m["dst_x"] + sep + m["dst_y"]})
+        return pd.DataFrame({"key": m["dst_x"] + _PAIR_SEP + m["dst_y"]})
 
-    def edge_keys(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"key": df["a"] + sep + df["b"]})
+    def edge_keys(df: pd.DataFrame) -> pa.Table:
+        d = df[df["node"] < df["nbr"]]
+        # typed: a block can hold no such row, and an empty object column
+        # would tag as Arrow null
+        return pa.table({"key": pa.array(d["node"] + _PAIR_SEP + d["nbr"], pa.string())})
 
     def count_tri(wedges: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame:
         # a wedge whose open end is an edge closes a triangle
         n = int(wedges["key"].isin(set(edges["key"])).sum())
         return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
+    oriented = keyed_fold(adj, orient, "pair", rows=_halves, empty=dict(src=str, dst=str))
     wedges = keyed_fold(oriented, wedge_gen, "src", empty=dict(key=str))
     tri_parts = keyed_fold(
-        (wedges, und), count_tri, "key", rows=(None, edge_keys),
+        (wedges, adj), count_tri, "key", rows=(None, edge_keys),
         empty=dict(n_triangles="int64"),
     ).to_pandas()
     n_triangles = int(tri_parts["n_triangles"].sum()) if len(tri_parts) else 0
 
-    # n_edges and n_wedges fold from the tiny degree table: sum(d)/2 and
-    # sum C(d,2) — exact integers, bucket-count-bounded partials
-    def scalar_parts(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["d"].to_numpy(dtype="int64")
-        return pd.DataFrame(
-            {
-                "two_e": pd.Series([int(d.sum())], dtype="int64"),
-                "wedges": pd.Series([int((d * (d - 1) // 2).sum())], dtype="int64"),
-            }
-        )
-
-    sc = degs.map_batches(scalar_parts, batch_format="pandas").to_pandas()
-    n_edges = int(sc["two_e"].sum()) // 2 if len(sc) else 0
-    n_wedges = int(sc["wedges"].sum()) if len(sc) else 0
+    # an edge is two adjacency rows, and a node's deg rows each add
+    # deg - 1 to 2·C(deg, 2)
+    n_rows = adj.count()
+    n_edges = n_rows // 2
+    n_wedges = (int(adj.sum("deg") or 0) - n_rows) // 2
     ppm = (1_000_000 * 3 * n_triangles) // n_wedges if n_wedges else 0
     return pd.DataFrame(
         {
@@ -1980,105 +1968,54 @@ def cocitation_hosts(
     co-citations drop; jaccard_ppm = 10⁶·n_co // (ind_a + ind_b − n_co)
     over capped-edge in-degrees (exact integers).
 
-    FOUR bucketed exchanges, each edge/pair-bounded: (1) edges co-locate
-    by src (host_link_graph rows are globally distinct, so a src's whole
-    out-neighbourhood sits in one group — degree cap and the pair
-    self-merge are group-local), emitting pair partials + in-degree
-    partials as tagged rows; (2) disjoint-namespace fold (pairs by pair
-    key, in-degrees by dst); (3) attach ind_a (pair rows keyed dst_a ⋈
-    ind rows keyed dst, ind rows pass through); (4) attach ind_b + the
-    jaccard arithmetic. No broadcast — the per-host in-degree table is
-    corpus-sized at 100 TB. Columns: dst_a, dst_b, n_co, jaccard_ppm.
-    SQL-oracle-checked over the materialized link base."""
+    FOUR bucketed exchanges over one row kind ``(a, b, n)``, ``a ≤ b``,
+    each edge/pair-bounded: (1) edges co-locate by src (host_link_graph
+    rows are globally distinct, so a src's whole out-neighbourhood sits
+    in one group — degree cap and the pair self-merge are group-local);
+    the self-merge keeps ``dst_x ≤ dst_y``, so the diagonal row ``(a,
+    a)`` counts a's capped in-degree, the diagonal of the co-citation
+    matrix; (2) fold by ``(a, b)`` and cut ``n < min_co`` on every row
+    (safe for the diagonal: ind(a) ≥ n_co(a, b), so a kept pair keeps
+    both of its diagonals); (3) attach ind_a keyed by ``a``; (4) attach
+    ind_b keyed by ``b`` + the jaccard arithmetic; the diagonal rows
+    carry the in-degrees and ship no output. No broadcast — the per-host
+    in-degree table is corpus-sized at 100 TB. Columns: dst_a, dst_b,
+    n_co, jaccard_ppm. SQL-oracle-checked over the materialized link
+    base."""
     edges = host_link_graph(n_pages, scfg, docs=docs)
-    tagged_rows = dict(side="int64", a=str, b=str, n="int64")
+    pair_rows = dict(a=str, b=str, n="int64")
 
     def src_dst(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df["src_host"] != df["dst_host"]]
         return pd.DataFrame({"src": d["src_host"], "dst": d["dst_host"]})
 
-    def pairs_and_indeg(df: pd.DataFrame) -> pd.DataFrame:
+    def cocite(df: pd.DataFrame) -> pd.DataFrame:
         sizes = df.groupby("src", sort=False)["dst"].transform("size")
         d = df[sizes <= cap]
-        out = []
-        if len(d):
-            m = d.merge(d, on="src")
-            m = m[m["dst_x"] < m["dst_y"]]
-            p = (
-                m.groupby(["dst_x", "dst_y"], sort=False)
-                .size()
-                .reset_index(name="n")
-            )
-            out.append(
-                pd.DataFrame(
-                    {
-                        "side": np.zeros(len(p), dtype="int64"),
-                        "a": p["dst_x"],
-                        "b": p["dst_y"],
-                        "n": p["n"].astype("int64"),
-                    }
-                )
-            )
-            i = d.groupby("dst", sort=False).size().reset_index(name="n")
-            out.append(
-                pd.DataFrame(
-                    {
-                        "side": np.ones(len(i), dtype="int64"),
-                        "a": i["dst"],
-                        "b": pd.Series([""] * len(i), dtype=str),
-                        "n": i["n"].astype("int64"),
-                    }
-                )
-            )
-        if not out:
-            return typed_empty(**tagged_rows)
-        return pd.concat(out, ignore_index=True)
+        m = d.merge(d, on="src")
+        m = m[m["dst_x"] <= m["dst_y"]]
+        p = m.groupby(["dst_x", "dst_y"], sort=False).size().reset_index(name="n")
+        return pd.DataFrame({"a": p["dst_x"], "b": p["dst_y"], "n": p["n"].astype("int64")})
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            df.groupby(["side", "a", "b"], sort=False)["n"].sum().reset_index()
-        )
-        p = g[g["side"] == 0]
-        p = p[p["n"] >= min_co]
-        i = g[g["side"] == 1]
-        # next pass keys pairs by dst_a and in-degree rows by dst: both "a"
-        out = pd.concat([p, i], ignore_index=True)
-        out["n"] = out["n"].astype("int64")
-        return out
+        g = df.groupby(["a", "b"], sort=False)["n"].sum().reset_index()
+        return g[g["n"] >= min_co].astype({"n": "int64"})
 
     def attach_a(df: pd.DataFrame) -> pd.DataFrame:
-        p = df[df["side"] == 0]
-        i = df[df["side"] == 1][["a", "n"]].rename(
-            columns={"a": "_d", "n": "ind_a"}
-        )
-        m = p.merge(i, left_on="a", right_on="_d", how="inner").drop(
-            columns=["_d"]
-        )
-        ipass = df[df["side"] == 1].assign(ind_a=np.int64(0))
-        out = pd.concat([m, ipass], ignore_index=True)
-        out["ind_a"] = out["ind_a"].astype("int64")
-        return out[["side", "a", "b", "n", "ind_a"]]
-
-    def dst_b_or_dst(df: pd.DataFrame) -> pd.Series:
-        # next exchange keys pairs by dst_b, ind rows stay keyed by dst
-        return pd.Series(
-            np.where(df["side"].to_numpy() == 0, df["b"], df["a"]), index=df.index
-        )
+        ind = df[df["a"] == df["b"]].set_index("a")["n"]
+        return df[["a", "b", "n"]].assign(ind_a=df["a"].map(ind).astype("int64"))
 
     result = dict(dst_a=str, dst_b=str, n_co="int64", jaccard_ppm="int64")
 
     def attach_b(df: pd.DataFrame) -> pd.DataFrame:
-        p = df[df["side"] == 0]
-        i = df[df["side"] == 1][["a", "n"]].rename(
-            columns={"a": "_d", "n": "ind_b"}
-        )
-        m = p.merge(i, left_on="b", right_on="_d", how="inner")
+        ind = df[df["a"] == df["b"]].set_index("b")["n"]
+        m = df[df["a"] != df["b"]]
         if not len(m):
             return typed_empty(**result)
         n_co = m["n"].to_numpy(dtype="int64")
         union = (
             m["ind_a"].to_numpy(dtype="int64")
-            + m["ind_b"].to_numpy(dtype="int64")
+            + m["b"].map(ind).to_numpy(dtype="int64")
             - n_co
         )
         return pd.DataFrame(
@@ -2090,14 +2027,10 @@ def cocitation_hosts(
             }
         )
 
-    tagged = keyed_fold(
-        edges, pairs_and_indeg, "src", rows=src_dst, empty=tagged_rows,
-    )
-    folded = keyed_fold(tagged, fold, ("side", "a", "b"), empty=tagged_rows)
-    with_a = keyed_fold(
-        folded, attach_a, "a", empty=dict(tagged_rows, ind_a="int64"),
-    )
-    return keyed_fold(with_a, attach_b, dst_b_or_dst, empty=result)
+    pairs = keyed_fold(edges, cocite, "src", rows=src_dst, empty=pair_rows)
+    folded = keyed_fold(pairs, fold, ("a", "b"), empty=pair_rows)
+    with_a = keyed_fold(folded, attach_a, "a", empty=dict(pair_rows, ind_a="int64"))
+    return keyed_fold(with_a, attach_b, "b", empty=result)
 
 
 def kcore_hosts(
@@ -2118,72 +2051,38 @@ def kcore_hosts(
     exact, not approximate. All integers ⇒ bit-stable under any
     batching/summation order.
 
-    Scale shape: adjacency and estimates both stay distributed; each
-    round is TWO bucketed co-groups (attach est by neighbour key, fold
-    by node with the vectorized sorted-rank H-index ``max_i min(v_i,
-    i)``), with per-round block re-pinning; the driver holds only the
-    round counter and a changed-row count (one bounded ``sum``).
-    Pinned graph: distinct unordered host pairs from the directed link
-    base, self-loops excluded; isolated hosts are absent. Columns:
-    host, core. VALUES-oracle-checked vs sequential Matula–Beck
-    peeling."""
+    Scale shape: adjacency and estimates both stay distributed. The
+    adjacency is :func:`_adjacency`; one node-keyed fold takes each
+    node's degree from it as the first estimate. Each round is TWO
+    bucketed co-groups (attach est by neighbour key, fold by node with
+    the vectorized sorted-rank H-index ``max_i min(v_i, i)``), with
+    per-round block re-pinning; the driver holds only the round counter
+    and a changed-row count (one bounded ``sum``). Pinned graph:
+    distinct unordered host pairs from the directed link base,
+    self-loops excluded; isolated hosts are absent. Columns: host, core.
+    VALUES-oracle-checked vs sequential Matula–Beck peeling."""
     import ray.data as rd
 
-    edges = host_link_graph(n_pages, scfg, docs=docs)
+    adj = coalesce_blocks(_adjacency(host_link_graph(n_pages, scfg, docs=docs)))
 
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["src_host"] != df["dst_host"]]
-        return pd.DataFrame(
-            {
-                "node": pd.concat([d["src_host"], d["dst_host"]], ignore_index=True),
-                "nbr": pd.concat([d["dst_host"], d["src_host"]], ignore_index=True),
-            }
-        )
+    def first_estimate(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates("node")[["node", "deg"]].rename(columns={"deg": "est"})
 
-    def dedup_and_degree(df: pd.DataFrame) -> pd.DataFrame:
-        # a node's whole neighbourhood co-locates: dedup reciprocal
-        # directed edges and emit adjacency (side 0) + initial estimate
-        # rows (side 1, est = distinct-neighbour degree) together
-        d = df.drop_duplicates(["node", "nbr"])
-        deg = d.groupby("node", sort=False).size().reset_index(name="est")
-        adj = pd.DataFrame(
-            {
-                "side": np.zeros(len(d), dtype="int64"),
-                "node": d["node"],
-                "nbr": d["nbr"],
-                "est": np.zeros(len(d), dtype="int64"),
-            }
-        )
-        est = pd.DataFrame(
-            {
-                "side": np.ones(len(deg), dtype="int64"),
-                "node": deg["node"],
-                "nbr": pd.Series([""] * len(deg), dtype=str),
-                "est": deg["est"].astype("int64"),
-            }
-        )
-        return pd.concat([adj, est], ignore_index=True)
-
-    base = coalesce_blocks(keyed_fold(
-        edges, dedup_and_degree, "node", rows=both_dirs,
-        empty=dict(side="int64", node=str, nbr=str, est="int64"),
-    ))
-    def adj_rows(df: pd.DataFrame) -> pd.DataFrame:
-        # keyed by neighbour: its estimate attaches there
-        return df[df["side"] == 0][["node", "nbr"]].rename(columns={"nbr": "key"})
-
-    def est_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["side"] == 1][["node", "est"]]
-
-    adj = base.map_batches(adj_rows, batch_format="pandas").materialize()
-    est = base.map_batches(est_rows, batch_format="pandas").materialize()
+    est = coalesce_blocks(
+        keyed_fold(adj, first_estimate, "node", empty=dict(node=str, est="int64"))
+    )
+    if not est.count():
+        # an edgeless graph: Ray Data's maps drop the columns of empty
+        # blocks, so the result's schema is stated here
+        return rd.from_arrow(pa.table({"host": pa.array([], pa.string()), "core": pa.array([], pa.int64())}))
 
     for _ in range(max_rounds):
         def est_by_node(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"key": df["node"], "est": df["est"].astype("int64")})
+            return pd.DataFrame({"nbr": df["node"], "est": df["est"].astype("int64")})
 
         def attach(a: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
-            m = a[["key", "node"]].merge(e[["key", "est"]], on="key", how="inner")
+            # keyed by neighbour: its estimate attaches there
+            m = a[["nbr", "node"]].merge(e[["nbr", "est"]], on="nbr", how="inner")
             nbr_rows = pd.DataFrame(
                 {
                     "node": m["node"],
@@ -2194,7 +2093,7 @@ def kcore_hosts(
             # the node's own estimate rides the same exchange (own >= 0)
             own_rows = pd.DataFrame(
                 {
-                    "node": e["key"],
+                    "node": e["nbr"],
                     "v": np.zeros(len(e), dtype="int64"),
                     "own": e["est"].astype("int64"),
                 }
@@ -2232,7 +2131,7 @@ def kcore_hosts(
             )
 
         attached = keyed_fold(
-            (adj, est), attach, "key", rows=(None, est_by_node),
+            (adj, est), attach, "nbr", rows=(None, est_by_node),
             empty=dict(node=str, v="int64", own="int64"),
         )
         nxt = coalesce_blocks(keyed_fold(
@@ -2357,69 +2256,24 @@ def host_assortativity(
     IEEE-identical-expression rule). Graph rules pinned as in
     kcore/triangles: distinct unordered pairs, self-loops excluded.
 
-    TWO bucketed co-groups after the edge pass: node-keyed dedup+degree
-    (a node's whole neighbourhood co-locates ⇒ in-group size IS the
-    degree), then nbr-keyed degree attach + per-bucket moment partials.
-    Columns: m_samples, sum_x, sum_xy, sum_x2, assortativity_r
-    (round 6). SQL-oracle-checked."""
-    edges = host_link_graph(n_pages, scfg, docs=docs)
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["src_host"] != df["dst_host"]]
-        return pd.DataFrame(
-            {
-                "node": pd.concat([d["src_host"], d["dst_host"]], ignore_index=True),
-                "nbr": pd.concat([d["dst_host"], d["src_host"]], ignore_index=True),
-            }
-        )
-
-    def dedup_degree(df: pd.DataFrame) -> pd.DataFrame:
-        # every row of node h co-locates here, so the in-group size IS
-        # deg(h); emit tagged rows — side 0: adjacency (routed by nbr,
-        # carrying deg(node)); side 1: one (h, deg) row routed by h, so
-        # the attach bucket is guaranteed to hold its nbrs' degrees
-        d = df.drop_duplicates(["node", "nbr"])
-        adj = d[["node", "nbr"]].copy()
-        adj["deg"] = (
-            d.groupby("node", sort=False)["nbr"].transform("size").astype("int64")
-        )
-        adj.insert(0, "side", np.zeros(len(adj), dtype="int64"))
-        degs = adj.drop_duplicates("node")[["node", "deg"]].copy()
-        degs.insert(0, "side", np.ones(len(degs), dtype="int64"))
-        degs["nbr"] = pd.Series([""] * len(degs), dtype=str, index=degs.index)
-        return pd.concat(
-            [adj[["side", "node", "nbr", "deg"]], degs[["side", "node", "nbr", "deg"]]],
-            ignore_index=True,
-        )
-
-    def route(df: pd.DataFrame) -> pd.Series:
-        side0 = df["side"].to_numpy() == 0
-        return pd.Series(np.where(side0, df["nbr"], df["node"]), index=df.index)
+    TWO bucketed passes after the edge pass: the adjacency
+    (:func:`_adjacency`, node-keyed dedup + degree), then one pair-keyed
+    fold of its edge halves (:func:`_halves`): per bucket m = rows,
+    sx = Σd, sx2 = Σd² and sxy = 2·Σ over pairs of the product of the
+    pair's two end degrees. Columns: m_samples, sum_x, sum_xy, sum_x2,
+    assortativity_r (round 6). SQL-oracle-checked."""
 
     def moment_partials(df: pd.DataFrame) -> pd.DataFrame:
-        a = df[df["side"] == 0]
-        degs = df[df["side"] == 1][["node", "deg"]].rename(
-            columns={"node": "nbr", "deg": "deg_nbr"}
-        )
-        m = a.merge(degs, on="nbr", how="inner")
-        x = m["deg"].to_numpy(dtype="int64")
-        y = m["deg_nbr"].to_numpy(dtype="int64")
+        d = df["d"].to_numpy(dtype="int64")
+        sxy = 2 * int(df.groupby("pair", sort=False)["d"].prod().sum())
         return pd.DataFrame(
-            {
-                "m": np.array([len(m)], dtype="int64"),
-                "sx": np.array([x.sum()], dtype="int64"),
-                "sxy": np.array([(x * y).sum()], dtype="int64"),
-                "sx2": np.array([(x * x).sum()], dtype="int64"),
-            }
+            {"m": [len(d)], "sx": [int(d.sum())], "sxy": [sxy], "sx2": [int((d * d).sum())]},
+            dtype="int64",
         )
 
-    adj = keyed_fold(
-        edges, dedup_degree, "node", rows=both_dirs,
-        empty=dict(side="int64", node=str, nbr=str, deg="int64"),
-    )
     parts = keyed_fold(
-        adj, moment_partials, route,
-        empty=dict(m="int64", sx="int64", sxy="int64", sx2="int64"),
+        _adjacency(host_link_graph(n_pages, scfg, docs=docs)), moment_partials, "pair",
+        rows=_halves, empty=dict(m="int64", sx="int64", sxy="int64", sx2="int64"),
     ).to_pandas()
     m = int(parts["m"].sum()) if len(parts) else 0
     sx = int(parts["sx"].sum()) if len(parts) else 0
