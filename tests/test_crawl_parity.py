@@ -1967,3 +1967,19 @@ def test_randomized_crawl_differential_with_kill(ray_session):
             shutil.rmtree(tmp, ignore_errors=True)
 
     check()
+
+
+def test_crawl_modules_import_without_pandas():
+    """A fresh crawl worker imports the crawl plane and the seen set
+    without pandas (importing it costs every new worker 0.2-0.3 s)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import webarchive_discovery_ray.pipelines.crawl, "
+        "webarchive_discovery_ray.state.seen, sys; "
+        "assert 'pandas' not in sys.modules"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True, timeout=120)

@@ -204,6 +204,24 @@ def test_partition_by_host_complete_and_colocated(hosts, n_parts):
             assert host_part.setdefault(h, i) == i  # co-located
 
 
+def _frontier_block(hosts, pris, seqs, surts, paths):
+    """A frontier block (FRONTIER_SCHEMA) from per-row columns; ``paths``
+    are URL paths on each row's host."""
+    from webarchive_discovery_ray.state.checkpoint import FRONTIER_SCHEMA
+
+    return pa.table(
+        {
+            "url": [f"http://{h}{p}" for h, p in zip(hosts, paths)],
+            "surt": surts,
+            "host": hosts,
+            "priority": pris,
+            "hop": [0] * len(hosts),
+            "seq": seqs,
+        },
+        schema=FRONTIER_SCHEMA,
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -217,36 +235,155 @@ def test_partition_by_host_complete_and_colocated(hosts, n_parts):
     st.integers(min_value=1, max_value=5),
 )
 def test_drain_budget_and_order(rows, budget):
-    df = pd.DataFrame(
+    hosts = [h for h, _ in rows]
+    n = len(rows)
+    tbl = _frontier_block(
+        hosts,
+        [p for _, p in rows],
+        list(range(n)),
+        # real frontier rows always carry a surt (the drain's final
+        # tie-break, only reachable for same-wave injected rows)
+        [f"{h})/{i}" for i, h in enumerate(hosts)],
+        [f"/{i}" for i in range(n)],
+    )
+    idx, rank, selected = _drain_order(
+        tbl, CrawlConfig(politeness_budget=budget), PolicyState()
+    )
+    # no robots rules, no quota: nothing drops, and every drained row is
+    # a position in the input (the Arrow split's take indices)
+    assert sorted(idx.tolist()) == list(range(n))
+    for host in set(hosts):
+        mine = [(i, r, sel) for i, r, sel in zip(idx, rank, selected, strict=True) if hosts[i] == host]
+        # the host's queue in (priority, seq) order, ranked 0, 1, ...;
+        # its first ``budget`` rows are selected
+        assert [i for i, _, _ in mine] == sorted(
+            (i for i in range(n) if hosts[i] == host), key=lambda i: (rows[i][1], i)
+        )
+        assert [r for _, r, _ in mine] == list(range(len(mine)))
+        assert [bool(sel) for _, _, sel in mine] == [j < budget for j in range(len(mine))]
+
+
+_DRAIN_HOSTS = ["a.com", "b.net", "c.org", "bücher.de"]
+_DRAIN_RULES = ["/private/", "allow:/private/ok/", "crawl-delay:2", "crawl-delay:3"]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(_DRAIN_HOSTS),
+            st.integers(min_value=-1, max_value=3),  # priority
+            st.integers(min_value=0, max_value=3),  # seq (tied)
+            st.integers(min_value=0, max_value=2),  # surt (tied)
+            st.sampled_from(["/", "/private/a", "/private/ok/b", "/pub/c"]),
+            st.sampled_from([80, 400, 2500]),  # fetch_ms, if fetched
+        ),
+        max_size=40,
+    ),
+    budget=st.integers(min_value=1, max_value=6),
+    rules=st.dictionaries(
+        st.sampled_from(_DRAIN_HOSTS), st.lists(st.sampled_from(_DRAIN_RULES), max_size=3)
+    ),
+    backoff=st.sets(st.sampled_from(_DRAIN_HOSTS)),
+    last_dur=st.none()
+    | st.dictionaries(st.sampled_from(_DRAIN_HOSTS), st.sampled_from([20, 300, 1500, 9000])),
+    quota=st.none() | st.integers(min_value=1, max_value=5),
+    host_fetched=st.dictionaries(st.sampled_from(_DRAIN_HOSTS), st.integers(0, 5)),
+    n_chunks=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_drain_matches_host_queue_model(
+    rows, budget, rules, backoff, last_dur, quota, host_fetched, n_chunks
+):
+    """``_drain_order`` against a plain-Python model of each host's
+    queue under robots rules, 5xx backoff, the adaptive cap and a quota;
+    then ``PolicyState.observe`` on the drained block's fetched rows
+    against a dict reference."""
+    from webarchive_discovery_ray.state.robots import (
+        adaptive_budget_cap,
+        effective_budget,
+        is_disallowed,
+    )
+
+    ccfg = CrawlConfig(
+        politeness_budget=budget,
+        max_pages_per_host=quota,
+        backoff_503=True,
+        adaptive_politeness=last_dur is not None,
+    )
+    policy = PolicyState(
+        rules=rules,
+        backoff=backoff,
+        host_fetched=host_fetched if quota is not None else None,
+        last_dur=last_dur,
+    )
+    hosts = [r[0] for r in rows]
+    tbl = _frontier_block(
+        hosts,
+        [r[1] for r in rows],
+        [r[2] for r in rows],
+        [f"({r[0]})/{r[3]}" for r in rows],
+        [r[4] for r in rows],
+    )
+    # the assembled block arrives in pieces
+    cut = [len(rows) * j // n_chunks for j in range(n_chunks + 1)]
+    tbl = pa.concat_tables([tbl.slice(a, b - a) for a, b in zip(cut, cut[1:])])
+
+    def model_budget(h):
+        eff = effective_budget(budget, rules.get(h))
+        if h in backoff:
+            eff = max(1, eff // 2)
+        if last_dur and h in last_dur:
+            eff = min(eff, adaptive_budget_cap(
+                last_dur[h], ccfg.adaptive_delay_factor_permil,
+                ccfg.adaptive_min_delay_ms, ccfg.adaptive_max_delay_ms,
+                ccfg.adaptive_wave_window_ms,
+            ))
+        if quota is not None:
+            eff = min(eff, quota - host_fetched.get(h, 0))
+        return eff
+
+    want = []
+    # Python sorts str by code point, the same order as UTF-8 bytes;
+    # the input position breaks full ties (a stable sort)
+    order = sorted(range(len(rows)), key=lambda i: (*rows[i][:3], f"({rows[i][0]})/{rows[i][3]}", i))
+    for host in sorted(set(hosts)):
+        eff = model_budget(host)
+        if quota is not None and eff <= 0:
+            continue  # retired: every row leaves the frontier
+        queue = [
+            i for i in order
+            if hosts[i] == host
+            and (rows[i][1] == -1 or not is_disallowed(rows[i][4], rules.get(host, [])))
+        ]
+        want += [(i, k, k < eff) for k, i in enumerate(queue)]
+
+    idx, rank, selected = _drain_order(tbl, ccfg, policy)
+    got = [(int(i), int(k), bool(s)) for i, k, s in zip(idx, rank, selected, strict=True)]
+    assert got == want
+
+    # the fetched rows in drain order (host, slot), as the fetch stage
+    # returns them
+    fetched = [(hosts[i], k, rows[i][5]) for i, k, s in want if s]
+    block = pa.table(
         {
-            "url": [f"http://{h}/{i}" for i, (h, _) in enumerate(rows)],
-            "host": [h for h, _ in rows],
-            "priority": np.array([p for _, p in rows], dtype=np.int32),
-            "seq": np.arange(len(rows), dtype=np.int64),
-            # real frontier rows always carry a surt (the drain's final
-            # tie-break, only reachable for same-wave injected rows)
-            "surt": [f"{h})/{i}" for i, (h, _) in enumerate(rows)],
+            **{c: tbl[c].take(pa.array([i for i, _, s in want if s], pa.int64()))
+               for c in tbl.column_names},
+            "fetch_host": pa.array([h for h, _, _ in fetched], pa.string()),
+            "slot": pa.array([k for _, k, _ in fetched], pa.int32()),
+            "fetch_ms": pa.array([d for _, _, d in fetched], pa.int32()),
+            "fetch_status": pa.array([200] * len(fetched), pa.int32()),
+            "is_robots": pa.array([False] * len(fetched), pa.bool_()),
+            "robots_rules": pa.array([[]] * len(fetched), pa.list_(pa.string())),
         }
     )
-    out, selected, rank = _drain_order(
-        df, CrawlConfig(politeness_budget=budget), PolicyState()
-    )
-    # no robots rules, no quota: nothing drops, and the index maps every
-    # drained row back to its input row (the Arrow split's take indices)
-    assert sorted(out.index) == list(range(len(df)))
-    assert (df.loc[out.index, "url"].to_numpy() == out["url"].to_numpy()).all()
-    out = out.assign(selected=selected, slot=rank)
-    sel = out[out["selected"]]
-    # politeness bound
-    assert (sel.groupby("host").size() <= budget).all()
-    # selected rows are each host's (priority, seq)-smallest
-    for host, grp in out.groupby("host"):
-        ordered = grp.sort_values(["priority", "seq"]).reset_index(drop=True)
-        k = min(budget, len(ordered))
-        assert ordered["selected"].iloc[:k].all()
-        assert not ordered["selected"].iloc[k:].any()
-        # slots are 0..k-1 in that order
-        assert list(ordered["slot"].iloc[:k]) == list(range(k))
+    counts, top = {}, {}
+    for h, k, d in fetched:
+        counts[h] = counts.get(h, 0) + 1
+        top[h] = max(top.get(h, (-1, 0)), (k, d))  # (highest slot, its fetch_ms)
+    obs = PolicyState.observe(block)
+    assert dict(obs["host_counts"]) == counts
+    assert dict(obs["last_dur"]) == {h: d for h, (_, d) in top.items()}
+    assert obs["backoff"] == [] and obs["retry"] == [] and obs["robots"] == []
 
 
 # --- differential fuzz: stage vs oracle extraction ---------------------------

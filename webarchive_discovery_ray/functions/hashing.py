@@ -26,7 +26,6 @@ __all__ = [
     "record_id",
     "sha1_b32",
     "stable_hash64",
-    "seeded_gate",
 ]
 
 
@@ -50,13 +49,6 @@ def stable_hash64(value: str, seed: int = 0) -> int:
     is salted per process — unusable across Ray workers)."""
     h = hashlib.sha1(f"{seed}:{value}".encode("utf-8")).digest()
     return int.from_bytes(h[:8], "big")
-
-
-def seeded_gate(value: str, one_in_n: int, seed: int = 0) -> bool:
-    """Deterministic 1-in-N gate keyed on the value; replaces Math.random()."""
-    if one_in_n <= 1:
-        return True
-    return stable_hash64(value, seed) % one_in_n == 0
 
 
 def splitmix64(z: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ Per wave:
    hosts, which the task numbers itself (step 5);
 2. **politeness drain** — vectorized per-block drain (blocks are complete
    host groups by construction): order (host, priority, seq, surt),
-   robots-Disallow drop, cumcount slot assignment under the per-host
-   budget; the drained block is split in Arrow into the rows fetched
+   robots-Disallow drop, then each row's rank in its host's queue (its
+   slot) against the per-host budget, all on the block's Arrow columns;
+   the drained block is split in Arrow into the rows fetched
    this wave and the block's carry, which goes back to the object store
    as its own table;
 3. **fetch + extract + routing** — ONE plain Ray task per block fuses
@@ -79,11 +80,12 @@ from __future__ import annotations
 
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import CrawlConfig, IndexConfig, SyntheticConfig
 from ..functions.hashing import stable_hash64
@@ -345,27 +347,6 @@ def page_for_url_cached(url: str, scfg: SyntheticConfig) -> dict:
     return page_for_url(url, scfg)
 
 
-def _robots_drop(df: pd.DataFrame, robots_rules: dict[str, list[str]]) -> pd.DataFrame:
-    """Drop robots-Disallowed rows (injected robots fetches at priority -1
-    are exempt; only hosts WITH rules pay the per-row Python check)."""
-    if not robots_rules:
-        return df
-    ruled = df["host"].map(lambda h: h in robots_rules)
-    if not ruled.any():
-        return df
-    sub = df.loc[ruled]
-    keep = np.fromiter(
-        (
-            p == -1 or not is_disallowed(url_path(u), robots_rules[h])
-            for p, u, h in zip(sub["priority"].to_numpy(), sub["url"], sub["host"])
-        ),
-        dtype=bool,
-        count=len(sub),
-    )
-    drop_idx = sub.index[~keep]
-    return df.drop(index=drop_idx) if len(drop_idx) else df
-
-
 @dataclass
 class PolicyState:
     """The crawl's cross-wave per-host policy state, in one object.
@@ -417,9 +398,9 @@ class PolicyState:
             host_fetched=self.host_fetched, last_dur=self.last_dur,
         )
 
-    def budgets(self, hosts: pd.Series, ccfg: CrawlConfig) -> np.ndarray:
-        """Per-row effective politeness budget, computed once per UNIQUE
-        host. Pinned chain (mirrored in the oracle): the Crawl-delay rule
+    def budgets(self, hosts: list[str], ccfg: CrawlConfig) -> np.ndarray:
+        """The effective politeness budget of each of the distinct
+        ``hosts``, in order. Pinned chain (mirrored in the oracle): the Crawl-delay rule
         (state/robots.effective_budget), the one-wave 5xx backoff halving
         ``max(1, eff // 2)``, the adaptive cap, then the
         max_pages_per_host quota — a value <= 0 marks the host RETIRED."""
@@ -428,8 +409,8 @@ class PolicyState:
         last_dur = self.last_dur if ccfg.adaptive_politeness else None
         if not (self.rules or backoff or last_dur) and quota is None:
             return np.full(len(hosts), budget, dtype=np.int64)
-        m = {}
-        for h in hosts.unique():
+        out = []
+        for h in hosts:
             eff = effective_budget(budget, self.rules.get(h)) if self.rules else budget
             if h in backoff:
                 eff = max(1, eff // 2)
@@ -441,35 +422,27 @@ class PolicyState:
                 ))
             if quota is not None:
                 eff = min(eff, quota - (self.host_fetched or {}).get(h, 0))
-            m[h] = eff
-        return hosts.map(m).to_numpy(dtype=np.int64)
+            out.append(eff)
+        return np.array(out, dtype=np.int64)
 
     @staticmethod
     def observe(fetched: pa.Table) -> dict:
         """One fetch block's policy observations, carried back in its
-        fetch meta. Tiny: bounded by the block's hosts and 5xx rows."""
-        import pyarrow.compute as pc
-
+        fetch meta. Tiny: bounded by the block's hosts and 5xx rows.
+        ``fetched`` is in drain order (host, slot), so a host's rows are
+        one run and its last row is its highest slot."""
         hits = fetched.filter(
             pc.and_(fetched["is_robots"], pc.equal(fetched["fetch_status"], 200))
         )
         errs = fetched.filter(pc.greater_equal(fetched["fetch_status"], 500))
         hosts = fetched["fetch_host"].to_pylist()
-        counts = pd.Series(hosts).value_counts()
-        fd = pd.DataFrame(
-            {"h": hosts, "sl": fetched["slot"].to_pylist(),
-             "d": fetched["fetch_ms"].to_pylist()}
-        )
-        last = fd.loc[fd.groupby("h")["sl"].idxmax()]
         return {
             "robots": list(
                 zip(hits["fetch_host"].to_pylist(), hits["robots_rules"].to_pylist())
             ),
             "backoff": sorted(set(errs["fetch_host"].to_pylist())),
-            "host_counts": list(
-                zip(counts.index.tolist(), counts.to_numpy().astype(int).tolist())
-            ),
-            "last_dur": list(zip(last["h"].tolist(), last["d"].astype(int).tolist())),
+            "host_counts": list(Counter(hosts).items()),
+            "last_dur": list(dict(zip(hosts, fetched["fetch_ms"].to_pylist())).items()),
             # the failed rows' frontier identity, for retry_5xx
             "retry": list(zip(*(errs[c].to_pylist() for c in FRONTIER_SCHEMA.names))),
         }
@@ -543,24 +516,40 @@ def _policy_of(boxed) -> PolicyState:
     return get_broadcast(boxed[0]) if boxed else PolicyState()
 
 
-def _drain_order(df: pd.DataFrame, ccfg: CrawlConfig, policy: PolicyState):
-    """The politeness drain over complete host groups: order each host's
-    queue by (priority, seq, surt), drop robots-Disallowed rows and
-    (under a quota) every row of a retired host, then rank rows per host.
-    Returns ``(df, selected, rank)``: ``df`` keeps its input index, so
-    ``df.index`` gives each drained row's position in the input; the
-    first ``budget`` rows of each host are selected, the rest carry
-    over."""
-    df = df.sort_values(["host", "priority", "seq", "surt"], kind="mergesort")
-    df = _robots_drop(df, policy.rules)
-    budgets = policy.budgets(df["host"], ccfg)
+def _drain_order(tbl: pa.Table, ccfg: CrawlConfig, policy: PolicyState):
+    """The politeness drain over complete host groups, on the block's
+    Arrow columns: order each host's queue by (priority, seq, surt), drop
+    robots-Disallowed rows (injected robots fetches at priority -1 are
+    exempt; only rows of hosts WITH rules pay the per-row Python check)
+    and, under a quota, every row of a retired host, then rank each row
+    in its host's queue from the start of the host's run. Returns
+    ``(rows, rank, selected)``: each drained row's position in ``tbl``,
+    in drain order; its rank; and whether it is within its host's budget
+    (fetched this wave) or carries over."""
+    rows = pc.sort_indices(
+        tbl, sort_keys=[(k, "ascending") for k in ("host", "priority", "seq", "surt")]
+    ).to_numpy()
+    enc = pc.dictionary_encode(tbl["host"].take(rows)).combine_chunks()
+    hosts, codes = enc.dictionary.to_pylist(), enc.indices.to_numpy()
+    budgets = policy.budgets(hosts, ccfg)
+    keep = np.ones(len(rows), dtype=bool)
+    ruled = [c for c, h in enumerate(hosts) if h in policy.rules]
+    if ruled:
+        at = np.flatnonzero(np.isin(codes, ruled))
+        urls = tbl["url"].take(rows[at]).to_pylist()
+        pris = tbl["priority"].take(rows[at]).to_numpy()
+        keep[at] = [
+            p == -1 or not is_disallowed(url_path(u), policy.rules[hosts[c]])
+            for u, p, c in zip(urls, pris, codes[at])
+        ]
     if ccfg.max_pages_per_host is not None:
         # retired hosts (no quota left) leave the frontier entirely
-        keep = budgets > 0
-        if not keep.all():
-            df, budgets = df[keep], budgets[keep]
-    ranks = df.groupby("host", sort=False).cumcount().to_numpy()
-    return df, ranks < budgets, ranks
+        keep &= budgets[codes] > 0
+    if not keep.all():
+        rows, codes = rows[keep], codes[keep]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    rank = np.arange(len(rows)) - np.repeat(starts, np.diff(starts, append=len(rows)))
+    return rows, rank, rank < budgets[codes]
 
 
 def _partition_by_host(tbl: pa.Table, n_parts: int) -> list[pa.Table]:
@@ -708,8 +697,6 @@ def _numbered(tables: list, spans: list, seq_base: int) -> pa.Table:
     ...``. A host's rows all sit in one block, so within a host this is
     the order a count over the whole wave would give, and ``seq_base``
     (the crawl's running count) puts them after every earlier row."""
-    import pyarrow.compute as pc
-
     slices = [t.slice(a, b - a) for t, (a, b) in zip(tables, spans) if b > a]
     if not slices:
         return PART_SCHEMA.empty_table()
@@ -717,10 +704,6 @@ def _numbered(tables: list, spans: list, seq_base: int) -> pa.Table:
     won = won.take(pc.sort_indices(won, sort_keys=PINNED_ORDER))
     seq = pa.array(np.arange(seq_base, seq_base + won.num_rows), pa.int64())
     return won.append_column("seq", seq).select(PART_SCHEMA.names).cast(PART_SCHEMA)
-
-
-# the drain's sort and robots keys: the only columns it converts to pandas
-_DRAIN_COLS = ["url", "surt", "host", "priority", "seq"]
 
 
 @_ray.remote(num_returns=5)
@@ -757,14 +740,9 @@ def _drain_fetch(
     :meth:`PolicyState.observe` (None for an empty block)."""
     n_shards = ccfg.seen_shards
     tbl = _assemble(injected, _numbered(winners, spans, seq_base), carry)
-    df, sel, ranks = _drain_order(
-        tbl.select(_DRAIN_COLS).to_pandas(), ccfg, _policy_of(policy_boxed)
-    )
-    rows = df.index.to_numpy()
-    carry = tbl.take(pa.array(rows[~sel], pa.int64())).cast(PART_SCHEMA)
-    fetch = tbl.take(pa.array(rows[sel], pa.int64())).append_column(
-        "slot", pa.array(ranks[sel], pa.int32())
-    )
+    rows, ranks, sel = _drain_order(tbl, ccfg, _policy_of(policy_boxed))
+    carry = tbl.take(rows[~sel]).cast(PART_SCHEMA)
+    fetch = tbl.take(rows[sel]).append_column("slot", pa.array(ranks[sel], pa.int32()))
     block = FetchExtractStage(scfg, icfg, wave, ccfg, docs_dir=docs_dir)(fetch)
     cand, shard_bounds = _candidates(block, n_shards)
     gate, gate_bounds = (
@@ -801,8 +779,6 @@ def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
     Each inherits its parent's ``(fetch_host, slot)`` as its
     ``(order_host, order_slot)``; ``order_rank`` is the link's index in
     the parent's sorted candidate list; ``hop`` is the parent's plus one."""
-    import pyarrow.compute as pc
-
     cand_col = block["cand_urls"].combine_chunks()
     lengths = pc.list_value_length(cand_col).to_numpy().astype(np.int64)
     total = int(lengths.sum())
@@ -831,8 +807,6 @@ def _candidates(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
 def _gate_rows(block: pa.Table, n_shards: int) -> tuple[pa.Table, list[int]]:
     """The block's duplicate-content gate rows: (key, host, slot) of every
     status-200 fetch, ``key`` its content hash, routed by that key."""
-    import pyarrow.compute as pc
-
     f = block.filter(pc.equal(block["fetch_status"], 200))
     gate = pa.table(
         {"key": f["content_hash"], "host": f["fetch_host"], "slot": f["slot"]}
@@ -905,8 +879,6 @@ def _finalize_fetch(wave: int, order_base: int, log_path: str | None, *parts):
     metas and pulls the table only under collect_log / checkpointing;
     the crawl-end durability barrier joins the tiny ``n_rows`` sentinel
     (a failed writer raises there, and no table travels)."""
-    import pyarrow.compute as pc
-
     cols = ["fetch_host", "slot", "url", "surt", "fetch_status"]
     tbl = pa.concat_tables([t.select(cols) for t in parts]).combine_chunks()
     tbl = tbl.take(
@@ -1035,7 +1007,6 @@ def _crawl_waves(
     """``run_crawl``'s wave loop over ``n_parts`` host blocks per wave."""
     import time
 
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
 
